@@ -193,6 +193,20 @@ def _pick_minimum(records: list[SweepRecord], objective) -> SweepRecord:
     return best
 
 
+def _weighted_objective(beta):
+    """Validate the weights and return beta1*p0 + beta2*pK + beta3*(p0 + pK)."""
+    beta = [float(b) for b in beta]
+    if len(beta) != 3 or any(b < 0 for b in beta):
+        raise ConfigError("beta must be three nonnegative weights")
+    if abs(sum(beta) - 1.0) > 1e-9:
+        raise ConfigError(f"beta must sum to 1, got {sum(beta)}")
+    return lambda m: beta[0] * m.p0 + beta[1] * m.pK + beta[2] * m.p_problematic
+
+
+def _profit_objective(m: Metrics) -> float:
+    return -m.profit
+
+
 def optimize_weighted(search: dict, base: SystemParams, beta,
                       prices: ProfitPrices | None = None) -> SweepRecord:
     """Minimize beta1*p0 + beta2*pK + beta3*(p0 + pK) over the design grid.
@@ -200,22 +214,14 @@ def optimize_weighted(search: dict, base: SystemParams, beta,
     The weights must be nonnegative and sum to one.  Ties go to the
     lexicographically smallest (C, K, mu).
     """
-    beta = [float(b) for b in beta]
-    if len(beta) != 3 or any(b < 0 for b in beta):
-        raise ConfigError("beta must be three nonnegative weights")
-    if abs(sum(beta) - 1.0) > 1e-9:
-        raise ConfigError(f"beta must sum to 1, got {sum(beta)}")
+    objective = _weighted_objective(beta)
     records = evaluate_design_grid(search, base, prices or ProfitPrices())
-    return _pick_minimum(
-        records,
-        lambda m: beta[0] * m.p0 + beta[1] * m.pK + beta[2] * m.p_problematic,
-    )
+    return _pick_minimum(records, objective)
 
 
 def optimize_profit(search: dict, base: SystemParams, prices: ProfitPrices) -> SweepRecord:
     """Maximize the station profit over the design grid; ties as above."""
-    records = evaluate_design_grid(search, base, prices)
-    return _pick_minimum(records, lambda m: -m.profit)
+    return _pick_minimum(evaluate_design_grid(search, base, prices), _profit_objective)
 
 
 def grid_to_csv(records: list[SweepRecord], path) -> None:

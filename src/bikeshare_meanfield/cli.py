@@ -22,14 +22,15 @@ import numpy as np
 
 from .analysis import (
     ProfitPrices,
+    _pick_minimum,
+    _profit_objective,
+    _weighted_objective,
     evaluate_design_grid,
     grid_to_csv,
-    optimize_profit,
-    optimize_weighted,
     sweep,
     sweep_to_csv,
 )
-from .core import SystemParams, fraction_vector
+from .core import SystemParams, _read_json_object, fraction_vector
 from .dynamics import OdeConfig, integrate
 from .errors import (
     BikeShareError,
@@ -62,16 +63,9 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _load_config(path: str, overrides: dict) -> dict:
-    file_path = Path(path)
-    if not file_path.is_file():
+    if not Path(path).is_file():
         raise ConfigError(f"parameter file not found: {path}")
-    with open(file_path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
+    data = _read_json_object(path)
     data.update(overrides)
     return data
 
@@ -159,13 +153,13 @@ def _cmd_optimize(config: dict, out: str) -> int:
                           benefit_psi=float(config.get("benefit_psi", 0.0)))
     objective = config.get("objective", "weighted")
     if objective == "weighted":
-        beta = config.get("beta", [0.0, 0.0, 1.0])
-        winner = optimize_weighted(search, params, beta, prices)
+        score = _weighted_objective(config.get("beta", [0.0, 0.0, 1.0]))
     elif objective == "profit":
-        winner = optimize_profit(search, params, prices)
+        score = _profit_objective
     else:
         raise ConfigError(f"objective must be 'weighted' or 'profit', got {objective!r}")
     records = evaluate_design_grid(search, params, prices)
+    winner = _pick_minimum(records, score)
     grid_to_csv(records, Path(out).with_suffix(".grid.csv"))
     m = winner.metrics
     _write_json(out, {

@@ -51,6 +51,18 @@ def _as_int(name: str, value) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
 
 
+def _read_json_object(path) -> dict:
+    """Parse a file that must hold one JSON object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return data
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All model constants in one validated record.
@@ -120,14 +132,7 @@ class SystemParams:
 
     @classmethod
     def from_json(cls, path) -> "SystemParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path} must hold a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json_object(path))
 
     def to_dict(self) -> dict:
         return {
@@ -202,6 +207,11 @@ def geometric_walk_factor(p0: float, omega: int) -> float:
     return float(_geom_sum(float(p0), omega))
 
 
+def _death_rate(y0, params: SystemParams):
+    """Rental-side rate lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1))."""
+    return params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
+
+
 def _rates_arrays(y, params: SystemParams, check: bool = True):
     """Vectorized (birth, death) rates; ``y`` has shape (..., K+1).
 
@@ -224,7 +234,7 @@ def _rates_arrays(y, params: SystemParams, check: bool = True):
                 f"(deficit {float(np.min(fleet)):.3e})"
             )
         fleet = np.maximum(fleet, 0.0)
-    death = params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
+    death = _death_rate(y0, params)
     birth = params.mu * fleet / (1.0 - yk)
     return birth, death
 
@@ -244,9 +254,7 @@ def limiting_rates(y, params: SystemParams) -> RatePair:
 
 def finite_service_rate(y, params: SystemParams) -> float:
     """Rental-side (death) rate of the N-station system; level-independent."""
-    y = np.asarray(y, dtype=float)
-    y0 = float(y[..., 0])
-    return params.lam + params.gamma * y0 * float(_geom_sum(y0, params.omega))
+    return _death_rate(float(np.asarray(y, dtype=float)[..., 0]), params)
 
 
 def finite_arrival_rates(y, params: SystemParams) -> np.ndarray:

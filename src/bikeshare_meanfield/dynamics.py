@@ -102,26 +102,20 @@ class Trajectory:
 
 
 def _drift_limiting_arrays(y, params: SystemParams) -> np.ndarray:
-    """Vectorized limiting drift; ``y`` has shape (..., K+1)."""
+    """Vectorized limiting drift; ``y`` is one vector (K+1,) or a block (n, K+1).
+
+    Slicing along ``y.T`` puts the levels first, so the per-row rates
+    broadcast over the trailing row axis of a block.
+    """
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        a, b = _rates_arrays(y, params, check=True)
-        a = float(a)
-        b = float(b)
-        f = np.empty_like(y)
-        f[0] = -a * y[0] + b * y[1]
-        np.multiply(y[:-2] - y[1:-1], a, out=f[1:-1])
-        f[1:-1] += b * (y[2:] - y[1:-1])
-        f[-1] = a * y[-2] - b * y[-1]
-        return f
     a, b = _rates_arrays(y, params, check=True)
-    a = np.asarray(a)[..., None]
-    b = np.asarray(b)[..., None]
-    f = np.empty_like(y)
-    f[..., 0] = (-a * y[..., :1] + b * y[..., 1:2])[..., 0]
-    f[..., 1:-1] = a * (y[..., :-2] - y[..., 1:-1]) + b * (y[..., 2:] - y[..., 1:-1])
-    f[..., -1] = (a * y[..., -2:-1] - b * y[..., -1:])[..., 0]
-    return f
+    yt = y.T
+    f = np.empty_like(yt)
+    f[0] = -a * yt[0] + b * yt[1]
+    np.multiply(yt[:-2] - yt[1:-1], a, out=f[1:-1])
+    f[1:-1] += b * (yt[2:] - yt[1:-1])
+    f[-1] = a * yt[-2] - b * yt[-1]
+    return f.T
 
 
 def drift_limiting(y, params: SystemParams) -> np.ndarray:
@@ -162,7 +156,7 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     ``StepInstabilityError``.  Leaving the assumed domain (y0 or y_K above
     1 - delta) raises ``DomainExitError`` with the exit time.  Integration
     stops early once the drift sup-norm falls below the stationarity
-    tolerance.
+    tolerance; the drift of that check is the next step's first stage.
     """
     drift = drift_finite_n if finite_n else drift_limiting
     y = config.initial.copy()
@@ -187,10 +181,12 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     states = [y.copy()]
     t = 0.0
     step_index = 0
+    k1 = None
     while t < horizon * (1.0 - 1e-15):
         t_next = min((step_index + 1) * h, horizon)
         hs = t_next - t
-        k1 = drift(y, params)
+        if k1 is None:
+            k1 = drift(y, params)
         k2 = drift(y + 0.5 * hs * k1, params)
         k3 = drift(y + 0.5 * hs * k2, params)
         k4 = drift(y + hs * k3, params)
@@ -211,7 +207,8 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
         check_domain(y, t)
         times.append(t)
         states.append(y.copy())
-        if float(np.max(np.abs(drift(y, params)))) < config.stationarity_tol:
+        k1 = drift(y, params)
+        if float(np.max(np.abs(k1))) < config.stationarity_tol:
             break
     return Trajectory(np.array(times), np.array(states))
 

@@ -104,26 +104,16 @@ def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
 
 
 def birth_death_stationary(rates: RatePair, capacity_k: int) -> np.ndarray:
-    """Closed-form stationary vector p_k = rho^k (1-rho) / (1-rho^(K+1)).
+    """Stationary vector p_k = rho^k (1-rho) / (1-rho^(K+1)) at load rho = birth/death.
 
-    Uniform when the rates are (relatively) equal; for loads above one the
-    mirrored form in 1/rho is used, which is the same formula rearranged
-    for numerical safety.
+    The rates are validated, then the vector is ``stationary_from_load``.
     """
     a, b = float(rates[0]), float(rates[1])
     if a < 0:
         raise ConfigError(f"birth rate must be nonnegative, got {a}")
     if b <= 0:
         raise ConfigError(f"death rate must be positive, got {b}")
-    n = capacity_k + 1
-    if abs(a - b) < UNIFORM_THRESHOLD * (a + b):
-        return np.full(n, 1.0 / n)
-    k = np.arange(n, dtype=float)
-    if a < b:
-        rho = a / b
-        return rho ** k * ((1.0 - rho) / (1.0 - rho ** n))
-    q = b / a
-    return q ** (capacity_k - k) * ((1.0 - q) / (1.0 - q ** n))
+    return stationary_from_load(a / b, capacity_k)
 
 
 def geometric_roots(rates: RatePair) -> GeometricRoots:
@@ -167,7 +157,7 @@ def geometric_coefficients(roots: GeometricRoots, capacity_k: int) -> tuple[floa
 def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
     """Stationary vector as the two-root combination c1 r^k + c2 g^(K-k).
 
-    An independent route to the same vector as ``birth_death_stationary``;
+    An independent route to the same vector as ``stationary_from_load``;
     requires unequal rates.
     """
     roots = geometric_roots(rates)
@@ -214,7 +204,9 @@ def solve_fixed_point(params: SystemParams, tol: float = DEFAULT_TOL) -> FixedPo
     fixed point solves defect(rho) = birth(p(rho)) - rho*death(p(rho)) = 0.
     The defect is bracketed on [0, mu*C/(delta*lambda)] and solved with a
     guarded bisection/secant scheme; the result is rejected loudly if its
-    empty or full fraction violates the assumed 1 - delta bound.
+    empty or full fraction violates the assumed 1 - delta bound.  ``tol``
+    bounds the sup-norm of p V_p relative to birth + death, so rescaling
+    every rate leaves the verdict unchanged.
     """
     if tol < 1e-13:
         raise ConfigError(f"tolerance below 1e-13 is not attainable, got {tol}")
@@ -236,9 +228,11 @@ def solve_fixed_point(params: SystemParams, tol: float = DEFAULT_TOL) -> FixedPo
         )
         iterations = info.iterations
     result = _result_at(rho, params, iterations)
-    if result.residual >= tol:
+    scale = result.rates.birth + result.rates.death
+    if result.residual >= tol * scale:
         raise InvariantViolationError(
-            f"solver residual {result.residual:.3e} did not reach tol {tol:.1e}"
+            f"solver residual {result.residual:.3e} did not reach tol {tol:.1e} "
+            f"relative to birth + death = {scale:.3e}"
         )
     bound = 1.0 - params.delta
     if result.p[0] > bound or result.p[-1] > bound:
@@ -284,26 +278,19 @@ def _stationary_from_load_batch(rho: np.ndarray, capacity_k: int) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _self_map(p: np.ndarray, params: SystemParams) -> np.ndarray:
-    """One application of p -> stationary vector at the rates induced by p.
+def _self_map_batch(p: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Row-wise p -> stationary vector at the rates induced by p, for a block.
 
     Negative implied birth rates (mean parked bikes above C) are clamped to
     zero so the map stays inside the simplex from any start.
     """
-    a, b = _rates_arrays(p, params, check=False)
-    rho = max(float(a), 0.0) / float(b)
-    return stationary_from_load(rho, params.capacity_k)
-
-
-def _self_map_batch(p: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Row-wise self-map for a block of fraction vectors."""
     a, b = _rates_arrays(p, params, check=False)
     rho = np.maximum(a, 0.0) / b
     return _stationary_from_load_batch(np.asarray(rho, dtype=float),
                                        params.capacity_k)
 
 
-def _refine_locally(rho0: float, params: SystemParams, tol: float) -> tuple[float, int]:
+def _refine_locally(rho0: float, params: SystemParams) -> tuple[float, int]:
     """Polish a load estimate with secant steps on the defect around rho0.
 
     Falls back to bisection on a small expanding bracket if the secant
@@ -395,7 +382,7 @@ def uniqueness_probe(
     for i in range(n_starts):
         a, b = _rates_arrays(block[i], params, check=False)
         rho0 = max(float(a), 0.0) / float(b)
-        rho, used = _refine_locally(rho0, params, agreement_tol)
+        rho, used = _refine_locally(rho0, params)
         results.append(_result_at(rho, params, int(iterations[i]) + used))
     reference = results[0].p
     distinct = [results[0]]
@@ -414,4 +401,4 @@ def uniqueness_probe(
 def self_map_residual(p, params: SystemParams) -> float:
     """Sup-norm distance between p and the stationary vector its rates induce."""
     p = fraction_vector(p)
-    return float(np.max(np.abs(p - _self_map(p, params))))
+    return float(np.max(np.abs(p - _self_map_batch(p[None, :], params)[0])))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SystemParams
+from .core import SystemParams, _as_int
 from .dynamics import OdeConfig, Trajectory, integrate
 from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
@@ -102,14 +102,19 @@ class SimConfig:
         params = SystemParams.from_dict(data)
         if "seed" not in data or "t_measure" not in data:
             raise ConfigError("simulation config needs keys 'seed' and 't_measure'")
+        exclude = data.get("exclude_first_ride_origin", False)
+        if not isinstance(exclude, bool):
+            raise ConfigError(
+                f"exclude_first_ride_origin must be true or false, got {exclude!r}"
+            )
         return cls(
             params=params,
-            seed=int(data["seed"]),
+            seed=_as_int("seed", data["seed"]),
             t_measure=float(data["t_measure"]),
             t_warmup=float(data.get("t_warmup", 0.0)),
             sample_interval=(float(data["sample_interval"])
                              if data.get("sample_interval") is not None else None),
-            exclude_first_ride_origin=bool(data.get("exclude_first_ride_origin", False)),
+            exclude_first_ride_origin=exclude,
         )
 
 

@@ -129,6 +129,14 @@ class TestSimulateCommand:
         main(["simulate", "--params", str(params), "--out", str(out)])
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("override", ["seed=1.7", 'exclude_first_ride_origin="false"'])
+    def test_coercions_rejected(self, tmp_path, capsys, override):
+        params = write_params(tmp_path, dict(SMALL, seed=1, t_measure=1.0))
+        code = main(["simulate", "--params", str(params), "--out",
+                     str(tmp_path / "r.json"), "--set", override])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
 
 class TestSweepCommand:
     def test_csv_output(self, tmp_path):
@@ -175,6 +183,28 @@ class TestOptimizeCommand:
         params = write_params(tmp_path, dict(SMALL, objective="weighted"))
         assert main(["optimize", "--params", str(params),
                      "--out", str(tmp_path / "w.json")]) == 3
+
+    @pytest.mark.parametrize("objective", ["weighted", "profit"])
+    def test_solves_each_candidate_once(self, tmp_path, monkeypatch, objective):
+        from bikeshare_meanfield import analysis
+
+        calls = []
+
+        def counting_solve(params, *args, **kwargs):
+            calls.append(params)
+            return solve(params, *args, **kwargs)
+
+        solve = analysis.solve_fixed_point
+        monkeypatch.setattr(analysis, "solve_fixed_point", counting_solve)
+        config = dict(SMALL, objective=objective, grid_c=[2, 3, 5], grid_mu=[0.25, 2.0, 4.0])
+        params = write_params(tmp_path, config)
+        out = tmp_path / "win.json"
+        assert main(["optimize", "--params", str(params), "--out", str(out)]) == 0
+        rows = (tmp_path / "win.grid.csv").read_text().splitlines()[1:]
+        # C=5 >= K and mu=0.25 <= gamma are infeasible: 2 x 2 candidates remain
+        assert len(rows) == 4
+        assert len(calls) == 4
+        assert len(set(calls)) == 4
 
 
 class TestValidateCommand:

@@ -59,6 +59,25 @@ class TestDrift:
                                     - componentwise_drift(y, params)))
                 assert gap < 1e-12
 
+    def test_block_equals_stacked_vectors(self):
+        # the fleet term sum_k k*y_k is a BLAS dot product whose summation
+        # order differs between one vector and a block, so random fractions
+        # can differ in the last bit there; fractions on the 2**-30 grid make
+        # that sum exact, and then every other operation must agree bitwise
+        from bikeshare_meanfield.dynamics import _drift_limiting_arrays
+
+        for params in (SMALL, FIG5):
+            points = domain_points(params, 40, seed=3)
+            counts = np.floor(points * 2.0 ** 30)
+            rows = np.arange(len(counts))
+            counts[rows, np.argmax(counts, axis=1)] += 2.0 ** 30 - counts.sum(axis=1)
+            block = counts / 2.0 ** 30
+            stacked = np.vstack([drift_limiting(y, params) for y in block])
+            assert np.array_equal(_drift_limiting_arrays(block, params), stacked)
+            random = np.vstack([drift_limiting(y, params) for y in points])
+            assert np.allclose(_drift_limiting_arrays(points, params), random,
+                               rtol=1e-13, atol=1e-13)
+
     def test_components_sum_to_zero(self):
         rng = np.random.default_rng(1)
         pts = sample_domain_points(SMALL, 1000, rng)

@@ -157,7 +157,7 @@ class TestStationaryFromLoad:
             rho = 10.0 ** rng.uniform(-3, 3)
             k = int(rng.integers(1, 101))
             p = stationary_from_load(rho, k)
-            q = birth_death_stationary(RatePair(rho, 1.0), k)
+            q = geometric_form(RatePair(rho, 1.0), k)
             assert np.max(np.abs(p - q)) < 1e-12
 
     def test_extreme_loads(self):
@@ -240,6 +240,25 @@ class TestSolveFixedPoint:
     def test_tolerance_floor(self):
         with pytest.raises(ConfigError):
             solve_fixed_point(FIG5, tol=1e-14)
+
+    def test_large_rates_pass_the_relative_gate(self):
+        # absolute residual about 1.4e-10, relative to birth + death 1.6e-14
+        params = SystemParams(lam=4319.006245057224, mu=55679.60041732922,
+                              gamma=28290.903457530305, omega=0, capacity_c=192,
+                              capacity_k=460, n_stations=1000, delta=0.05)
+        result = solve_fixed_point(params)
+        assert result.residual > 1e-10
+        assert result.residual < 1e-10 * (result.rates.birth + result.rates.death)
+
+    @pytest.mark.parametrize("params", [FIG5, FIG7])
+    def test_time_rescaling_keeps_p(self, params):
+        import dataclasses
+
+        reference = solve_fixed_point(params).p
+        for s in (1.0, 1e3, 1e5):
+            scaled = dataclasses.replace(params, lam=params.lam * s, mu=params.mu * s,
+                                         gamma=params.gamma * s)
+            assert np.max(np.abs(solve_fixed_point(scaled).p - reference)) <= 1e-12
 
 
 class TestNonlinearResidual:

@@ -66,6 +66,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig.from_dict(data)
 
+    def test_fractional_seed_rejected(self):
+        data = SMALL.to_dict()
+        data.update(seed=1.7, t_measure=1.0)
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict(data)
+
+    def test_string_flag_rejected(self):
+        data = SMALL.to_dict()
+        data.update(seed=1, t_measure=1.0, exclude_first_ride_origin="false")
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict(data)
+
 
 class TestDeterminism:
     def test_identical_seed_identical_report(self):
