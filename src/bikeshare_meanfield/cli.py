@@ -30,7 +30,7 @@ from .analysis import (
     sweep,
     sweep_to_csv,
 )
-from .core import SystemParams, _read_json_object, fraction_vector
+from .core import SystemParams, _as_int, _read_json_object, fraction_vector
 from .dynamics import OdeConfig, integrate
 from .errors import (
     BikeShareError,
@@ -181,7 +181,7 @@ def _cmd_validate(config: dict, out: str | None) -> int:
     params = SystemParams.from_dict(config)
     checks = run_all(
         params,
-        seed=int(config.get("seed", 20240)),
+        seed=_as_int("seed", config.get("seed", 20240)),
         sim_t_measure=(float(config["validate_t_measure"])
                        if "validate_t_measure" in config else None),
     )

@@ -188,13 +188,18 @@ def _geom_sum(x, omega: int):
     """Sum of the first ``omega`` powers of x: 1 + x + ... + x**(omega-1).
 
     Elementwise for arrays; the empty sum (omega = 0) is 0.  This is the
-    finite form of (1 - x**omega) / (1 - x) and is exact at x = 1.
+    finite form of (1 - x**omega) / (1 - x) and is exact at x = 1.  The bits
+    of omega are walked from the top by doubling, S(2n) = S(n) + x**n S(n)
+    and S(2n+1) = S(2n) + x**(2n), so the cost is O(log omega).
     """
     total = x * 0.0
     power = total + 1.0
-    for _ in range(omega):
-        total = total + power
-        power = power * x
+    for bit in format(omega, "b"):
+        total = total + power * total
+        power = power * power
+        if bit == "1":
+            total = total + power
+            power = power * x
     return total
 
 

@@ -12,7 +12,6 @@ combination) are implemented as mutually checking routes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,30 +267,9 @@ def nonlinear_residual(p, params: SystemParams) -> np.ndarray:
     return res
 
 
-def _stationary_from_load_batch(rho: np.ndarray, capacity_k: int) -> np.ndarray:
-    """Row-wise ``stationary_from_load`` for a vector of loads."""
-    k = np.arange(capacity_k + 1, dtype=float)
-    low = rho <= 1.0
-    base = np.where(low, rho, np.divide(1.0, rho, out=np.ones_like(rho), where=rho > 0))
-    expo = np.where(low[:, None], k[None, :], capacity_k - k[None, :])
-    w = base[:, None] ** expo
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def _self_map_batch(p: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Row-wise p -> stationary vector at the rates induced by p, for a block.
-
-    Negative implied birth rates (mean parked bikes above C) are clamped to
-    zero so the map stays inside the simplex from any start.
-    """
-    a, b = _rates_arrays(p, params, check=False)
-    rho = np.maximum(a, 0.0) / b
-    return _stationary_from_load_batch(np.asarray(rho, dtype=float),
-                                       params.capacity_k)
-
-
-def _refine_locally(rho0: float, params: SystemParams) -> tuple[float, int]:
-    """Polish a load estimate with secant steps on the defect around rho0.
+def _refine_locally(rho0: float, params: SystemParams,
+                    max_steps: int) -> tuple[float, int]:
+    """Polish a load estimate with at most ``max_steps`` secant steps around rho0.
 
     Falls back to bisection on a small expanding bracket if the secant
     iteration leaves the neighbourhood; the search never restarts globally
@@ -302,7 +280,7 @@ def _refine_locally(rho0: float, params: SystemParams) -> tuple[float, int]:
     f0 = _defect(x0, params)
     f1 = _defect(x1, params)
     used = 2
-    for _ in range(60):
+    for _ in range(max_steps):
         if f1 == 0.0:
             return x1, used
         if f1 == f0:
@@ -341,55 +319,34 @@ def uniqueness_probe(
     n_starts: int,
     seed: int = 0,
     agreement_tol: float = 1e-8,
-    damping: float = 0.5,
-    max_iterations: int = 10_000,
+    max_iterations: int = 60,
 ) -> list[FixedPointResult]:
     """Hunt for multiple fixed points from random starting vectors.
 
-    Each start runs a damped iteration of the stationary self-map, then a
-    local scalar refinement; the run never falls back to the global
-    bracketed solve, so a second attractor would produce a second answer.
-    All results must agree within ``agreement_tol`` in sup-norm, otherwise
-    ``MultipleFixedPointsError`` carries the distinct results.
+    The self-map sends any vector to the stationary vector at the load its
+    rates induce, so fixed points are exactly the roots of the scalar
+    defect.  Each random start (a Dirichlet draw on the simplex) is mapped
+    once to that load, and the load is refined locally on the defect with
+    at most ``max_iterations`` secant steps; the run never falls back to the
+    global bracketed solve, so a root in another basin produces another
+    answer.  ``iterations`` of each result counts the defect evaluations
+    of its refinement.  All results must agree within ``agreement_tol`` in
+    sup-norm, otherwise ``MultipleFixedPointsError`` carries the distinct
+    results.
     """
     if n_starts < 1:
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
     rng = np.random.default_rng(seed)
-    block = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
-    iterations = np.zeros(n_starts, dtype=int)
-    active = np.ones(n_starts, dtype=bool)
-    # the damped iterations of all starts advance together; each start
-    # freezes once its own update falls below the threshold, and the whole
-    # phase stops early if progress has stalled inside a basin (the scalar
-    # refinement finishes the job from there)
-    checkpoint_move = math.inf
-    for it in range(max_iterations):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        current = block[idx]
-        nxt = (1.0 - damping) * current + damping * _self_map_batch(current, params)
-        moves = np.max(np.abs(nxt - current), axis=1)
-        block[idx] = nxt
-        iterations[idx] += 1
-        active[idx[moves < 1e-10]] = False
-        if (it + 1) % 250 == 0:
-            worst = float(moves.max()) if moves.size else 0.0
-            if worst < 1e-6 and worst > 0.5 * checkpoint_move:
-                break
-            checkpoint_move = worst
+    starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
+    a, b = _rates_arrays(starts, params, check=False)
     results: list[FixedPointResult] = []
-    for i in range(n_starts):
-        a, b = _rates_arrays(block[i], params, check=False)
-        rho0 = max(float(a), 0.0) / float(b)
-        rho, used = _refine_locally(rho0, params)
-        results.append(_result_at(rho, params, int(iterations[i]) + used))
-    reference = results[0].p
+    for rho0 in np.maximum(a, 0.0) / b:
+        rho, used = _refine_locally(float(rho0), params, max_iterations)
+        results.append(_result_at(rho, params, used))
     distinct = [results[0]]
     for res in results[1:]:
-        if float(np.max(np.abs(res.p - reference))) > agreement_tol:
-            if all(float(np.max(np.abs(res.p - d.p))) > agreement_tol for d in distinct):
-                distinct.append(res)
+        if all(float(np.max(np.abs(res.p - d.p))) > agreement_tol for d in distinct):
+            distinct.append(res)
     if len(distinct) > 1:
         raise MultipleFixedPointsError(
             f"{len(distinct)} distinct fixed points found across {n_starts} starts",
@@ -401,4 +358,6 @@ def uniqueness_probe(
 def self_map_residual(p, params: SystemParams) -> float:
     """Sup-norm distance between p and the stationary vector its rates induce."""
     p = fraction_vector(p)
-    return float(np.max(np.abs(p - _self_map_batch(p[None, :], params)[0])))
+    a, b = _rates_arrays(p, params, check=False)
+    image = stationary_from_load(max(float(a), 0.0) / float(b), params.capacity_k)
+    return float(np.max(np.abs(p - image)))

@@ -45,17 +45,23 @@ class CheckResult:
 
 
 def check_fixed_point_characterizations(params: SystemParams, tol: float = 1e-10) -> CheckResult:
-    """The solved point must satisfy all three stationary formulations."""
+    """The solved point must satisfy all three stationary formulations.
+
+    The generator and cleared-denominator residuals carry the units of a
+    rate, so they are taken relative to birth + death at the solved point
+    (as in ``solve_fixed_point``); the self-map residual is dimensionless.
+    """
     result = solve_fixed_point(params)
-    sta2 = result.residual
+    scale = result.rates.birth + result.rates.death
+    sta2 = result.residual / scale
     sta4 = self_map_residual(result.p, params)
-    uniq = float(np.max(np.abs(nonlinear_residual(result.p, params))))
+    uniq = float(np.max(np.abs(nonlinear_residual(result.p, params)))) / scale
     worst = max(sta2, sta4, uniq)
     return CheckResult(
         name="fixed-point-characterizations",
         passed=bool(worst < tol),
-        detail=f"residuals generator={sta2:.2e} self-map={sta4:.2e} "
-               f"cleared-denominator={uniq:.2e} (tol {tol:.0e})",
+        detail=f"residuals generator={sta2:.2e} cleared-denominator={uniq:.2e} "
+               f"(per unit of birth + death) self-map={sta4:.2e} (tol {tol:.0e})",
     )
 
 

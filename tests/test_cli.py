@@ -129,10 +129,16 @@ class TestSimulateCommand:
         main(["simulate", "--params", str(params), "--out", str(out)])
         assert out.read_bytes() == first
 
-    @pytest.mark.parametrize("override", ["seed=1.7", 'exclude_first_ride_origin="false"'])
-    def test_coercions_rejected(self, tmp_path, capsys, override):
+    @pytest.mark.parametrize("command,override", [
+        pytest.param("simulate", "seed=1.7", id="seed=1.7"),
+        pytest.param("simulate", 'exclude_first_ride_origin="false"',
+                     id='exclude_first_ride_origin="false"'),
+        pytest.param("validate", "seed=1.7", id="validate-seed=1.7"),
+        pytest.param("validate", "seed=true", id="validate-seed=true"),
+    ])
+    def test_coercions_rejected(self, tmp_path, capsys, command, override):
         params = write_params(tmp_path, dict(SMALL, seed=1, t_measure=1.0))
-        code = main(["simulate", "--params", str(params), "--out",
+        code = main([command, "--params", str(params), "--out",
                      str(tmp_path / "r.json"), "--set", override])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

@@ -97,6 +97,7 @@ class TestGeometricWalkFactor:
 
     def test_at_one_equals_omega(self):
         assert geometric_walk_factor(1.0, 3) == 3.0
+        assert geometric_walk_factor(1.0, 10**6) == 10**6
 
     def test_direct_value(self):
         # 1 + 0.5, cross-checked against the closed form (1 - 0.25)/(1 - 0.5)
@@ -126,6 +127,12 @@ class TestGeometricWalkFactor:
         value = geometric_walk_factor(p0, omega)
         closed = (1 - p0 ** omega) / (1 - p0)
         assert value == pytest.approx(closed, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("omega", [13, 100, 1_000, 100_000])
+    def test_large_omega_matches_closed_form(self, omega):
+        for p0 in np.linspace(0.0, 0.9, 91):
+            closed = (1 - p0 ** omega) / (1 - p0)
+            assert geometric_walk_factor(p0, omega) == pytest.approx(closed, rel=1e-13)
 
     def test_continuous_at_one(self):
         # removable singularity: approach 1 from below

@@ -20,11 +20,14 @@ from bikeshare_meanfield import (
     stationary_from_load,
     uniqueness_probe,
 )
+from bikeshare_meanfield import fixed_point
 from bikeshare_meanfield.errors import (
     AssumptionViolationError,
     ConfigError,
     DegenerateCaseError,
+    MultipleFixedPointsError,
 )
+from bikeshare_meanfield.validation import check_fixed_point_characterizations
 
 FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
@@ -260,6 +263,15 @@ class TestSolveFixedPoint:
                                          gamma=params.gamma * s)
             assert np.max(np.abs(solve_fixed_point(scaled).p - reference)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [1.0, 1e3, 1e5])
+    def test_characterization_check_is_scale_free(self, s):
+        import dataclasses
+
+        scaled = dataclasses.replace(FIG5, lam=FIG5.lam * s, mu=FIG5.mu * s,
+                                     gamma=FIG5.gamma * s)
+        check = check_fixed_point_characterizations(scaled)
+        assert check.passed, check.detail
+
 
 class TestNonlinearResidual:
     def test_zero_at_uniform_fixed_point(self):
@@ -310,6 +322,22 @@ class TestUniquenessProbe:
     def test_rejects_zero_starts(self):
         with pytest.raises(ConfigError):
             uniqueness_probe(FIG5, 0)
+
+    def test_reports_every_root_of_a_cubic_defect(self, monkeypatch):
+        # a defect with three roots stands in for a system with three fixed
+        # points; the random starts must land in all three basins
+        monkeypatch.setattr(fixed_point, "_defect",
+                            lambda rho, params: -(rho - 0.5) * (rho - 1.6) * (rho - 3.0))
+        with pytest.raises(MultipleFixedPointsError) as err:
+            uniqueness_probe(FIG5, 20, seed=0)
+        roots = sorted(r.rho for r in err.value.results)
+        assert np.allclose(roots, [0.5, 1.6, 3.0], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("params", [FIG5, FIG7])
+    def test_defect_changes_sign_once(self, params):
+        grid = np.linspace(0.0, fixed_point.rho_upper_bound(params), 2001)
+        signs = np.sign([fixed_point._defect(rho, params) for rho in grid])
+        assert int(np.count_nonzero(signs[1:] != signs[:-1])) == 1
 
 
 class TestResultExport:
