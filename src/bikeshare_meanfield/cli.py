@@ -30,7 +30,7 @@ from .analysis import (
     sweep,
     sweep_to_csv,
 )
-from .core import SystemParams, _as_int, _read_json_object, fraction_vector
+from .core import SystemParams, _as_bool, _as_int, _read_json_object, fraction_vector
 from .dynamics import OdeConfig, integrate
 from .errors import (
     BikeShareError,
@@ -100,7 +100,8 @@ def _cmd_ode(config: dict, out: str) -> int:
         stationarity_tol=float(config.get("stationarity_tol", 1e-10)),
         max_time=float(config.get("max_time", np.inf)),
     )
-    traj = integrate(ode_config, params, finite_n=bool(config.get("finite_n", False)))
+    traj = integrate(ode_config, params,
+                     finite_n=_as_bool("finite_n", config.get("finite_n", False)))
     traj.to_csv(out, params=params)
     terminal_path = Path(out).with_suffix(".terminal.json")
     _write_json(str(terminal_path), {

@@ -43,12 +43,28 @@ _JSON_FIELDS = {
 
 
 def _as_int(name: str, value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, np.bool_, str)) or (
+            isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _as_float(name: str, value) -> float:
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _as_bool(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _read_json_object(path) -> dict:
@@ -88,10 +104,9 @@ class SystemParams:
     delta: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "delta", float(self.delta))
+        for key, name in (("lambda", "lam"), ("mu", "mu"), ("gamma", "gamma"),
+                          ("delta", "delta")):
+            object.__setattr__(self, name, _as_float(key, getattr(self, name)))
         for name in ("omega", "capacity_c", "capacity_k", "n_stations"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if not self.lam > 0:
@@ -217,6 +232,17 @@ def _death_rate(y0, params: SystemParams):
     return params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
 
 
+def _check_fleet(yk, fleet, deficit: bool = True) -> None:
+    """Full-system and negative-fleet guards (a block passes its largest yK, smallest fleet)."""
+    if yk >= 1.0 - _EPS:
+        raise FullSystemError("full-station fraction reached 1: persistent-return rate undefined")
+    if fleet < -FLEET_TOL:
+        raise NegativeFleetError(
+            "mean parked bikes exceed C: bikes in transit would be negative"
+            + (f" (deficit {float(fleet):.3e})" if deficit else "")
+        )
+
+
 def _rates_arrays(y, params: SystemParams, check: bool = True):
     """Vectorized (birth, death) rates; ``y`` has shape (..., K+1).
 
@@ -229,15 +255,7 @@ def _rates_arrays(y, params: SystemParams, check: bool = True):
     levels = np.arange(y.shape[-1], dtype=float)
     fleet = params.capacity_c - y @ levels
     if check:
-        if np.any(yk >= 1.0 - _EPS):
-            raise FullSystemError(
-                "full-station fraction reached 1: persistent-return rate undefined"
-            )
-        if np.any(fleet < -FLEET_TOL):
-            raise NegativeFleetError(
-                "mean parked bikes exceed C: bikes in transit would be negative "
-                f"(deficit {float(np.min(fleet)):.3e})"
-            )
+        _check_fleet(np.max(yk), np.min(fleet))
         fleet = np.maximum(fleet, 0.0)
     death = _death_rate(y0, params)
     birth = params.mu * fleet / (1.0 - yk)
@@ -269,23 +287,26 @@ def finite_arrival_rates(y, params: SystemParams) -> np.ndarray:
     rate is the constant shared-fleet value, which converges to the limiting
     birth rate as N grows.
     """
-    y = np.asarray(y, dtype=float)
-    n = params.n_stations
-    k = params.capacity_k
-    yk = float(y[-1])
-    if yk >= 1.0 - _EPS:
-        raise FullSystemError(
-            "full-station fraction reached 1: persistent-return rate undefined"
-        )
-    fleet = params.capacity_c - mean_bikes(y)
-    if fleet < -FLEET_TOL:
-        raise NegativeFleetError(
-            "mean parked bikes exceed C: bikes in transit would be negative"
-        )
-    fleet = max(fleet, 0.0)
-    levels = np.arange(k, dtype=float)
-    own = np.where(levels <= params.capacity_c - 1, params.capacity_c - levels, 0.0)
-    return (params.mu / n) * (own + (n - 1) * fleet) / (1.0 - yk)
+    rates = _finite_arrival_kernel(params)
+    return rates(np.asarray(y, dtype=float), np.empty(params.capacity_k))
+
+
+def _finite_arrival_kernel(params: SystemParams):
+    """``finite_arrival_rates`` as ``rates(y, out)`` for one float vector, with
+    the level and own-fleet vectors built once."""
+    c, n = params.capacity_c, params.n_stations
+    levels = np.arange(params.capacity_k + 1)
+    own = np.where(levels[:-1] <= c - 1, c - levels[:-1], 0.0)
+
+    def rates(y, out):
+        yk = y.item(-1)
+        fleet = c - float(levels @ y)
+        _check_fleet(yk, fleet, deficit=False)
+        np.add(own, (n - 1) * max(fleet, 0.0), out=out)
+        np.multiply(params.mu / n, out, out=out)
+        return np.divide(out, 1.0 - yk, out=out)
+
+    return rates
 
 
 def _tridiagonal_generator(births: np.ndarray, deaths: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ bound on its norm used to certify Lipschitz continuity.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -18,9 +19,10 @@ import numpy as np
 
 from .core import (
     SystemParams,
+    _check_fleet,
+    _death_rate,
+    _finite_arrival_kernel,
     _rates_arrays,
-    finite_arrival_rates,
-    finite_service_rate,
     fraction_vector,
 )
 from .errors import ConfigError, DomainExitError, StepInstabilityError
@@ -90,32 +92,60 @@ class Trajectory:
     def to_csv(self, path, params: SystemParams | None = None) -> None:
         """Write "t,y0,...,yK" rows at full double precision (17 digits)."""
         k = self.states.shape[1] - 1
-        header = "t," + ",".join(f"y{i}" for i in range(k + 1))
+        row = ",".join(["%.17g"] * (k + 2)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             if params is not None:
-                import json
-
                 fh.write(f"# params: {json.dumps(params.to_dict(), sort_keys=True)}\n")
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write("t," + ",".join(f"y{i}" for i in range(k + 1)) + "\n")
+            # blocks of rows: formatting the whole file at once nearly doubles peak memory
+            for start in range(0, self.times.size, 512):
+                stop = start + 512
+                block = np.column_stack((self.times[start:stop], self.states[start:stop]))
+                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _limiting_stencil(yt, a, b, out):
+    """Write y V_y at birth rate a and death rate b into ``out``; ``yt`` has the
+    levels first, so the per-row rates of a block (y.T) broadcast over its rows."""
+    out[0] = -a * yt[0] + b * yt[1]
+    np.multiply(yt[:-2] - yt[1:-1], a, out=out[1:-1])
+    out[1:-1] += b * (yt[2:] - yt[1:-1])
+    out[-1] = a * yt[-2] - b * yt[-1]
+    return out
 
 
 def _drift_limiting_arrays(y, params: SystemParams) -> np.ndarray:
-    """Vectorized limiting drift; ``y`` is one vector (K+1,) or a block (n, K+1).
-
-    Slicing along ``y.T`` puts the levels first, so the per-row rates
-    broadcast over the trailing row axis of a block.
-    """
+    """Vectorized limiting drift; ``y`` is one vector (K+1,) or a block (n, K+1)."""
     y = np.asarray(y, dtype=float)
     a, b = _rates_arrays(y, params, check=True)
-    yt = y.T
-    f = np.empty_like(yt)
-    f[0] = -a * yt[0] + b * yt[1]
-    np.multiply(yt[:-2] - yt[1:-1], a, out=f[1:-1])
-    f[1:-1] += b * (yt[2:] - yt[1:-1])
-    f[-1] = a * yt[-2] - b * yt[-1]
-    return f.T
+    return _limiting_stencil(y.T, a, b, np.empty_like(y.T)).T
+
+
+def _drift_body(params: SystemParams, finite_n: bool):
+    """The chosen drift as ``drift(y, out)`` for one float vector: the level
+    and own-fleet vectors are built once and the rates are Python floats."""
+    if not finite_n:
+        levels = np.arange(params.capacity_k + 1, dtype=float)
+
+        def drift(y, out):
+            yk, fleet = y.item(-1), params.capacity_c - float(y @ levels)
+            _check_fleet(yk, fleet)
+            birth = params.mu * max(fleet, 0.0) / (1.0 - yk)
+            return _limiting_stencil(y, birth, _death_rate(y.item(0), params), out)
+
+        return drift
+    arrival = _finite_arrival_kernel(params)
+    xi = np.empty(params.capacity_k)
+
+    def drift(y, out):
+        arrival(y, xi)
+        eta = _death_rate(y.item(0), params)
+        out[0] = -xi[0] * y[0] + eta * y[1]
+        out[1:-1] = xi[:-1] * y[:-2] - (xi[1:] + eta) * y[1:-1] + eta * y[2:]
+        out[-1] = xi[-1] * y[-2] - eta * y[-1]
+        return out
+
+    return drift
 
 
 def drift_limiting(y, params: SystemParams) -> np.ndarray:
@@ -139,13 +169,7 @@ def drift_finite_n(y, params: SystemParams) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ConfigError("drift_finite_n expects a single fraction vector")
-    xi = finite_arrival_rates(y, params)
-    eta = finite_service_rate(y, params)
-    f = np.empty_like(y)
-    f[0] = -xi[0] * y[0] + eta * y[1]
-    f[1:-1] = xi[:-1] * y[:-2] - (xi[1:] + eta) * y[1:-1] + eta * y[2:]
-    f[-1] = xi[-1] * y[-2] - eta * y[-1]
-    return f
+    return _drift_body(params, finite_n=True)(y, np.empty_like(y))
 
 
 def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -> Trajectory:
@@ -158,12 +182,12 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     stops early once the drift sup-norm falls below the stationarity
     tolerance; the drift of that check is the next step's first stage.
     """
-    drift = drift_finite_n if finite_n else drift_limiting
     y = config.initial.copy()
     if y.size != params.capacity_k + 1:
         raise ConfigError(
             f"initial vector has length {y.size}, expected {params.capacity_k + 1}"
         )
+    drift = _drift_body(params, finite_n)
     h = config.step if config.step is not None else default_step(params)
     horizon = min(config.t_end, config.max_time)
     bound = 1.0 - params.delta
@@ -178,22 +202,21 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
 
     check_domain(y, 0.0)
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
     t = 0.0
     step_index = 0
-    k1 = None
+    k1, k2, k3, k4, arg = (np.empty_like(y) for _ in range(5))
+    drift(y, k1)
     while t < horizon * (1.0 - 1e-15):
         t_next = min((step_index + 1) * h, horizon)
         hs = t_next - t
-        if k1 is None:
-            k1 = drift(y, params)
-        k2 = drift(y + 0.5 * hs * k1, params)
-        k3 = drift(y + 0.5 * hs * k2, params)
-        k4 = drift(y + hs * k3, params)
+        drift(np.add(y, np.multiply(0.5 * hs, k1, out=arg), out=arg), k2)
+        drift(np.add(y, np.multiply(0.5 * hs, k2, out=arg), out=arg), k3)
+        drift(np.add(y, np.multiply(hs, k3, out=arg), out=arg), k4)
         raw = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         repaired = np.maximum(raw, 0.0)
         repaired /= repaired.sum()
-        correction = float(np.max(np.abs(repaired - raw)))
+        correction = float(np.abs(np.subtract(repaired, raw, out=k3), out=k3).max())
         if correction > STEP_REPAIR_BUDGET:
             raise StepInstabilityError(
                 f"simplex repair {correction:.3e} exceeded budget "
@@ -206,9 +229,8 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
         step_index += 1
         check_domain(y, t)
         times.append(t)
-        states.append(y.copy())
-        k1 = drift(y, params)
-        if float(np.max(np.abs(k1))) < config.stationarity_tol:
+        states.append(y)
+        if float(np.abs(drift(y, k1), out=k4).max()) < config.stationarity_tol:
             break
     return Trajectory(np.array(times), np.array(states))
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SystemParams, _as_int
+from .core import SystemParams, _as_bool, _as_int
 from .dynamics import OdeConfig, Trajectory, integrate
 from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
@@ -102,11 +102,6 @@ class SimConfig:
         params = SystemParams.from_dict(data)
         if "seed" not in data or "t_measure" not in data:
             raise ConfigError("simulation config needs keys 'seed' and 't_measure'")
-        exclude = data.get("exclude_first_ride_origin", False)
-        if not isinstance(exclude, bool):
-            raise ConfigError(
-                f"exclude_first_ride_origin must be true or false, got {exclude!r}"
-            )
         return cls(
             params=params,
             seed=_as_int("seed", data["seed"]),
@@ -114,7 +109,8 @@ class SimConfig:
             t_warmup=float(data.get("t_warmup", 0.0)),
             sample_interval=(float(data["sample_interval"])
                              if data.get("sample_interval") is not None else None),
-            exclude_first_ride_origin=exclude,
+            exclude_first_ride_origin=_as_bool(
+                "exclude_first_ride_origin", data.get("exclude_first_ride_origin", False)),
         )
 
 

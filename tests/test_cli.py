@@ -92,6 +92,25 @@ class TestOdeCommand:
         assert len(terminal["y"]) == 5
         assert terminal["params"]["mu"] == 4.0
 
+    @pytest.mark.parametrize("override", ["finite_n=False", 'finite_n="true"', "finite_n=1"])
+    def test_finite_n_must_be_boolean(self, tmp_path, capsys, override):
+        params = write_params(tmp_path, dict(SMALL, t_end=1.0))
+        out = tmp_path / "traj.csv"
+        code = main(["ode", "--params", str(params), "--out", str(out), "--set", override])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_finite_n_picks_the_route(self, tmp_path):
+        params = write_params(tmp_path, dict(SMALL, t_end=1.0))
+        outputs = {}
+        for name, extra in (("default", []), ("false", ["--set", "finite_n=false"]),
+                            ("true", ["--set", "finite_n=true"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["ode", "--params", str(params), "--out", str(out), *extra]) == 0
+            outputs[name] = out.read_bytes()
+        assert outputs["default"] == outputs["false"] != outputs["true"]
+
     def test_missing_t_end(self, tmp_path):
         params = write_params(tmp_path, SMALL)
         code = main(["ode", "--params", str(params),
@@ -135,6 +154,9 @@ class TestSimulateCommand:
                      id='exclude_first_ride_origin="false"'),
         pytest.param("validate", "seed=1.7", id="validate-seed=1.7"),
         pytest.param("validate", "seed=true", id="validate-seed=true"),
+        pytest.param("fixed-point", 'lambda="1"', id='lambda="1"'),
+        pytest.param("fixed-point", "mu=true", id="mu=true"),
+        pytest.param("simulate", 'seed="7"', id='seed="7"'),
     ])
     def test_coercions_rejected(self, tmp_path, capsys, command, override):
         params = write_params(tmp_path, dict(SMALL, seed=1, t_measure=1.0))

@@ -61,6 +61,33 @@ class TestSystemParams:
         with pytest.raises(ConfigError):
             make_params(capacity_c=2.5)
 
+    @pytest.mark.parametrize("bad", [
+        dict(lam="15"),
+        dict(lam=" 1 "),
+        dict(mu=True),
+        dict(gamma=np.True_),
+        dict(delta="0.2"),
+        dict(omega="1"),
+        dict(capacity_c=" 3 "),
+        dict(n_stations=True),
+        dict(lam=None),
+    ])
+    def test_strings_and_booleans_rejected(self, bad):
+        with pytest.raises(ConfigError, match="must be"):
+            make_params(**bad)
+
+    def test_numbers_of_any_type_accepted(self):
+        p = make_params(lam=np.float32(1.0), mu=4, omega=np.int64(1), capacity_c=3.0)
+        assert (p.lam, p.mu, p.omega, p.capacity_c) == (1.0, 4.0, 1, 3)
+        assert type(p.mu) is float and type(p.omega) is int
+
+    @pytest.mark.parametrize("value", ["7", " 7 ", True, 7.5, None])
+    def test_as_int_rejects_coercions(self, value):
+        from bikeshare_meanfield.core import _as_int
+
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            _as_int("seed", value)
+
     def test_missing_key_rejected(self):
         d = make_params().to_dict()
         del d["mu"]

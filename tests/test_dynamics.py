@@ -1,6 +1,7 @@
 """Drift, integration, Jacobian and the analytic norm bound."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bikeshare_meanfield import (
     Trajectory,
     build_generator,
     column_sum_norm,
+    default_step,
     drift_finite_n,
     drift_limiting,
     geometric_walk_factor,
@@ -22,7 +24,12 @@ from bikeshare_meanfield import (
     solve_fixed_point,
     weighted_sup_distance,
 )
-from bikeshare_meanfield.errors import ConfigError, DomainExitError
+from bikeshare_meanfield.errors import (
+    ConfigError,
+    DomainExitError,
+    FullSystemError,
+    NegativeFleetError,
+)
 
 FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
@@ -221,6 +228,137 @@ class TestIntegrate:
             OdeConfig(initial=[0.5, 0.6], t_end=1.0)
 
 
+def _frozen_rates(y, params):
+    """The limiting (birth, death) rates as computed before the fused stepper."""
+    y0, yk = y[..., 0], y[..., -1]
+    fleet = params.capacity_c - y @ np.arange(y.shape[-1], dtype=float)
+    if np.any(yk >= 1.0 - np.finfo(float).eps):
+        raise FullSystemError("full")
+    if np.any(fleet < -1e-9):
+        raise NegativeFleetError("fleet")
+    fleet = np.maximum(fleet, 0.0)
+    walk = y0 * 0.0
+    power = walk + 1.0
+    for bit in format(params.omega, "b"):
+        walk = walk + power * walk
+        power = power * power
+        if bit == "1":
+            walk = walk + power
+            power = power * y0
+    return params.mu * fleet / (1.0 - yk), params.lam + params.gamma * y0 * walk
+
+
+def _frozen_drift_limiting(y, params):
+    a, b = _frozen_rates(y, params)
+    f = np.empty_like(y)
+    f[0] = -a * y[0] + b * y[1]
+    np.multiply(y[:-2] - y[1:-1], a, out=f[1:-1])
+    f[1:-1] += b * (y[2:] - y[1:-1])
+    f[-1] = a * y[-2] - b * y[-1]
+    return f
+
+
+def _frozen_drift_finite_n(y, params):
+    n, c = params.n_stations, params.capacity_c
+    yk = float(y[-1])
+    if yk >= 1.0 - np.finfo(float).eps:
+        raise FullSystemError("full")
+    fleet = c - float(np.arange(y.size) @ y)
+    if fleet < -1e-9:
+        raise NegativeFleetError("fleet")
+    fleet = max(fleet, 0.0)
+    levels = np.arange(params.capacity_k, dtype=float)
+    own = np.where(levels <= c - 1, c - levels, 0.0)
+    xi = (params.mu / n) * (own + (n - 1) * fleet) / (1.0 - yk)
+    eta = float(_frozen_rates(y, params)[1])
+    f = np.empty_like(y)
+    f[0] = -xi[0] * y[0] + eta * y[1]
+    f[1:-1] = xi[:-1] * y[:-2] - (xi[1:] + eta) * y[1:-1] + eta * y[2:]
+    f[-1] = xi[-1] * y[-2] - eta * y[-1]
+    return f
+
+
+def _frozen_integrate(config, params, finite_n):
+    """The RK4 loop as it stood before the fused stepper, allocation by allocation."""
+    drift = _frozen_drift_finite_n if finite_n else _frozen_drift_limiting
+    y = config.initial.copy()
+    h = config.step if config.step is not None else default_step(params)
+    horizon = min(config.t_end, config.max_time)
+    times, states = [0.0], [y.copy()]
+    t, step_index, k1 = 0.0, 0, drift(y, params)
+    while t < horizon * (1.0 - 1e-15):
+        t_next = min((step_index + 1) * h, horizon)
+        hs = t_next - t
+        k2 = drift(y + 0.5 * hs * k1, params)
+        k3 = drift(y + 0.5 * hs * k2, params)
+        k4 = drift(y + hs * k3, params)
+        raw = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = np.maximum(raw, 0.0)
+        y /= y.sum()
+        t = t_next
+        step_index += 1
+        times.append(t)
+        states.append(y.copy())
+        k1 = drift(y, params)
+        if float(np.max(np.abs(k1))) < config.stationarity_tol:
+            break
+    return np.array(times), np.array(states)
+
+
+class TestFusedStepper:
+    @pytest.mark.parametrize("finite_n", [False, True], ids=["limiting", "finite-n"])
+    @pytest.mark.parametrize("params,t_end", [(SMALL, 5.0), (FIG5, 3.0)],
+                             ids=["small", "fig5"])
+    def test_bit_identical_to_frozen_loop(self, params, t_end, finite_n):
+        at_c = np.zeros(params.capacity_k + 1)
+        at_c[params.capacity_c] = 1.0
+        for initial in (at_c, domain_points(params, 1, seed=5)[0]):
+            config = OdeConfig(initial=initial, t_end=t_end, stationarity_tol=1e-300)
+            traj = integrate(config, params, finite_n=finite_n)
+            times, states = _frozen_integrate(config, params, finite_n)
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
+
+    def test_stops_at_the_same_step(self):
+        result = solve_fixed_point(SMALL)
+        for finite_n in (False, True):
+            config = OdeConfig(initial=0.5 * (result.p + np.full(5, 0.2)), t_end=4000.0,
+                               stationarity_tol=1e-9)
+            traj = integrate(config, SMALL, finite_n=finite_n)
+            times, states = _frozen_integrate(config, SMALL, finite_n)
+            assert traj.times[-1] < 4000.0
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
+
+    def test_public_drifts_match_frozen_bodies(self):
+        for params in (SMALL, FIG5):
+            for y in domain_points(params, 30, seed=2):
+                assert np.array_equal(drift_limiting(y, params),
+                                      _frozen_drift_limiting(y, params))
+                assert np.array_equal(drift_finite_n(y, params),
+                                      _frozen_drift_finite_n(y, params))
+
+    def test_guards_keep_their_messages(self):
+        from bikeshare_meanfield.dynamics import _drift_body
+
+        full = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        crowded = np.array([0.0, 0.0, 0.0, 0.5, 0.5])  # mean bikes 3.5 > C = 3
+        out = np.empty(5)
+        for finite_n, drift in ((False, drift_limiting), (True, drift_finite_n)):
+            for y, error in ((full, FullSystemError), (crowded, NegativeFleetError)):
+                with pytest.raises(error) as public:
+                    drift(y, SMALL)
+                with pytest.raises(error) as fused:
+                    _drift_body(SMALL, finite_n)(y, out)
+                assert str(fused.value) == str(public.value)
+        with pytest.raises(NegativeFleetError, match=r"negative \(deficit -5\.000e-01\)$"):
+            drift_limiting(crowded, SMALL)
+        with pytest.raises(NegativeFleetError, match=r"in transit would be negative$"):
+            drift_finite_n(crowded, SMALL)
+        with pytest.raises(FullSystemError, match="persistent-return rate undefined"):
+            drift_finite_n(full, SMALL)
+
+
 class TestTrajectory:
     def test_csv_round_trip(self, tmp_path):
         g = np.zeros(5)
@@ -235,6 +373,27 @@ class TestTrajectory:
         assert data.shape == (traj.times.size, 6)
         assert np.array_equal(data[:, 0], traj.times)
         assert np.array_equal(data[:, 1:], traj.states)
+
+    @pytest.mark.parametrize("with_params", [False, True])
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path, with_params):
+        # 1,031 rows: two full 512-row blocks and a partial one
+        rng = np.random.default_rng(17)
+        special = np.array([-0.0, 5e-324, 1e300, 0.1, 1.0, -1.5e-300, 2.0 / 3.0])
+        states = rng.random((1031, 6))
+        picks = rng.random(states.shape) < 0.5
+        states[picks] = rng.choice(special, size=int(picks.sum()))
+        states[:len(special), 0] = special
+        traj = Trajectory(np.cumsum(rng.random(1031)) + 5e-324, states)
+        params = SMALL if with_params else None
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path, params=params)
+        expected = [] if params is None else [
+            f"# params: {json.dumps(params.to_dict(), sort_keys=True)}\n"]
+        expected.append("t,y0,y1,y2,y3,y4,y5\n")
+        for t, row in zip(traj.times, traj.states):
+            expected.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
+        assert "-0," in path.read_text()
 
     def test_times_must_increase(self):
         with pytest.raises(ConfigError):
