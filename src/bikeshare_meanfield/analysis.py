@@ -12,31 +12,16 @@ milliseconds.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SystemParams
+from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int
 from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError
 from .fixed_point import solve_fixed_point
 
 SWEEP_CSV_HEADER = "vary_name,value,p0,pK,p0_plus_pK,eq,profit"
-
-_VARY_FIELDS = {
-    "lambda": "lam",
-    "lam": "lam",
-    "mu": "mu",
-    "gamma": "gamma",
-    "omega": "omega",
-    "capacity_c": "capacity_c",
-    "capacity_k": "capacity_k",
-    "n_stations": "n_stations",
-    "delta": "delta",
-}
-
-_INT_FIELDS = {"omega", "capacity_c", "capacity_k", "n_stations"}
 
 
 @dataclass(frozen=True)
@@ -47,9 +32,11 @@ class ProfitPrices:
     benefit_psi: float = 0.0
 
     def __post_init__(self):
-        for name, value in (("cost_c", self.cost_c), ("benefit_psi", self.benefit_psi)):
-            if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
+        for name in ("cost_c", "benefit_psi"):
+            value = _as_float(name, getattr(self, name))
+            if value < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -62,6 +49,11 @@ class Metrics:
     mean_bikes: float
     profit: float
 
+    def to_dict(self) -> dict:
+        """The metrics under their output names (the CSV column order)."""
+        return {"p0": self.p0, "pK": self.pK, "p0_plus_pK": self.p_problematic,
+                "eq": self.mean_bikes, "profit": self.profit}
+
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -69,7 +61,6 @@ class SweepRecord:
 
     params: SystemParams
     metrics: Metrics | None
-    source: str = "fixed_point"
     vary: str | None = None
     value: float | None = None
     error: str | None = None
@@ -89,56 +80,47 @@ def compute_metrics(p, params: SystemParams, prices: ProfitPrices) -> Metrics:
     )
 
 
-def _with_value(base: SystemParams, field: str, value) -> SystemParams:
-    if field in _INT_FIELDS:
-        if float(value) != int(value):
-            raise ConfigError(f"{field} grid values must be integers, got {value}")
-        value = int(value)
-    else:
-        value = float(value)
-    return replace(base, **{field: value})
+def _solve_record(params: SystemParams, prices: ProfitPrices, **where) -> SweepRecord:
+    """Solve one node; a solver failure is recorded on the record instead of raised."""
+    try:
+        metrics = compute_metrics(solve_fixed_point(params).p, params, prices)
+    except BikeShareError as exc:
+        return SweepRecord(params=params, metrics=None, error=str(exc), **where)
+    return SweepRecord(params=params, metrics=metrics, **where)
+
+
+def _metric_cells(metrics: Metrics | None) -> str:
+    """The five metric cells of a CSV row, ``nan`` for a node that failed to solve."""
+    if metrics is None:
+        return ",".join(["nan"] * 5)
+    return ",".join(f"{v:.17g}" for v in metrics.to_dict().values())
 
 
 def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[SweepRecord]:
     """Solve the fixed point along a one-parameter grid.
 
-    Solver failures at single grid points are recorded on the affected
-    record instead of aborting the sweep.
+    ``vary`` is a parameter key of the JSON configuration (``lam`` is
+    accepted for ``lambda``).  Solver failures at single grid points are
+    recorded on the affected record instead of aborting the sweep.
     """
-    field = _VARY_FIELDS.get(vary)
+    field = {**_JSON_FIELDS, "lam": "lam"}.get(vary) if isinstance(vary, str) else None
     if field is None:
         raise ConfigError(f"unknown parameter name {vary!r}")
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep grid must not be empty")
-    records = []
-    for value in grid:
-        params = _with_value(base, field, value)
-        try:
-            result = solve_fixed_point(params)
-            metrics = compute_metrics(result.p, params, prices)
-            records.append(SweepRecord(params=params, metrics=metrics,
-                                       vary=vary, value=float(value)))
-        except BikeShareError as exc:
-            records.append(SweepRecord(params=params, metrics=None, vary=vary,
-                                       value=float(value), error=str(exc)))
-    return records
+    return [_solve_record(replace(base, **{field: value}), prices, vary=vary, value=float(value))
+            for value in grid]
 
 
 def sweep_to_csv(records: list[SweepRecord], path, base: SystemParams | None = None) -> None:
     """Write sweep records as plot-ready CSV rows."""
     with open(path, "w", encoding="utf-8") as fh:
         if base is not None:
-            fh.write(f"# params: {json.dumps(base.to_dict(), sort_keys=True)}\n")
+            fh.write(base.csv_params_line())
         fh.write(SWEEP_CSV_HEADER + "\n")
         for rec in records:
-            m = rec.metrics
-            if m is None:
-                cells = ["nan"] * 5
-            else:
-                cells = [f"{v:.17g}" for v in
-                         (m.p0, m.pK, m.p_problematic, m.mean_bikes, m.profit)]
-            fh.write(f"{rec.vary},{rec.value:.17g}," + ",".join(cells) + "\n")
+            fh.write(f"{rec.vary},{rec.value:.17g},{_metric_cells(rec.metrics)}\n")
 
 
 def evaluate_design_grid(
@@ -157,20 +139,12 @@ def evaluate_design_grid(
     unknown = set(search) - {"capacity_c", "capacity_k", "mu"}
     if unknown:
         raise ConfigError(f"design search only covers capacity_c, capacity_k, mu; got {unknown}")
-    c_grid = sorted(int(v) for v in search.get("capacity_c", [base.capacity_c]))
-    k_grid = sorted(int(v) for v in search.get("capacity_k", [base.capacity_k]))
-    mu_grid = sorted(float(v) for v in search.get("mu", [base.mu]))
-    records = []
-    for c, k, mu in itertools.product(c_grid, k_grid, mu_grid):
-        if not (0 < base.gamma < mu and 1 <= c < k):
-            continue
-        params = replace(base, capacity_c=c, capacity_k=k, mu=mu)
-        try:
-            result = solve_fixed_point(params)
-            metrics = compute_metrics(result.p, params, prices)
-            records.append(SweepRecord(params=params, metrics=metrics, source="fixed_point"))
-        except BikeShareError as exc:
-            records.append(SweepRecord(params=params, metrics=None, error=str(exc)))
+    c_grid = sorted(_as_int("capacity_c", v) for v in search.get("capacity_c", [base.capacity_c]))
+    k_grid = sorted(_as_int("capacity_k", v) for v in search.get("capacity_k", [base.capacity_k]))
+    mu_grid = sorted(_as_float("mu", v) for v in search.get("mu", [base.mu]))
+    records = [_solve_record(replace(base, capacity_c=c, capacity_k=k, mu=mu), prices)
+               for c, k, mu in itertools.product(c_grid, k_grid, mu_grid)
+               if 0 < base.gamma < mu and 1 <= c < k]
     if not records:
         raise EmptyFeasibleSetError(
             "no design candidate satisfies 0 < gamma < mu and 1 <= C < K"
@@ -195,7 +169,7 @@ def _pick_minimum(records: list[SweepRecord], objective) -> SweepRecord:
 
 def _weighted_objective(beta):
     """Validate the weights and return beta1*p0 + beta2*pK + beta3*(p0 + pK)."""
-    beta = [float(b) for b in beta]
+    beta = [_as_float("beta", b) for b in beta]
     if len(beta) != 3 or any(b < 0 for b in beta):
         raise ConfigError("beta must be three nonnegative weights")
     if abs(sum(beta) - 1.0) > 1e-9:
@@ -229,11 +203,6 @@ def grid_to_csv(records: list[SweepRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("capacity_c,capacity_k,mu,p0,pK,p0_plus_pK,eq,profit,error\n")
         for rec in records:
-            m = rec.metrics
-            cells = (["nan"] * 5 if m is None else
-                     [f"{v:.17g}" for v in (m.p0, m.pK, m.p_problematic, m.mean_bikes, m.profit)])
             err = "" if rec.error is None else rec.error.replace(",", ";")
-            fh.write(
-                f"{rec.params.capacity_c},{rec.params.capacity_k},{rec.params.mu:.17g},"
-                + ",".join(cells) + f",{err}\n"
-            )
+            fh.write(f"{rec.params.capacity_c},{rec.params.capacity_k},{rec.params.mu:.17g},"
+                     f"{_metric_cells(rec.metrics)},{err}\n")

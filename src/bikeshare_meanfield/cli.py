@@ -30,7 +30,16 @@ from .analysis import (
     sweep,
     sweep_to_csv,
 )
-from .core import SystemParams, _as_bool, _as_int, _read_json_object, fraction_vector
+from .core import (
+    SystemParams,
+    _as_bool,
+    _as_float,
+    _as_int,
+    _as_list,
+    _read_json_object,
+    _write_json,
+    fraction_vector,
+)
 from .dynamics import OdeConfig, integrate
 from .errors import (
     BikeShareError,
@@ -70,15 +79,13 @@ def _load_config(path: str, overrides: dict) -> dict:
     return data
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _prices(config: dict) -> ProfitPrices:
+    return ProfitPrices(config.get("cost_c", 0.0), config.get("benefit_psi", 0.0))
 
 
 def _cmd_fixed_point(config: dict, out: str) -> int:
     params = SystemParams.from_dict(config)
-    tol = float(config.get("tol", 1e-10))
+    tol = _as_float("tol", config.get("tol", 1e-10))
     result = solve_fixed_point(params, tol=tol)
     result.to_json(out, params=params)
     return EXIT_OK
@@ -95,10 +102,9 @@ def _cmd_ode(config: dict, out: str) -> int:
         initial[params.capacity_c] = 1.0
     ode_config = OdeConfig(
         initial=initial,
-        t_end=float(config["t_end"]),
-        step=float(config["step"]) if "step" in config else None,
-        stationarity_tol=float(config.get("stationarity_tol", 1e-10)),
-        max_time=float(config.get("max_time", np.inf)),
+        t_end=_as_float("t_end", config["t_end"]),
+        **{key: _as_float(key, config[key])
+           for key in ("step", "stationarity_tol", "max_time") if key in config},
     )
     traj = integrate(ode_config, params,
                      finite_n=_as_bool("finite_n", config.get("finite_n", False)))
@@ -129,15 +135,16 @@ def _cmd_sweep(config: dict, out: str) -> int:
     if "vary" not in config:
         raise ConfigError("sweep needs key 'vary'")
     if "grid" in config:
-        grid = [float(v) for v in config["grid"]]
+        grid = _as_list("grid", config["grid"])
     elif {"grid_start", "grid_stop", "grid_num"} <= set(config):
-        grid = np.linspace(float(config["grid_start"]), float(config["grid_stop"]),
-                           int(config["grid_num"])).tolist()
+        num = _as_int("grid_num", config["grid_num"])
+        if num < 1:
+            raise ConfigError(f"grid_num must be at least 1, got {num}")
+        grid = np.linspace(_as_float("grid_start", config["grid_start"]),
+                           _as_float("grid_stop", config["grid_stop"]), num).tolist()
     else:
         raise ConfigError("sweep needs 'grid' or grid_start/grid_stop/grid_num")
-    prices = ProfitPrices(cost_c=float(config.get("cost_c", 0.0)),
-                          benefit_psi=float(config.get("benefit_psi", 0.0)))
-    records = sweep(params, config["vary"], grid, prices)
+    records = sweep(params, config["vary"], grid, _prices(config))
     sweep_to_csv(records, out, base=params)
     return EXIT_OK
 
@@ -147,14 +154,13 @@ def _cmd_optimize(config: dict, out: str) -> int:
     search = {}
     for key, grid_key in (("capacity_c", "grid_c"), ("capacity_k", "grid_k"), ("mu", "grid_mu")):
         if grid_key in config:
-            search[key] = list(config[grid_key])
+            search[key] = _as_list(grid_key, config[grid_key])
     if not search:
         raise ConfigError("optimize needs at least one of grid_c, grid_k, grid_mu")
-    prices = ProfitPrices(cost_c=float(config.get("cost_c", 0.0)),
-                          benefit_psi=float(config.get("benefit_psi", 0.0)))
+    prices = _prices(config)
     objective = config.get("objective", "weighted")
     if objective == "weighted":
-        score = _weighted_objective(config.get("beta", [0.0, 0.0, 1.0]))
+        score = _weighted_objective(_as_list("beta", config.get("beta", [0.0, 0.0, 1.0])))
     elif objective == "profit":
         score = _profit_objective
     else:
@@ -162,18 +168,11 @@ def _cmd_optimize(config: dict, out: str) -> int:
     records = evaluate_design_grid(search, params, prices)
     winner = _pick_minimum(records, score)
     grid_to_csv(records, Path(out).with_suffix(".grid.csv"))
-    m = winner.metrics
     _write_json(out, {
         "objective": objective,
         "base_params": params.to_dict(),
         "winner": winner.params.to_dict(),
-        "metrics": {
-            "p0": m.p0,
-            "pK": m.pK,
-            "p0_plus_pK": m.p_problematic,
-            "eq": m.mean_bikes,
-            "profit": m.profit,
-        },
+        "metrics": winner.metrics.to_dict(),
     })
     return EXIT_OK
 
@@ -183,7 +182,7 @@ def _cmd_validate(config: dict, out: str | None) -> int:
     checks = run_all(
         params,
         seed=_as_int("seed", config.get("seed", 20240)),
-        sim_t_measure=(float(config["validate_t_measure"])
+        sim_t_measure=(_as_float("validate_t_measure", config["validate_t_measure"])
                        if "validate_t_measure" in config else None),
     )
     for check in checks:

@@ -14,6 +14,7 @@ generator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,17 +54,26 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_float(name: str, value) -> float:
-    if isinstance(value, (bool, np.bool_, str)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    number = math.nan
+    if not isinstance(value, (bool, np.bool_, str)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(name: str, value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _as_list(name: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
     return value
 
 
@@ -77,6 +87,13 @@ def _read_json_object(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     return data
+
+
+def _write_json(path, payload: dict) -> None:
+    """Write one output JSON document: two-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -150,16 +167,11 @@ class SystemParams:
         return cls.from_dict(_read_json_object(path))
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "mu": self.mu,
-            "gamma": self.gamma,
-            "omega": self.omega,
-            "capacity_c": self.capacity_c,
-            "capacity_k": self.capacity_k,
-            "n_stations": self.n_stations,
-            "delta": self.delta,
-        }
+        return {key: getattr(self, name) for key, name in _JSON_FIELDS.items()}
+
+    def csv_params_line(self) -> str:
+        """The ``# params: {...}`` line that opens a CSV output."""
+        return f"# params: {json.dumps(self.to_dict(), sort_keys=True)}\n"
 
 
 class RatePair(NamedTuple):
@@ -177,19 +189,37 @@ class RatePair(NamedTuple):
 def fraction_vector(values, capacity_k: int | None = None) -> np.ndarray:
     """Validate a vector of occupancy fractions (index k = bikes at a station).
 
-    Entries must lie in [0, 1] and sum to 1 within ``SIMPLEX_TOL``.  Returns
-    a float copy.  If ``capacity_k`` is given the length must be K + 1.
+    Entries must be numbers (booleans and strings are rejected), lie in
+    [0, 1] and sum to 1 within ``SIMPLEX_TOL``.  Returns a float copy.  If
+    ``capacity_k`` is given the length must be K + 1.
     """
-    y = np.array(values, dtype=float)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        y = values.astype(float)
+    else:
+        try:
+            y = np.array([_as_float("fraction entries", v) for v in values])
+        except TypeError as exc:
+            raise ConfigError(f"a fraction vector must be a list, got {values!r}") from exc
     if y.ndim != 1 or y.size < 2:
         raise ConfigError("a fraction vector must be one-dimensional with length >= 2")
     if capacity_k is not None and y.size != capacity_k + 1:
         raise ConfigError(f"expected length {capacity_k + 1}, got {y.size}")
-    if np.any(y < -1e-12) or np.any(y > 1 + 1e-12):
+    if not np.all((y >= -1e-12) & (y <= 1 + 1e-12)):
         raise ConfigError("fraction entries must lie in [0, 1]")
     total = float(y.sum())
     if abs(total - 1.0) > SIMPLEX_TOL:
         raise ConfigError(f"fractions must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
+    return y
+
+
+def _one_vector(name: str, y, params: SystemParams) -> np.ndarray:
+    """``y`` as one float vector of length K+1, the argument of a public rate or drift."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (params.capacity_k + 1,):
+        raise ConfigError(
+            f"{name} expects one vector of length K+1 = {params.capacity_k + 1}, "
+            f"got shape {y.shape}"
+        )
     return y
 
 
@@ -268,16 +298,13 @@ def limiting_rates(y, params: SystemParams) -> RatePair:
     death = lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1));
     birth = mu * (C - sum_k k*y_k) / (1 - y_K).
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ConfigError("limiting_rates expects a single fraction vector")
-    birth, death = _rates_arrays(y, params, check=True)
+    birth, death = _rates_arrays(_one_vector("limiting_rates", y, params), params, check=True)
     return RatePair(birth=float(birth), death=float(death))
 
 
 def finite_service_rate(y, params: SystemParams) -> float:
     """Rental-side (death) rate of the N-station system; level-independent."""
-    return _death_rate(float(np.asarray(y, dtype=float)[..., 0]), params)
+    return _death_rate(float(_one_vector("finite_service_rate", y, params)[0]), params)
 
 
 def finite_arrival_rates(y, params: SystemParams) -> np.ndarray:
@@ -288,7 +315,7 @@ def finite_arrival_rates(y, params: SystemParams) -> np.ndarray:
     birth rate as N grows.
     """
     rates = _finite_arrival_kernel(params)
-    return rates(np.asarray(y, dtype=float), np.empty(params.capacity_k))
+    return rates(_one_vector("finite_arrival_rates", y, params), np.empty(params.capacity_k))
 
 
 def _finite_arrival_kernel(params: SystemParams):

@@ -11,7 +11,6 @@ bound on its norm used to certify Lipschitz continuity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .core import (
     _check_fleet,
     _death_rate,
     _finite_arrival_kernel,
+    _one_vector,
     _rates_arrays,
     fraction_vector,
 )
@@ -44,7 +44,8 @@ class OdeConfig:
     t_end            requested horizon
     step             fixed step size; None picks ``default_step``
     stationarity_tol stop early once the sup-norm of the drift falls below this
-    max_time         hard cap on the integration horizon
+    max_time         hard cap on the integration horizon (> 0; the default
+                     math.inf means no cap)
     """
 
     initial: np.ndarray
@@ -61,6 +62,8 @@ class OdeConfig:
             raise ConfigError(f"step must lie in (0, t_end], got {self.step}")
         if not self.stationarity_tol > 0:
             raise ConfigError("stationarity_tol must be positive")
+        if not self.max_time > 0:
+            raise ConfigError(f"max_time must be positive, got {self.max_time}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class Trajectory:
         row = ",".join(["%.17g"] * (k + 2)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             if params is not None:
-                fh.write(f"# params: {json.dumps(params.to_dict(), sort_keys=True)}\n")
+                fh.write(params.csv_params_line())
             fh.write("t," + ",".join(f"y{i}" for i in range(k + 1)) + "\n")
             # blocks of rows: formatting the whole file at once nearly doubles peak memory
             for start in range(0, self.times.size, 512):
@@ -153,10 +156,7 @@ def drift_limiting(y, params: SystemParams) -> np.ndarray:
 
     Components sum to zero (the generator is conservative).
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ConfigError("drift_limiting expects a single fraction vector")
-    return _drift_limiting_arrays(y, params)
+    return _drift_limiting_arrays(_one_vector("drift_limiting", y, params), params)
 
 
 def drift_finite_n(y, params: SystemParams) -> np.ndarray:
@@ -166,9 +166,7 @@ def drift_finite_n(y, params: SystemParams) -> np.ndarray:
     and the level-independent death rate; converges to ``drift_limiting`` as
     N grows.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ConfigError("drift_finite_n expects a single fraction vector")
+    y = _one_vector("drift_finite_n", y, params)
     return _drift_body(params, finite_n=True)(y, np.empty_like(y))
 
 

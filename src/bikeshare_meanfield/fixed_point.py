@@ -11,13 +11,19 @@ combination) are implemented as mutually checking routes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import RatePair, SystemParams, _rates_arrays, build_generator, fraction_vector
+from .core import (
+    RatePair,
+    SystemParams,
+    _rates_arrays,
+    _write_json,
+    build_generator,
+    fraction_vector,
+)
 from .errors import (
     AssumptionViolationError,
     ConfigError,
@@ -65,9 +71,7 @@ class FixedPointResult:
         payload = self.to_dict()
         if params is not None:
             payload = {"params": params.to_dict(), **payload}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        _write_json(path, payload)
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,7 @@ def solve_fixed_point(params: SystemParams, tol: float = DEFAULT_TOL) -> FixedPo
     bounds the sup-norm of p V_p relative to birth + death, so rescaling
     every rate leaves the verdict unchanged.
     """
-    if tol < 1e-13:
+    if not tol >= 1e-13:
         raise ConfigError(f"tolerance below 1e-13 is not attainable, got {tol}")
     rho_hi = rho_upper_bound(params)
     d_lo = _defect(0.0, params)

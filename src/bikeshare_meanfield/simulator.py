@@ -14,13 +14,12 @@ never perturbs the event sequence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import SystemParams, _as_bool, _as_int
+from .core import SystemParams, _as_bool, _as_float, _as_int, _write_json
 from .dynamics import OdeConfig, Trajectory, integrate
 from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
@@ -70,8 +69,9 @@ class SimConfig:
 
     params           model constants (n_stations, capacities, rates)
     seed             64-bit seed; identical configs give identical reports
-    t_warmup         time discarded before measurement starts
-    t_measure        length of the measurement window (> 0)
+    t_warmup         time discarded before measurement starts (>= 0)
+    t_measure        length of the measurement window (> 0); the three
+                     times must be finite numbers
     sample_interval  spacing of empirical-measure snapshots from t = 0;
                      None disables trajectory recording
     exclude_first_ride_origin
@@ -90,6 +90,10 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        for name in ("t_measure", "t_warmup", "sample_interval"):
+            value = getattr(self, name)
+            if name != "sample_interval" or value is not None:  # None turns sampling off
+                object.__setattr__(self, name, _as_float(name, value))
         if not self.t_measure > 0:
             raise ConfigError(f"t_measure must be positive, got {self.t_measure}")
         if self.t_warmup < 0:
@@ -105,10 +109,9 @@ class SimConfig:
         return cls(
             params=params,
             seed=_as_int("seed", data["seed"]),
-            t_measure=float(data["t_measure"]),
-            t_warmup=float(data.get("t_warmup", 0.0)),
-            sample_interval=(float(data["sample_interval"])
-                             if data.get("sample_interval") is not None else None),
+            t_measure=data["t_measure"],
+            t_warmup=data.get("t_warmup", 0.0),
+            sample_interval=data.get("sample_interval"),
             exclude_first_ride_origin=_as_bool(
                 "exclude_first_ride_origin", data.get("exclude_first_ride_origin", False)),
         )
@@ -173,9 +176,7 @@ class SimReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
 
 def simulate(config: SimConfig) -> SimReport:

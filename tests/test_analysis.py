@@ -6,6 +6,7 @@ import pytest
 from bikeshare_meanfield import (
     Metrics,
     ProfitPrices,
+    SweepRecord,
     SystemParams,
     compute_metrics,
     evaluate_design_grid,
@@ -47,6 +48,9 @@ class TestComputeMetrics:
             ProfitPrices(cost_c=-1.0)
         with pytest.raises(ConfigError):
             ProfitPrices(benefit_psi=float("inf"))
+        with pytest.raises(ConfigError):
+            ProfitPrices(cost_c="0.5")
+        assert ProfitPrices(cost_c=1, benefit_psi=np.float32(2.0)) == ProfitPrices(1.0, 2.0)
 
 
 class TestSweep:
@@ -89,6 +93,33 @@ class TestSweep:
         first = lines[2].split(",")
         assert first[0] == "lambda"
         assert float(first[1]) == 0.8
+
+    def test_failed_node_row_bytes(self, tmp_path):
+        # lambda = 100 solves outside the assumed domain (see above)
+        records = sweep(SMALL, "lambda", [100.0, 1.0], ProfitPrices())
+        path = tmp_path / "sweep.csv"
+        sweep_to_csv(records, path, base=SMALL)
+        m = records[1].metrics
+        cells = ",".join(f"{v:.17g}" for v in (m.p0, m.pK, m.p_problematic,
+                                               m.mean_bikes, m.profit))
+        assert path.read_bytes() == (
+            '# params: {"capacity_c": 3, "capacity_k": 4, "delta": 0.2, "gamma": 0.5, '
+            '"lambda": 1.0, "mu": 4.0, "n_stations": 100, "omega": 1}\n'
+            f"{SWEEP_CSV_HEADER}\n"
+            "lambda,100,nan,nan,nan,nan,nan\n"
+            f"lambda,1,{cells}\n"
+        ).encode()
+
+    def test_integer_fields_take_integral_values_only(self):
+        records = sweep(SMALL, "capacity_c", [2.0, np.int64(3)], ProfitPrices())
+        assert [type(r.params.capacity_c) for r in records] == [int, int]
+        with pytest.raises(ConfigError, match="capacity_c must be an integer"):
+            sweep(SMALL, "capacity_c", [2.5], ProfitPrices())
+
+    @pytest.mark.parametrize("vary", [["lambda"], None, 1])
+    def test_vary_must_be_a_name(self, vary):
+        with pytest.raises(ConfigError, match="unknown parameter name"):
+            sweep(SMALL, vary, [1.0], ProfitPrices())
 
     def test_idempotent_output(self, tmp_path):
         records = sweep(SMALL, "lambda", [0.8, 1.0], ProfitPrices())
@@ -171,6 +202,8 @@ class TestOptimizers:
             optimize_weighted(self.SEARCH, SMALL, beta=(0.5, 0.5, 0.5))
         with pytest.raises(ConfigError):
             optimize_weighted(self.SEARCH, SMALL, beta=(-0.5, 1.5, 0.0))
+        with pytest.raises(ConfigError, match="beta must be a finite number"):
+            optimize_weighted(self.SEARCH, SMALL, beta=(0.5, 0.5, float("nan")))
 
     def test_grid_csv(self, tmp_path):
         records = evaluate_design_grid(self.SEARCH, SMALL, ProfitPrices())
@@ -180,8 +213,32 @@ class TestOptimizers:
         assert lines[0].startswith("capacity_c,capacity_k,mu,")
         assert len(lines) == len(records) + 1
 
+    def test_grid_csv_failed_row_bytes(self, tmp_path):
+        failed = SweepRecord(params=SMALL, metrics=None,
+                             error="no bracket, defect 1.5 at 0, 2.5 at 3")
+        solved = evaluate_design_grid({"capacity_c": [2]}, SMALL, ProfitPrices())[0]
+        path = tmp_path / "grid.csv"
+        grid_to_csv([failed, solved], path)
+        m = solved.metrics
+        cells = ",".join(f"{v:.17g}" for v in (m.p0, m.pK, m.p_problematic,
+                                               m.mean_bikes, m.profit))
+        assert path.read_bytes() == (
+            "capacity_c,capacity_k,mu,p0,pK,p0_plus_pK,eq,profit,error\n"
+            "3,4,4,nan,nan,nan,nan,nan,no bracket; defect 1.5 at 0; 2.5 at 3\n"
+            f"2,4,4,{cells},\n"
+        ).encode()
+
+    def test_fractional_capacity_rejected(self):
+        with pytest.raises(ConfigError, match="capacity_c must be an integer"):
+            evaluate_design_grid({"capacity_c": [2.7]}, SMALL, ProfitPrices())
+
 
 class TestMetricsType:
     def test_fields(self):
         m = Metrics(p0=0.1, pK=0.2, p_problematic=0.3, mean_bikes=2.0, profit=1.0)
         assert m.p_problematic == pytest.approx(m.p0 + m.pK)
+
+    def test_to_dict_uses_the_csv_column_names(self):
+        m = Metrics(p0=0.1, pK=0.2, p_problematic=0.3, mean_bikes=2.0, profit=1.0)
+        assert ",".join(m.to_dict()) == SWEEP_CSV_HEADER.split(",", 2)[2]
+        assert list(m.to_dict().values()) == [0.1, 0.2, 0.3, 2.0, 1.0]

@@ -1,9 +1,13 @@
 """Command-line interface: outputs, exit codes, idempotence."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bikeshare_meanfield.cli import main
 
@@ -157,13 +161,33 @@ class TestSimulateCommand:
         pytest.param("fixed-point", 'lambda="1"', id='lambda="1"'),
         pytest.param("fixed-point", "mu=true", id="mu=true"),
         pytest.param("simulate", 'seed="7"', id='seed="7"'),
+        pytest.param("ode", "t_end=abc", id="t_end=abc"),
+        pytest.param("ode", "initial=abc", id="initial=abc"),
+        pytest.param("sweep", "grid=7", id="grid=7"),
+        pytest.param("optimize", "grid_c=10", id="grid_c=10"),
+        pytest.param("sweep", "vary=[1]", id="vary=[1]"),
+        pytest.param("optimize", "beta=5", id="beta=5"),
+        pytest.param("sweep", "grid_num=-3", id="grid_num=-3"),
+        pytest.param("simulate", "sample_interval=abc", id="sample_interval=abc"),
+        pytest.param("ode", 't_end="0.5"', id='t_end="0.5"'),
+        pytest.param("optimize", "grid_c=[10.7]", id="grid_c=[10.7]"),
+        pytest.param("fixed-point", "lambda=1e400", id="lambda=1e400"),
+        pytest.param("fixed-point", "tol=NaN", id="tol=NaN"),
+        pytest.param("simulate", "t_warmup=NaN", id="t_warmup=NaN"),
+        pytest.param("simulate", "t_warmup=Infinity", id="t_warmup=Infinity"),
+        pytest.param("ode", "max_time=-1", id="max_time=-1"),
+        pytest.param("ode", "initial=[0,0,0,true,false]", id="initial-booleans"),
+        pytest.param("validate", "validate_t_measure=NaN", id="validate_t_measure=NaN"),
     ])
     def test_coercions_rejected(self, tmp_path, capsys, command, override):
-        params = write_params(tmp_path, dict(SMALL, seed=1, t_measure=1.0))
-        code = main([command, "--params", str(params), "--out",
-                     str(tmp_path / "r.json"), "--set", override])
+        params = write_params(tmp_path, dict(
+            SMALL, seed=1, t_measure=1.0, t_end=1.0, vary="lambda",
+            grid_start=0.5, grid_stop=1.0, grid_num=2, grid_c=[2, 3]))
+        out = tmp_path / "r.out"
+        code = main([command, "--params", str(params), "--out", str(out), "--set", override])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -260,6 +284,77 @@ class TestValidateCommand:
         captured = capsys.readouterr().out
         assert code == 0
         assert captured.count("PASS") == 5
+
+
+# every key each command reads, by the JSON type it must have
+MODEL_KEYS = {"lambda": "number", "mu": "number", "gamma": "number", "omega": "integer",
+              "capacity_c": "integer", "capacity_k": "integer", "n_stations": "integer",
+              "delta": "number"}
+COMMAND_KEYS = {
+    "fixed-point": {"tol": "number"},
+    "ode": {"t_end": "number", "step": "number", "stationarity_tol": "number",
+            "max_time": "number", "initial": "list", "finite_n": "boolean"},
+    "simulate": {"seed": "integer", "t_warmup": "number", "t_measure": "number",
+                 "sample_interval": "number", "exclude_first_ride_origin": "boolean"},
+    "sweep": {"vary": "name", "grid": "list", "grid_start": "number", "grid_stop": "number",
+              "grid_num": "integer", "cost_c": "number", "benefit_psi": "number"},
+    "optimize": {"objective": "name", "grid_c": "list", "grid_k": "list", "grid_mu": "list",
+                 "beta": "list", "cost_c": "number", "benefit_psi": "number"},
+    "validate": {"seed": "integer", "validate_t_measure": "number"},
+}
+VALID_NAMES = {"lambda", "lam", "mu", "gamma", "omega", "capacity_c", "capacity_k",
+               "n_stations", "delta", "weighted", "profit"}
+JUNK = st.one_of(
+    st.text(max_size=6),
+    st.booleans(),
+    st.none(),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+FRACTIONS = st.floats(-1e3, 1e3).filter(lambda v: not v.is_integer())
+
+
+def junk_for(key: str, kind: str):
+    """Values a key of this kind never accepts."""
+    if kind in ("integer", "list", "boolean", "name"):
+        values = st.one_of(JUNK, FRACTIONS)
+    else:
+        values = JUNK
+    if kind == "boolean":
+        return values.filter(lambda v: not isinstance(v, bool))
+    if kind == "name":
+        return values.filter(lambda v: not (isinstance(v, str) and v in VALID_NAMES))
+    if key == "sample_interval":  # null turns sampling off
+        return values.filter(lambda v: v is not None)
+    return values
+
+
+@pytest.fixture(scope="module")
+def junk_params(tmp_path_factory):
+    """One small configuration that every command accepts."""
+    path = tmp_path_factory.mktemp("junk") / "params.json"
+    path.write_text(json.dumps(dict(
+        SMALL, t_end=1.0, seed=1, t_measure=0.5, vary="lambda", grid_start=0.5,
+        grid_stop=1.0, grid_num=2, grid_c=[2, 3], validate_t_measure=1.0)))
+    return path
+
+
+class TestJunkInput:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rejected_while_parsing(self, junk_params, data):
+        command = data.draw(st.sampled_from(sorted(COMMAND_KEYS)), label="command")
+        keys = {**MODEL_KEYS, **COMMAND_KEYS[command]}
+        key = data.draw(st.sampled_from(sorted(keys)), label="key")
+        value = data.draw(junk_for(key, keys[key]), label="value")
+        out = junk_params.parent / "never_written.out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--params", str(junk_params), "--out", str(out),
+                         "--set", f"{key}={json.dumps(value)}"])
+        assert code == 3, err.getvalue()
+        assert json.loads(err.getvalue())["error"] == "ConfigError"
+        assert not out.exists()
 
 
 class TestUsage:

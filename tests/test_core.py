@@ -88,6 +88,20 @@ class TestSystemParams:
         with pytest.raises(ConfigError, match="seed must be an integer"):
             _as_int("seed", value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e400,
+                                       np.float64("nan")])
+    def test_as_float_rejects_non_finite(self, value):
+        from bikeshare_meanfield.core import _as_float
+
+        with pytest.raises(ConfigError, match="lambda must be a finite number"):
+            _as_float("lambda", value)
+
+    @pytest.mark.parametrize("bad", [dict(lam=float("inf")), dict(mu=float("nan")),
+                                     dict(delta=float("nan")), dict(capacity_k=float("inf"))])
+    def test_non_finite_constants_rejected(self, bad):
+        with pytest.raises(ConfigError, match="must be"):
+            make_params(**bad)
+
     def test_missing_key_rejected(self):
         d = make_params().to_dict()
         del d["mu"]
@@ -116,6 +130,28 @@ class TestFractionVector:
     def test_length_check(self):
         with pytest.raises(ConfigError):
             fraction_vector([0.5, 0.25, 0.25], capacity_k=4)
+
+    @pytest.mark.parametrize("values", [
+        "abc",
+        [0.5, "0.5"],
+        [True, False],
+        [0.5, 0.5, None],
+        [[0.5, 0.5]],
+        [0.5, float("nan"), 0.5],
+        np.array(["0.5", "0.5"]),
+        np.array([True, False]),
+        7,
+        None,
+    ])
+    def test_non_numeric_entries_rejected(self, values):
+        with pytest.raises(ConfigError):
+            fraction_vector(values)
+
+    def test_numeric_arrays_accepted(self):
+        for values in (np.array([1, 0]), np.array([0.5, 0.5], dtype=np.float32),
+                       (0.25, 0.75), [np.float64(0.5), 0.5]):
+            y = fraction_vector(values)
+            assert y.dtype == float and y.sum() == 1.0
 
 
 class TestGeometricWalkFactor:
@@ -262,6 +298,27 @@ class TestFiniteRates:
             gaps.append(np.max(np.abs(xi - limit)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-4 * max(limit, 1.0)
+
+
+class TestVectorLength:
+    FIG5 = make_params(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
+                       capacity_k=50, n_stations=1000, delta=0.1)
+
+    @pytest.mark.parametrize("rate", [limiting_rates, finite_arrival_rates,
+                                      finite_service_rate])
+    @pytest.mark.parametrize("length", [5, 50, 52])
+    def test_length_must_be_k_plus_one(self, rate, length):
+        # unchecked, the uniform 5-vector reads as 28 bikes in transit and
+        # limiting_rates returns (280.0, 15.05) for a K = 50 system
+        y = np.full(length, 1.0 / length)
+        with pytest.raises(ConfigError, match="length K\\+1 = 51"):
+            rate(y, self.FIG5)
+
+    @pytest.mark.parametrize("rate", [limiting_rates, finite_arrival_rates,
+                                      finite_service_rate])
+    def test_block_rejected(self, rate):
+        with pytest.raises(ConfigError, match="one vector"):
+            rate(np.full((2, 5), 0.2), make_params())
 
 
 class TestBuildGenerator:

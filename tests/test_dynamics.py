@@ -105,6 +105,18 @@ class TestDrift:
             gap = np.max(np.abs(drift_finite_n(y, big) - drift_limiting(y, big)))
             assert gap < 1e-4
 
+    @pytest.mark.parametrize("drift", [drift_limiting, drift_finite_n])
+    @pytest.mark.parametrize("length", [5, 50, 52])
+    def test_length_must_be_k_plus_one(self, drift, length):
+        y = np.full(length, 1.0 / length)
+        with pytest.raises(ConfigError, match="length K\\+1 = 51"):
+            drift(y, FIG5)
+
+    @pytest.mark.parametrize("drift", [drift_limiting, drift_finite_n])
+    def test_block_rejected(self, drift):
+        with pytest.raises(ConfigError, match="one vector"):
+            drift(np.full((2, 5), 0.2), SMALL)
+
     def test_top_level_outflow_is_death_only(self):
         # with no mass at K-1 the top level can only drain through rentals,
         # at exactly the service rate
@@ -226,6 +238,14 @@ class TestIntegrate:
             OdeConfig(initial=[0.5, 0.5], t_end=1.0, step=2.0)
         with pytest.raises(ConfigError):
             OdeConfig(initial=[0.5, 0.6], t_end=1.0)
+
+    @pytest.mark.parametrize("max_time", [-1.0, 0.0, float("nan")])
+    def test_max_time_must_be_positive(self, max_time):
+        with pytest.raises(ConfigError, match="max_time must be positive"):
+            OdeConfig(initial=[0.5, 0.5], t_end=1.0, max_time=max_time)
+
+    def test_max_time_defaults_to_no_cap(self):
+        assert OdeConfig(initial=[0.5, 0.5], t_end=1.0).max_time == float("inf")
 
 
 def _frozen_rates(y, params):

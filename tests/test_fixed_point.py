@@ -243,6 +243,9 @@ class TestSolveFixedPoint:
     def test_tolerance_floor(self):
         with pytest.raises(ConfigError):
             solve_fixed_point(FIG5, tol=1e-14)
+        # a NaN tolerance would accept any residual
+        with pytest.raises(ConfigError):
+            solve_fixed_point(FIG5, tol=float("nan"))
 
     def test_large_rates_pass_the_relative_gate(self):
         # absolute residual about 1.4e-10, relative to birth + death 1.6e-14

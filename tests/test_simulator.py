@@ -60,6 +60,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(params=SMALL, seed=-1, t_measure=1.0)
 
+    @pytest.mark.parametrize("times", [
+        dict(t_measure=1.0, t_warmup=float("nan")),
+        dict(t_measure=1.0, t_warmup=float("inf")),
+        dict(t_measure=float("inf")),
+        dict(t_measure=float("nan")),
+        dict(t_measure=1.0, sample_interval=float("inf")),
+        dict(t_measure=1.0, t_warmup="0.5"),
+        dict(t_measure=None),
+    ])
+    def test_non_finite_times_rejected(self, times):
+        # a NaN or infinite horizon would never end the event loop
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            SimConfig(params=SMALL, seed=1, **times)
+
+    def test_times_stored_as_floats(self):
+        config = SimConfig(params=SMALL, seed=1, t_measure=2, t_warmup=1, sample_interval=1)
+        assert (config.t_measure, config.t_warmup, config.sample_interval) == (2.0, 1.0, 1.0)
+        assert all(type(v) is float for v in (config.t_measure, config.t_warmup,
+                                               config.sample_interval))
+
     def test_missing_seed_rejected(self):
         data = SMALL.to_dict()
         data["t_measure"] = 1.0
