@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int
-from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError
+from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError, InvariantViolationError
 from .fixed_point import solve_fixed_point
 
 SWEEP_CSV_HEADER = "vary_name,value,p0,pK,p0_plus_pK,eq,profit"
@@ -80,10 +80,24 @@ def compute_metrics(p, params: SystemParams, prices: ProfitPrices) -> Metrics:
     )
 
 
+def _as_values(name: str, values) -> list:
+    """The entries of a list, tuple, 1-D array or other iterable of values."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a list of values, got {values!r}") from None
+
+
 def _solve_record(params: SystemParams, prices: ProfitPrices, **where) -> SweepRecord:
-    """Solve one node; a solver failure is recorded on the record instead of raised."""
+    """Solve one node; a domain failure is recorded on the record instead of raised.
+
+    An ``InvariantViolationError`` is an internal bug, not a property of the
+    node, and propagates.
+    """
     try:
         metrics = compute_metrics(solve_fixed_point(params).p, params, prices)
+    except InvariantViolationError:
+        raise
     except BikeShareError as exc:
         return SweepRecord(params=params, metrics=None, error=str(exc), **where)
     return SweepRecord(params=params, metrics=metrics, **where)
@@ -106,7 +120,7 @@ def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[Swe
     field = {**_JSON_FIELDS, "lam": "lam"}.get(vary) if isinstance(vary, str) else None
     if field is None:
         raise ConfigError(f"unknown parameter name {vary!r}")
-    grid = list(grid)
+    grid = _as_values("grid", grid)
     if not grid:
         raise ConfigError("sweep grid must not be empty")
     return [_solve_record(replace(base, **{field: value}), prices, vary=vary, value=float(value))
@@ -139,9 +153,9 @@ def evaluate_design_grid(
     unknown = set(search) - {"capacity_c", "capacity_k", "mu"}
     if unknown:
         raise ConfigError(f"design search only covers capacity_c, capacity_k, mu; got {unknown}")
-    c_grid = sorted(_as_int("capacity_c", v) for v in search.get("capacity_c", [base.capacity_c]))
-    k_grid = sorted(_as_int("capacity_k", v) for v in search.get("capacity_k", [base.capacity_k]))
-    mu_grid = sorted(_as_float("mu", v) for v in search.get("mu", [base.mu]))
+    c_grid, k_grid, mu_grid = (
+        sorted(read(key, v) for v in _as_values(key, search.get(key, [getattr(base, key)])))
+        for key, read in (("capacity_c", _as_int), ("capacity_k", _as_int), ("mu", _as_float)))
     records = [_solve_record(replace(base, capacity_c=c, capacity_k=k, mu=mu), prices)
                for c, k, mu in itertools.product(c_grid, k_grid, mu_grid)
                if 0 < base.gamma < mu and 1 <= c < k]
@@ -169,7 +183,7 @@ def _pick_minimum(records: list[SweepRecord], objective) -> SweepRecord:
 
 def _weighted_objective(beta):
     """Validate the weights and return beta1*p0 + beta2*pK + beta3*(p0 + pK)."""
-    beta = [_as_float("beta", b) for b in beta]
+    beta = [_as_float("beta", b) for b in _as_values("beta", beta)]
     if len(beta) != 3 or any(b < 0 for b in beta):
         raise ConfigError("beta must be three nonnegative weights")
     if abs(sum(beta) - 1.0) > 1e-9:

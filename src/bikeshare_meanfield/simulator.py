@@ -6,10 +6,16 @@ persistently off full stations.  Event competition is exponential per event
 class (outside arrivals at rate N*lambda, walk completions at rate
 gamma * #walkers, ride completions at rate mu * #riding) with uniform
 thinning to pick the individual, which is statistically exact for the
-continuous-time chain.  Four independent, seeded random streams (event
-timing, arrival routing, walk moves, ride moves) make runs bit-for-bit
-reproducible, and trajectory sampling draws no randomness so enabling it
-never perturbs the event sequence.
+continuous-time chain.  Trajectory sampling draws no randomness, so
+enabling it never perturbs the event sequence.
+
+Seed contract: ``SeedSequence(seed).spawn(4)`` gives four PCG64 streams
+(event timing, arrival routing, walk moves, ride moves).  At start-up each
+stream draws a block of ``_BLOCK`` uniforms and then a block of ``_BLOCK``
+standard exponentials; only the timing stream reads its exponentials, the
+other three discard theirs.  A stream draws its next block of a kind only
+when a draw needs it.  Reports are therefore bit-for-bit reproducible, and
+bit-identical to earlier releases for the same seed.
 """
 
 from __future__ import annotations
@@ -25,35 +31,6 @@ from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
 _BLOCK = 1 << 14
 _DEEP_CHECK_MASK = (1 << 16) - 1
-
-
-class _Stream:
-    """Buffered uniform/exponential draws from one independent PCG64 stream."""
-
-    __slots__ = ("_gen", "_u", "_iu", "_e", "_ie")
-
-    def __init__(self, seed_seq: np.random.SeedSequence):
-        self._gen = np.random.Generator(np.random.PCG64(seed_seq))
-        self._u = self._gen.random(_BLOCK).tolist()
-        self._iu = 0
-        self._e = self._gen.standard_exponential(_BLOCK).tolist()
-        self._ie = 0
-
-    def uniform(self) -> float:
-        i = self._iu
-        if i >= _BLOCK:
-            self._u = self._gen.random(_BLOCK).tolist()
-            i = 0
-        self._iu = i + 1
-        return self._u[i]
-
-    def exponential(self) -> float:
-        i = self._ie
-        if i >= _BLOCK:
-            self._e = self._gen.standard_exponential(_BLOCK).tolist()
-            i = 0
-        self._ie = i + 1
-        return self._e[i]
 
 
 class Walker(NamedTuple):
@@ -199,13 +176,21 @@ def simulate(config: SimConfig) -> SimReport:
     arrival_rate = n * p.lam
     exclude_first = config.exclude_first_ride_origin
 
-    root = np.random.SeedSequence(config.seed)
-    s_time, s_arr, s_walk, s_ride = (_Stream(ss) for ss in root.spawn(4))
-    time_exp = s_time.exponential
-    time_uni = s_time.uniform
-    arr_uni = s_arr.uniform
-    walk_uni = s_walk.uniform
-    ride_uni = s_ride.uniform
+    # the seed contract of the module docstring: each stream's draws sit in a
+    # list (tu, te, au, wu, ru) read at an index that refills it at the block end
+    block = _BLOCK
+    g_time, g_arr, g_walk, g_ride = (np.random.Generator(np.random.PCG64(ss))
+                                     for ss in np.random.SeedSequence(config.seed).spawn(4))
+    tu = g_time.random(block).tolist()
+    te = g_time.standard_exponential(block).tolist()
+    # the other three streams draw their exponential block and never read it
+    au = g_arr.random(block).tolist()
+    g_arr.standard_exponential(block)
+    wu = g_walk.random(block).tolist()
+    g_walk.standard_exponential(block)
+    ru = g_ride.random(block).tolist()
+    g_ride.standard_exponential(block)
+    itu = ite = iau = iwu = iru = 0
 
     bikes = [cap_c] * n
     counts = [0] * (cap_k + 1)
@@ -216,6 +201,7 @@ def simulate(config: SimConfig) -> SimReport:
     walker_station: list[int] = []
     walker_left: list[int] = []
     ride_excl: list[int] = []
+    n_walk = n_ride = 0
 
     w0 = config.t_warmup
     horizon = config.t_warmup + config.t_measure
@@ -235,39 +221,17 @@ def simulate(config: SimConfig) -> SimReport:
     arrivals = rentals = abandonments = walk_starts = 0
     re_rides = returns = walks_completed = walk_rentals = 0
 
-    def flush_level(k: int, tn: float) -> None:
-        m = mark[k]
-        lo = m if m > w0 else w0
-        if tn > lo:
-            acc[k] += counts[k] * (tn - lo)
-        mark[k] = tn
-
-    def move_station(st: int, k_old: int, k_new: int, tn: float) -> None:
-        nonlocal j0, j1, jmark
-        flush_level(k_old, tn)
-        flush_level(k_new, tn)
-        counts[k_old] -= 1
-        counts[k_new] += 1
-        if st < 2:
-            m = jmark
-            lo = m if m > w0 else w0
-            if tn > lo:
-                joint[j0, j1] += tn - lo
-            jmark = tn
-            if st == 0:
-                j0 = k_new
-            else:
-                j1 = k_new
-
     t = 0.0
     event_index = 0
     while True:
-        n_walk = len(walker_left)
-        n_ride = len(ride_excl)
         rate_walk = gamma * n_walk
-        rate_ride = mu * n_ride
-        total_rate = arrival_rate + rate_walk + rate_ride
-        t_next = t + time_exp() / total_rate
+        arrival_walk = arrival_rate + rate_walk
+        total_rate = arrival_walk + mu * n_ride
+        if ite == block:
+            te = g_time.standard_exponential(block).tolist()
+            ite = 0
+        t_next = t + te[ite] / total_rate
+        ite += 1
         if sampling:
             # the state is constant on [t, t_next); on the final segment the
             # sample at exactly the horizon belongs to the current state too
@@ -281,81 +245,134 @@ def simulate(config: SimConfig) -> SimReport:
         if t_next >= horizon:
             break
 
-        u = time_uni() * total_rate
+        # a station whose level changes sets st >= 0 and k_old -> k_new
+        st = -1
+        if itu == block:
+            tu = g_time.random(block).tolist()
+            itu = 0
+        u = tu[itu] * total_rate
+        itu += 1
         if u < arrival_rate:
             # outside arrival at a uniformly random station
             arrivals += 1
-            i = int(arr_uni() * n)
+            if iau == block:
+                au = g_arr.random(block).tolist()
+                iau = 0
+            i = int(au[iau] * n)
+            iau += 1
             k = bikes[i]
             if k > 0:
-                bikes[i] = k - 1
+                bikes[i] = k_new = k - 1
                 parked -= 1
-                move_station(i, k, k - 1, t_next)
+                st = i
+                k_old = k
                 ride_excl.append(i if exclude_first else -1)
+                n_ride += 1
                 rentals += 1
             elif omega > 0:
                 walker_station.append(i)
                 walker_left.append(omega)
+                n_walk += 1
                 walk_starts += 1
             else:
                 abandonments += 1
-        elif u < arrival_rate + rate_walk:
+        elif u < arrival_walk:
             # one walker finishes a walk toward a uniformly random other station
             walks_completed += 1
-            j = int(walk_uni() * n_walk)
+            if iwu == block:
+                wu = g_walk.random(block).tolist()
+                iwu = 0
+            j = int(wu[iwu] * n_walk)
+            iwu += 1
             origin = walker_station[j]
-            m = int(walk_uni() * (n - 1))
+            if iwu == block:
+                wu = g_walk.random(block).tolist()
+                iwu = 0
+            m = int(wu[iwu] * (n - 1))
+            iwu += 1
             d = m + 1 if m >= origin else m
             k = bikes[d]
+            left = 0
             if k > 0:
-                bikes[d] = k - 1
+                bikes[d] = k_new = k - 1
                 parked -= 1
-                move_station(d, k, k - 1, t_next)
+                st = d
+                k_old = k
                 ride_excl.append(d if exclude_first else -1)
+                n_ride += 1
                 rentals += 1
                 walk_rentals += 1
-                last = n_walk - 1
-                if j != last:
-                    walker_station[j] = walker_station[last]
-                    walker_left[j] = walker_left[last]
-                walker_station.pop()
-                walker_left.pop()
             else:
                 left = walker_left[j] - 1
                 if left == 0:
                     abandonments += 1
-                    last = n_walk - 1
-                    if j != last:
-                        walker_station[j] = walker_station[last]
-                        walker_left[j] = walker_left[last]
-                    walker_station.pop()
-                    walker_left.pop()
                 else:
                     walker_left[j] = left
                     walker_station[j] = d
+            if left == 0:
+                # the walker rented or gave up: swap-remove record j
+                n_walk -= 1
+                if j != n_walk:
+                    walker_station[j] = walker_station[n_walk]
+                    walker_left[j] = walker_left[n_walk]
+                walker_station.pop()
+                walker_left.pop()
         else:
             # one riding bike reaches its destination
-            j = int(ride_uni() * n_ride)
+            if iru == block:
+                ru = g_ride.random(block).tolist()
+                iru = 0
+            j = int(ru[iru] * n_ride)
+            iru += 1
             avoid = ride_excl[j]
+            if iru == block:
+                ru = g_ride.random(block).tolist()
+                iru = 0
             if avoid < 0:
-                d = int(ride_uni() * n)
+                d = int(ru[iru] * n)
             else:
-                m = int(ride_uni() * (n - 1))
+                m = int(ru[iru] * (n - 1))
                 d = m + 1 if m >= avoid else m
+            iru += 1
             k = bikes[d]
             if k < cap_k:
-                bikes[d] = k + 1
+                bikes[d] = k_new = k + 1
                 parked += 1
-                move_station(d, k, k + 1, t_next)
-                last = n_ride - 1
-                if j != last:
-                    ride_excl[j] = ride_excl[last]
+                st = d
+                k_old = k
+                n_ride -= 1
+                if j != n_ride:
+                    ride_excl[j] = ride_excl[n_ride]
                 ride_excl.pop()
                 returns += 1
             else:
                 # full station: persistent customer rides on, avoiding it
                 re_rides += 1
                 ride_excl[j] = d
+
+        if st >= 0:
+            # flush the time spent at both levels and at the joint cell
+            m = mark[k_old]
+            lo = m if m > w0 else w0
+            if t_next > lo:
+                acc[k_old] += counts[k_old] * (t_next - lo)
+            mark[k_old] = t_next
+            m = mark[k_new]
+            lo = m if m > w0 else w0
+            if t_next > lo:
+                acc[k_new] += counts[k_new] * (t_next - lo)
+            mark[k_new] = t_next
+            counts[k_old] -= 1
+            counts[k_new] += 1
+            if st < 2:
+                lo = jmark if jmark > w0 else w0
+                if t_next > lo:
+                    joint[j0, j1] += t_next - lo
+                jmark = t_next
+                if st == 0:
+                    j0 = k_new
+                else:
+                    j1 = k_new
 
         if parked + len(ride_excl) != total_bikes:
             raise InvariantViolationError(
@@ -368,7 +385,9 @@ def simulate(config: SimConfig) -> SimReport:
         t = t_next
 
     for k in range(cap_k + 1):
-        flush_level(k, horizon)
+        lo = mark[k] if mark[k] > w0 else w0
+        if horizon > lo:
+            acc[k] += counts[k] * (horizon - lo)
     lo = jmark if jmark > w0 else w0
     if horizon > lo:
         joint[j0, j1] += horizon - lo

@@ -15,8 +15,14 @@ from bikeshare_meanfield import (
     sweep,
     sweep_to_csv,
 )
+from bikeshare_meanfield import analysis
 from bikeshare_meanfield.analysis import SWEEP_CSV_HEADER, grid_to_csv
-from bikeshare_meanfield.errors import ConfigError, EmptyFeasibleSetError
+from bikeshare_meanfield.errors import (
+    AssumptionViolationError,
+    ConfigError,
+    EmptyFeasibleSetError,
+    InvariantViolationError,
+)
 
 FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
@@ -81,6 +87,10 @@ class TestSweep:
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
             sweep(SMALL, "mu", [], ProfitPrices())
+
+    def test_scalar_grid_rejected(self):
+        with pytest.raises(ConfigError, match="grid must be a list of values"):
+            sweep(SMALL, "mu", 5.0, ProfitPrices())
 
     def test_csv_format(self, tmp_path):
         records = sweep(SMALL, "lambda", [0.8, 1.0], ProfitPrices())
@@ -231,6 +241,47 @@ class TestOptimizers:
     def test_fractional_capacity_rejected(self):
         with pytest.raises(ConfigError, match="capacity_c must be an integer"):
             evaluate_design_grid({"capacity_c": [2.7]}, SMALL, ProfitPrices())
+
+    def test_scalar_grid_rejected(self):
+        with pytest.raises(ConfigError, match="capacity_c must be a list of values"):
+            evaluate_design_grid({"capacity_c": 10}, SMALL, ProfitPrices())
+        as_list = evaluate_design_grid(self.SEARCH, SMALL, ProfitPrices())
+        for container in (tuple, np.array):
+            search = {key: container(values) for key, values in self.SEARCH.items()}
+            assert evaluate_design_grid(search, SMALL, ProfitPrices()) == as_list
+
+    def test_scalar_beta_rejected(self):
+        with pytest.raises(ConfigError, match="beta must be a list of values"):
+            optimize_weighted(self.SEARCH, SMALL, beta=5)
+        winners = {optimize_weighted(self.SEARCH, SMALL, beta=beta)
+                   for beta in ([0.0, 0.0, 1.0], (0.0, 0.0, 1.0), np.array([0.0, 0.0, 1.0]))}
+        assert len(winners) == 1
+
+
+class TestSolveFailures:
+    SEARCH = {"capacity_c": [2, 3]}
+
+    @staticmethod
+    def failing_solve(error):
+        def solve(params, *args, **kwargs):
+            raise error("solver broke")
+        return solve
+
+    def test_invariant_violation_propagates(self, monkeypatch):
+        monkeypatch.setattr(analysis, "solve_fixed_point",
+                            self.failing_solve(InvariantViolationError))
+        with pytest.raises(InvariantViolationError, match="solver broke"):
+            sweep(SMALL, "lambda", [0.8, 1.0], ProfitPrices())
+        with pytest.raises(InvariantViolationError, match="solver broke"):
+            evaluate_design_grid(self.SEARCH, SMALL, ProfitPrices())
+
+    def test_domain_error_recorded_per_node(self, monkeypatch):
+        monkeypatch.setattr(analysis, "solve_fixed_point", self.failing_solve(
+            AssumptionViolationError))
+        records = (sweep(SMALL, "lambda", [0.8, 1.0], ProfitPrices())
+                   + evaluate_design_grid(self.SEARCH, SMALL, ProfitPrices()))
+        assert len(records) == 4
+        assert all(r.metrics is None and r.error == "solver broke" for r in records)
 
 
 class TestMetricsType:

@@ -259,6 +259,27 @@ class TestOptimizeCommand:
         assert len(set(calls)) == 4
 
 
+class TestInternalErrorExit:
+    @pytest.mark.parametrize("command,keys", [
+        ("sweep", dict(vary="lambda", grid=[0.8, 1.0])),
+        ("optimize", dict(objective="weighted", grid_c=[2, 3])),
+    ])
+    def test_invariant_violation_in_a_node_exits_5(self, tmp_path, monkeypatch, capsys,
+                                                   command, keys):
+        from bikeshare_meanfield import analysis
+        from bikeshare_meanfield.errors import InvariantViolationError
+
+        def broken_solve(params, *args, **kwargs):
+            raise InvariantViolationError("solver broke")
+
+        monkeypatch.setattr(analysis, "solve_fixed_point", broken_solve)
+        params = write_params(tmp_path, dict(SMALL, **keys))
+        out = tmp_path / "out.csv"
+        assert main([command, "--params", str(params), "--out", str(out)]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
+        assert not out.exists()
+
+
 class TestValidateCommand:
     def test_small_system_passes(self, tmp_path, capsys):
         config = dict(SMALL, validate_t_measure=300.0)

@@ -5,11 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bikeshare_meanfield import simulator
 from bikeshare_meanfield import (
     SimConfig,
     SimReport,
     SimState,
     SystemParams,
+    Trajectory,
     Walker,
     empirical_vs_ode,
     independence_statistic,
@@ -27,6 +29,8 @@ SMALL = SystemParams(lam=2.0, mu=3.0, gamma=1.0, omega=2, capacity_c=2,
                      capacity_k=4, n_stations=50, delta=0.1)
 FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=300, delta=0.1)
+WALK_HEAVY = SystemParams(lam=15.0, mu=8.0, gamma=2.0, omega=3, capacity_c=3,
+                          capacity_k=5, n_stations=200, delta=0.1)
 
 
 def reports_equal(a: SimReport, b: SimReport) -> bool:
@@ -41,6 +45,170 @@ def reports_equal(a: SimReport, b: SimReport) -> bool:
     return (same
             and np.array_equal(a.trajectory.times, b.trajectory.times)
             and np.array_equal(a.trajectory.states, b.trajectory.states))
+
+
+class _FrozenStream:
+    """The buffered draws of the closure-based event loop, kept as the reference."""
+
+    def __init__(self, seed_seq):
+        self._gen = np.random.Generator(np.random.PCG64(seed_seq))
+        self._u = self._gen.random(simulator._BLOCK).tolist()
+        self._iu = 0
+        self._e = self._gen.standard_exponential(simulator._BLOCK).tolist()
+        self._ie = 0
+
+    def uniform(self):
+        if self._iu >= simulator._BLOCK:
+            self._u = self._gen.random(simulator._BLOCK).tolist()
+            self._iu = 0
+        self._iu += 1
+        return self._u[self._iu - 1]
+
+    def exponential(self):
+        if self._ie >= simulator._BLOCK:
+            self._e = self._gen.standard_exponential(simulator._BLOCK).tolist()
+            self._ie = 0
+        self._ie += 1
+        return self._e[self._ie - 1]
+
+
+def _frozen_simulate(config: SimConfig) -> SimReport:
+    """The event loop as it was written with one stream object per stream and
+    closures for the level flushes; the inlined loop must match it bit for bit."""
+    p = config.params
+    n, cap_k, cap_c, omega = p.n_stations, p.capacity_k, p.capacity_c, p.omega
+    arrival_rate = n * p.lam
+    exclude_first = config.exclude_first_ride_origin
+    s_time, s_arr, s_walk, s_ride = (_FrozenStream(ss)
+                                     for ss in np.random.SeedSequence(config.seed).spawn(4))
+    bikes = [cap_c] * n
+    counts = [0] * (cap_k + 1)
+    counts[cap_c] = n
+    walker_station, walker_left, ride_excl = [], [], []
+    w0 = config.t_warmup
+    horizon = config.t_warmup + config.t_measure
+    acc = [0.0] * (cap_k + 1)
+    mark = [0.0] * (cap_k + 1)
+    joint = np.zeros((cap_k + 1, cap_k + 1))
+    j0 = j1 = cap_c
+    jmark = 0.0
+    sampling = config.sample_interval is not None
+    sample_index = 0
+    traj_times, traj_states = [], []
+    ec = dict.fromkeys(("arrivals", "rentals", "abandonments", "walk_starts", "re_rides",
+                        "returns", "walks_completed", "walk_rentals"), 0)
+
+    def flush_level(k, tn):
+        lo = mark[k] if mark[k] > w0 else w0
+        if tn > lo:
+            acc[k] += counts[k] * (tn - lo)
+        mark[k] = tn
+
+    def move_station(st, k_old, k_new, tn):
+        nonlocal j0, j1, jmark
+        flush_level(k_old, tn)
+        flush_level(k_new, tn)
+        counts[k_old] -= 1
+        counts[k_new] += 1
+        if st < 2:
+            lo = jmark if jmark > w0 else w0
+            if tn > lo:
+                joint[j0, j1] += tn - lo
+            jmark = tn
+            if st == 0:
+                j0 = k_new
+            else:
+                j1 = k_new
+
+    def remove(lists, j):
+        for values in lists:
+            values[j] = values[-1]
+            values.pop()
+
+    t = 0.0
+    events = 0
+    while True:
+        n_walk, n_ride = len(walker_left), len(ride_excl)
+        rate_walk = p.gamma * n_walk
+        total_rate = arrival_rate + rate_walk + p.mu * n_ride
+        t_next = t + s_time.exponential() / total_rate
+        if sampling:
+            stop = t_next if t_next < horizon else horizon * (1.0 + 1e-15)
+            while sample_index * config.sample_interval < stop:
+                traj_times.append(sample_index * config.sample_interval)
+                traj_states.append([c / n for c in counts])
+                sample_index += 1
+        if t_next >= horizon:
+            break
+        u = s_time.uniform() * total_rate
+        if u < arrival_rate:
+            ec["arrivals"] += 1
+            i = int(s_arr.uniform() * n)
+            if bikes[i] > 0:
+                bikes[i] -= 1
+                move_station(i, bikes[i] + 1, bikes[i], t_next)
+                ride_excl.append(i if exclude_first else -1)
+                ec["rentals"] += 1
+            elif omega > 0:
+                walker_station.append(i)
+                walker_left.append(omega)
+                ec["walk_starts"] += 1
+            else:
+                ec["abandonments"] += 1
+        elif u < arrival_rate + rate_walk:
+            ec["walks_completed"] += 1
+            j = int(s_walk.uniform() * n_walk)
+            m = int(s_walk.uniform() * (n - 1))
+            d = m + 1 if m >= walker_station[j] else m
+            if bikes[d] > 0:
+                bikes[d] -= 1
+                move_station(d, bikes[d] + 1, bikes[d], t_next)
+                ride_excl.append(d if exclude_first else -1)
+                ec["rentals"] += 1
+                ec["walk_rentals"] += 1
+                remove((walker_station, walker_left), j)
+            elif walker_left[j] == 1:
+                ec["abandonments"] += 1
+                remove((walker_station, walker_left), j)
+            else:
+                walker_left[j] -= 1
+                walker_station[j] = d
+        else:
+            j = int(s_ride.uniform() * n_ride)
+            avoid = ride_excl[j]
+            if avoid < 0:
+                d = int(s_ride.uniform() * n)
+            else:
+                m = int(s_ride.uniform() * (n - 1))
+                d = m + 1 if m >= avoid else m
+            if bikes[d] < cap_k:
+                bikes[d] += 1
+                move_station(d, bikes[d] - 1, bikes[d], t_next)
+                remove((ride_excl,), j)
+                ec["returns"] += 1
+            else:
+                ec["re_rides"] += 1
+                ride_excl[j] = d
+        events += 1
+        t = t_next
+
+    for k in range(cap_k + 1):
+        flush_level(k, horizon)
+    lo = jmark if jmark > w0 else w0
+    if horizon > lo:
+        joint[j0, j1] += horizon - lo
+    ec.update(walkers_in_flight=len(walker_left), events=events)
+    return SimReport(
+        time_avg_measure=np.array(acc) / (config.t_measure * n),
+        trajectory=Trajectory(np.array(traj_times), np.array(traj_states)) if sampling else None,
+        joint_counts=joint,
+        event_counts=ec,
+        measured_time=config.t_measure,
+        final_state=SimState(station_bikes=bikes,
+                             walkers=[Walker(s, w) for s, w in zip(walker_station, walker_left)],
+                             riding=len(ride_excl), clock=horizon),
+        config=config,
+    )
 
 
 class TestConfig:
@@ -122,6 +290,57 @@ class TestDeterminism:
     def test_identical_gap_bitwise(self):
         config = SimConfig(params=SMALL, seed=17, t_measure=3.0, sample_interval=0.2)
         assert empirical_vs_ode(config) == empirical_vs_ode(config)
+
+
+class TestInlinedLoop:
+    CASES = {
+        "fig5": SimConfig(params=dataclasses.replace(FIG5, n_stations=60), seed=0,
+                          t_warmup=1.0, t_measure=3.0),
+        # long enough for every stream to draw past its first block
+        "walk-heavy": SimConfig(params=WALK_HEAVY, seed=0, t_warmup=1.0, t_measure=6.0),
+        "exclude-first": SimConfig(params=WALK_HEAVY, seed=0, t_warmup=0.5, t_measure=2.0,
+                                   exclude_first_ride_origin=True),
+        "sampled": SimConfig(params=SMALL, seed=0, t_warmup=1.0, t_measure=5.0,
+                             sample_interval=0.25),
+        "omega-0": SimConfig(params=SystemParams(lam=5.0, mu=1.0, gamma=1.0, omega=0,
+                                                 capacity_c=1, capacity_k=2, n_stations=20,
+                                                 delta=0.1),
+                             seed=0, t_measure=20.0),
+        "two-stations": SimConfig(params=dataclasses.replace(SMALL, n_stations=2), seed=0,
+                                  t_warmup=2.0, t_measure=100.0, sample_interval=1.0),
+    }
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_frozen_loop(self, case, seed):
+        config = dataclasses.replace(self.CASES[case], seed=seed)
+        new, old = simulate(config), _frozen_simulate(config)
+        assert new.to_dict() == old.to_dict()
+        # joint counts, final state and trajectory arrays, exactly
+        assert reports_equal(new, old)
+
+    def test_every_stream_refills(self):
+        # draws per stream: timing one uniform per event and one exponential per
+        # event plus the last, arrivals one each, walk and ride completions two each
+        block = simulator._BLOCK
+        ec = simulate(dataclasses.replace(self.CASES["walk-heavy"], seed=3)).event_counts
+        rides = ec["returns"] + ec["re_rides"]
+        assert min(ec["events"], ec["arrivals"], 2 * ec["walks_completed"], 2 * rides) > block
+
+    def test_deep_check_cadence(self, monkeypatch):
+        calls = []
+        real = simulator._deep_check
+
+        def counted(*args):
+            calls.append(1)
+            real(*args)
+
+        monkeypatch.setattr(simulator, "_deep_check", counted)
+        params = dataclasses.replace(SMALL, n_stations=1000)
+        events = simulate(SimConfig(params=params, seed=2, t_warmup=1.0,
+                                    t_measure=30.0)).event_counts["events"]
+        assert events >> 16 >= 2
+        assert len(calls) == (events >> 16) + 1
 
 
 class TestInvariants:
