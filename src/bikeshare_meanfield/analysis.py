@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,9 +151,12 @@ def evaluate_design_grid(
     ``EmptyFeasibleSetError``.  Candidates are visited in lexicographic
     (C, K, mu) order so ties resolve deterministically.
     """
+    if not isinstance(search, Mapping):
+        raise ConfigError(f"design search must map parameter names to value lists, got {search!r}")
     unknown = set(search) - {"capacity_c", "capacity_k", "mu"}
     if unknown:
-        raise ConfigError(f"design search only covers capacity_c, capacity_k, mu; got {unknown}")
+        raise ConfigError("design search only covers capacity_c, capacity_k, mu; "
+                          f"got {', '.join(sorted(map(str, unknown)))}")
     c_grid, k_grid, mu_grid = (
         sorted(read(key, v) for v in _as_values(key, search.get(key, [getattr(base, key)])))
         for key, read in (("capacity_c", _as_int), ("capacity_k", _as_int), ("mu", _as_float)))

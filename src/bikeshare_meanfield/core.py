@@ -336,23 +336,14 @@ def _finite_arrival_kernel(params: SystemParams):
     return rates
 
 
-def _tridiagonal_generator(births: np.ndarray, deaths: np.ndarray) -> np.ndarray:
-    """Conservative birth-death generator from per-level rates.
-
-    ``births`` has length K (level l -> l+1), ``deaths`` length K
-    (level l+1 -> l).  Row sums vanish up to one rounding of the diagonal.
-    """
-    n = births.size + 1
-    gen = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    gen[idx, idx + 1] = births
-    gen[idx + 1, idx] = deaths
-    gen[0, 0] = -births[0]
-    gen[n - 1, n - 1] = -deaths[-1]
-    if n > 2:
-        inner = np.arange(1, n - 1)
-        gen[inner, inner] = -(births[1:] + deaths[:-1])
-    return gen
+def _rate_pair(rates) -> tuple[float, float]:
+    """The (birth, death) pair of a constant-rate queue: birth >= 0, death > 0."""
+    a, b = float(rates[0]), float(rates[1])
+    if a < 0:
+        raise ConfigError(f"birth rate must be nonnegative, got {a}")
+    if b <= 0:
+        raise ConfigError(f"death rate must be positive, got {b}")
+    return a, b
 
 
 def build_generator(rates: RatePair, capacity_k: int) -> np.ndarray:
@@ -360,15 +351,16 @@ def build_generator(rates: RatePair, capacity_k: int) -> np.ndarray:
 
     Birth rate on the superdiagonal, death rate on the subdiagonal, and
     diagonal entries -birth, -(birth+death), ..., -death so that every row
-    sums to zero.
+    sums to zero up to one rounding of the diagonal.
     """
-    a, b = float(rates[0]), float(rates[1])
-    if a < 0:
-        raise ConfigError(f"birth rate must be nonnegative, got {a}")
-    if b <= 0:
-        raise ConfigError(f"death rate must be positive, got {b}")
+    a, b = _rate_pair(rates)
     if capacity_k < 1:
         raise ConfigError(f"capacity_k must be at least 1, got {capacity_k}")
-    births = np.full(capacity_k, a)
-    deaths = np.full(capacity_k, b)
-    return _tridiagonal_generator(births, deaths)
+    gen = np.zeros((capacity_k + 1, capacity_k + 1))
+    idx = np.arange(capacity_k)
+    gen[idx, idx + 1] = a
+    gen[idx + 1, idx] = b
+    gen[idx, idx] = -(a + b)
+    gen[0, 0] = -a
+    gen[capacity_k, capacity_k] = -b
+    return gen

@@ -180,11 +180,7 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     stops early once the drift sup-norm falls below the stationarity
     tolerance; the drift of that check is the next step's first stage.
     """
-    y = config.initial.copy()
-    if y.size != params.capacity_k + 1:
-        raise ConfigError(
-            f"initial vector has length {y.size}, expected {params.capacity_k + 1}"
-        )
+    y = _one_vector("integrate", config.initial, params).copy()
     drift = _drift_body(params, finite_n)
     h = config.step if config.step is not None else default_step(params)
     horizon = min(config.t_end, config.max_time)

@@ -19,6 +19,8 @@ from scipy.optimize import brentq
 from .core import (
     RatePair,
     SystemParams,
+    _one_vector,
+    _rate_pair,
     _rates_arrays,
     _write_json,
     build_generator,
@@ -111,11 +113,7 @@ def birth_death_stationary(rates: RatePair, capacity_k: int) -> np.ndarray:
 
     The rates are validated, then the vector is ``stationary_from_load``.
     """
-    a, b = float(rates[0]), float(rates[1])
-    if a < 0:
-        raise ConfigError(f"birth rate must be nonnegative, got {a}")
-    if b <= 0:
-        raise ConfigError(f"death rate must be positive, got {b}")
+    a, b = _rate_pair(rates)
     return stationary_from_load(a / b, capacity_k)
 
 
@@ -166,12 +164,9 @@ def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
     roots = geometric_roots(rates)
     c1, c2 = geometric_coefficients(roots, capacity_k)
     k = np.arange(capacity_k + 1, dtype=float)
-    p = np.zeros(capacity_k + 1)
-    if c1 != 0.0:
-        p += c1 * roots.r ** k
-    if c2 != 0.0:
-        p += c2 * roots.g ** (capacity_k - k)
-    return p
+    if c2 == 0.0:
+        return c1 * roots.r ** k
+    return c2 * roots.g ** (capacity_k - k)
 
 
 def _defect(rho: float, params: SystemParams) -> float:
@@ -256,9 +251,7 @@ def nonlinear_residual(p, params: SystemParams) -> np.ndarray:
 
     A true fixed point gives the zero vector.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size != params.capacity_k + 1:
-        raise ConfigError("nonlinear_residual expects a fraction vector of length K+1")
+    p = _one_vector("nonlinear_residual", p, params)
     p0 = p[0]
     pk = p[-1]
     fleet = params.capacity_c - float(np.arange(p.size) @ p)

@@ -13,8 +13,10 @@ Seed contract: ``SeedSequence(seed).spawn(4)`` gives four PCG64 streams
 (event timing, arrival routing, walk moves, ride moves).  At start-up each
 stream draws a block of ``_BLOCK`` uniforms and then a block of ``_BLOCK``
 standard exponentials; only the timing stream reads its exponentials, the
-other three discard theirs.  A stream draws its next block of a kind only
-when a draw needs it.  Reports are therefore bit-for-bit reproducible, and
+other three discard theirs.  A stream draws its next block only when a draw
+needs it: the timing stream refills both kinds together, exponentials first,
+and walk and ride completions read their two uniforms as a pair inside one
+even-sized block.  Reports are therefore bit-for-bit reproducible, and
 bit-identical to earlier releases for the same seed.
 """
 
@@ -29,6 +31,8 @@ from .core import SystemParams, _as_bool, _as_float, _as_int, _write_json
 from .dynamics import OdeConfig, Trajectory, integrate
 from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
+#: draws per refill; must stay even, so that the two uniforms of a walk or
+#: ride completion never straddle a block end
 _BLOCK = 1 << 14
 _DEEP_CHECK_MASK = (1 << 16) - 1
 
@@ -177,7 +181,7 @@ def simulate(config: SimConfig) -> SimReport:
     exclude_first = config.exclude_first_ride_origin
 
     # the seed contract of the module docstring: each stream's draws sit in a
-    # list (tu, te, au, wu, ru) read at an index that refills it at the block end
+    # list (te and tu share the index it; au, wu, ru) refilled at the block end
     block = _BLOCK
     g_time, g_arr, g_walk, g_ride = (np.random.Generator(np.random.PCG64(ss))
                                      for ss in np.random.SeedSequence(config.seed).spawn(4))
@@ -190,7 +194,7 @@ def simulate(config: SimConfig) -> SimReport:
     g_walk.standard_exponential(block)
     ru = g_ride.random(block).tolist()
     g_ride.standard_exponential(block)
-    itu = ite = iau = iwu = iru = 0
+    it = iau = iwu = iru = 0
 
     bikes = [cap_c] * n
     counts = [0] * (cap_k + 1)
@@ -227,11 +231,11 @@ def simulate(config: SimConfig) -> SimReport:
         rate_walk = gamma * n_walk
         arrival_walk = arrival_rate + rate_walk
         total_rate = arrival_walk + mu * n_ride
-        if ite == block:
+        if it == block:
             te = g_time.standard_exponential(block).tolist()
-            ite = 0
-        t_next = t + te[ite] / total_rate
-        ite += 1
+            tu = g_time.random(block).tolist()
+            it = 0
+        t_next = t + te[it] / total_rate
         if sampling:
             # the state is constant on [t, t_next); on the final segment the
             # sample at exactly the horizon belongs to the current state too
@@ -247,11 +251,8 @@ def simulate(config: SimConfig) -> SimReport:
 
         # a station whose level changes sets st >= 0 and k_old -> k_new
         st = -1
-        if itu == block:
-            tu = g_time.random(block).tolist()
-            itu = 0
-        u = tu[itu] * total_rate
-        itu += 1
+        u = tu[it] * total_rate
+        it += 1
         if u < arrival_rate:
             # outside arrival at a uniformly random station
             arrivals += 1
@@ -283,13 +284,9 @@ def simulate(config: SimConfig) -> SimReport:
                 wu = g_walk.random(block).tolist()
                 iwu = 0
             j = int(wu[iwu] * n_walk)
-            iwu += 1
+            m = int(wu[iwu + 1] * (n - 1))
+            iwu += 2
             origin = walker_station[j]
-            if iwu == block:
-                wu = g_walk.random(block).tolist()
-                iwu = 0
-            m = int(wu[iwu] * (n - 1))
-            iwu += 1
             d = m + 1 if m >= origin else m
             k = bikes[d]
             left = 0
@@ -323,17 +320,13 @@ def simulate(config: SimConfig) -> SimReport:
                 ru = g_ride.random(block).tolist()
                 iru = 0
             j = int(ru[iru] * n_ride)
-            iru += 1
             avoid = ride_excl[j]
-            if iru == block:
-                ru = g_ride.random(block).tolist()
-                iru = 0
             if avoid < 0:
-                d = int(ru[iru] * n)
+                d = int(ru[iru + 1] * n)
             else:
-                m = int(ru[iru] * (n - 1))
+                m = int(ru[iru + 1] * (n - 1))
                 d = m + 1 if m >= avoid else m
-            iru += 1
+            iru += 2
             k = bikes[d]
             if k < cap_k:
                 bikes[d] = k_new = k + 1

@@ -250,6 +250,22 @@ class TestOptimizers:
             search = {key: container(values) for key, values in self.SEARCH.items()}
             assert evaluate_design_grid(search, SMALL, ProfitPrices()) == as_list
 
+    @pytest.mark.parametrize("search", [5, None, [("mu", [8.0])], "mu"])
+    def test_search_must_be_a_mapping(self, search):
+        with pytest.raises(ConfigError, match="design search must map parameter names"):
+            evaluate_design_grid(search, SMALL, ProfitPrices())
+        with pytest.raises(ConfigError, match="design search must map parameter names"):
+            optimize_weighted(search, SMALL, beta=[0.0, 0.0, 1.0])
+        with pytest.raises(ConfigError, match="design search must map parameter names"):
+            optimize_profit(search, SMALL, ProfitPrices())
+
+    def test_unknown_keys_listed_in_order(self):
+        with pytest.raises(ConfigError, match="mu; got gamma, lam$"):
+            evaluate_design_grid({"lam": [1.0], "mu": [4.0], "gamma": [2.0]}, SMALL,
+                                 ProfitPrices())
+        with pytest.raises(ConfigError, match="mu; got 5, x$"):
+            evaluate_design_grid({"x": [1.0], 5: [4.0]}, SMALL, ProfitPrices())
+
     def test_scalar_beta_rejected(self):
         with pytest.raises(ConfigError, match="beta must be a list of values"):
             optimize_weighted(self.SEARCH, SMALL, beta=5)

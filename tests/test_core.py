@@ -15,6 +15,7 @@ from bikeshare_meanfield import (
     geometric_walk_factor,
     limiting_rates,
     mean_bikes,
+    nonlinear_residual,
 )
 from bikeshare_meanfield.errors import (
     ConfigError,
@@ -305,7 +306,7 @@ class TestVectorLength:
                        capacity_k=50, n_stations=1000, delta=0.1)
 
     @pytest.mark.parametrize("rate", [limiting_rates, finite_arrival_rates,
-                                      finite_service_rate])
+                                      finite_service_rate, nonlinear_residual])
     @pytest.mark.parametrize("length", [5, 50, 52])
     def test_length_must_be_k_plus_one(self, rate, length):
         # unchecked, the uniform 5-vector reads as 28 bikes in transit and
@@ -315,13 +316,40 @@ class TestVectorLength:
             rate(y, self.FIG5)
 
     @pytest.mark.parametrize("rate", [limiting_rates, finite_arrival_rates,
-                                      finite_service_rate])
+                                      finite_service_rate, nonlinear_residual])
     def test_block_rejected(self, rate):
         with pytest.raises(ConfigError, match="one vector"):
             rate(np.full((2, 5), 0.2), make_params())
 
 
+def _frozen_tridiagonal_generator(births, deaths):
+    """Reference: the per-level generator ``build_generator`` filled from
+    ``np.full`` rate vectors before it wrote the constant band directly."""
+    n = births.size + 1
+    gen = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    gen[idx, idx + 1] = births
+    gen[idx + 1, idx] = deaths
+    gen[0, 0] = -births[0]
+    gen[n - 1, n - 1] = -deaths[-1]
+    if n > 2:
+        inner = np.arange(1, n - 1)
+        gen[inner, inner] = -(births[1:] + deaths[:-1])
+    return gen
+
+
 class TestBuildGenerator:
+    @pytest.mark.parametrize("k", [1, 2, 5, 50, 300])
+    def test_matches_frozen_per_level_generator(self, k):
+        rng = np.random.default_rng(k)
+        pairs = [(0.0, 1.0), (0.0, 3.7), (2.5, 2.5), (1e-3, 1e-3)]
+        pairs += [tuple(10.0 ** rng.uniform(-6, 6, size=2)) for _ in range(20)]
+        for a, b in pairs:
+            gen = build_generator(RatePair(a, b), k)
+            ref = _frozen_tridiagonal_generator(np.full(k, a), np.full(k, b))
+            assert np.array_equal(gen, ref)
+            assert gen.tobytes() == ref.tobytes()
+
     def test_two_state(self):
         gen = build_generator(RatePair(0.0, 1.0), 1)
         assert np.array_equal(gen, np.array([[0.0, 0.0], [1.0, -1.0]]))

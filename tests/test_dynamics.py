@@ -105,7 +105,11 @@ class TestDrift:
             gap = np.max(np.abs(drift_finite_n(y, big) - drift_limiting(y, big)))
             assert gap < 1e-4
 
-    @pytest.mark.parametrize("drift", [drift_limiting, drift_finite_n])
+    @pytest.mark.parametrize("drift", [
+        drift_limiting, drift_finite_n,
+        pytest.param(lambda y, params: integrate(OdeConfig(initial=y, t_end=1.0), params),
+                     id="integrate"),
+    ])
     @pytest.mark.parametrize("length", [5, 50, 52])
     def test_length_must_be_k_plus_one(self, drift, length):
         y = np.full(length, 1.0 / length)

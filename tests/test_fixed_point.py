@@ -94,7 +94,36 @@ class TestGeometricRoots:
         assert a * roots.g ** 2 - (a + b) * roots.g + b == pytest.approx(0.0, abs=1e-12)
 
 
+def _frozen_geometric_form(rates, capacity_k):
+    """Reference: ``geometric_form`` as the sum of both weighted sequences,
+    before it returned the one with nonzero weight."""
+    roots = geometric_roots(rates)
+    c1, c2 = geometric_coefficients(roots, capacity_k)
+    k = np.arange(capacity_k + 1, dtype=float)
+    p = np.zeros(capacity_k + 1)
+    if c1 != 0.0:
+        p += c1 * roots.r ** k
+    if c2 != 0.0:
+        p += c2 * roots.g ** (capacity_k - k)
+    return p
+
+
 class TestGeometricForm:
+    def test_matches_frozen_two_sequence_sum(self):
+        # the rate pairs check_geometric_form draws, plus its solved pair
+        rng = np.random.default_rng(7)
+        result = solve_fixed_point(FIG5)
+        pairs = [(result.rates.birth, result.rates.death, FIG5.capacity_k)]
+        for _ in range(200):
+            a, b = 10.0 ** rng.uniform(-2, 2, size=2)
+            if abs(a - b) < 1e-9 * (a + b):
+                continue
+            pairs.append((a, b, int(rng.integers(1, 60))))
+        for a, b, k in pairs:
+            rates = RatePair(float(a), float(b))
+            p = geometric_form(rates, k)
+            assert np.array_equal(p, _frozen_geometric_form(rates, k))
+
     def test_matches_closed_form_example(self):
         p = geometric_form(RatePair(1.0, 2.0), 2)
         assert np.max(np.abs(p - np.array([4 / 7, 2 / 7, 1 / 7]))) < 1e-15
