@@ -23,8 +23,6 @@ from .core import (
     RatePair,
     SystemParams,
     build_generator,
-    finite_arrival_rates,
-    finite_service_rate,
     fraction_vector,
     geometric_walk_factor,
     limiting_rates,
@@ -81,8 +79,6 @@ __all__ = [
     "RatePair",
     "SystemParams",
     "build_generator",
-    "finite_arrival_rates",
-    "finite_service_rate",
     "fraction_vector",
     "geometric_walk_factor",
     "limiting_rates",

@@ -128,11 +128,10 @@ def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[Swe
             for value in grid]
 
 
-def sweep_to_csv(records: list[SweepRecord], path, base: SystemParams | None = None) -> None:
-    """Write sweep records as plot-ready CSV rows."""
+def sweep_to_csv(records: list[SweepRecord], path, base: SystemParams) -> None:
+    """Write the params line of ``base``, then sweep records as plot-ready CSV rows."""
     with open(path, "w", encoding="utf-8") as fh:
-        if base is not None:
-            fh.write(base.csv_params_line())
+        fh.write(base.csv_params_line())
         fh.write(SWEEP_CSV_HEADER + "\n")
         for rec in records:
             fh.write(f"{rec.vary},{rec.value:.17g},{_metric_cells(rec.metrics)}\n")
@@ -199,15 +198,14 @@ def _profit_objective(m: Metrics) -> float:
     return -m.profit
 
 
-def optimize_weighted(search: dict, base: SystemParams, beta,
-                      prices: ProfitPrices | None = None) -> SweepRecord:
+def optimize_weighted(search: dict, base: SystemParams, beta) -> SweepRecord:
     """Minimize beta1*p0 + beta2*pK + beta3*(p0 + pK) over the design grid.
 
     The weights must be nonnegative and sum to one.  Ties go to the
     lexicographically smallest (C, K, mu).
     """
     objective = _weighted_objective(beta)
-    records = evaluate_design_grid(search, base, prices or ProfitPrices())
+    records = evaluate_design_grid(search, base, ProfitPrices())
     return _pick_minimum(records, objective)
 
 

@@ -95,6 +95,8 @@ def _cmd_ode(config: dict, out: str) -> int:
     params = SystemParams.from_dict(config)
     if "t_end" not in config:
         raise ConfigError("ode needs key 't_end'")
+    if "max_time" in config:
+        raise ConfigError("ode has no key 'max_time'; lower 't_end' to shorten the horizon")
     if "initial" in config:
         initial = fraction_vector(config["initial"], params.capacity_k)
     else:
@@ -104,7 +106,7 @@ def _cmd_ode(config: dict, out: str) -> int:
         initial=initial,
         t_end=_as_float("t_end", config["t_end"]),
         **{key: _as_float(key, config[key])
-           for key in ("step", "stationarity_tol", "max_time") if key in config},
+           for key in ("step", "stationarity_tol") if key in config},
     )
     traj = integrate(ode_config, params,
                      finite_n=_as_bool("finite_n", config.get("finite_n", False)))

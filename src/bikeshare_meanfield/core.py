@@ -213,14 +213,20 @@ def fraction_vector(values, capacity_k: int | None = None) -> np.ndarray:
 
 
 def _one_vector(name: str, y, params: SystemParams) -> np.ndarray:
-    """``y`` as one float vector of length K+1, the argument of a public rate or drift."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (params.capacity_k + 1,):
+    """``y`` as one float vector of length K+1, the argument of a public rate or drift.
+
+    Entries must be numbers: booleans, strings and ragged nesting are rejected, not converted.
+    """
+    try:
+        y = np.asarray(y)
+    except ValueError as exc:
+        raise ConfigError(f"{name} expects one vector of numbers, got a ragged nesting") from exc
+    if y.shape != (params.capacity_k + 1,) or y.dtype.kind not in "iuf":
         raise ConfigError(
-            f"{name} expects one vector of length K+1 = {params.capacity_k + 1}, "
-            f"got shape {y.shape}"
+            f"{name} expects one vector of length K+1 = {params.capacity_k + 1} "
+            f"of numbers, got shape {y.shape} and dtype {y.dtype}"
         )
-    return y
+    return y.astype(float, copy=False)
 
 
 def mean_bikes(y) -> float:
@@ -262,15 +268,13 @@ def _death_rate(y0, params: SystemParams):
     return params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
 
 
-def _check_fleet(yk, fleet, deficit: bool = True) -> None:
+def _check_fleet(yk, fleet) -> None:
     """Full-system and negative-fleet guards (a block passes its largest yK, smallest fleet)."""
     if yk >= 1.0 - _EPS:
         raise FullSystemError("full-station fraction reached 1: persistent-return rate undefined")
     if fleet < -FLEET_TOL:
-        raise NegativeFleetError(
-            "mean parked bikes exceed C: bikes in transit would be negative"
-            + (f" (deficit {float(fleet):.3e})" if deficit else "")
-        )
+        raise NegativeFleetError("mean parked bikes exceed C: bikes in transit would be "
+                                 f"negative (deficit {float(fleet):.3e})")
 
 
 def _rates_arrays(y, params: SystemParams, check: bool = True):
@@ -300,40 +304,6 @@ def limiting_rates(y, params: SystemParams) -> RatePair:
     """
     birth, death = _rates_arrays(_one_vector("limiting_rates", y, params), params, check=True)
     return RatePair(birth=float(birth), death=float(death))
-
-
-def finite_service_rate(y, params: SystemParams) -> float:
-    """Rental-side (death) rate of the N-station system; level-independent."""
-    return _death_rate(float(_one_vector("finite_service_rate", y, params)[0]), params)
-
-
-def finite_arrival_rates(y, params: SystemParams) -> np.ndarray:
-    """Return-side (birth) rates of the N-station system, one per level l = 0..K-1.
-
-    The own-fleet term (C - l) contributes for l <= C - 1; above that the
-    rate is the constant shared-fleet value, which converges to the limiting
-    birth rate as N grows.
-    """
-    rates = _finite_arrival_kernel(params)
-    return rates(_one_vector("finite_arrival_rates", y, params), np.empty(params.capacity_k))
-
-
-def _finite_arrival_kernel(params: SystemParams):
-    """``finite_arrival_rates`` as ``rates(y, out)`` for one float vector, with
-    the level and own-fleet vectors built once."""
-    c, n = params.capacity_c, params.n_stations
-    levels = np.arange(params.capacity_k + 1)
-    own = np.where(levels[:-1] <= c - 1, c - levels[:-1], 0.0)
-
-    def rates(y, out):
-        yk = y.item(-1)
-        fleet = c - float(levels @ y)
-        _check_fleet(yk, fleet, deficit=False)
-        np.add(own, (n - 1) * max(fleet, 0.0), out=out)
-        np.multiply(params.mu / n, out, out=out)
-        return np.divide(out, 1.0 - yk, out=out)
-
-    return rates
 
 
 def _rate_pair(rates) -> tuple[float, float]:

@@ -11,7 +11,6 @@ bound on its norm used to certify Lipschitz continuity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .core import (
     SystemParams,
     _check_fleet,
     _death_rate,
-    _finite_arrival_kernel,
     _one_vector,
     _rates_arrays,
     fraction_vector,
@@ -44,15 +42,12 @@ class OdeConfig:
     t_end            requested horizon
     step             fixed step size; None picks ``default_step``
     stationarity_tol stop early once the sup-norm of the drift falls below this
-    max_time         hard cap on the integration horizon (> 0; the default
-                     math.inf means no cap)
     """
 
     initial: np.ndarray
     t_end: float
     step: float | None = None
     stationarity_tol: float = 1e-10
-    max_time: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "initial", fraction_vector(self.initial))
@@ -62,8 +57,6 @@ class OdeConfig:
             raise ConfigError(f"step must lie in (0, t_end], got {self.step}")
         if not self.stationarity_tol > 0:
             raise ConfigError("stationarity_tol must be positive")
-        if not self.max_time > 0:
-            raise ConfigError(f"max_time must be positive, got {self.max_time}")
 
 
 @dataclass(frozen=True)
@@ -92,13 +85,12 @@ class Trajectory:
                 for j in range(self.states.shape[1])]
         return np.column_stack(cols)
 
-    def to_csv(self, path, params: SystemParams | None = None) -> None:
-        """Write "t,y0,...,yK" rows at full double precision (17 digits)."""
+    def to_csv(self, path, params: SystemParams) -> None:
+        """Write the params line, then "t,y0,...,yK" rows at full double precision (17 digits)."""
         k = self.states.shape[1] - 1
         row = ",".join(["%.17g"] * (k + 2)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
-            if params is not None:
-                fh.write(params.csv_params_line())
+            fh.write(params.csv_params_line())
             fh.write("t," + ",".join(f"y{i}" for i in range(k + 1)) + "\n")
             # blocks of rows: formatting the whole file at once nearly doubles peak memory
             for start in range(0, self.times.size, 512):
@@ -127,21 +119,28 @@ def _drift_limiting_arrays(y, params: SystemParams) -> np.ndarray:
 def _drift_body(params: SystemParams, finite_n: bool):
     """The chosen drift as ``drift(y, out)`` for one float vector: the level
     and own-fleet vectors are built once and the rates are Python floats."""
+    c, n = params.capacity_c, params.n_stations
     if not finite_n:
         levels = np.arange(params.capacity_k + 1, dtype=float)
 
         def drift(y, out):
-            yk, fleet = y.item(-1), params.capacity_c - float(y @ levels)
+            yk, fleet = y.item(-1), c - float(y @ levels)
             _check_fleet(yk, fleet)
             birth = params.mu * max(fleet, 0.0) / (1.0 - yk)
             return _limiting_stencil(y, birth, _death_rate(y.item(0), params), out)
 
         return drift
-    arrival = _finite_arrival_kernel(params)
+    # birth rate of level l < K: mu/N * ((C - l)^+ + (N - 1) * fleet) / (1 - yK)
+    levels = np.arange(params.capacity_k + 1)
+    own = np.where(levels[:-1] <= c - 1, c - levels[:-1], 0.0)
     xi = np.empty(params.capacity_k)
 
     def drift(y, out):
-        arrival(y, xi)
+        yk, fleet = y.item(-1), c - float(levels @ y)
+        _check_fleet(yk, fleet)
+        np.add(own, (n - 1) * max(fleet, 0.0), out=xi)
+        np.multiply(params.mu / n, xi, out=xi)
+        np.divide(xi, 1.0 - yk, out=xi)
         eta = _death_rate(y.item(0), params)
         out[0] = -xi[0] * y[0] + eta * y[1]
         out[1:-1] = xi[:-1] * y[:-2] - (xi[1:] + eta) * y[1:-1] + eta * y[2:]
@@ -183,7 +182,7 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     y = _one_vector("integrate", config.initial, params).copy()
     drift = _drift_body(params, finite_n)
     h = config.step if config.step is not None else default_step(params)
-    horizon = min(config.t_end, config.max_time)
+    horizon = config.t_end
     bound = 1.0 - params.delta
 
     def check_domain(state, time):
@@ -237,7 +236,7 @@ def jacobian_fd(y, params: SystemParams, h: float = 1e-6) -> np.ndarray:
     """
     if not 1e-8 <= h <= 1e-4:
         raise ConfigError(f"finite-difference step must lie in [1e-8, 1e-4], got {h}")
-    y = np.asarray(y, dtype=float)
+    y = _one_vector("jacobian_fd", y, params)
     n = y.size
     pts = np.vstack([np.tile(y, (n, 1)) + h * np.eye(n),
                      np.tile(y, (n, 1)) - h * np.eye(n)])
@@ -276,27 +275,22 @@ def weighted_sup_distance(x, y) -> float:
     return float(np.max(np.abs(x - y) / (np.arange(x.size) + 1.0)))
 
 
-def sample_domain_points(
-    params: SystemParams,
-    n: int,
-    rng: np.random.Generator,
-    margin: float = 1e-3,
-    max_batches: int = 2000,
-) -> np.ndarray:
+def sample_domain_points(params: SystemParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Random simplex points inside the model's valid domain.
 
     Rejection-samples Dirichlet(1, ..., 1) points until ``n`` satisfy
-    y0, y_K <= 1 - delta - margin and mean parked bikes <= C - margin (so
-    the drift and its finite differences are defined at every returned
-    point).  Raises ``ConfigError`` if the acceptance rate is hopeless for
-    these parameters.
+    y0, y_K <= 1 - delta - margin and mean parked bikes <= C - margin with
+    margin = 1e-3 (so the drift and its finite differences are defined at
+    every returned point).  Raises ``ConfigError`` if 2,000 batches do not
+    give ``n`` points.
     """
     k = params.capacity_k
+    margin = 1e-3
     bound = 1.0 - params.delta - margin
     levels = np.arange(k + 1, dtype=float)
     out = []
     have = 0
-    for _ in range(max_batches):
+    for _ in range(2000):
         batch = rng.dirichlet(np.ones(k + 1), size=max(4 * n, 256))
         ok = (
             (batch[:, 0] <= bound)

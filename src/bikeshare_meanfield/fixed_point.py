@@ -69,11 +69,8 @@ class FixedPointResult:
             "iterations": self.iterations,
         }
 
-    def to_json(self, path, params: SystemParams | None = None) -> None:
-        payload = self.to_dict()
-        if params is not None:
-            payload = {"params": params.to_dict(), **payload}
-        _write_json(path, payload)
+    def to_json(self, path, params: SystemParams) -> None:
+        _write_json(path, {"params": params.to_dict(), **self.to_dict()})
 
 
 @dataclass(frozen=True)
@@ -311,13 +308,8 @@ def _refine_locally(rho0: float, params: SystemParams,
     )
 
 
-def uniqueness_probe(
-    params: SystemParams,
-    n_starts: int,
-    seed: int = 0,
-    agreement_tol: float = 1e-8,
-    max_iterations: int = 60,
-) -> list[FixedPointResult]:
+def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
+                     max_iterations: int = 60) -> list[FixedPointResult]:
     """Hunt for multiple fixed points from random starting vectors.
 
     The self-map sends any vector to the stationary vector at the load its
@@ -327,9 +319,8 @@ def uniqueness_probe(
     at most ``max_iterations`` secant steps; the run never falls back to the
     global bracketed solve, so a root in another basin produces another
     answer.  ``iterations`` of each result counts the defect evaluations
-    of its refinement.  All results must agree within ``agreement_tol`` in
-    sup-norm, otherwise ``MultipleFixedPointsError`` carries the distinct
-    results.
+    of its refinement.  All results must agree within 1e-8 in sup-norm,
+    otherwise ``MultipleFixedPointsError`` carries the distinct results.
     """
     if n_starts < 1:
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
@@ -342,7 +333,7 @@ def uniqueness_probe(
         results.append(_result_at(rho, params, used))
     distinct = [results[0]]
     for res in results[1:]:
-        if all(float(np.max(np.abs(res.p - d.p))) > agreement_tol for d in distinct):
+        if all(float(np.max(np.abs(res.p - d.p))) > 1e-8 for d in distinct):
             distinct.append(res)
     if len(distinct) > 1:
         raise MultipleFixedPointsError(
@@ -354,7 +345,7 @@ def uniqueness_probe(
 
 def self_map_residual(p, params: SystemParams) -> float:
     """Sup-norm distance between p and the stationary vector its rates induce."""
-    p = fraction_vector(p)
+    p = fraction_vector(_one_vector("self_map_residual", p, params))
     a, b = _rates_arrays(p, params, check=False)
     image = stationary_from_load(max(float(a), 0.0) / float(b), params.capacity_k)
     return float(np.max(np.abs(p - image)))

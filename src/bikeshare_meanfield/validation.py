@@ -44,13 +44,14 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def check_fixed_point_characterizations(params: SystemParams, tol: float = 1e-10) -> CheckResult:
+def check_fixed_point_characterizations(params: SystemParams) -> CheckResult:
     """The solved point must satisfy all three stationary formulations.
 
     The generator and cleared-denominator residuals carry the units of a
     rate, so they are taken relative to birth + death at the solved point
     (as in ``solve_fixed_point``); the self-map residual is dimensionless.
     """
+    tol = 1e-10
     result = solve_fixed_point(params)
     scale = result.rates.birth + result.rates.death
     sta2 = result.residual / scale
@@ -65,13 +66,14 @@ def check_fixed_point_characterizations(params: SystemParams, tol: float = 1e-10
     )
 
 
-def check_geometric_form(params: SystemParams, tol: float = 1e-12, cases: int = 200) -> CheckResult:
+def check_geometric_form(params: SystemParams) -> CheckResult:
     """Two closed forms of the stationary vector must coincide."""
     rng = np.random.default_rng(7)
+    tol = 1e-12
     worst = 0.0
     result = solve_fixed_point(params)
     pairs = [(result.rates.birth, result.rates.death, params.capacity_k)]
-    for _ in range(cases):
+    for _ in range(200):
         a, b = 10.0 ** rng.uniform(-2, 2, size=2)
         if abs(a - b) < 1e-9 * (a + b):
             continue
@@ -90,13 +92,13 @@ def check_geometric_form(params: SystemParams, tol: float = 1e-12, cases: int = 
     )
 
 
-def check_ode_terminal(params: SystemParams, tol: float = 1e-6,
-                       t_end: float = 5000.0) -> CheckResult:
+def check_ode_terminal(params: SystemParams) -> CheckResult:
     """Integration from the all-stations-at-C start must reach the fixed point."""
     result = solve_fixed_point(params)
     g = np.zeros(params.capacity_k + 1)
     g[params.capacity_c] = 1.0
-    traj = integrate(OdeConfig(initial=g, t_end=t_end, stationarity_tol=1e-11), params)
+    traj = integrate(OdeConfig(initial=g, t_end=5000.0, stationarity_tol=1e-11), params)
+    tol = 1e-6
     gap = float(np.max(np.abs(traj.terminal - result.p)))
     return CheckResult(
         name="ode-reaches-fixed-point",
@@ -105,16 +107,16 @@ def check_ode_terminal(params: SystemParams, tol: float = 1e-6,
     )
 
 
-def check_jacobian_bound(params: SystemParams, n_points: int = 200) -> CheckResult:
+def check_jacobian_bound(params: SystemParams) -> CheckResult:
     """Sampled drift-Jacobian norms must stay below the analytic bound."""
     rng = np.random.default_rng(11)
-    points = sample_domain_points(params, n_points, rng)
+    points = sample_domain_points(params, 200, rng)
     bound = lipschitz_bound(params)
     worst = max(column_sum_norm(jacobian_fd(y, params)) for y in points)
     return CheckResult(
         name="jacobian-norm-bound",
         passed=bool(worst <= bound),
-        detail=f"max sampled norm {worst:.4g} vs bound {bound:.4g} over {n_points} points",
+        detail=f"max sampled norm {worst:.4g} vs bound {bound:.4g} over {len(points)} points",
     )
 
 

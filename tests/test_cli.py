@@ -176,6 +176,7 @@ class TestSimulateCommand:
         pytest.param("simulate", "t_warmup=NaN", id="t_warmup=NaN"),
         pytest.param("simulate", "t_warmup=Infinity", id="t_warmup=Infinity"),
         pytest.param("ode", "max_time=-1", id="max_time=-1"),
+        pytest.param("ode", "max_time=2", id="max_time=2"),
         pytest.param("ode", "initial=[0,0,0,true,false]", id="initial-booleans"),
         pytest.param("validate", "validate_t_measure=NaN", id="validate_t_measure=NaN"),
     ])
@@ -314,7 +315,7 @@ MODEL_KEYS = {"lambda": "number", "mu": "number", "gamma": "number", "omega": "i
 COMMAND_KEYS = {
     "fixed-point": {"tol": "number"},
     "ode": {"t_end": "number", "step": "number", "stationarity_tol": "number",
-            "max_time": "number", "initial": "list", "finite_n": "boolean"},
+            "initial": "list", "finite_n": "boolean"},
     "simulate": {"seed": "integer", "t_warmup": "number", "t_measure": "number",
                  "sample_interval": "number", "exclude_first_ride_origin": "boolean"},
     "sweep": {"vary": "name", "grid": "list", "grid_start": "number", "grid_stop": "number",

@@ -9,13 +9,12 @@ from bikeshare_meanfield import (
     RatePair,
     SystemParams,
     build_generator,
-    finite_arrival_rates,
-    finite_service_rate,
     fraction_vector,
     geometric_walk_factor,
     limiting_rates,
     mean_bikes,
     nonlinear_residual,
+    self_map_residual,
 )
 from bikeshare_meanfield.errors import (
     ConfigError,
@@ -224,6 +223,12 @@ class TestLimitingRates:
         rates = limiting_rates(y, params)
         assert rates.birth == pytest.approx(5.0, rel=1e-14)
 
+    def test_death_rate_hand_value(self):
+        # b = 1 + 0.5 * 0.5 * (1 + 0.5) with two walks allowed
+        params = make_params(lam=1.0, gamma=0.5, mu=1.0, omega=2)
+        y = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
+        assert limiting_rates(y, params).death == pytest.approx(1.375, rel=1e-14)
+
     def test_full_system_error(self):
         params = make_params()
         y = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
@@ -255,58 +260,11 @@ class TestLimitingRates:
             assert params.lam <= rates.death <= params.lam + params.gamma * params.omega
 
 
-class TestFiniteRates:
-    def test_service_rate_matches_limiting_death(self):
-        params = make_params(omega=2)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            y = rng.dirichlet(np.ones(5))
-            if y[-1] > 0.9 or mean_bikes(y) > params.capacity_c:
-                continue
-            assert finite_service_rate(y, params) == limiting_rates(y, params).death
-
-    def test_service_rate_hand_value(self):
-        params = make_params(lam=1.0, gamma=0.5, mu=1.0, omega=2)
-        y = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
-        assert finite_service_rate(y, params) == pytest.approx(1.375, rel=1e-14)
-
-    def test_constant_above_c(self):
-        params = make_params(capacity_c=2, capacity_k=4)
-        y = np.array([0.3, 0.3, 0.2, 0.1, 0.1])
-        xi = finite_arrival_rates(y, params)
-        assert xi.shape == (4,)
-        assert xi[2] == xi[3]
-        assert np.all(np.diff(xi[:3]) < 0)
-
-    def test_zero_fleet_zero_rate_above_c(self):
-        params = make_params(capacity_c=2, capacity_k=4)
-        y = np.zeros(5)
-        y[2] = 1.0  # every station holds C bikes: nothing in transit
-        xi = finite_arrival_rates(y, params)
-        assert xi[2] == 0.0 and xi[3] == 0.0
-        assert xi[0] > 0.0
-
-    def test_converges_to_limiting_birth(self):
-        import dataclasses
-
-        params = make_params()
-        y = np.array([0.25, 0.3, 0.25, 0.15, 0.05])
-        limit = limiting_rates(y, params).birth
-        gaps = []
-        for n in (10 ** 2, 10 ** 4, 10 ** 6):
-            big = dataclasses.replace(params, n_stations=n)
-            xi = finite_arrival_rates(y, big)
-            gaps.append(np.max(np.abs(xi - limit)))
-        assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2] < 1e-4 * max(limit, 1.0)
-
-
 class TestVectorLength:
     FIG5 = make_params(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                        capacity_k=50, n_stations=1000, delta=0.1)
 
-    @pytest.mark.parametrize("rate", [limiting_rates, finite_arrival_rates,
-                                      finite_service_rate, nonlinear_residual])
+    @pytest.mark.parametrize("rate", [limiting_rates, nonlinear_residual, self_map_residual])
     @pytest.mark.parametrize("length", [5, 50, 52])
     def test_length_must_be_k_plus_one(self, rate, length):
         # unchecked, the uniform 5-vector reads as 28 bikes in transit and
@@ -315,11 +273,21 @@ class TestVectorLength:
         with pytest.raises(ConfigError, match="length K\\+1 = 51"):
             rate(y, self.FIG5)
 
-    @pytest.mark.parametrize("rate", [limiting_rates, finite_arrival_rates,
-                                      finite_service_rate, nonlinear_residual])
+    @pytest.mark.parametrize("rate", [limiting_rates, nonlinear_residual, self_map_residual])
     def test_block_rejected(self, rate):
         with pytest.raises(ConfigError, match="one vector"):
             rate(np.full((2, 5), 0.2), make_params())
+
+    @pytest.mark.parametrize("rate", [limiting_rates, nonlinear_residual, self_map_residual])
+    @pytest.mark.parametrize("entries", [
+        pytest.param(["0.02"] * 50 + ["0.0"], id="strings"),
+        pytest.param([True] + [False] * 50, id="booleans"),
+        pytest.param([[0.5, 0.5]] + [0.0] * 50, id="ragged"),
+    ])
+    def test_entries_must_be_numbers(self, rate, entries):
+        # converted, the strings would read as a valid vector and the booleans as y0 = 1
+        with pytest.raises(ConfigError, match="one vector"):
+            rate(entries, self.FIG5)
 
 
 def _frozen_tridiagonal_generator(births, deaths):

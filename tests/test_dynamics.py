@@ -106,7 +106,7 @@ class TestDrift:
             assert gap < 1e-4
 
     @pytest.mark.parametrize("drift", [
-        drift_limiting, drift_finite_n,
+        drift_limiting, drift_finite_n, jacobian_fd,
         pytest.param(lambda y, params: integrate(OdeConfig(initial=y, t_end=1.0), params),
                      id="integrate"),
     ])
@@ -116,7 +116,7 @@ class TestDrift:
         with pytest.raises(ConfigError, match="length K\\+1 = 51"):
             drift(y, FIG5)
 
-    @pytest.mark.parametrize("drift", [drift_limiting, drift_finite_n])
+    @pytest.mark.parametrize("drift", [drift_limiting, drift_finite_n, jacobian_fd])
     def test_block_rejected(self, drift):
         with pytest.raises(ConfigError, match="one vector"):
             drift(np.full((2, 5), 0.2), SMALL)
@@ -124,11 +124,9 @@ class TestDrift:
     def test_top_level_outflow_is_death_only(self):
         # with no mass at K-1 the top level can only drain through rentals,
         # at exactly the service rate
-        from bikeshare_meanfield import finite_service_rate
-
         y = np.array([0.5, 0.3, 0.1, 0.0, 0.1])
         f = drift_finite_n(y, SMALL)
-        assert f[-1] == pytest.approx(-finite_service_rate(y, SMALL) * y[-1], rel=1e-14)
+        assert f[-1] == pytest.approx(-limiting_rates(y, SMALL).death * y[-1], rel=1e-14)
         assert f[-1] < 0.0
 
 
@@ -171,13 +169,6 @@ class TestIntegrate:
                                        stationarity_tol=1e-300), SMALL).terminal
             errs.append(np.max(np.abs(term - ref)))
         assert errs[0] / errs[1] > 12.0
-
-    def test_max_time_caps_horizon(self):
-        g = np.zeros(5)
-        g[3] = 1.0
-        traj = integrate(OdeConfig(initial=g, t_end=100.0, max_time=2.0,
-                                   stationarity_tol=1e-300), SMALL)
-        assert traj.times[-1] == pytest.approx(2.0)
 
     def test_unstable_step_fails_loudly(self):
         # a step far beyond the stability limit must abort, not return junk;
@@ -243,14 +234,6 @@ class TestIntegrate:
         with pytest.raises(ConfigError):
             OdeConfig(initial=[0.5, 0.6], t_end=1.0)
 
-    @pytest.mark.parametrize("max_time", [-1.0, 0.0, float("nan")])
-    def test_max_time_must_be_positive(self, max_time):
-        with pytest.raises(ConfigError, match="max_time must be positive"):
-            OdeConfig(initial=[0.5, 0.5], t_end=1.0, max_time=max_time)
-
-    def test_max_time_defaults_to_no_cap(self):
-        assert OdeConfig(initial=[0.5, 0.5], t_end=1.0).max_time == float("inf")
-
 
 def _frozen_rates(y, params):
     """The limiting (birth, death) rates as computed before the fused stepper."""
@@ -307,7 +290,7 @@ def _frozen_integrate(config, params, finite_n):
     drift = _frozen_drift_finite_n if finite_n else _frozen_drift_limiting
     y = config.initial.copy()
     h = config.step if config.step is not None else default_step(params)
-    horizon = min(config.t_end, config.max_time)
+    horizon = config.t_end
     times, states = [0.0], [y.copy()]
     t, step_index, k1 = 0.0, 0, drift(y, params)
     while t < horizon * (1.0 - 1e-15):
@@ -375,10 +358,9 @@ class TestFusedStepper:
                 with pytest.raises(error) as fused:
                     _drift_body(SMALL, finite_n)(y, out)
                 assert str(fused.value) == str(public.value)
-        with pytest.raises(NegativeFleetError, match=r"negative \(deficit -5\.000e-01\)$"):
-            drift_limiting(crowded, SMALL)
-        with pytest.raises(NegativeFleetError, match=r"in transit would be negative$"):
-            drift_finite_n(crowded, SMALL)
+        for drift in (drift_limiting, drift_finite_n):
+            with pytest.raises(NegativeFleetError, match=r"negative \(deficit -5\.000e-01\)$"):
+                drift(crowded, SMALL)
         with pytest.raises(FullSystemError, match="persistent-return rate undefined"):
             drift_finite_n(full, SMALL)
 
@@ -398,8 +380,7 @@ class TestTrajectory:
         assert np.array_equal(data[:, 0], traj.times)
         assert np.array_equal(data[:, 1:], traj.states)
 
-    @pytest.mark.parametrize("with_params", [False, True])
-    def test_csv_bytes_match_per_value_formatting(self, tmp_path, with_params):
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path):
         # 1,031 rows: two full 512-row blocks and a partial one
         rng = np.random.default_rng(17)
         special = np.array([-0.0, 5e-324, 1e300, 0.1, 1.0, -1.5e-300, 2.0 / 3.0])
@@ -408,12 +389,10 @@ class TestTrajectory:
         states[picks] = rng.choice(special, size=int(picks.sum()))
         states[:len(special), 0] = special
         traj = Trajectory(np.cumsum(rng.random(1031)) + 5e-324, states)
-        params = SMALL if with_params else None
         path = tmp_path / "traj.csv"
-        traj.to_csv(path, params=params)
-        expected = [] if params is None else [
-            f"# params: {json.dumps(params.to_dict(), sort_keys=True)}\n"]
-        expected.append("t,y0,y1,y2,y3,y4,y5\n")
+        traj.to_csv(path, params=SMALL)
+        expected = [f"# params: {json.dumps(SMALL.to_dict(), sort_keys=True)}\n",
+                    "t,y0,y1,y2,y3,y4,y5\n"]
         for t, row in zip(traj.times, traj.states):
             expected.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
         assert path.read_bytes() == "".join(expected).encode("utf-8")
