@@ -13,6 +13,7 @@ generator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -263,6 +264,20 @@ def geometric_walk_factor(p0: float, omega: int) -> float:
     return float(_geom_sum(float(p0), omega))
 
 
+@functools.lru_cache
+def _levels(capacity_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float vectors k and K - k for k = 0..K, shared by every caller."""
+    k = np.arange(capacity_k + 1, dtype=float)
+    down = capacity_k - k
+    k.flags.writeable = down.flags.writeable = False
+    return k, down
+
+
+def _birth_rate(fleet, yk, params: SystemParams):
+    """Return-side rate mu * fleet / (1 - yK) of bikes in transit bouncing off full stations."""
+    return params.mu * fleet / (1.0 - yk)
+
+
 def _death_rate(y0, params: SystemParams):
     """Rental-side rate lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1))."""
     return params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
@@ -286,14 +301,18 @@ def _rates_arrays(y, params: SystemParams, check: bool = True):
     y = np.asarray(y, dtype=float)
     y0 = y[..., 0]
     yk = y[..., -1]
-    levels = np.arange(y.shape[-1], dtype=float)
-    fleet = params.capacity_c - y @ levels
+    fleet = params.capacity_c - y @ _levels(params.capacity_k)[0]
     if check:
         _check_fleet(np.max(yk), np.min(fleet))
         fleet = np.maximum(fleet, 0.0)
-    death = _death_rate(y0, params)
-    birth = params.mu * fleet / (1.0 - yk)
-    return birth, death
+    return _birth_rate(fleet, yk, params), _death_rate(y0, params)
+
+
+def _point_rates(y, params: SystemParams):
+    """Unguarded (birth, death) of one float vector: the fleet and the death rate are Python
+    floats, y_K stays a numpy float, so y_K = 1 gives numpy's infinite rate and RuntimeWarning."""
+    fleet = params.capacity_c - float(y.dot(_levels(params.capacity_k)[0]))
+    return _birth_rate(fleet, y[-1], params), _death_rate(y.item(0), params)
 
 
 def limiting_rates(y, params: SystemParams) -> RatePair:

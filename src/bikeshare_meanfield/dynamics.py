@@ -17,8 +17,10 @@ import numpy as np
 
 from .core import (
     SystemParams,
+    _birth_rate,
     _check_fleet,
     _death_rate,
+    _levels,
     _one_vector,
     _rates_arrays,
     fraction_vector,
@@ -121,12 +123,12 @@ def _drift_body(params: SystemParams, finite_n: bool):
     and own-fleet vectors are built once and the rates are Python floats."""
     c, n = params.capacity_c, params.n_stations
     if not finite_n:
-        levels = np.arange(params.capacity_k + 1, dtype=float)
+        levels = _levels(params.capacity_k)[0]
 
         def drift(y, out):
             yk, fleet = y.item(-1), c - float(y @ levels)
             _check_fleet(yk, fleet)
-            birth = params.mu * max(fleet, 0.0) / (1.0 - yk)
+            birth = _birth_rate(max(fleet, 0.0), yk, params)
             return _limiting_stencil(y, birth, _death_rate(y.item(0), params), out)
 
         return drift

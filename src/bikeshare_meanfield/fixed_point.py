@@ -19,7 +19,9 @@ from scipy.optimize import brentq
 from .core import (
     RatePair,
     SystemParams,
+    _levels,
     _one_vector,
+    _point_rates,
     _rate_pair,
     _rates_arrays,
     _write_json,
@@ -97,11 +99,11 @@ def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
         raise ConfigError(f"load must be nonnegative, got {rho}")
     if capacity_k < 1:
         raise ConfigError(f"capacity_k must be at least 1, got {capacity_k}")
-    k = np.arange(capacity_k + 1, dtype=float)
+    k, down = _levels(capacity_k)
     if rho <= 1.0:
         w = rho ** k
     else:
-        w = (1.0 / rho) ** (capacity_k - k)
+        w = (1.0 / rho) ** down
     return w / w.sum()
 
 
@@ -146,10 +148,10 @@ def geometric_coefficients(roots: GeometricRoots, capacity_k: int) -> tuple[floa
     the bounded sequence (powers <= 1) and the diverging one gets zero.
     """
     r, g = roots.r, roots.g
-    k = np.arange(capacity_k + 1, dtype=float)
+    k, down = _levels(capacity_k)
     if r < 1.0:
         return 1.0 / float(np.sum(r ** k)), 0.0
-    return 0.0, 1.0 / float(np.sum(g ** (capacity_k - k)))
+    return 0.0, 1.0 / float(np.sum(g ** down))
 
 
 def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
@@ -160,10 +162,16 @@ def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
     """
     roots = geometric_roots(rates)
     c1, c2 = geometric_coefficients(roots, capacity_k)
-    k = np.arange(capacity_k + 1, dtype=float)
+    k, down = _levels(capacity_k)
     if c2 == 0.0:
         return c1 * roots.r ** k
-    return c2 * roots.g ** (capacity_k - k)
+    return c2 * roots.g ** down
+
+
+def _load_point(rho: float, params: SystemParams):
+    """p(rho) and its unguarded (birth, death): the one kernel of the defect and the solved point."""
+    p = stationary_from_load(rho, params.capacity_k)
+    return (p, *_point_rates(p, params))
 
 
 def _defect(rho: float, params: SystemParams) -> float:
@@ -173,14 +181,12 @@ def _defect(rho: float, params: SystemParams) -> float:
     loads with mean parked bikes above C are legal probe points and must
     give a smoothly negative defect.
     """
-    p = stationary_from_load(rho, params.capacity_k)
-    a, b = _rates_arrays(p, params, check=False)
+    _, a, b = _load_point(rho, params)
     return float(a) - rho * float(b)
 
 
 def _result_at(rho: float, params: SystemParams, iterations: int) -> FixedPointResult:
-    p = stationary_from_load(rho, params.capacity_k)
-    a, b = _rates_arrays(p, params, check=False)
+    p, a, b = _load_point(rho, params)
     rates = RatePair(birth=float(max(a, 0.0)), death=float(b))
     residual = float(np.max(np.abs(p @ build_generator(rates, params.capacity_k))))
     return FixedPointResult(p=p, rho=rho, rates=rates, residual=residual,
@@ -346,6 +352,6 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
 def self_map_residual(p, params: SystemParams) -> float:
     """Sup-norm distance between p and the stationary vector its rates induce."""
     p = fraction_vector(_one_vector("self_map_residual", p, params))
-    a, b = _rates_arrays(p, params, check=False)
+    a, b = _point_rates(p, params)
     image = stationary_from_load(max(float(a), 0.0) / float(b), params.capacity_k)
     return float(np.max(np.abs(p - image)))

@@ -1,10 +1,11 @@
 """Cross-checks tying the three computation routes to each other.
 
 Each check compares independent routes to the same quantity: the scalar
-fixed-point solve against its three stationary characterizations, the two
-closed forms of the stationary vector, the ODE terminal state against the
-solved fixed point, the sampled drift-Jacobian norm against its analytic
-bound, and the simulated time averages against the fixed point.  The CLI
+fixed-point solve against its three stationary characterizations, a scan
+of its scalar defect for a single root, the two closed forms of the
+stationary vector, the ODE terminal state against the solved fixed point,
+the sampled drift-Jacobian norm against its analytic bound, and the
+simulated time averages against the fixed point.  The CLI
 ``validate`` command runs all of them and reports one pass/fail line each.
 """
 
@@ -25,9 +26,11 @@ from .dynamics import (
     sample_domain_points,
 )
 from .fixed_point import (
+    _defect,
     birth_death_stationary,
     geometric_form,
     nonlinear_residual,
+    rho_upper_bound,
     self_map_residual,
     solve_fixed_point,
 )
@@ -63,6 +66,23 @@ def check_fixed_point_characterizations(params: SystemParams) -> CheckResult:
         passed=bool(worst < tol),
         detail=f"residuals generator={sta2:.2e} cleared-denominator={uniq:.2e} "
                f"(per unit of birth + death) self-map={sta4:.2e} (tol {tol:.0e})",
+    )
+
+
+def check_defect_root_count(params: SystemParams) -> CheckResult:
+    """The defect must change sign exactly once on 2,001 loads spanning [0, mu*C/(delta*lambda)].
+
+    The bracketed solve returns one root; more sign changes would mean more
+    fixed points, which it would not report.
+    """
+    grid = np.linspace(0.0, rho_upper_bound(params), 2001)
+    signs = np.sign([_defect(rho, params) for rho in grid])
+    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+    return CheckResult(
+        name="defect-root-count",
+        passed=changes == 1,
+        detail=f"defect sign changes {changes} on {grid.size} loads "
+               f"in [0, {grid[-1]:.6g}] (want exactly 1)",
     )
 
 
@@ -146,6 +166,7 @@ def run_all(params: SystemParams, seed: int = 20240,
     """Run the full cross-check suite in a fixed order."""
     return [
         check_fixed_point_characterizations(params),
+        check_defect_root_count(params),
         check_geometric_form(params),
         check_ode_terminal(params),
         check_jacobian_bound(params),

@@ -16,6 +16,7 @@ from bikeshare_meanfield import (
     nonlinear_residual,
     self_map_residual,
 )
+from bikeshare_meanfield.core import _levels
 from bikeshare_meanfield.errors import (
     ConfigError,
     FullSystemError,
@@ -304,6 +305,23 @@ def _frozen_tridiagonal_generator(births, deaths):
         inner = np.arange(1, n - 1)
         gen[inner, inner] = -(births[1:] + deaths[:-1])
     return gen
+
+
+class TestLevels:
+    def test_values(self):
+        k, down = _levels(4)
+        assert np.array_equal(k, [0.0, 1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(down, [4.0, 3.0, 2.0, 1.0, 0.0])
+        assert k.dtype == down.dtype == np.float64
+
+    def test_shared_vectors_are_read_only(self):
+        # every solve with this K reads the same two arrays: one write would corrupt them all
+        k, down = _levels(50)
+        assert _levels(50)[0] is k
+        for vector in (k, down):
+            assert not vector.flags.writeable
+            with pytest.raises(ValueError):
+                vector[0] = 1.0
 
 
 class TestBuildGenerator:

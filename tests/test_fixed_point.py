@@ -1,5 +1,9 @@
 """Stationary vector routes, scalar solver and uniqueness probing."""
 
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,19 +24,126 @@ from bikeshare_meanfield import (
     stationary_from_load,
     uniqueness_probe,
 )
-from bikeshare_meanfield import fixed_point
+from bikeshare_meanfield import fixed_point, validation
+from bikeshare_meanfield.core import _geom_sum
 from bikeshare_meanfield.errors import (
     AssumptionViolationError,
+    BikeShareError,
     ConfigError,
     DegenerateCaseError,
     MultipleFixedPointsError,
 )
-from bikeshare_meanfield.validation import check_fixed_point_characterizations
+from bikeshare_meanfield.validation import (
+    check_defect_root_count,
+    check_fixed_point_characterizations,
+)
 
 FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
 FIG7 = SystemParams(lam=20.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
+
+# the lambda-sweep families of figures 5-8: (curve field, curve values,
+# overrides of the figure-5 set, lambda range)
+FIGURE_FAMILIES = [
+    ("mu", (0.3, 1.0, 8.0), {}, (10.0, 30.0)),
+    ("gamma", (0.05, 0.5, 1.0), {"mu": 4.0}, (5.0, 15.0)),
+    ("mu", (4.0, 8.0, 12.0), {}, (10.0, 30.0)),
+    ("gamma", (0.05, 0.5, 3.0), {"mu": 7.0}, (10.0, 30.0)),
+    ("mu", (6.0, 8.0, 10.0), {}, (10.0, 30.0)),
+    ("gamma", (0.05, 0.5, 1.0), {"mu": 12.0}, (15.0, 30.0)),
+    ("mu", (2.0, 5.0, 8.0), {}, (10.0, 30.0)),
+    ("gamma", (0.05, 0.1, 6.0), {"capacity_c": 20, "mu": 7.0}, (10.0, 30.0)),
+]
+FIGURE_SETS = [
+    dataclasses.replace(FIG5, **overrides, **{field: value}, lam=float(lam))
+    for field, values, overrides, (lo, hi) in FIGURE_FAMILIES
+    for value in values
+    for lam in np.linspace(lo, hi, 5)
+]
+
+
+def _frozen_stationary_and_rates(rho, params):
+    """p(rho) and its unguarded (birth, death) as computed before the scalar load
+    kernel: fresh level vectors and rates on 0-d arrays."""
+    k = np.arange(params.capacity_k + 1, dtype=float)
+    w = rho ** k if rho <= 1.0 else (1.0 / rho) ** (params.capacity_k - k)
+    p = w / w.sum()
+    y0, yk = p[..., 0], p[..., -1]
+    fleet = params.capacity_c - p @ np.arange(p.shape[-1], dtype=float)
+    death = params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
+    return p, params.mu * fleet / (1.0 - yk), death
+
+
+def _frozen_defect(rho, params):
+    """Reference: ``_defect`` before the scalar load kernel."""
+    _, a, b = _frozen_stationary_and_rates(rho, params)
+    return float(a) - rho * float(b)
+
+
+def _frozen_result_at(rho, params, iterations):
+    """Reference: ``_result_at`` before the scalar load kernel."""
+    p, a, b = _frozen_stationary_and_rates(rho, params)
+    rates = RatePair(birth=float(max(a, 0.0)), death=float(b))
+    residual = float(np.max(np.abs(p @ build_generator(rates, params.capacity_k))))
+    return fixed_point.FixedPointResult(p=p, rho=rho, rates=rates, residual=residual,
+                                        iterations=iterations)
+
+
+def _same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def _solve_outcome(params):
+    try:
+        r = solve_fixed_point(params)
+    except BikeShareError as exc:
+        return type(exc).__name__, str(exc)
+    return r.p.tobytes(), r.rho, r.rates, r.residual, r.iterations
+
+
+class TestLoadKernel:
+    def test_bit_identical_to_frozen_bodies(self):
+        rng = np.random.default_rng(2026)
+        pairs = 0
+        for _ in range(600):
+            mu, gamma = sorted(10.0 ** rng.uniform(-6, 6, size=2), reverse=True)
+            k = int(rng.integers(2, 501))
+            params = SystemParams(lam=10.0 ** rng.uniform(-6, 6), mu=mu, gamma=gamma,
+                                  omega=int(rng.integers(0, 6)),
+                                  capacity_c=int(rng.integers(1, k)), capacity_k=k,
+                                  delta=rng.uniform(0.01, 0.99))
+            loads = [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                     *10.0 ** rng.uniform(-6, 6, size=5)]
+            for rho in map(float, loads):
+                assert _same_float(fixed_point._defect(rho, params),
+                                   _frozen_defect(rho, params))
+                new = fixed_point._result_at(rho, params, 3)
+                old = _frozen_result_at(rho, params, 3)
+                assert new.p.tobytes() == old.p.tobytes()
+                assert new.rates == old.rates and _same_float(new.residual, old.residual)
+                pairs += 1
+        assert pairs >= 5000
+
+    def test_solves_bit_identical_to_frozen_kernels(self, monkeypatch):
+        current = [_solve_outcome(params) for params in FIGURE_SETS]
+        monkeypatch.setattr(fixed_point, "_defect", _frozen_defect)
+        monkeypatch.setattr(fixed_point, "_result_at", _frozen_result_at)
+        assert [_solve_outcome(params) for params in FIGURE_SETS] == current
+
+    @pytest.mark.parametrize("rho", [1e17, 1e200])
+    def test_full_station_load_warns_like_frozen_defect(self, rho):
+        # p_K rounds to 1, so 1 - p_K is 0: numpy's infinite rate and
+        # RuntimeWarning, never Python's ZeroDivisionError
+        assert stationary_from_load(rho, FIG5.capacity_k)[-1] == 1.0
+        with warnings.catch_warnings(record=True) as new:
+            warnings.simplefilter("always")
+            value = fixed_point._defect(rho, FIG5)
+        with warnings.catch_warnings(record=True) as old:
+            warnings.simplefilter("always")
+            frozen = _frozen_defect(rho, FIG5)
+        assert value == frozen == -np.inf
+        assert [w.category for w in new] == [w.category for w in old] == [RuntimeWarning]
 
 
 class TestBirthDeathStationary:
@@ -370,6 +481,19 @@ class TestUniquenessProbe:
         grid = np.linspace(0.0, fixed_point.rho_upper_bound(params), 2001)
         signs = np.sign([fixed_point._defect(rho, params) for rho in grid])
         assert int(np.count_nonzero(signs[1:] != signs[:-1])) == 1
+
+    @pytest.mark.parametrize("params", [FIG5, FIG7])
+    def test_root_count_check_passes(self, params):
+        check = check_defect_root_count(params)
+        assert check.passed
+        assert check.detail.startswith("defect sign changes 1 on 2001 loads")
+
+    def test_root_count_check_fails_on_three_roots(self, monkeypatch):
+        monkeypatch.setattr(validation, "_defect",
+                            lambda rho, params: -(rho - 0.5) * (rho - 1.7) * (rho - 3.1))
+        check = check_defect_root_count(FIG5)
+        assert not check.passed
+        assert check.detail.startswith("defect sign changes 3 on 2001 loads")
 
 
 class TestResultExport:
