@@ -273,11 +273,6 @@ def _levels(capacity_k: int) -> tuple[np.ndarray, np.ndarray]:
     return k, down
 
 
-def _birth_rate(fleet, yk, params: SystemParams):
-    """Return-side rate mu * fleet / (1 - yK) of bikes in transit bouncing off full stations."""
-    return params.mu * fleet / (1.0 - yk)
-
-
 def _death_rate(y0, params: SystemParams):
     """Rental-side rate lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1))."""
     return params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
@@ -305,14 +300,15 @@ def _rates_arrays(y, params: SystemParams, check: bool = True):
     if check:
         _check_fleet(np.max(yk), np.min(fleet))
         fleet = np.maximum(fleet, 0.0)
-    return _birth_rate(fleet, yk, params), _death_rate(y0, params)
+    death = _death_rate(y0, params)
+    birth = params.mu * fleet / (1.0 - yk)
+    return birth, death
 
 
 def _point_rates(y, params: SystemParams):
-    """Unguarded (birth, death) of one float vector: the fleet and the death rate are Python
-    floats, y_K stays a numpy float, so y_K = 1 gives numpy's infinite rate and RuntimeWarning."""
+    """Unguarded scalar (birth, death) of one vector; a numpy y_K = 1 warns, never raises."""
     fleet = params.capacity_c - float(y.dot(_levels(params.capacity_k)[0]))
-    return _birth_rate(fleet, y[-1], params), _death_rate(y.item(0), params)
+    return params.mu * fleet / (1.0 - y[-1]), _death_rate(y.item(0), params)
 
 
 def limiting_rates(y, params: SystemParams) -> RatePair:

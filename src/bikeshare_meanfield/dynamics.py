@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     SystemParams,
-    _birth_rate,
     _check_fleet,
     _death_rate,
     _levels,
@@ -128,7 +127,7 @@ def _drift_body(params: SystemParams, finite_n: bool):
         def drift(y, out):
             yk, fleet = y.item(-1), c - float(y @ levels)
             _check_fleet(yk, fleet)
-            birth = _birth_rate(max(fleet, 0.0), yk, params)
+            birth = params.mu * max(fleet, 0.0) / (1.0 - yk)
             return _limiting_stencil(y, birth, _death_rate(y.item(0), params), out)
 
         return drift

@@ -168,12 +168,6 @@ def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
     return c2 * roots.g ** down
 
 
-def _load_point(rho: float, params: SystemParams):
-    """p(rho) and its unguarded (birth, death): the one kernel of the defect and the solved point."""
-    p = stationary_from_load(rho, params.capacity_k)
-    return (p, *_point_rates(p, params))
-
-
 def _defect(rho: float, params: SystemParams) -> float:
     """Scalar self-consistency defect birth(p(rho)) - rho * death(p(rho)).
 
@@ -181,12 +175,13 @@ def _defect(rho: float, params: SystemParams) -> float:
     loads with mean parked bikes above C are legal probe points and must
     give a smoothly negative defect.
     """
-    _, a, b = _load_point(rho, params)
+    a, b = _point_rates(stationary_from_load(rho, params.capacity_k), params)
     return float(a) - rho * float(b)
 
 
 def _result_at(rho: float, params: SystemParams, iterations: int) -> FixedPointResult:
-    p, a, b = _load_point(rho, params)
+    p = stationary_from_load(rho, params.capacity_k)
+    a, b = _point_rates(p, params)
     rates = RatePair(birth=float(max(a, 0.0)), death=float(b))
     residual = float(np.max(np.abs(p @ build_generator(rates, params.capacity_k))))
     return FixedPointResult(p=p, rho=rho, rates=rates, residual=residual,

@@ -73,10 +73,12 @@ def check_defect_root_count(params: SystemParams) -> CheckResult:
     """The defect must change sign exactly once on 2,001 loads spanning [0, mu*C/(delta*lambda)].
 
     The bracketed solve returns one root; more sign changes would mean more
-    fixed points, which it would not report.
+    fixed points, which it would not report.  Loads where the defect is
+    exactly zero are dropped, so a root on a grid point counts once.
     """
     grid = np.linspace(0.0, rho_upper_bound(params), 2001)
     signs = np.sign([_defect(rho, params) for rho in grid])
+    signs = signs[signs != 0]
     changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
     return CheckResult(
         name="defect-root-count",

@@ -19,10 +19,6 @@ ANALYTIC = {
     "lambda": 1.0, "mu": 1.0, "gamma": 0.5, "omega": 0,
     "capacity_c": 1, "capacity_k": 2, "n_stations": 100, "delta": 0.2,
 }
-FIG5 = {
-    "lambda": 15.0, "mu": 8.0, "gamma": 0.25, "omega": 1,
-    "capacity_c": 30, "capacity_k": 50, "n_stations": 1000, "delta": 0.1,
-}
 
 
 def write_params(tmp_path, data, name="params.json"):
@@ -195,38 +191,6 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
-class TestSolverKernelBytes:
-    def test_outputs_match_frozen_kernels(self, tmp_path, monkeypatch):
-        # the scalar load kernel must leave every solve output byte for byte
-        # as the defect and result bodies it replaced
-        from test_fixed_point import _frozen_defect, _frozen_result_at
-
-        from bikeshare_meanfield import fixed_point
-
-        runs = [
-            ("fixed-point", {}, "fp.json"),
-            ("sweep", {"vary": "lambda", "grid_start": 10.0, "grid_stop": 30.0,
-                       "grid_num": 41, "cost_c": 0.5, "benefit_psi": 2.0}, "sweep.csv"),
-            ("optimize", {"objective": "weighted", "grid_c": [10, 15, 20, 25, 30],
-                          "grid_k": [35, 40, 45, 50], "grid_mu": [2.0, 4.0, 6.0, 8.0]},
-             "win.json"),
-        ]
-
-        def outputs(directory):
-            directory.mkdir()
-            for command, keys, name in runs:
-                params = write_params(directory, {**FIG5, **keys}, f"{command}.params.json")
-                assert main([command, "--params", str(params),
-                             "--out", str(directory / name)]) == 0
-            return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
-
-        current = outputs(tmp_path / "kernel")
-        assert "win.grid.csv" in current
-        monkeypatch.setattr(fixed_point, "_defect", _frozen_defect)
-        monkeypatch.setattr(fixed_point, "_result_at", _frozen_result_at)
-        assert outputs(tmp_path / "frozen") == current
-
-
 class TestSweepCommand:
     def test_csv_output(self, tmp_path):
         config = dict(SMALL, vary="lambda", grid=[0.8, 1.0, 1.2])
@@ -331,7 +295,12 @@ class TestValidateCommand:
         assert payload["all_passed"] is True
 
     def test_figure5_parameters_pass(self, tmp_path, capsys):
-        params = write_params(tmp_path, FIG5)
+        fig5 = {
+            "lambda": 15.0, "mu": 8.0, "gamma": 0.25, "omega": 1,
+            "capacity_c": 30, "capacity_k": 50, "n_stations": 1000,
+            "delta": 0.1,
+        }
+        params = write_params(tmp_path, fig5)
         code = main(["validate", "--params", str(params),
                      "--set", "validate_t_measure=20"])
         captured = capsys.readouterr().out

@@ -42,9 +42,13 @@ FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
 FIG7 = SystemParams(lam=20.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
+# solves in closed form: p = (4, 2, 1) / 7 at load 1/2
+ANALYTIC = SystemParams(lam=1.0, mu=1.0, gamma=0.5, omega=0, capacity_c=1,
+                        capacity_k=2, n_stations=100, delta=0.2)
 
 # the lambda-sweep families of figures 5-8: (curve field, curve values,
-# overrides of the figure-5 set, lambda range)
+# overrides of the figure-5 set, lambda range), then the solves of a
+# 41-node lambda sweep and of the weighted (C, K, mu) design grid on figure 5
 FIGURE_FAMILIES = [
     ("mu", (0.3, 1.0, 8.0), {}, (10.0, 30.0)),
     ("gamma", (0.05, 0.5, 1.0), {"mu": 4.0}, (5.0, 15.0)),
@@ -60,6 +64,9 @@ FIGURE_SETS = [
     for field, values, overrides, (lo, hi) in FIGURE_FAMILIES
     for value in values
     for lam in np.linspace(lo, hi, 5)
+] + [dataclasses.replace(FIG5, lam=float(lam)) for lam in np.linspace(10.0, 30.0, 41)] + [
+    dataclasses.replace(FIG5, capacity_c=c, capacity_k=k, mu=mu)
+    for c in (10, 15, 20, 25, 30) for k in (35, 40, 45, 50) for mu in (2.0, 4.0, 6.0, 8.0)
 ]
 
 
@@ -316,9 +323,7 @@ class TestStationaryFromLoad:
 
 class TestSolveFixedPoint:
     def test_analytic_case(self):
-        params = SystemParams(lam=1.0, mu=1.0, gamma=0.5, omega=0, capacity_c=1,
-                              capacity_k=2, n_stations=100, delta=0.2)
-        result = solve_fixed_point(params)
+        result = solve_fixed_point(ANALYTIC)
         assert np.max(np.abs(result.p - np.array([4 / 7, 2 / 7, 1 / 7]))) < 1e-10
         assert result.rho == pytest.approx(0.5, abs=1e-10)
         assert result.residual < 1e-10
@@ -476,17 +481,19 @@ class TestUniquenessProbe:
         roots = sorted(r.rho for r in err.value.results)
         assert np.allclose(roots, [0.5, 1.6, 3.0], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("params", [FIG5, FIG7])
+    @pytest.mark.parametrize("params", [FIG5, FIG7, ANALYTIC])
     def test_defect_changes_sign_once(self, params):
-        grid = np.linspace(0.0, fixed_point.rho_upper_bound(params), 2001)
-        signs = np.sign([fixed_point._defect(rho, params) for rho in grid])
-        assert int(np.count_nonzero(signs[1:] != signs[:-1])) == 1
-
-    @pytest.mark.parametrize("params", [FIG5, FIG7])
-    def test_root_count_check_passes(self, params):
+        # on ANALYTIC the defect is exactly 0.0 at the grid load 0.5
         check = check_defect_root_count(params)
         assert check.passed
         assert check.detail.startswith("defect sign changes 1 on 2001 loads")
+
+    def test_root_on_a_grid_point_counts_once(self, monkeypatch):
+        # linspace(0, 5, 2001) holds 0.5 exactly, so the defect passes + 0 -
+        monkeypatch.setattr(validation, "_defect", lambda rho, params: 1.0 - 2.0 * rho)
+        check = check_defect_root_count(ANALYTIC)
+        assert check.passed
+        assert check.detail.startswith("defect sign changes 1 on 2001 loads in [0, 5]")
 
     def test_root_count_check_fails_on_three_roots(self, monkeypatch):
         monkeypatch.setattr(validation, "_defect",
