@@ -41,8 +41,8 @@ rates = result.rates
 closed = bm.birth_death_stationary(rates, params.capacity_k)
 two_root = bm.geometric_form(rates, params.capacity_k)
 print(f"closed form vs two-root combination   = {np.max(np.abs(closed - two_root)):.2e}")
-roots = bm.geometric_roots(rates)
-print(f"root pair r = {roots.r:.6f}, g = {roots.g:.6f}, r*g = {roots.r * roots.g:.15f}")
+print(f"two-root ratio p1/p0 = {two_root[1] / two_root[0]:.6f}, "
+      f"load birth/death = {rates.birth / rates.death:.6f}")
 
 # twenty random starting vectors all land on the same point
 probe = bm.uniqueness_probe(params, n_starts=20, seed=7)

@@ -36,18 +36,15 @@ from .dynamics import (
     drift_finite_n,
     drift_limiting,
     integrate,
-    jacobian_fd,
+    jacobian,
     lipschitz_bound,
     sample_domain_points,
     weighted_sup_distance,
 )
 from .fixed_point import (
     FixedPointResult,
-    GeometricRoots,
     birth_death_stationary,
-    geometric_coefficients,
     geometric_form,
-    geometric_roots,
     nonlinear_residual,
     self_map_residual,
     solve_fixed_point,
@@ -90,16 +87,13 @@ __all__ = [
     "drift_finite_n",
     "drift_limiting",
     "integrate",
-    "jacobian_fd",
+    "jacobian",
     "lipschitz_bound",
     "sample_domain_points",
     "weighted_sup_distance",
     "FixedPointResult",
-    "GeometricRoots",
     "birth_death_stationary",
-    "geometric_coefficients",
     "geometric_form",
-    "geometric_roots",
     "nonlinear_residual",
     "self_map_residual",
     "solve_fixed_point",

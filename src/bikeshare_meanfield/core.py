@@ -278,8 +278,18 @@ def _death_rate(y0, params: SystemParams):
     return params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
 
 
+def _walk_slope(y0: float, omega: int) -> float:
+    """Derivative of y0 * (1 + y0 + ... + y0**(omega-1)) by a complex step through ``_geom_sum``.
+
+    For a real polynomial f, Im f(y0 + ih) = h f'(y0) - h**3 f'''(y0) / 6 + ...
+    involves no subtraction, so at h = 2**-64 the slope is exact to rounding.
+    """
+    x = complex(y0, 2.0 ** -64)
+    return (x * _geom_sum(x, omega)).imag * 2.0 ** 64
+
+
 def _check_fleet(yk, fleet) -> None:
-    """Full-system and negative-fleet guards (a block passes its largest yK, smallest fleet)."""
+    """Full-system and negative-fleet guards of the limiting rates."""
     if yk >= 1.0 - _EPS:
         raise FullSystemError("full-station fraction reached 1: persistent-return rate undefined")
     if fleet < -FLEET_TOL:
@@ -287,22 +297,13 @@ def _check_fleet(yk, fleet) -> None:
                                  f"negative (deficit {float(fleet):.3e})")
 
 
-def _rates_arrays(y, params: SystemParams, check: bool = True):
-    """Vectorized (birth, death) rates; ``y`` has shape (..., K+1).
-
-    With ``check`` the full-system and negative-fleet guards are applied and
-    round-off-sized negative fleets are clamped to zero.
-    """
-    y = np.asarray(y, dtype=float)
-    y0 = y[..., 0]
-    yk = y[..., -1]
-    fleet = params.capacity_c - y @ _levels(params.capacity_k)[0]
-    if check:
-        _check_fleet(np.max(yk), np.min(fleet))
-        fleet = np.maximum(fleet, 0.0)
-    death = _death_rate(y0, params)
-    birth = params.mu * fleet / (1.0 - yk)
-    return birth, death
+def _guarded_rates(y, params: SystemParams) -> tuple[float, float, float]:
+    """Scalar (birth, death, fleet) of one float vector under the full-system and
+    negative-fleet guards; a round-off-sized negative fleet is clamped to zero."""
+    yk, fleet = y.item(-1), params.capacity_c - float(y @ _levels(params.capacity_k)[0])
+    _check_fleet(yk, fleet)
+    fleet = max(fleet, 0.0)
+    return params.mu * fleet / (1.0 - yk), _death_rate(y.item(0), params), fleet
 
 
 def _point_rates(y, params: SystemParams):
@@ -317,8 +318,8 @@ def limiting_rates(y, params: SystemParams) -> RatePair:
     death = lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1));
     birth = mu * (C - sum_k k*y_k) / (1 - y_K).
     """
-    birth, death = _rates_arrays(_one_vector("limiting_rates", y, params), params, check=True)
-    return RatePair(birth=float(birth), death=float(death))
+    birth, death, _ = _guarded_rates(_one_vector("limiting_rates", y, params), params)
+    return RatePair(birth=birth, death=death)
 
 
 def _rate_pair(rates) -> tuple[float, float]:

@@ -5,8 +5,9 @@ ODE system dy/dt = y V_y, where V_y is the tridiagonal generator built from
 the occupancy-dependent birth/death rates.  This module integrates both the
 finite-N system (level-dependent birth rates) and its infinite-population
 limit with a classical fixed-step fourth-order scheme, keeping the state on
-the probability simplex, and provides the drift Jacobian and the analytic
-bound on its norm used to certify Lipschitz continuity.
+the probability simplex, through one drift body per route on guarded scalar
+rates.  It also provides the exact Jacobian of the limiting drift and the
+analytic bound on its norm used to certify Lipschitz continuity.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RatePair,
     SystemParams,
-    _check_fleet,
-    _death_rate,
+    _as_int,
+    _guarded_rates,
     _levels,
     _one_vector,
-    _rates_arrays,
+    _walk_slope,
+    build_generator,
     fraction_vector,
 )
 from .errors import ConfigError, DomainExitError, StepInstabilityError
@@ -100,49 +103,35 @@ class Trajectory:
                 fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _limiting_stencil(yt, a, b, out):
-    """Write y V_y at birth rate a and death rate b into ``out``; ``yt`` has the
-    levels first, so the per-row rates of a block (y.T) broadcast over its rows."""
-    out[0] = -a * yt[0] + b * yt[1]
-    np.multiply(yt[:-2] - yt[1:-1], a, out=out[1:-1])
-    out[1:-1] += b * (yt[2:] - yt[1:-1])
-    out[-1] = a * yt[-2] - b * yt[-1]
+def _limiting_stencil(y, a, b, out):
+    """Write y V_y at birth rate a and death rate b into ``out``."""
+    out[0] = -a * y[0] + b * y[1]
+    np.multiply(y[:-2] - y[1:-1], a, out=out[1:-1])
+    out[1:-1] += b * (y[2:] - y[1:-1])
+    out[-1] = a * y[-2] - b * y[-1]
     return out
 
 
-def _drift_limiting_arrays(y, params: SystemParams) -> np.ndarray:
-    """Vectorized limiting drift; ``y`` is one vector (K+1,) or a block (n, K+1)."""
-    y = np.asarray(y, dtype=float)
-    a, b = _rates_arrays(y, params, check=True)
-    return _limiting_stencil(y.T, a, b, np.empty_like(y.T)).T
-
-
 def _drift_body(params: SystemParams, finite_n: bool):
-    """The chosen drift as ``drift(y, out)`` for one float vector: the level
-    and own-fleet vectors are built once and the rates are Python floats."""
-    c, n = params.capacity_c, params.n_stations
+    """The chosen drift as ``drift(y, out)`` for one float vector: the
+    own-fleet vector is built once and the rates are Python floats."""
     if not finite_n:
-        levels = _levels(params.capacity_k)[0]
-
         def drift(y, out):
-            yk, fleet = y.item(-1), c - float(y @ levels)
-            _check_fleet(yk, fleet)
-            birth = params.mu * max(fleet, 0.0) / (1.0 - yk)
-            return _limiting_stencil(y, birth, _death_rate(y.item(0), params), out)
+            birth, death, _ = _guarded_rates(y, params)
+            return _limiting_stencil(y, birth, death, out)
 
         return drift
     # birth rate of level l < K: mu/N * ((C - l)^+ + (N - 1) * fleet) / (1 - yK)
+    c, n = params.capacity_c, params.n_stations
     levels = np.arange(params.capacity_k + 1)
     own = np.where(levels[:-1] <= c - 1, c - levels[:-1], 0.0)
     xi = np.empty(params.capacity_k)
 
     def drift(y, out):
-        yk, fleet = y.item(-1), c - float(levels @ y)
-        _check_fleet(yk, fleet)
-        np.add(own, (n - 1) * max(fleet, 0.0), out=xi)
+        _, eta, fleet = _guarded_rates(y, params)
+        np.add(own, (n - 1) * fleet, out=xi)
         np.multiply(params.mu / n, xi, out=xi)
-        np.divide(xi, 1.0 - yk, out=xi)
-        eta = _death_rate(y.item(0), params)
+        np.divide(xi, 1.0 - y.item(-1), out=xi)
         out[0] = -xi[0] * y[0] + eta * y[1]
         out[1:-1] = xi[:-1] * y[:-2] - (xi[1:] + eta) * y[1:-1] + eta * y[2:]
         out[-1] = xi[-1] * y[-2] - eta * y[-1]
@@ -156,7 +145,8 @@ def drift_limiting(y, params: SystemParams) -> np.ndarray:
 
     Components sum to zero (the generator is conservative).
     """
-    return _drift_limiting_arrays(_one_vector("drift_limiting", y, params), params)
+    y = _one_vector("drift_limiting", y, params)
+    return _drift_body(params, finite_n=False)(y, np.empty_like(y))
 
 
 def drift_finite_n(y, params: SystemParams) -> np.ndarray:
@@ -229,20 +219,25 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     return Trajectory(np.array(times), np.array(states))
 
 
-def jacobian_fd(y, params: SystemParams, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the limiting drift at y.
+def jacobian(y, params: SystemParams) -> np.ndarray:
+    """Exact Jacobian of the limiting drift at y.
 
     Entry (i, j) is the derivative of drift component j with respect to
-    y_i.  Meant for bound checks and tests, not for stepping.
+    y_i.  The drift y V(a, b) is linear in y at fixed rates and linear in
+    each rate, so J = V(a, b) + grad(a) (x) y V(1, 0) + grad(b) (x) y V(0, 1),
+    where grad(a) = -mu k / (1 - yK) plus a / (1 - yK) at level K, and
+    grad(b) is gamma d[y0 S(y0)]/dy0 at level 0 and zero elsewhere.
     """
-    if not 1e-8 <= h <= 1e-4:
-        raise ConfigError(f"finite-difference step must lie in [1e-8, 1e-4], got {h}")
-    y = _one_vector("jacobian_fd", y, params)
-    n = y.size
-    pts = np.vstack([np.tile(y, (n, 1)) + h * np.eye(n),
-                     np.tile(y, (n, 1)) - h * np.eye(n)])
-    f = _drift_limiting_arrays(pts, params)
-    return (f[:n] - f[n:]) / (2.0 * h)
+    y = _one_vector("jacobian", y, params)
+    birth, death, _ = _guarded_rates(y, params)
+    scale = 1.0 - y.item(-1)
+    grad_birth = _levels(params.capacity_k)[0] * (-params.mu / scale)
+    grad_birth[-1] += birth / scale
+    jac = build_generator(RatePair(birth, death), params.capacity_k)
+    jac += np.outer(grad_birth, _limiting_stencil(y, 1.0, 0.0, np.empty_like(y)))
+    jac[0] += (params.gamma * _walk_slope(y.item(0), params.omega)
+               * _limiting_stencil(y, 0.0, 1.0, np.empty_like(y)))
+    return jac
 
 
 def column_sum_norm(matrix: np.ndarray) -> float:
@@ -281,10 +276,13 @@ def sample_domain_points(params: SystemParams, n: int, rng: np.random.Generator)
 
     Rejection-samples Dirichlet(1, ..., 1) points until ``n`` satisfy
     y0, y_K <= 1 - delta - margin and mean parked bikes <= C - margin with
-    margin = 1e-3 (so the drift and its finite differences are defined at
-    every returned point).  Raises ``ConfigError`` if 2,000 batches do not
-    give ``n`` points.
+    margin = 1e-3 (so the drift and its Jacobian are defined at
+    every returned point).  Raises ``ConfigError`` unless ``n`` is an
+    integer of at least 1, and if 2,000 batches do not give ``n`` points.
     """
+    n = _as_int("sample count", n)
+    if n < 1:
+        raise ConfigError(f"sample count must be at least 1, got {n}")
     k = params.capacity_k
     margin = 1e-3
     bound = 1.0 - params.delta - margin

@@ -19,11 +19,11 @@ from scipy.optimize import brentq
 from .core import (
     RatePair,
     SystemParams,
+    _death_rate,
     _levels,
     _one_vector,
     _point_rates,
     _rate_pair,
-    _rates_arrays,
     _write_json,
     build_generator,
     fraction_vector,
@@ -75,20 +75,6 @@ class FixedPointResult:
         _write_json(path, {"params": params.to_dict(), **self.to_dict()})
 
 
-@dataclass(frozen=True)
-class GeometricRoots:
-    """Root pair (r, g) of the two stationary quadratics, with r * g = 1.
-
-    For birth < death, r is the minimal nonnegative root of
-    birth - (birth+death) r + death r^2 = 0 and g its reciprocal; for
-    birth > death, g is the minimal nonnegative root of
-    birth g^2 - (birth+death) g + death = 0 and r its reciprocal.
-    """
-
-    r: float
-    g: float
-
-
 def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
     """Stationary vector of the constant-rate birth-death queue with load rho.
 
@@ -116,11 +102,18 @@ def birth_death_stationary(rates: RatePair, capacity_k: int) -> np.ndarray:
     return stationary_from_load(a / b, capacity_k)
 
 
-def geometric_roots(rates: RatePair) -> GeometricRoots:
-    """Minimal-root pair (r, g) with r*g = 1 for unequal rates.
+def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
+    """Stationary vector as the two-root combination c1 r^k + c2 g^(K-k).
 
-    Raises ``DegenerateCaseError`` when the rates are equal (the caller
-    must use the uniform branch).
+    An independent route to the same vector as ``stationary_from_load``.
+    For birth < death, r is the minimal nonnegative root of
+    birth - (birth+death) r + death r^2 = 0; for birth > death, g is the
+    minimal nonnegative root of birth g^2 - (birth+death) g + death = 0; and
+    r * g = 1.  So the two geometric sequences are proportional, the two
+    boundary balance equations hold for every split of the weights, and only
+    the normalization constrains them: the whole weight is carried by the
+    bounded sequence (powers <= 1).  Equal rates raise ``DegenerateCaseError``
+    (both roots collapse to 1; use the uniform branch).
     """
     a, b = float(rates[0]), float(rates[1])
     if a <= 0 or b <= 0:
@@ -130,42 +123,12 @@ def geometric_roots(rates: RatePair) -> GeometricRoots:
             "equal birth and death rates: both roots collapse to 1"
         )
     minimal = (a + b - abs(a - b)) / 2.0
+    k, down = _levels(capacity_k)
     if a < b:
         r = minimal / b
-        g = 1.0 / r
-    else:
-        g = minimal / a
-        r = 1.0 / g
-    return GeometricRoots(r=r, g=g)
-
-
-def geometric_coefficients(roots: GeometricRoots, capacity_k: int) -> tuple[float, float]:
-    """Weights (c1, c2) of the representation p_k = c1 r^k + c2 g^(K-k).
-
-    Because r*g = 1 the two geometric sequences are proportional, the two
-    boundary balance equations hold for every split, and only the
-    normalization constrains the weights; the whole weight is carried by
-    the bounded sequence (powers <= 1) and the diverging one gets zero.
-    """
-    r, g = roots.r, roots.g
-    k, down = _levels(capacity_k)
-    if r < 1.0:
-        return 1.0 / float(np.sum(r ** k)), 0.0
-    return 0.0, 1.0 / float(np.sum(g ** down))
-
-
-def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
-    """Stationary vector as the two-root combination c1 r^k + c2 g^(K-k).
-
-    An independent route to the same vector as ``stationary_from_load``;
-    requires unequal rates.
-    """
-    roots = geometric_roots(rates)
-    c1, c2 = geometric_coefficients(roots, capacity_k)
-    k, down = _levels(capacity_k)
-    if c2 == 0.0:
-        return c1 * roots.r ** k
-    return c2 * roots.g ** down
+        return 1.0 / float(np.sum(r ** k)) * r ** k
+    g = minimal / a
+    return 1.0 / float(np.sum(g ** down)) * g ** down
 
 
 def _defect(rho: float, params: SystemParams) -> float:
@@ -327,9 +290,10 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
     rng = np.random.default_rng(seed)
     starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
-    a, b = _rates_arrays(starts, params, check=False)
+    fleet = params.capacity_c - starts @ _levels(params.capacity_k)[0]
+    birth = params.mu * fleet / (1.0 - starts[:, -1])
     results: list[FixedPointResult] = []
-    for rho0 in np.maximum(a, 0.0) / b:
+    for rho0 in np.maximum(birth, 0.0) / _death_rate(starts[:, 0], params):
         rho, used = _refine_locally(float(rho0), params, max_iterations)
         results.append(_result_at(rho, params, used))
     distinct = [results[0]]

@@ -69,8 +69,10 @@ class SimConfig:
     exclude_first_ride_origin: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        seed = _as_int("seed", self.seed)
+        if not 0 <= seed < 2 ** 64:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         for name in ("t_measure", "t_warmup", "sample_interval"):
             value = getattr(self, name)
             if name != "sample_interval" or value is not None:  # None turns sampling off
@@ -89,7 +91,7 @@ class SimConfig:
             raise ConfigError("simulation config needs keys 'seed' and 't_measure'")
         return cls(
             params=params,
-            seed=_as_int("seed", data["seed"]),
+            seed=data["seed"],
             t_measure=data["t_measure"],
             t_warmup=data.get("t_warmup", 0.0),
             sample_interval=data.get("sample_interval"),
@@ -470,4 +472,4 @@ def empirical_vs_ode(config: SimConfig) -> float:
 
 def replicate(config: SimConfig, seeds) -> list[SimReport]:
     """Independent replications of one configuration across several seeds."""
-    return [simulate(replace(config, seed=int(s))) for s in seeds]
+    return [simulate(replace(config, seed=s)) for s in seeds]

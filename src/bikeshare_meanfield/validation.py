@@ -21,7 +21,7 @@ from .dynamics import (
     OdeConfig,
     column_sum_norm,
     integrate,
-    jacobian_fd,
+    jacobian,
     lipschitz_bound,
     sample_domain_points,
 )
@@ -134,7 +134,7 @@ def check_jacobian_bound(params: SystemParams) -> CheckResult:
     rng = np.random.default_rng(11)
     points = sample_domain_points(params, 200, rng)
     bound = lipschitz_bound(params)
-    worst = max(column_sum_norm(jacobian_fd(y, params)) for y in points)
+    worst = max(column_sum_norm(jacobian(y, params)) for y in points)
     return CheckResult(
         name="jacobian-norm-bound",
         passed=bool(worst <= bound),

@@ -220,7 +220,7 @@ def test_criterion_7_lipschitz_bound():
         rng = np.random.default_rng(99)
         points = bm.sample_domain_points(params, 10_000, rng)
         bound = bm.lipschitz_bound(params)
-        worst = max(bm.column_sum_norm(bm.jacobian_fd(y, params)) for y in points)
+        worst = max(bm.column_sum_norm(bm.jacobian(y, params)) for y in points)
         details.append(f"C={params.capacity_c},K={params.capacity_k}: "
                        f"{worst:.3g}<={bound:.3g}")
         ok = ok and worst <= bound

@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_acceptance import LIPSCHITZ_SETS
 
 from bikeshare_meanfield import (
     OdeConfig,
@@ -17,7 +20,7 @@ from bikeshare_meanfield import (
     drift_limiting,
     geometric_walk_factor,
     integrate,
-    jacobian_fd,
+    jacobian,
     limiting_rates,
     lipschitz_bound,
     sample_domain_points,
@@ -66,25 +69,6 @@ class TestDrift:
                                     - componentwise_drift(y, params)))
                 assert gap < 1e-12
 
-    def test_block_equals_stacked_vectors(self):
-        # the fleet term sum_k k*y_k is a BLAS dot product whose summation
-        # order differs between one vector and a block, so random fractions
-        # can differ in the last bit there; fractions on the 2**-30 grid make
-        # that sum exact, and then every other operation must agree bitwise
-        from bikeshare_meanfield.dynamics import _drift_limiting_arrays
-
-        for params in (SMALL, FIG5):
-            points = domain_points(params, 40, seed=3)
-            counts = np.floor(points * 2.0 ** 30)
-            rows = np.arange(len(counts))
-            counts[rows, np.argmax(counts, axis=1)] += 2.0 ** 30 - counts.sum(axis=1)
-            block = counts / 2.0 ** 30
-            stacked = np.vstack([drift_limiting(y, params) for y in block])
-            assert np.array_equal(_drift_limiting_arrays(block, params), stacked)
-            random = np.vstack([drift_limiting(y, params) for y in points])
-            assert np.allclose(_drift_limiting_arrays(points, params), random,
-                               rtol=1e-13, atol=1e-13)
-
     def test_components_sum_to_zero(self):
         rng = np.random.default_rng(1)
         pts = sample_domain_points(SMALL, 1000, rng)
@@ -106,7 +90,7 @@ class TestDrift:
             assert gap < 1e-4
 
     @pytest.mark.parametrize("drift", [
-        drift_limiting, drift_finite_n, jacobian_fd,
+        drift_limiting, drift_finite_n, jacobian,
         pytest.param(lambda y, params: integrate(OdeConfig(initial=y, t_end=1.0), params),
                      id="integrate"),
     ])
@@ -116,7 +100,7 @@ class TestDrift:
         with pytest.raises(ConfigError, match="length K\\+1 = 51"):
             drift(y, FIG5)
 
-    @pytest.mark.parametrize("drift", [drift_limiting, drift_finite_n, jacobian_fd])
+    @pytest.mark.parametrize("drift", [drift_limiting, drift_finite_n, jacobian])
     def test_block_rejected(self, drift):
         with pytest.raises(ConfigError, match="one vector"):
             drift(np.full((2, 5), 0.2), SMALL)
@@ -255,14 +239,32 @@ def _frozen_rates(y, params):
     return params.mu * fleet / (1.0 - yk), params.lam + params.gamma * y0 * walk
 
 
-def _frozen_drift_limiting(y, params):
+def _frozen_limiting_rates(y, params):
+    """``limiting_rates`` as it stood on the vectorized rate path."""
     a, b = _frozen_rates(y, params)
-    f = np.empty_like(y)
-    f[0] = -a * y[0] + b * y[1]
-    np.multiply(y[:-2] - y[1:-1], a, out=f[1:-1])
-    f[1:-1] += b * (y[2:] - y[1:-1])
-    f[-1] = a * y[-2] - b * y[-1]
-    return f
+    return float(a), float(b)
+
+
+def _frozen_drift_limiting(y, params):
+    """The vectorized limiting drift of one vector (K+1,) or a block (n, K+1),
+    as it stood before the drift ran through the stepper body."""
+    a, b = _frozen_rates(y, params)
+    yt = y.T
+    f = np.empty_like(yt)
+    f[0] = -a * yt[0] + b * yt[1]
+    np.multiply(yt[:-2] - yt[1:-1], a, out=f[1:-1])
+    f[1:-1] += b * (yt[2:] - yt[1:-1])
+    f[-1] = a * yt[-2] - b * yt[-1]
+    return f.T
+
+
+def _central_difference_jacobian(y, params, h=1e-6):
+    """Reference: the retired central-difference Jacobian on the frozen block drift."""
+    n = y.size
+    pts = np.vstack([np.tile(y, (n, 1)) + h * np.eye(n),
+                     np.tile(y, (n, 1)) - h * np.eye(n)])
+    f = _frozen_drift_limiting(pts, params)
+    return (f[:n] - f[n:]) / (2.0 * h)
 
 
 def _frozen_drift_finite_n(y, params):
@@ -345,6 +347,16 @@ class TestFusedStepper:
                 assert np.array_equal(drift_finite_n(y, params),
                                       _frozen_drift_finite_n(y, params))
 
+    def test_public_rates_and_drift_match_frozen_vectorized_path(self):
+        # 454 domain points on each criterion-7 set and on the walk-heavy set
+        walk_heavy = SystemParams(lam=15.0, mu=8.0, gamma=2.0, omega=3, capacity_c=3,
+                                  capacity_k=5, n_stations=1000, delta=0.1)
+        for params in [*LIPSCHITZ_SETS, walk_heavy]:
+            for y in domain_points(params, 5000 // 11, seed=4):
+                assert np.array_equal(drift_limiting(y, params),
+                                      _frozen_drift_limiting(y, params))
+                assert tuple(limiting_rates(y, params)) == _frozen_limiting_rates(y, params)
+
     def test_guards_keep_their_messages(self):
         from bikeshare_meanfield.dynamics import _drift_body
 
@@ -408,31 +420,59 @@ class TestJacobian:
         # d/dy_i of sum_j F_j(y) = 0: summing each variable's derivatives
         # across all components gives zero
         for y in domain_points(FIG5, 10):
-            j = jacobian_fd(y, FIG5)
-            assert np.max(np.abs(j.sum(axis=1))) < 1e-6
+            j = jacobian(y, FIG5)
+            assert np.max(np.abs(j.sum(axis=1))) < 1e-10
 
     def test_hand_coded_entry(self):
         # dF_0/dy_1 = y0 * mu / (1 - yK) + lambda + gamma * y0 * sum(y0^k, k<omega)
         params = SMALL
         for y in domain_points(params, 10, seed=3):
-            j = jacobian_fd(y, params)
-            fleet = params.capacity_c - np.arange(5) @ y
+            j = jacobian(y, params)
             expected = (y[0] * params.mu / (1 - y[-1]) + params.lam
                         + params.gamma * y[0]
                         * geometric_walk_factor(y[0], params.omega))
-            assert j[1, 0] == pytest.approx(expected, rel=1e-6, abs=1e-6)
-            del fleet
+            assert j[1, 0] == pytest.approx(expected, rel=1e-12)
 
-    def test_step_robustness(self):
-        y = domain_points(FIG5, 1, seed=9)[0]
-        j5 = jacobian_fd(y, FIG5, h=1e-5)
-        j6 = jacobian_fd(y, FIG5, h=1e-6)
-        assert np.max(np.abs(j5 - j6)) < 1e-5
+    def test_matches_central_differences_on_criterion_7_points(self):
+        for params in LIPSCHITZ_SETS:
+            points = sample_domain_points(params, 10_000, np.random.default_rng(99))
+            for y in points[::500]:
+                reference = _central_difference_jacobian(y, params)
+                gap = np.max(np.abs(jacobian(y, params) - reference))
+                assert gap <= 1e-8 * np.max(np.abs(reference))
 
-    def test_step_domain(self):
-        y = domain_points(SMALL, 1)[0]
-        with pytest.raises(ConfigError):
-            jacobian_fd(y, SMALL, h=1e-2)
+    @given(lam=st.floats(0.1, 30.0), mu=st.floats(0.1, 30.0), gamma_share=st.floats(0.01, 1.0),
+           omega=st.integers(0, 5), k=st.integers(2, 60), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_central_differences_property(self, lam, mu, gamma_share, omega, k, seed):
+        # C is the smallest capacity that leaves at least 1e-3 bikes in transit at y
+        y = np.random.default_rng(seed).dirichlet(np.ones(k + 1))
+        capacity_c = max(1, int(np.ceil(y @ np.arange(k + 1) + 1e-3)))
+        assume(capacity_c < k)
+        params = SystemParams(lam=lam, mu=mu, gamma=gamma_share * mu, omega=omega,
+                              capacity_c=capacity_c, capacity_k=k, n_stations=100)
+        reference = _central_difference_jacobian(y, params)
+        gap = np.max(np.abs(jacobian(y, params) - reference))
+        assert gap <= 1e-8 * np.max(np.abs(reference))
+
+    def test_walk_slope_at_large_omega(self):
+        # d/dx [x + x^2 + ... + x^w] = (1 - (w+1) x^w + w x^(w+1)) / (1 - x)^2,
+        # and w (w+1) / 2 at x = 1
+        from bikeshare_meanfield.core import _walk_slope
+
+        w = 10 ** 5
+        for x in (0.0, 0.3, 0.9, 0.9999):
+            closed = (1.0 - (w + 1) * x ** w + w * x ** (w + 1)) / (1.0 - x) ** 2
+            assert _walk_slope(x, w) == pytest.approx(closed, rel=1e-9)
+        assert _walk_slope(1.0, w) == w * (w + 1) / 2
+
+
+class TestSampleDomainPoints:
+    @pytest.mark.parametrize("n", [0, -5, 2.5, True, "3"])
+    def test_count_must_be_a_positive_integer(self, n):
+        # -5 used to return 248 points, 0 an empty block and 2.5 a raw TypeError
+        with pytest.raises(ConfigError, match="sample count must be"):
+            sample_domain_points(FIG5, n, np.random.default_rng(0))
 
 
 class TestLipschitzBound:
@@ -451,7 +491,7 @@ class TestLipschitzBound:
         for params in (SMALL, FIG5):
             bound = lipschitz_bound(params)
             for y in domain_points(params, 50, seed=11):
-                assert column_sum_norm(jacobian_fd(y, params)) <= bound
+                assert column_sum_norm(jacobian(y, params)) <= bound
 
 
 class TestWeightedSupDistance:

@@ -14,9 +14,7 @@ from bikeshare_meanfield import (
     SystemParams,
     birth_death_stationary,
     build_generator,
-    geometric_coefficients,
     geometric_form,
-    geometric_roots,
     limiting_rates,
     nonlinear_residual,
     self_map_residual,
@@ -188,41 +186,64 @@ class TestBirthDeathStationary:
 
 
 class TestGeometricRoots:
+    """The root pair (r, g), r * g = 1, read off ``geometric_form``'s vector:
+    r is the ratio of successive entries for birth < death, g its inverse
+    for birth > death."""
+
     def test_example(self):
-        roots = geometric_roots(RatePair(1.0, 2.0))
-        assert roots.r == pytest.approx(0.5, abs=1e-15)
-        assert roots.g == pytest.approx(2.0, abs=1e-15)
+        p = geometric_form(RatePair(1.0, 2.0), 4)
+        assert np.allclose(p[1:] / p[:-1], 0.5, rtol=1e-15, atol=0.0)
+        q = geometric_form(RatePair(2.0, 1.0), 4)
+        assert np.allclose(q[:-1] / q[1:], 0.5, rtol=1e-15, atol=0.0)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateCaseError):
-            geometric_roots(RatePair(2.0, 2.0))
+            geometric_form(RatePair(2.0, 2.0), 4)
 
     @given(a=st.floats(1e-3, 1e3), b=st.floats(1e-3, 1e3))
     @settings(max_examples=1000, deadline=None)
     def test_product_is_one(self, a, b):
+        # whichever root carries the weight, successive entries grow by r = a/b
+        # and shrink by g = b/a = 1/r; the root's (a + b - |a - b|) / 2 loses
+        # about eps * (a + b) / min(a, b) to cancellation
         if abs(a - b) < 1e-12 * (a + b):
             return
-        roots = geometric_roots(RatePair(a, b))
-        assert roots.r * roots.g == pytest.approx(1.0, rel=1e-12)
+        p = geometric_form(RatePair(a, b), 3)
+        rel = 1e-12 * (a + b) / min(a, b)
+        assert p[1] / p[0] == pytest.approx(a / b, rel=rel)
+        assert p[2] / p[3] == pytest.approx(b / a, rel=rel)
 
     def test_quadratics_satisfied(self):
         a, b = 0.8, 2.3
-        roots = geometric_roots(RatePair(a, b))
-        assert a - (a + b) * roots.r + b * roots.r ** 2 == pytest.approx(0.0, abs=1e-12)
-        assert a * roots.g ** 2 - (a + b) * roots.g + b == pytest.approx(0.0, abs=1e-12)
+        p = geometric_form(RatePair(a, b), 5)
+        r = p[1] / p[0]
+        assert a - (a + b) * r + b * r ** 2 == pytest.approx(0.0, abs=1e-12)
+        q = geometric_form(RatePair(b, a), 5)
+        g = q[-2] / q[-1]
+        assert b * g ** 2 - (a + b) * g + a == pytest.approx(0.0, abs=1e-12)
 
 
 def _frozen_geometric_form(rates, capacity_k):
-    """Reference: ``geometric_form`` as the sum of both weighted sequences,
-    before it returned the one with nonzero weight."""
-    roots = geometric_roots(rates)
-    c1, c2 = geometric_coefficients(roots, capacity_k)
+    """Reference: ``geometric_form`` with its root pair and both weights
+    computed separately, summing both weighted sequences."""
+    a, b = float(rates[0]), float(rates[1])
+    minimal = (a + b - abs(a - b)) / 2.0
+    if a < b:
+        r = minimal / b
+        g = 1.0 / r
+    else:
+        g = minimal / a
+        r = 1.0 / g
     k = np.arange(capacity_k + 1, dtype=float)
+    if r < 1.0:
+        c1, c2 = 1.0 / float(np.sum(r ** k)), 0.0
+    else:
+        c1, c2 = 0.0, 1.0 / float(np.sum(g ** (capacity_k - k)))
     p = np.zeros(capacity_k + 1)
     if c1 != 0.0:
-        p += c1 * roots.r ** k
+        p += c1 * r ** k
     if c2 != 0.0:
-        p += c2 * roots.g ** (capacity_k - k)
+        p += c2 * g ** (capacity_k - k)
     return p
 
 
@@ -267,33 +288,15 @@ class TestGeometricForm:
             assert gap < 1e-12
 
     def test_boundary_balance(self):
-        # -(c1 + c2 g^K) a + (c1 r + c2 g^(K-1)) b = 0
+        # level 0 balances: -p0 a + p1 b = 0 (and so does level K)
         rng = np.random.default_rng(6)
         for _ in range(200):
             a, b = 10.0 ** rng.uniform(-1.5, 1.5, size=2)
             if abs(a - b) < 1e-9 * (a + b):
                 continue
-            k = int(rng.integers(2, 40))
-            roots = geometric_roots(RatePair(a, b))
-            c1, c2 = geometric_coefficients(roots, k)
-            balance = (-(c1 + c2 * roots.g ** k) * a
-                       + (c1 * roots.r + c2 * roots.g ** (k - 1)) * b)
-            assert abs(balance) < 1e-12 * max(a, b)
-
-    def test_coefficient_ratio_arrangements_agree(self):
-        # the two algebraic arrangements of the coefficient ratio are the
-        # same once cross-multiplied, because r * g = 1
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a, b = 10.0 ** rng.uniform(-0.6, 0.6, size=2)
-            if abs(a - b) < 1e-9 * (a + b):
-                continue
-            k = int(rng.integers(2, 25))
-            roots = geometric_roots(RatePair(a, b))
-            r, g = roots.r, roots.g
-            lhs = (g ** (k - 1) * b - g ** k * a) * (r ** (k - 1) * a - r ** k * b)
-            rhs = (b - g * a) * (a - r * b)
-            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+            p = geometric_form(RatePair(a, b), int(rng.integers(2, 40)))
+            assert abs(-p[0] * a + p[1] * b) < 1e-12 * max(a, b)
+            assert abs(p[-2] * a - p[-1] * b) < 1e-12 * max(a, b)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateCaseError):

@@ -254,6 +254,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig.from_dict(data)
 
+    @pytest.mark.parametrize("seed", [1.7, "3", True, np.bool_(True), 2 ** 64, -1])
+    def test_seed_read_strictly(self, seed):
+        # replicate and SimConfig used to run 1.7 and True as seed 1, and "3" as seed 3
+        config = SimConfig(params=SMALL, seed=0, t_measure=1.0)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            replicate(config, [seed])
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            SimConfig(params=SMALL, seed=seed, t_measure=1.0)
+
+    def test_numpy_integer_seed_accepted(self):
+        config = SimConfig(params=SMALL, seed=np.uint64(7), t_measure=1.0)
+        assert config.seed == 7 and type(config.seed) is int
+        reports = replicate(config, np.array([5, 6]))
+        assert [type(r.config.seed) for r in reports] == [int, int]
+        assert reports_equal(reports[0], simulate(dataclasses.replace(config, seed=5)))
+
     def test_fractional_seed_rejected(self):
         data = SMALL.to_dict()
         data.update(seed=1.7, t_measure=1.0)
