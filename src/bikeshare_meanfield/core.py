@@ -135,6 +135,12 @@ class SystemParams:
             )
         if self.omega < 0:
             raise ConfigError(f"omega must be nonnegative, got {self.omega}")
+        try:
+            float(self.omega)
+        except OverflowError:
+            raise ConfigError(
+                f"omega must fit in a float, got a {self.omega.bit_length()}-bit integer"
+            ) from None
         if not 1 <= self.capacity_c < self.capacity_k:
             raise ConfigError(
                 "capacities must satisfy 1 <= C < K, got "

@@ -11,10 +11,10 @@ combination) are implemented as mutually checking routes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     RatePair,
@@ -42,6 +42,11 @@ UNIFORM_THRESHOLD = 1e-13
 
 #: default residual tolerance for the solver
 DEFAULT_TOL = 1e-10
+
+#: absolute and relative step tolerances of the bracketed root finder
+#: (8.9e-16 is just above 4 eps, the smallest rtol scipy's ``brentq`` accepts)
+_XTOL = 1e-15
+_RTOL = 8.9e-16
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,83 @@ def _defect(rho: float, params: SystemParams) -> float:
     return float(a) - rho * float(b)
 
 
+def _straddles(f_lo: float, f_hi: float) -> bool:
+    """Whether a nonzero f_lo and f_hi bracket a root: opposite signs, or f_hi
+    a zero.  A NaN has no sign, so it never brackets."""
+    return f_lo < 0.0 <= f_hi or f_hi <= 0.0 < f_lo
+
+
+def _brent_root(f, lo: float, hi: float, args: tuple,
+                maxiter: int) -> tuple[float, int]:
+    """Root of f(x, *args) on the bracket [lo, hi] by Brent's method.
+
+    Returns (root, iterations).  A step-for-step port of scipy's ``brentq``
+    (``Zeros/brentq.c``) at the tolerances ``_XTOL`` and ``_RTOL``, in
+    Python floats: it returns the same root bits after the same number of
+    iterations, as the oracle test pins.  A zero at an end is returned
+    after 0 iterations, where scipy leaves its count unset.  Where scipy
+    raises ``ValueError`` for ends of one sign this raises
+    ``NoBracketError``; where it raises ``ValueError`` for a NaN value or
+    ``RuntimeError`` after ``maxiter`` iterations, this raises
+    ``InvariantViolationError``.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x, *args))
+        if fx != fx:
+            raise InvariantViolationError(f"root finder got NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NoBracketError(
+            f"f does not change sign between {xpre:.6g} ({fpre:.6g}) "
+            f"and {xcur:.6g} ({fcur:.6g})",
+            lo=xpre, hi=xcur, defect_lo=fpre, defect_hi=fcur,
+        )
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to +-inf or NaN there, and a non-finite trial
+                # step always fails the short-step test below
+                stry = math.inf
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):  # C's MIN
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise InvariantViolationError(
+        f"root finder did not converge after {maxiter} iterations, value is {xcur!r}"
+    )
+
+
 def _result_at(rho: float, params: SystemParams, iterations: int) -> FixedPointResult:
     p = stationary_from_load(rho, params.capacity_k)
     a, b = _point_rates(p, params)
@@ -161,9 +243,10 @@ def solve_fixed_point(params: SystemParams, tol: float = DEFAULT_TOL) -> FixedPo
 
     For a trial load rho the stationary vector p(rho) is explicit, so the
     fixed point solves defect(rho) = birth(p(rho)) - rho*death(p(rho)) = 0.
-    The defect is bracketed on [0, mu*C/(delta*lambda)] and solved with a
-    guarded bisection/secant scheme; the result is rejected loudly if its
-    empty or full fraction violates the assumed 1 - delta bound.  ``tol``
+    The defect is bracketed on [0, mu*C/(delta*lambda)] and solved with
+    Brent's method (``_brent_root``); a NaN defect at either end brackets
+    nothing and raises ``NoBracketError``.  The result is rejected loudly if
+    its empty or full fraction violates the assumed 1 - delta bound.  ``tol``
     bounds the sup-norm of p V_p relative to birth + death, so rescaling
     every rate leaves the verdict unchanged.
     """
@@ -174,18 +257,14 @@ def solve_fixed_point(params: SystemParams, tol: float = DEFAULT_TOL) -> FixedPo
     d_hi = _defect(rho_hi, params)
     if d_lo == 0.0:
         rho, iterations = 0.0, 0
-    elif np.sign(d_lo) == np.sign(d_hi):
+    elif not _straddles(d_lo, d_hi):
         raise NoBracketError(
-            f"defect has the same sign at 0 ({d_lo:.6g}) and at "
+            f"defect does not change sign between 0 ({d_lo:.6g}) and "
             f"{rho_hi:.6g} ({d_hi:.6g}); no fixed point in the assumed domain",
             lo=0.0, hi=rho_hi, defect_lo=d_lo, defect_hi=d_hi,
         )
     else:
-        rho, info = brentq(
-            _defect, 0.0, rho_hi, args=(params,),
-            xtol=1e-15, rtol=8.9e-16, maxiter=200, full_output=True,
-        )
-        iterations = info.iterations
+        rho, iterations = _brent_root(_defect, 0.0, rho_hi, (params,), maxiter=200)
     result = _result_at(rho, params, iterations)
     scale = result.rates.birth + result.rates.death
     if result.residual >= tol * scale:
@@ -262,10 +341,9 @@ def _refine_locally(rho0: float, params: SystemParams,
         used += 2
         if flo == 0.0:
             return lo, used
-        if np.sign(flo) != np.sign(fhi):
-            root, info = brentq(_defect, lo, hi, args=(params,),
-                                xtol=1e-15, rtol=8.9e-16, full_output=True)
-            return root, used + info.iterations
+        if _straddles(flo, fhi):
+            root, iterations = _brent_root(_defect, lo, hi, (params,), maxiter=100)
+            return root, used + iterations
         width *= 2.0
     raise InvariantViolationError(
         f"local refinement failed to isolate a root near rho={rho0:.6g}"

@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bikeshare_meanfield
 from bikeshare_meanfield.cli import main
 
 SMALL = {
@@ -18,6 +23,10 @@ SMALL = {
 ANALYTIC = {
     "lambda": 1.0, "mu": 1.0, "gamma": 0.5, "omega": 0,
     "capacity_c": 1, "capacity_k": 2, "n_stations": 100, "delta": 0.2,
+}
+FIG5 = {
+    "lambda": 15.0, "mu": 8.0, "gamma": 0.25, "omega": 1,
+    "capacity_c": 30, "capacity_k": 50, "n_stations": 1000, "delta": 0.1,
 }
 
 
@@ -295,17 +304,62 @@ class TestValidateCommand:
         assert payload["all_passed"] is True
 
     def test_figure5_parameters_pass(self, tmp_path, capsys):
-        fig5 = {
-            "lambda": 15.0, "mu": 8.0, "gamma": 0.25, "omega": 1,
-            "capacity_c": 30, "capacity_k": 50, "n_stations": 1000,
-            "delta": 0.1,
-        }
-        params = write_params(tmp_path, fig5)
+        params = write_params(tmp_path, FIG5)
         code = main(["validate", "--params", str(params),
                      "--set", "validate_t_measure=20"])
         captured = capsys.readouterr().out
         assert code == 0
         assert captured.count("PASS") == 6
+
+
+class TestHugeOmega:
+    # no float holds 10**400; at 2**1020 the walk term gamma * omega
+    # overflows, so the defect at load 0 is 0 * inf = NaN
+    @pytest.mark.parametrize("command", ["fixed-point", "validate"])
+    @pytest.mark.parametrize("overrides,code,error", [
+        pytest.param({"omega": 10 ** 400}, 3, "ConfigError", id="omega=10**400"),
+        pytest.param({"omega": 2 ** 1020, "mu": 1e6, "gamma": 1e6}, 4, "NoBracketError",
+                     id="omega=2**1020-rates=1e6"),
+    ])
+    def test_typed_exit(self, tmp_path, capsys, command, overrides, code, error):
+        params = write_params(tmp_path, dict(FIG5, **overrides))
+        out = tmp_path / "o.json"
+        assert main([command, "--params", str(params), "--out", str(out)]) == code
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not out.exists()
+
+
+STARTUP_SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+import bikeshare_meanfield
+from bikeshare_meanfield.cli import main
+
+after_import = scipy_modules()
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"after_import": after_import, "codes": codes, "after_cli": scipy_modules()}))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # a fresh process, since the test process itself imports scipy
+    params = write_params(tmp_path, dict(
+        FIG5, vary="lambda", grid=[14.0, 15.0], grid_c=[25, 30], t_end=1.0,
+        seed=1, t_warmup=0.05, t_measure=0.05))
+    commands = ["fixed-point", "sweep", "optimize", "ode", "simulate"]
+    argvs = [[command, "--params", str(params), "--out", str(tmp_path / f"{command}.out")]
+             for command in commands]
+    src = str(Path(bikeshare_meanfield.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"after_import": [], "codes": [0] * len(commands), "after_cli": []}
 
 
 # every key each command reads, by the JSON type it must have

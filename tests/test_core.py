@@ -47,6 +47,8 @@ class TestSystemParams:
         dict(gamma=0.0),
         dict(gamma=5.0),          # gamma > mu
         dict(omega=-1),
+        dict(omega=2 ** 1024 - 2 ** 970),  # rounds up past the largest float
+        dict(omega=10 ** 400),
         dict(capacity_c=0),
         dict(capacity_c=4),       # C == K
         dict(capacity_c=5),       # C > K
@@ -57,6 +59,11 @@ class TestSystemParams:
     def test_invariants_rejected(self, bad):
         with pytest.raises(ConfigError):
             make_params(**bad)
+
+    def test_largest_float_omega_accepted(self):
+        largest = 2 ** 1024 - 2 ** 971
+        assert float(largest) == np.finfo(float).max
+        assert make_params(omega=largest).omega == largest
 
     def test_non_integer_capacity_rejected(self):
         with pytest.raises(ConfigError):

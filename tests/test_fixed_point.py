@@ -1,13 +1,18 @@
 """Stationary vector routes, scalar solver and uniqueness probing."""
 
 import dataclasses
+import inspect
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize as scipy_optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import random_valid_parameter_sets
 
 from bikeshare_meanfield import (
     RatePair,
@@ -29,7 +34,9 @@ from bikeshare_meanfield.errors import (
     BikeShareError,
     ConfigError,
     DegenerateCaseError,
+    InvariantViolationError,
     MultipleFixedPointsError,
+    NoBracketError,
 )
 from bikeshare_meanfield.validation import (
     check_defect_root_count,
@@ -95,6 +102,16 @@ def _frozen_result_at(rho, params, iterations):
                                         iterations=iterations)
 
 
+def _wide_params(rng):
+    """A parameter set with rates from 1e-6 to 1e6 and K up to 500."""
+    mu, gamma = sorted(10.0 ** rng.uniform(-6, 6, size=2), reverse=True)
+    k = int(rng.integers(2, 501))
+    return SystemParams(lam=10.0 ** rng.uniform(-6, 6), mu=mu, gamma=gamma,
+                        omega=int(rng.integers(0, 6)),
+                        capacity_c=int(rng.integers(1, k)), capacity_k=k,
+                        delta=rng.uniform(0.01, 0.99))
+
+
 def _same_float(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
 
@@ -112,12 +129,7 @@ class TestLoadKernel:
         rng = np.random.default_rng(2026)
         pairs = 0
         for _ in range(600):
-            mu, gamma = sorted(10.0 ** rng.uniform(-6, 6, size=2), reverse=True)
-            k = int(rng.integers(2, 501))
-            params = SystemParams(lam=10.0 ** rng.uniform(-6, 6), mu=mu, gamma=gamma,
-                                  omega=int(rng.integers(0, 6)),
-                                  capacity_c=int(rng.integers(1, k)), capacity_k=k,
-                                  delta=rng.uniform(0.01, 0.99))
+            params = _wide_params(rng)
             loads = [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
                      *10.0 ** rng.uniform(-6, 6, size=5)]
             for rho in map(float, loads):
@@ -149,6 +161,133 @@ class TestLoadKernel:
             frozen = _frozen_defect(rho, FIG5)
         assert value == frozen == -np.inf
         assert [w.category for w in new] == [w.category for w in old] == [RuntimeWarning]
+
+
+def _scipy_root(f, lo, hi, args=(), maxiter=100):
+    root, info = scipy_optimize.brentq(f, lo, hi, args=args, xtol=1e-15, rtol=8.9e-16,
+                                       maxiter=maxiter, full_output=True)
+    return root.hex(), info.iterations
+
+
+def _port_root(f, lo, hi, args=(), maxiter=100):
+    root, iterations = fixed_point._brent_root(f, lo, hi, args, maxiter)
+    return root.hex(), iterations
+
+
+def _port_lines_run(f, lo, hi):
+    """Source lines of ``_brent_root`` executed while it solves f on [lo, hi]."""
+    code = fixed_point._brent_root.__code__
+    source, first = inspect.getsourcelines(fixed_point._brent_root)
+    hit = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is code:
+            hit.add(frame.f_lineno)
+            return tracer
+        return None
+
+    sys.settrace(tracer)
+    try:
+        fixed_point._brent_root(f, lo, hi, (), 100)
+    finally:
+        sys.settrace(None)
+    return {source[n - first].strip() for n in hit}
+
+
+class TestBrentRoot:
+    """The in-package root finder against scipy's ``brentq`` as the oracle."""
+
+    def test_matches_scipy_on_defect_brackets(self):
+        # criterion-5 sets, then wide draws: the whole bracket
+        # [0, rho_upper_bound], three random sub-brackets around its root
+        # and one random sub-bracket that may hold no root
+        rng = np.random.default_rng(2027)
+        criterion_5 = random_valid_parameter_sets(1000, seed=2027)
+        solved = refused = 0
+
+        def compare(lo, hi, params):
+            nonlocal solved, refused
+            try:
+                expected = _scipy_root(fixed_point._defect, lo, hi, (params,), 200)
+            except ValueError:
+                with pytest.raises(NoBracketError):
+                    fixed_point._brent_root(fixed_point._defect, lo, hi, (params,), 200)
+                refused += 1
+                return None
+            assert _port_root(fixed_point._defect, lo, hi, (params,), 200) == expected, \
+                (params, lo, hi)
+            solved += 1
+            return float.fromhex(expected[0])
+
+        with warnings.catch_warnings():
+            # wide draws reach loads where every station is full
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for n in itertools.count():
+                if solved >= 10_000:
+                    break
+                params = criterion_5[n] if n < len(criterion_5) else _wide_params(rng)
+                top = fixed_point.rho_upper_bound(params)
+                root = compare(0.0, top, params)
+                if root is None:
+                    continue
+                for _ in range(3):
+                    compare(rng.uniform(0.0, root), rng.uniform(root, top), params)
+                compare(*sorted(rng.uniform(0.0, top, 2)), params)
+        assert refused > 0
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 3.0), (-1.0, 1.0)], ids=["lo", "hi"])
+    def test_exact_zero_at_an_end(self, lo, hi):
+        # scipy returns before its iteration counter is set, so only the
+        # root is compared; the port reports 0 iterations
+        assert _port_root(lambda x: x - 1.0, lo, hi) == ((1.0).hex(), 0)
+        assert _scipy_root(lambda x: x - 1.0, lo, hi)[0] == (1.0).hex()
+
+    @pytest.mark.parametrize("f,lo,hi,root,iterations", [
+        pytest.param(lambda x: x, -1.0, 3.0, 0.0, 2, id="secant"),
+        pytest.param(lambda x: x - 1.0, 0.0, 2.0, 1.0, 2, id="bisection"),
+    ])
+    def test_exact_zero_inside(self, f, lo, hi, root, iterations):
+        assert _port_root(f, lo, hi) == _scipy_root(f, lo, hi) == (root.hex(), iterations)
+
+    def test_extrapolation_branch(self):
+        def f(x):
+            return x ** 3 - 0.3
+
+        assert "dpre = (fpre - fcur) / (xpre - xcur)" in _port_lines_run(f, 0.0, 1.0)
+        assert _port_root(f, 0.0, 1.0) == _scipy_root(f, 0.0, 1.0)
+
+    def test_division_by_zero_bisects_like_c(self):
+        # the extrapolation denominator underflows to 0.0: C gets a
+        # non-finite trial step and bisects
+        def f(x):
+            return 1e-200 * (x ** 3 - 0.3)
+
+        assert "stry = math.inf" in _port_lines_run(f, 0.0, 1.0)
+        assert _port_root(f, 0.0, 1.0) == _scipy_root(f, 0.0, 1.0)
+
+    def test_nonconvergence(self):
+        def f(x):
+            return x ** 3 - 0.3
+
+        assert _port_root(f, 0.0, 1.0, maxiter=9) == _scipy_root(f, 0.0, 1.0, maxiter=9)
+        with pytest.raises(RuntimeError):
+            _scipy_root(f, 0.0, 1.0, maxiter=8)
+        with pytest.raises(InvariantViolationError, match="after 8 iterations"):
+            _port_root(f, 0.0, 1.0, maxiter=8)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _scipy_root(lambda x: x + 1.0, 0.0, 1.0)
+        with pytest.raises(NoBracketError):
+            _port_root(lambda x: x + 1.0, 0.0, 1.0)
+
+        def nan_inside(x):
+            return math.nan if 0.0 < x < 1.0 else x - 0.5
+
+        with pytest.raises(ValueError, match="NaN"):
+            _scipy_root(nan_inside, 0.0, 1.0)
+        with pytest.raises(InvariantViolationError, match="NaN"):
+            _port_root(nan_inside, 0.0, 1.0)
 
 
 class TestBirthDeathStationary:
