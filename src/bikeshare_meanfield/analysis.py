@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int
+from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, mean_bikes
 from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError, InvariantViolationError
 from .fixed_point import solve_fixed_point
 
@@ -70,7 +70,7 @@ class SweepRecord:
 def compute_metrics(p, params: SystemParams, prices: ProfitPrices) -> Metrics:
     """All five metrics of a stationary occupancy vector."""
     p = np.asarray(p, dtype=float)
-    eq = float(np.arange(p.size) @ p)
+    eq = mean_bikes(p)
     profit = -prices.cost_c * eq + prices.benefit_psi * (params.capacity_c - eq)
     return Metrics(
         p0=float(p[0]),

@@ -348,11 +348,13 @@ def build_generator(rates: RatePair, capacity_k: int) -> np.ndarray:
     a, b = _rate_pair(rates)
     if capacity_k < 1:
         raise ConfigError(f"capacity_k must be at least 1, got {capacity_k}")
-    gen = np.zeros((capacity_k + 1, capacity_k + 1))
-    idx = np.arange(capacity_k)
-    gen[idx, idx + 1] = a
-    gen[idx + 1, idx] = b
-    gen[idx, idx] = -(a + b)
-    gen[0, 0] = -a
-    gen[capacity_k, capacity_k] = -b
+    n = capacity_k + 1
+    gen = np.zeros((n, n))
+    # strided writes into the flat view: entry (i, j) sits at i * n + j
+    flat = gen.reshape(-1)
+    flat[1::n + 1] = a
+    flat[n::n + 1] = b
+    flat[::n + 1] = -(a + b)
+    flat[0] = -a
+    flat[-1] = -b
     return gen

@@ -80,6 +80,17 @@ class FixedPointResult:
         _write_json(path, {"params": params.to_dict(), **self.to_dict()})
 
 
+def _truncated_geometric(rho: float, k: np.ndarray, down: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Powers rho**k, or (1/rho)**(K-k) for rho > 1, normalized to sum 1 in place.
+
+    ``k`` and ``down`` are the level vectors of ``_levels``; the powers are
+    written to ``out`` (a fresh array if None), which is returned.
+    """
+    w = np.power(rho, k, out=out) if rho <= 1.0 else np.power(1.0 / rho, down, out=out)
+    return np.divide(w, np.add.reduce(w), out=w)
+
+
 def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
     """Stationary vector of the constant-rate birth-death queue with load rho.
 
@@ -90,12 +101,7 @@ def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
         raise ConfigError(f"load must be nonnegative, got {rho}")
     if capacity_k < 1:
         raise ConfigError(f"capacity_k must be at least 1, got {capacity_k}")
-    k, down = _levels(capacity_k)
-    if rho <= 1.0:
-        w = rho ** k
-    else:
-        w = (1.0 / rho) ** down
-    return w / w.sum()
+    return _truncated_geometric(rho, *_levels(capacity_k))
 
 
 def birth_death_stationary(rates: RatePair, capacity_k: int) -> np.ndarray:
@@ -136,15 +142,24 @@ def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
     return 1.0 / float(np.sum(g ** down)) * g ** down
 
 
-def _defect(rho: float, params: SystemParams) -> float:
-    """Scalar self-consistency defect birth(p(rho)) - rho * death(p(rho)).
+def _defect_kernel(params: SystemParams):
+    """The scalar defect rho -> birth(p(rho)) - rho * death(p(rho)) of ``params``.
 
-    The birth rate is evaluated without the nonnegative-fleet guard: trial
-    loads with mean parked bikes above C are legal probe points and must
-    give a smoothly negative defect.
+    The returned function writes p(rho) into one work buffer of its own and
+    does not validate rho (callers pass loads of at least 0), so a solve or
+    check builds it once and calls it at every trial load.  The rates are
+    ``_point_rates``: the birth rate has no nonnegative-fleet guard (trial
+    loads with mean parked bikes above C must give a smoothly negative
+    defect), and p_K = 1 warns and gives an infinite rate instead of raising.
     """
-    a, b = _point_rates(stationary_from_load(rho, params.capacity_k), params)
-    return float(a) - rho * float(b)
+    k, down = _levels(params.capacity_k)
+    w = np.empty(k.size)
+
+    def defect(rho: float) -> float:
+        birth, death = _point_rates(_truncated_geometric(rho, k, down, w), params)
+        return float(birth) - rho * death
+
+    return defect
 
 
 def _straddles(f_lo: float, f_hi: float) -> bool:
@@ -153,10 +168,12 @@ def _straddles(f_lo: float, f_hi: float) -> bool:
     return f_lo < 0.0 <= f_hi or f_hi <= 0.0 < f_lo
 
 
-def _brent_root(f, lo: float, hi: float, args: tuple,
+def _brent_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
                 maxiter: int) -> tuple[float, int]:
-    """Root of f(x, *args) on the bracket [lo, hi] by Brent's method.
+    """Root of f(x) on the bracket [lo, hi] by Brent's method.
 
+    ``f_lo`` and ``f_hi`` are f(lo) and f(hi), which the caller has already
+    evaluated for its own bracket test; f is called only inside the bracket.
     Returns (root, iterations).  A step-for-step port of scipy's ``brentq``
     (``Zeros/brentq.c``) at the tolerances ``_XTOL`` and ``_RTOL``, in
     Python floats: it returns the same root bits after the same number of
@@ -167,14 +184,14 @@ def _brent_root(f, lo: float, hi: float, args: tuple,
     ``RuntimeError`` after ``maxiter`` iterations, this raises
     ``InvariantViolationError``.
     """
-    def value(x: float) -> float:
-        fx = float(f(x, *args))
+    def value(x: float, fx) -> float:
+        fx = float(fx)
         if fx != fx:
             raise InvariantViolationError(f"root finder got NaN at x={x!r}")
         return fx
 
     xpre, xcur = float(lo), float(hi)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, f_lo), value(xcur, f_hi)
     if fpre == 0.0:
         return xpre, 0
     if fcur == 0.0:
@@ -218,7 +235,7 @@ def _brent_root(f, lo: float, hi: float, args: tuple,
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = value(xcur, f(xcur))
     raise InvariantViolationError(
         f"root finder did not converge after {maxiter} iterations, value is {xcur!r}"
     )
@@ -228,7 +245,7 @@ def _result_at(rho: float, params: SystemParams, iterations: int) -> FixedPointR
     p = stationary_from_load(rho, params.capacity_k)
     a, b = _point_rates(p, params)
     rates = RatePair(birth=float(max(a, 0.0)), death=float(b))
-    residual = float(np.max(np.abs(p @ build_generator(rates, params.capacity_k))))
+    residual = float(np.abs(p @ build_generator(rates, params.capacity_k)).max())
     return FixedPointResult(p=p, rho=rho, rates=rates, residual=residual,
                             iterations=iterations)
 
@@ -252,9 +269,10 @@ def solve_fixed_point(params: SystemParams, tol: float = DEFAULT_TOL) -> FixedPo
     """
     if not tol >= 1e-13:
         raise ConfigError(f"tolerance below 1e-13 is not attainable, got {tol}")
+    defect = _defect_kernel(params)
     rho_hi = rho_upper_bound(params)
-    d_lo = _defect(0.0, params)
-    d_hi = _defect(rho_hi, params)
+    d_lo = defect(0.0)
+    d_hi = defect(rho_hi)
     if d_lo == 0.0:
         rho, iterations = 0.0, 0
     elif not _straddles(d_lo, d_hi):
@@ -264,7 +282,7 @@ def solve_fixed_point(params: SystemParams, tol: float = DEFAULT_TOL) -> FixedPo
             lo=0.0, hi=rho_hi, defect_lo=d_lo, defect_hi=d_hi,
         )
     else:
-        rho, iterations = _brent_root(_defect, 0.0, rho_hi, (params,), maxiter=200)
+        rho, iterations = _brent_root(defect, 0.0, rho_hi, d_lo, d_hi, maxiter=200)
     result = _result_at(rho, params, iterations)
     scale = result.rates.birth + result.rates.death
     if result.residual >= tol * scale:
@@ -304,9 +322,9 @@ def nonlinear_residual(p, params: SystemParams) -> np.ndarray:
     return res
 
 
-def _refine_locally(rho0: float, params: SystemParams,
-                    max_steps: int) -> tuple[float, int]:
-    """Polish a load estimate with at most ``max_steps`` secant steps around rho0.
+def _refine_locally(rho0: float, defect, max_steps: int) -> tuple[float, int]:
+    """Polish a load estimate with at most ``max_steps`` secant steps on
+    ``defect`` (a ``_defect_kernel``) around rho0.
 
     Falls back to bisection on a small expanding bracket if the secant
     iteration leaves the neighbourhood; the search never restarts globally
@@ -314,8 +332,8 @@ def _refine_locally(rho0: float, params: SystemParams,
     """
     x0 = max(rho0, 0.0)
     x1 = x0 * (1.0 + 1e-7) + 1e-12
-    f0 = _defect(x0, params)
-    f1 = _defect(x1, params)
+    f0 = defect(x0)
+    f1 = defect(x1)
     used = 2
     for _ in range(max_steps):
         if f1 == 0.0:
@@ -327,7 +345,7 @@ def _refine_locally(rho0: float, params: SystemParams,
             break
         x0, f0 = x1, f1
         x1 = x2
-        f1 = _defect(x1, params)
+        f1 = defect(x1)
         used += 1
         if abs(x1 - x0) <= 1e-15 * max(1.0, abs(x1)):
             return x1, used
@@ -336,13 +354,13 @@ def _refine_locally(rho0: float, params: SystemParams,
     for _ in range(60):
         lo = max(0.0, rho0 - width)
         hi = rho0 + width
-        flo = _defect(lo, params)
-        fhi = _defect(hi, params)
+        flo = defect(lo)
+        fhi = defect(hi)
         used += 2
         if flo == 0.0:
             return lo, used
         if _straddles(flo, fhi):
-            root, iterations = _brent_root(_defect, lo, hi, (params,), maxiter=100)
+            root, iterations = _brent_root(defect, lo, hi, flo, fhi, maxiter=100)
             return root, used + iterations
         width *= 2.0
     raise InvariantViolationError(
@@ -370,9 +388,10 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
     fleet = params.capacity_c - starts @ _levels(params.capacity_k)[0]
     birth = params.mu * fleet / (1.0 - starts[:, -1])
+    defect = _defect_kernel(params)
     results: list[FixedPointResult] = []
     for rho0 in np.maximum(birth, 0.0) / _death_rate(starts[:, 0], params):
-        rho, used = _refine_locally(float(rho0), params, max_iterations)
+        rho, used = _refine_locally(float(rho0), defect, max_iterations)
         results.append(_result_at(rho, params, used))
     distinct = [results[0]]
     for res in results[1:]:

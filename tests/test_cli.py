@@ -328,6 +328,18 @@ class TestHugeOmega:
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert not out.exists()
 
+    def test_overflowing_jacobian_bound_fails_validate(self, tmp_path, capsys):
+        # figure 5 still solves, but the walk term of the Lipschitz bound
+        # overflows: an infinite bound bounds nothing
+        params = write_params(tmp_path, dict(FIG5, omega=2 ** 1020))
+        code = main(["validate", "--params", str(params), "--set", "validate_t_measure=20"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 4
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL jacobian-norm-bound: max sampled norm 1515 vs bound inf over 200 points; "
+            "the bound is not finite"
+        ]
+
 
 STARTUP_SCRIPT = """
 import json, sys

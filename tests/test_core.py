@@ -332,7 +332,7 @@ class TestLevels:
 
 
 class TestBuildGenerator:
-    @pytest.mark.parametrize("k", [1, 2, 5, 50, 300])
+    @pytest.mark.parametrize("k", [1, 2, 5, 50, 300, 500])
     def test_matches_frozen_per_level_generator(self, k):
         rng = np.random.default_rng(k)
         pairs = [(0.0, 1.0), (0.0, 3.7), (2.5, 2.5), (1e-3, 1e-3)]

@@ -1,6 +1,7 @@
 """Stationary vector routes, scalar solver and uniqueness probing."""
 
 import dataclasses
+import functools
 import inspect
 import itertools
 import math
@@ -132,9 +133,10 @@ class TestLoadKernel:
             params = _wide_params(rng)
             loads = [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
                      *10.0 ** rng.uniform(-6, 6, size=5)]
+            # one kernel per set: its work buffer is reused across loads
+            defect = fixed_point._defect_kernel(params)
             for rho in map(float, loads):
-                assert _same_float(fixed_point._defect(rho, params),
-                                   _frozen_defect(rho, params))
+                assert _same_float(defect(rho), _frozen_defect(rho, params))
                 new = fixed_point._result_at(rho, params, 3)
                 old = _frozen_result_at(rho, params, 3)
                 assert new.p.tobytes() == old.p.tobytes()
@@ -144,9 +146,32 @@ class TestLoadKernel:
 
     def test_solves_bit_identical_to_frozen_kernels(self, monkeypatch):
         current = [_solve_outcome(params) for params in FIGURE_SETS]
-        monkeypatch.setattr(fixed_point, "_defect", _frozen_defect)
+        monkeypatch.setattr(fixed_point, "_defect_kernel",
+                            lambda params: functools.partial(_frozen_defect, params=params))
         monkeypatch.setattr(fixed_point, "_result_at", _frozen_result_at)
         assert [_solve_outcome(params) for params in FIGURE_SETS] == current
+
+    def test_figure5_solve_evaluates_the_defect_iterations_plus_one_times(self, monkeypatch):
+        # both bracket ends once, then one load per root-finder iteration but the last
+        kernels, loads = [], []
+        make_kernel = fixed_point._defect_kernel
+
+        def counting_kernel(params):
+            kernels.append(params)
+            defect = make_kernel(params)
+
+            def counted(rho):
+                loads.append(rho)
+                return defect(rho)
+
+            return counted
+
+        monkeypatch.setattr(fixed_point, "_defect_kernel", counting_kernel)
+        result = solve_fixed_point(FIG5)
+        assert kernels == [FIG5]
+        assert result.iterations == 11
+        assert len(loads) == result.iterations + 1 == 12
+        assert loads[:2] == [0.0, fixed_point.rho_upper_bound(FIG5)]
 
     @pytest.mark.parametrize("rho", [1e17, 1e200])
     def test_full_station_load_warns_like_frozen_defect(self, rho):
@@ -155,7 +180,7 @@ class TestLoadKernel:
         assert stationary_from_load(rho, FIG5.capacity_k)[-1] == 1.0
         with warnings.catch_warnings(record=True) as new:
             warnings.simplefilter("always")
-            value = fixed_point._defect(rho, FIG5)
+            value = fixed_point._defect_kernel(FIG5)(rho)
         with warnings.catch_warnings(record=True) as old:
             warnings.simplefilter("always")
             frozen = _frozen_defect(rho, FIG5)
@@ -163,14 +188,19 @@ class TestLoadKernel:
         assert [w.category for w in new] == [w.category for w in old] == [RuntimeWarning]
 
 
-def _scipy_root(f, lo, hi, args=(), maxiter=100):
-    root, info = scipy_optimize.brentq(f, lo, hi, args=args, xtol=1e-15, rtol=8.9e-16,
+def _scipy_root(f, lo, hi, maxiter=100):
+    root, info = scipy_optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16,
                                        maxiter=maxiter, full_output=True)
     return root.hex(), info.iterations
 
 
-def _port_root(f, lo, hi, args=(), maxiter=100):
-    root, iterations = fixed_point._brent_root(f, lo, hi, args, maxiter)
+def _port_brent(f, lo, hi, maxiter=100):
+    # the package's callers evaluate both ends for their own bracket test
+    return fixed_point._brent_root(f, lo, hi, f(lo), f(hi), maxiter)
+
+
+def _port_root(f, lo, hi, maxiter=100):
+    root, iterations = _port_brent(f, lo, hi, maxiter)
     return root.hex(), iterations
 
 
@@ -188,7 +218,7 @@ def _port_lines_run(f, lo, hi):
 
     sys.settrace(tracer)
     try:
-        fixed_point._brent_root(f, lo, hi, (), 100)
+        _port_brent(f, lo, hi)
     finally:
         sys.settrace(None)
     return {source[n - first].strip() for n in hit}
@@ -207,15 +237,15 @@ class TestBrentRoot:
 
         def compare(lo, hi, params):
             nonlocal solved, refused
+            defect = fixed_point._defect_kernel(params)
             try:
-                expected = _scipy_root(fixed_point._defect, lo, hi, (params,), 200)
+                expected = _scipy_root(defect, lo, hi, 200)
             except ValueError:
                 with pytest.raises(NoBracketError):
-                    fixed_point._brent_root(fixed_point._defect, lo, hi, (params,), 200)
+                    _port_brent(defect, lo, hi, 200)
                 refused += 1
                 return None
-            assert _port_root(fixed_point._defect, lo, hi, (params,), 200) == expected, \
-                (params, lo, hi)
+            assert _port_root(defect, lo, hi, 200) == expected, (params, lo, hi)
             solved += 1
             return float.fromhex(expected[0])
 
@@ -616,8 +646,8 @@ class TestUniquenessProbe:
     def test_reports_every_root_of_a_cubic_defect(self, monkeypatch):
         # a defect with three roots stands in for a system with three fixed
         # points; the random starts must land in all three basins
-        monkeypatch.setattr(fixed_point, "_defect",
-                            lambda rho, params: -(rho - 0.5) * (rho - 1.6) * (rho - 3.0))
+        monkeypatch.setattr(fixed_point, "_defect_kernel",
+                            lambda params: lambda rho: -(rho - 0.5) * (rho - 1.6) * (rho - 3.0))
         with pytest.raises(MultipleFixedPointsError) as err:
             uniqueness_probe(FIG5, 20, seed=0)
         roots = sorted(r.rho for r in err.value.results)
@@ -632,14 +662,15 @@ class TestUniquenessProbe:
 
     def test_root_on_a_grid_point_counts_once(self, monkeypatch):
         # linspace(0, 5, 2001) holds 0.5 exactly, so the defect passes + 0 -
-        monkeypatch.setattr(validation, "_defect", lambda rho, params: 1.0 - 2.0 * rho)
+        monkeypatch.setattr(validation, "_defect_kernel",
+                            lambda params: lambda rho: 1.0 - 2.0 * rho)
         check = check_defect_root_count(ANALYTIC)
         assert check.passed
         assert check.detail.startswith("defect sign changes 1 on 2001 loads in [0, 5]")
 
     def test_root_count_check_fails_on_three_roots(self, monkeypatch):
-        monkeypatch.setattr(validation, "_defect",
-                            lambda rho, params: -(rho - 0.5) * (rho - 1.7) * (rho - 3.1))
+        monkeypatch.setattr(validation, "_defect_kernel",
+                            lambda params: lambda rho: -(rho - 0.5) * (rho - 1.7) * (rho - 3.1))
         check = check_defect_root_count(FIG5)
         assert not check.passed
         assert check.detail.startswith("defect sign changes 3 on 2001 loads")
