@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage, 3 unreadable/invalid configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -202,7 +203,11 @@ def _cmd_validate(config: dict, out: str | None) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call: parsing leaves it unchanged, and the ``--set`` list is
+    copied from its empty default before the first override is appended."""
     parser = argparse.ArgumentParser(
         prog="bikeshare-meanfield",
         description="Analyze a station-based bike sharing system by exact "

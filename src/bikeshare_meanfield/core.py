@@ -306,7 +306,7 @@ def _check_fleet(yk, fleet) -> None:
 def _guarded_rates(y, params: SystemParams) -> tuple[float, float, float]:
     """Scalar (birth, death, fleet) of one float vector under the full-system and
     negative-fleet guards; a round-off-sized negative fleet is clamped to zero."""
-    yk, fleet = y.item(-1), params.capacity_c - float(y @ _levels(params.capacity_k)[0])
+    yk, fleet = y.item(-1), params.capacity_c - float(y.dot(_levels(params.capacity_k)[0]))
     _check_fleet(yk, fleet)
     fleet = max(fleet, 0.0)
     return params.mu * fleet / (1.0 - yk), _death_rate(y.item(0), params), fleet

@@ -6,7 +6,10 @@ the occupancy-dependent birth/death rates.  This module integrates both the
 finite-N system (level-dependent birth rates) and its infinite-population
 limit with a classical fixed-step fourth-order scheme, keeping the state on
 the probability simplex, through one drift body per route on guarded scalar
-rates.  It also provides the exact Jacobian of the limiting drift and the
+rates.  A step allocates nothing: the stage derivatives share one 4 x (K+1)
+block, the stage arguments one buffer, and accepted states fill the rows of
+preallocated blocks, with every operation in the textbook step's order.  The
+module also provides the exact Jacobian of the limiting drift and the
 analytic bound on its norm used to certify Lipschitz continuity.
 """
 
@@ -103,22 +106,55 @@ class Trajectory:
                 fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _limiting_stencil(y, a, b, out):
-    """Write y V_y at birth rate a and death rate b into ``out``."""
-    out[0] = -a * y[0] + b * y[1]
-    np.multiply(y[:-2] - y[1:-1], a, out=out[1:-1])
-    out[1:-1] += b * (y[2:] - y[1:-1])
-    out[-1] = a * y[-2] - b * y[-1]
-    return out
+# The drift and step bodies run tens of thousands of times on short vectors,
+# where a numpy call costs far more than its arithmetic.  They write into
+# preallocated buffers and pass ``out`` positionally to element-wise ufuncs
+# (cheaper than the keyword, which ``np.maximum`` alone requires).  Per-call
+# scalars reach ufuncs as 0-d arrays (``slot[()] = value``), which numpy takes
+# without converting a Python float each time, and reductions write into 0-d
+# outputs for the same reason.  No operation or its order changes.
+
+
+def _limiting_stencil(capacity_k: int):
+    """``stencil(y, a, b, out, inner)``: write y V_y at birth rate a and death
+    rate b into ``out``, whose view ``out[1:-1]`` is ``inner``.
+
+    The interior is d[:-1] * (-a) + d[1:] * b for the forward differences
+    d = y[1:] - y[:-1], held in one scratch vector: bit for bit
+    (y[k-1] - y[k]) * a + b * (y[k+1] - y[k]).  A difference and its reverse
+    differ only in the sign of an exact zero.  That sign can reach the result
+    only if y holds -0.0, which the stepper's clamp never leaves in a state,
+    or if b is 0, as in ``jacobian``, which adds the result to entries that
+    are nonzero or +0.0, where the sign vanishes.
+    """
+    diff = np.empty(capacity_k)
+    fall, rise = diff[:-1], diff[1:]
+    minus_a, death = np.empty(()), np.empty(())
+
+    def stencil(y, a, b, out, inner):
+        minus_a[()] = -a
+        death[()] = b
+        np.subtract(y[1:], y[:-1], diff)
+        np.multiply(fall, minus_a, inner)
+        np.multiply(rise, death, rise)
+        np.add(inner, rise, inner)
+        out[0] = -a * y.item(0) + b * y.item(1)
+        out[-1] = a * y.item(-2) - b * y.item(-1)
+        return out
+
+    return stencil
 
 
 def _drift_body(params: SystemParams, finite_n: bool):
-    """The chosen drift as ``drift(y, out)`` for one float vector: the
-    own-fleet vector is built once and the rates are Python floats."""
+    """The chosen drift as ``drift(y, out, inner)`` for one float vector, where
+    ``inner`` is ``out[1:-1]``: the own-fleet vector and the scratch vectors are
+    built once, the rates are Python floats and a call allocates nothing."""
     if not finite_n:
-        def drift(y, out):
+        stencil = _limiting_stencil(params.capacity_k)
+
+        def drift(y, out, inner):
             birth, death, _ = _guarded_rates(y, params)
-            return _limiting_stencil(y, birth, death, out)
+            return stencil(y, birth, death, out, inner)
 
         return drift
     # birth rate of level l < K: mu/N * ((C - l)^+ + (N - 1) * fleet) / (1 - yK)
@@ -126,18 +162,37 @@ def _drift_body(params: SystemParams, finite_n: bool):
     levels = np.arange(params.capacity_k + 1)
     own = np.where(levels[:-1] <= c - 1, c - levels[:-1], 0.0)
     xi = np.empty(params.capacity_k)
+    xi_lo, xi_hi = xi[:-1], xi[1:]
+    term = np.empty(params.capacity_k - 1)
+    scale = np.array(params.mu / n)
+    shared, free, death = np.empty(()), np.empty(()), np.empty(())
 
-    def drift(y, out):
+    def drift(y, out, inner):
         _, eta, fleet = _guarded_rates(y, params)
-        np.add(own, (n - 1) * fleet, out=xi)
-        np.multiply(params.mu / n, xi, out=xi)
-        np.divide(xi, 1.0 - y.item(-1), out=xi)
-        out[0] = -xi[0] * y[0] + eta * y[1]
-        out[1:-1] = xi[:-1] * y[:-2] - (xi[1:] + eta) * y[1:-1] + eta * y[2:]
-        out[-1] = xi[-1] * y[-2] - eta * y[-1]
+        shared[()] = (n - 1) * fleet
+        free[()] = 1.0 - y.item(-1)
+        death[()] = eta
+        np.add(own, shared, xi)
+        np.multiply(scale, xi, xi)
+        np.divide(xi, free, xi)
+        # xi[:-1] * y[:-2] - (xi[1:] + eta) * y[1:-1] + eta * y[2:], in that order
+        np.multiply(xi_lo, y[:-2], inner)
+        np.add(xi_hi, death, term)
+        np.multiply(term, y[1:-1], term)
+        np.subtract(inner, term, inner)
+        np.multiply(y[2:], death, term)
+        np.add(inner, term, inner)
+        out[0] = -xi.item(0) * y.item(0) + eta * y.item(1)
+        out[-1] = xi.item(-1) * y.item(-2) - eta * y.item(-1)
         return out
 
     return drift
+
+
+def _fresh_drift(params: SystemParams, finite_n: bool, y) -> np.ndarray:
+    """One drift evaluation into a new vector."""
+    out = np.empty_like(y)
+    return _drift_body(params, finite_n)(y, out, out[1:-1])
 
 
 def drift_limiting(y, params: SystemParams) -> np.ndarray:
@@ -145,8 +200,7 @@ def drift_limiting(y, params: SystemParams) -> np.ndarray:
 
     Components sum to zero (the generator is conservative).
     """
-    y = _one_vector("drift_limiting", y, params)
-    return _drift_body(params, finite_n=False)(y, np.empty_like(y))
+    return _fresh_drift(params, False, _one_vector("drift_limiting", y, params))
 
 
 def drift_finite_n(y, params: SystemParams) -> np.ndarray:
@@ -156,8 +210,11 @@ def drift_finite_n(y, params: SystemParams) -> np.ndarray:
     and the level-independent death rate; converges to ``drift_limiting`` as
     N grows.
     """
-    y = _one_vector("drift_finite_n", y, params)
-    return _drift_body(params, finite_n=True)(y, np.empty_like(y))
+    return _fresh_drift(params, True, _one_vector("drift_finite_n", y, params))
+
+
+#: bytes of one block of stored states; a block holds at least one state
+_STATE_BLOCK_BYTES = 1 << 21
 
 
 def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -> Trajectory:
@@ -169,38 +226,70 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     1 - delta) raises ``DomainExitError`` with the exit time.  Integration
     stops early once the drift sup-norm falls below the stationarity
     tolerance; the drift of that check is the next step's first stage.
+
+    A step allocates nothing: the four stage derivatives are the rows of one
+    4 x (K+1) block, each stage argument is built in one buffer, and every
+    accepted state is written straight into the next row of a block of
+    stored states (about 2 MB each), joined once at the end.  The arithmetic
+    is the textbook step's, operation by operation and in the same order.
     """
-    y = _one_vector("integrate", config.initial, params).copy()
+    initial = _one_vector("integrate", config.initial, params)
     drift = _drift_body(params, finite_n)
     h = config.step if config.step is not None else default_step(params)
     horizon = config.t_end
     bound = 1.0 - params.delta
 
     def check_domain(state, time):
-        if state[0] > bound or state[-1] > bound:
+        y0, yk = state.item(0), state.item(-1)
+        if y0 > bound or yk > bound:
             raise DomainExitError(
                 f"trajectory left the assumed domain at t={time:.6g} "
-                f"(y0={state[0]:.6g}, yK={state[-1]:.6g}, bound={bound:.6g})",
+                f"(y0={y0:.6g}, yK={yk:.6g}, bound={bound:.6g})",
                 time=time,
             )
 
+    width = initial.size
+    block_rows = max(1, _STATE_BLOCK_BYTES // initial.nbytes)
+    rows = np.empty((block_rows, width))
+    blocks = [rows]
+    y = rows[0]
+    y[...] = initial
+    used = 1
     check_domain(y, 0.0)
     times = [0.0]
-    states = [y]
     t = 0.0
     step_index = 0
-    k1, k2, k3, k4, arg = (np.empty_like(y) for _ in range(5))
-    drift(y, k1)
+    stages = np.empty((4, width))
+    k1, k2, k3, k4 = stages
+    i1, i2, i3, i4 = stages[:, 1:-1]
+    doubled = stages[1:3]
+    arg, raw, scratch = np.empty(width), np.empty(width), np.empty(width)
+    half, full, sixth, total, worst = (np.empty(()) for _ in range(5))
+    two, zero = np.array(2.0), np.array(0.0)
+    drift(y, k1, i1)
     while t < horizon * (1.0 - 1e-15):
         t_next = min((step_index + 1) * h, horizon)
         hs = t_next - t
-        drift(np.add(y, np.multiply(0.5 * hs, k1, out=arg), out=arg), k2)
-        drift(np.add(y, np.multiply(0.5 * hs, k2, out=arg), out=arg), k3)
-        drift(np.add(y, np.multiply(hs, k3, out=arg), out=arg), k4)
-        raw = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        repaired = np.maximum(raw, 0.0)
-        repaired /= repaired.sum()
-        correction = float(np.abs(np.subtract(repaired, raw, out=k3), out=k3).max())
+        half[()] = 0.5 * hs
+        full[()] = hs
+        sixth[()] = hs / 6.0
+        drift(np.add(y, np.multiply(half, k1, arg), arg), k2, i2)
+        drift(np.add(y, np.multiply(half, k2, arg), arg), k3, i3)
+        drift(np.add(y, np.multiply(full, k3, arg), arg), k4, i4)
+        # y + (hs/6) * (((k1 + 2 k2) + 2 k3) + k4): the row reduction adds in row order
+        np.multiply(doubled, two, doubled)
+        np.add.reduce(stages, axis=0, out=raw)
+        np.add(y, np.multiply(sixth, raw, raw), raw)
+        if used == block_rows:
+            rows = np.empty((block_rows, width))
+            blocks.append(rows)
+            used = 0
+        y = rows[used]
+        np.maximum(raw, zero, out=y)
+        np.add.reduce(y, out=total)
+        np.divide(y, total, y)
+        np.maximum.reduce(np.abs(np.subtract(y, raw, scratch), scratch), out=worst)
+        correction = worst.item()
         if correction > STEP_REPAIR_BUDGET:
             raise StepInstabilityError(
                 f"simplex repair {correction:.3e} exceeded budget "
@@ -208,15 +297,17 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
                 time=t_next,
                 correction=correction,
             )
-        y = repaired
+        used += 1
         t = t_next
         step_index += 1
         check_domain(y, t)
         times.append(t)
-        states.append(y)
-        if float(np.abs(drift(y, k1), out=k4).max()) < config.stationarity_tol:
+        drift(y, k1, i1)
+        np.maximum.reduce(np.abs(k1, scratch), out=worst)
+        if worst.item() < config.stationarity_tol:
             break
-    return Trajectory(np.array(times), np.array(states))
+    blocks[-1] = rows[:used]
+    return Trajectory(np.array(times), np.concatenate(blocks))
 
 
 def jacobian(y, params: SystemParams) -> np.ndarray:
@@ -234,9 +325,10 @@ def jacobian(y, params: SystemParams) -> np.ndarray:
     grad_birth = _levels(params.capacity_k)[0] * (-params.mu / scale)
     grad_birth[-1] += birth / scale
     jac = build_generator(RatePair(birth, death), params.capacity_k)
-    jac += np.outer(grad_birth, _limiting_stencil(y, 1.0, 0.0, np.empty_like(y)))
+    stencil, out = _limiting_stencil(params.capacity_k), np.empty_like(y)
+    jac += np.outer(grad_birth, stencil(y, 1.0, 0.0, out, out[1:-1]))
     jac[0] += (params.gamma * _walk_slope(y.item(0), params.omega)
-               * _limiting_stencil(y, 0.0, 1.0, np.empty_like(y)))
+               * stencil(y, 0.0, 1.0, out, out[1:-1]))
     return jac
 
 

@@ -326,9 +326,10 @@ def _refine_locally(rho0: float, defect, max_steps: int) -> tuple[float, int]:
     """Polish a load estimate with at most ``max_steps`` secant steps on
     ``defect`` (a ``_defect_kernel``) around rho0.
 
-    Falls back to bisection on a small expanding bracket if the secant
+    Falls back to Brent's method on a small expanding bracket if the secant
     iteration leaves the neighbourhood; the search never restarts globally
-    so distinct basins would surface as distinct answers.
+    so distinct basins would surface as distinct answers.  Returns the load
+    and the number of defect evaluations made.
     """
     x0 = max(rho0, 0.0)
     x1 = x0 * (1.0 + 1e-7) + 1e-12
@@ -361,7 +362,8 @@ def _refine_locally(rho0: float, defect, max_steps: int) -> tuple[float, int]:
             return lo, used
         if _straddles(flo, fhi):
             root, iterations = _brent_root(defect, lo, hi, flo, fhi, maxiter=100)
-            return root, used + iterations
+            # Brent evaluates once per iteration but the last (none for a zero at an end)
+            return root, used + max(iterations - 1, 0)
         width *= 2.0
     raise InvariantViolationError(
         f"local refinement failed to isolate a root near rho={rho0:.6g}"

@@ -456,6 +456,20 @@ class TestUsage:
             main(["fixed-point"])
         assert err.value.code == 2
 
+    def test_overrides_do_not_leak_into_the_next_call(self, tmp_path):
+        # the parser is built once per process; a --set list must not carry over
+        import bikeshare_meanfield.cli as cli
+
+        params = write_params(tmp_path, ANALYTIC)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["fixed-point", "--params", str(params), "--out", str(first),
+                     "--set", "delta=0.6"]) == 4
+        assert main(["fixed-point", "--params", str(params), "--out", str(second)]) == 0
+        assert json.loads(second.read_text())["params"]["delta"] == 0.2
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser().parse_args(
+            ["fixed-point", "--params", "p.json", "--out", "o.json"]).set == []
+
     def test_bad_set_syntax(self, tmp_path):
         params = write_params(tmp_path, ANALYTIC)
         code = main(["fixed-point", "--params", str(params),

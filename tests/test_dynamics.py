@@ -32,6 +32,7 @@ from bikeshare_meanfield.errors import (
     DomainExitError,
     FullSystemError,
     NegativeFleetError,
+    StepInstabilityError,
 )
 
 FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
@@ -167,7 +168,6 @@ class TestIntegrate:
 
     def test_repair_budget_aborts(self, monkeypatch):
         import bikeshare_meanfield.dynamics as dyn
-        from bikeshare_meanfield.errors import StepInstabilityError
 
         monkeypatch.setattr(dyn, "STEP_REPAIR_BUDGET", -1.0)
         g = np.zeros(5)
@@ -245,17 +245,37 @@ def _frozen_limiting_rates(y, params):
     return float(a), float(b)
 
 
-def _frozen_drift_limiting(y, params):
-    """The vectorized limiting drift of one vector (K+1,) or a block (n, K+1),
-    as it stood before the drift ran through the stepper body."""
-    a, b = _frozen_rates(y, params)
-    yt = y.T
+def _frozen_stencil(yt, a, b):
+    """y V(a, b) for levels along the first axis, as the stencil stood before
+    it took one difference vector."""
     f = np.empty_like(yt)
     f[0] = -a * yt[0] + b * yt[1]
     np.multiply(yt[:-2] - yt[1:-1], a, out=f[1:-1])
     f[1:-1] += b * (yt[2:] - yt[1:-1])
     f[-1] = a * yt[-2] - b * yt[-1]
-    return f.T
+    return f
+
+
+def _frozen_drift_limiting(y, params):
+    """The vectorized limiting drift of one vector (K+1,) or a block (n, K+1),
+    as it stood before the drift ran through the stepper body."""
+    a, b = _frozen_rates(y, params)
+    return _frozen_stencil(y.T, a, b).T
+
+
+def _frozen_jacobian(y, params):
+    """``jacobian`` as it stood before the stencil took one difference vector."""
+    from bikeshare_meanfield.core import RatePair, _walk_slope
+
+    birth, death = _frozen_limiting_rates(y, params)
+    scale = 1.0 - y.item(-1)
+    grad_birth = np.arange(y.size, dtype=float) * (-params.mu / scale)
+    grad_birth[-1] += birth / scale
+    jac = build_generator(RatePair(birth, death), params.capacity_k)
+    jac += np.outer(grad_birth, _frozen_stencil(y, 1.0, 0.0))
+    jac[0] += (params.gamma * _walk_slope(y.item(0), params.omega)
+               * _frozen_stencil(y, 0.0, 1.0))
+    return jac
 
 
 def _central_difference_jacobian(y, params, h=1e-6):
@@ -314,19 +334,52 @@ def _frozen_integrate(config, params, finite_n):
     return np.array(times), np.array(states)
 
 
+def all_at_c(params):
+    """Every station holding C bikes: the CLI ``ode`` start."""
+    start = np.zeros(params.capacity_k + 1)
+    start[params.capacity_c] = 1.0
+    return start
+
+
+def assert_same_bits(actual, expected):
+    """Equal shape, dtype and bytes: unlike ``np.array_equal``, this tells -0 from 0,
+    which the trajectory CSV prints differently."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
 class TestFusedStepper:
     @pytest.mark.parametrize("finite_n", [False, True], ids=["limiting", "finite-n"])
-    @pytest.mark.parametrize("params,t_end", [(SMALL, 5.0), (FIG5, 3.0)],
-                             ids=["small", "fig5"])
-    def test_bit_identical_to_frozen_loop(self, params, t_end, finite_n):
-        at_c = np.zeros(params.capacity_k + 1)
-        at_c[params.capacity_c] = 1.0
+    @pytest.mark.parametrize("params,t_end,step", [
+        (SMALL, 5.0, None),
+        (FIG5, 3.0, None),
+        # horizons that are not a multiple of the step: the last step is short
+        (SMALL, 3.3333, 0.0071),
+        (FIG5, 7.77, None),
+    ], ids=["small", "fig5", "small-short-last-step", "fig5-short-last-step"])
+    def test_bit_identical_to_frozen_loop(self, params, t_end, step, finite_n):
+        at_c = all_at_c(params)
         for initial in (at_c, domain_points(params, 1, seed=5)[0]):
-            config = OdeConfig(initial=initial, t_end=t_end, stationarity_tol=1e-300)
+            config = OdeConfig(initial=initial, t_end=t_end, step=step,
+                               stationarity_tol=1e-300)
             traj = integrate(config, params, finite_n=finite_n)
             times, states = _frozen_integrate(config, params, finite_n)
-            assert np.array_equal(traj.times, times)
-            assert np.array_equal(traj.states, states)
+            assert traj.times[-1] == t_end
+            assert_same_bits(traj.times, times)
+            assert_same_bits(traj.states, states)
+
+    @pytest.mark.parametrize("finite_n", [False, True], ids=["limiting", "finite-n"])
+    def test_bit_identical_over_several_state_blocks(self, finite_n):
+        from bikeshare_meanfield.dynamics import _STATE_BLOCK_BYTES
+
+        at_c = all_at_c(FIG5)
+        config = OdeConfig(initial=at_c, t_end=40.0, stationarity_tol=1e-300)
+        traj = integrate(config, FIG5, finite_n=finite_n)
+        times, states = _frozen_integrate(config, FIG5, finite_n)
+        assert times.size > 9000 > _STATE_BLOCK_BYTES // at_c.nbytes
+        assert_same_bits(traj.times, times)
+        assert_same_bits(traj.states, states)
 
     def test_stops_at_the_same_step(self):
         result = solve_fixed_point(SMALL)
@@ -336,16 +389,60 @@ class TestFusedStepper:
             traj = integrate(config, SMALL, finite_n=finite_n)
             times, states = _frozen_integrate(config, SMALL, finite_n)
             assert traj.times[-1] < 4000.0
-            assert np.array_equal(traj.times, times)
-            assert np.array_equal(traj.states, states)
+            assert_same_bits(traj.times, times)
+            assert_same_bits(traj.states, states)
+
+    @pytest.mark.parametrize("finite_n,correction", [
+        (False, 2.282377694084645e-06), (True, 2.351150507948868e-06),
+    ], ids=["limiting", "finite-n"])
+    def test_repair_failure_keeps_its_report(self, finite_n, correction):
+        # a step of 0.05 on figure 5 clamps too much mass on the third step
+        at_c = all_at_c(FIG5)
+        config = OdeConfig(initial=at_c, t_end=30.0, step=0.05, stationarity_tol=1e-300)
+        with pytest.raises(StepInstabilityError) as err:
+            integrate(config, FIG5, finite_n=finite_n)
+        assert str(err.value) == (f"simplex repair {correction:.3e} exceeded budget 1.0e-07 "
+                                  "at t=0.15; reduce the step")
+        assert err.value.time == 0.15000000000000002
+        assert err.value.correction == correction
+
+    @pytest.mark.parametrize("finite_n,t,shown", [
+        (False, 0.021505376344086023, "0.0215054"), (True, 0.025806451612903226, "0.0258065"),
+    ], ids=["limiting", "finite-n"])
+    def test_renormalisation_counts_toward_the_repair(self, monkeypatch, finite_n, t, shown):
+        # with a zero budget the first step whose sum is not exactly 1 fails,
+        # before any entry is clamped: the budget is read at call time and
+        # measured against the renormalized state
+        import bikeshare_meanfield.dynamics as dyn
+
+        monkeypatch.setattr(dyn, "STEP_REPAIR_BUDGET", 0.0)
+        at_c = all_at_c(FIG5)
+        config = OdeConfig(initial=at_c, t_end=30.0, stationarity_tol=1e-300)
+        with pytest.raises(StepInstabilityError) as err:
+            integrate(config, FIG5, finite_n=finite_n)
+        assert str(err.value) == (f"simplex repair 1.110e-16 exceeded budget 0.0e+00 "
+                                  f"at t={shown}; reduce the step")
+        assert err.value.time == t
+        assert err.value.correction == 2.0 ** -53
+
+    @pytest.mark.parametrize("finite_n,y0,yk", [
+        (False, "0.0037491", "0.10148"), (True, "0.00368304", "0.100439"),
+    ], ids=["limiting", "finite-n"])
+    def test_domain_exit_keeps_its_report(self, finite_n, y0, yk):
+        g = np.zeros(5)
+        g[3] = 1.0
+        config = OdeConfig(initial=g, t_end=50.0)
+        with pytest.raises(DomainExitError) as err:
+            integrate(config, dataclasses.replace(SMALL, delta=0.9), finite_n=finite_n)
+        assert str(err.value) == (f"trajectory left the assumed domain at t=0.32 "
+                                  f"(y0={y0}, yK={yk}, bound=0.1)")
+        assert err.value.time == 0.32
 
     def test_public_drifts_match_frozen_bodies(self):
         for params in (SMALL, FIG5):
             for y in domain_points(params, 30, seed=2):
-                assert np.array_equal(drift_limiting(y, params),
-                                      _frozen_drift_limiting(y, params))
-                assert np.array_equal(drift_finite_n(y, params),
-                                      _frozen_drift_finite_n(y, params))
+                assert_same_bits(drift_limiting(y, params), _frozen_drift_limiting(y, params))
+                assert_same_bits(drift_finite_n(y, params), _frozen_drift_finite_n(y, params))
 
     def test_public_rates_and_drift_match_frozen_vectorized_path(self):
         # 454 domain points on each criterion-7 set and on the walk-heavy set
@@ -353,9 +450,14 @@ class TestFusedStepper:
                                   capacity_k=5, n_stations=1000, delta=0.1)
         for params in [*LIPSCHITZ_SETS, walk_heavy]:
             for y in domain_points(params, 5000 // 11, seed=4):
-                assert np.array_equal(drift_limiting(y, params),
-                                      _frozen_drift_limiting(y, params))
+                assert_same_bits(drift_limiting(y, params), _frozen_drift_limiting(y, params))
                 assert tuple(limiting_rates(y, params)) == _frozen_limiting_rates(y, params)
+
+    def test_jacobian_matches_frozen_body_on_criterion_7_points(self):
+        for params in LIPSCHITZ_SETS:
+            points = sample_domain_points(params, 10_000, np.random.default_rng(99))
+            for y in points[::100]:
+                assert_same_bits(jacobian(y, params), _frozen_jacobian(y, params))
 
     def test_guards_keep_their_messages(self):
         from bikeshare_meanfield.dynamics import _drift_body
@@ -368,7 +470,7 @@ class TestFusedStepper:
                 with pytest.raises(error) as public:
                     drift(y, SMALL)
                 with pytest.raises(error) as fused:
-                    _drift_body(SMALL, finite_n)(y, out)
+                    _drift_body(SMALL, finite_n)(y, out, out[1:-1])
                 assert str(fused.value) == str(public.value)
         for drift in (drift_limiting, drift_finite_n):
             with pytest.raises(NegativeFleetError, match=r"negative \(deficit -5\.000e-01\)$"):

@@ -643,6 +643,33 @@ class TestUniquenessProbe:
         with pytest.raises(ConfigError):
             uniqueness_probe(FIG5, 0)
 
+    def test_iterations_count_the_defect_evaluations_of_each_start(self, monkeypatch):
+        # 500 starts on 100 criterion-5 sets; about half reach the bracketed
+        # fallback, where Brent's last iteration evaluates nothing
+        sets = random_valid_parameter_sets(100, seed=5)
+        counts = []
+        make_kernel, refine = fixed_point._defect_kernel, fixed_point._refine_locally
+
+        def counting_kernel(params):
+            defect = make_kernel(params)
+
+            def counted(rho):
+                counts[-1] += 1
+                return defect(rho)
+
+            return counted
+
+        def counting_refine(rho0, defect, max_steps):
+            counts.append(0)
+            return refine(rho0, defect, max_steps)
+
+        monkeypatch.setattr(fixed_point, "_defect_kernel", counting_kernel)
+        monkeypatch.setattr(fixed_point, "_refine_locally", counting_refine)
+        for params in sets:
+            counts.clear()
+            results = uniqueness_probe(params, 5)
+            assert [r.iterations for r in results] == counts
+
     def test_reports_every_root_of_a_cubic_defect(self, monkeypatch):
         # a defect with three roots stands in for a system with three fixed
         # points; the random starts must land in all three basins
