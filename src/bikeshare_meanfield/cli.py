@@ -58,6 +58,11 @@ EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 EXIT_INTERNAL = 5
 
+#: keys a command no longer reads, and what to do instead; a configuration that sets one exits 3
+_RETIRED_KEYS = {"fixed-point": {"tol": "the solver certifies its root itself"},
+                 "ode": {"max_time": "lower 't_end' to shorten the horizon"},
+                 "simulate": {"exclude_first_ride_origin": "a new ride may end at any station"}}
+
 
 def _parse_overrides(pairs: list[str]) -> dict:
     overrides = {}
@@ -86,9 +91,7 @@ def _prices(config: dict) -> ProfitPrices:
 
 def _cmd_fixed_point(config: dict, out: str) -> int:
     params = SystemParams.from_dict(config)
-    tol = _as_float("tol", config.get("tol", 1e-10))
-    result = solve_fixed_point(params, tol=tol)
-    result.to_json(out, params=params)
+    solve_fixed_point(params).to_json(out, params=params)
     return EXIT_OK
 
 
@@ -96,8 +99,6 @@ def _cmd_ode(config: dict, out: str) -> int:
     params = SystemParams.from_dict(config)
     if "t_end" not in config:
         raise ConfigError("ode needs key 't_end'")
-    if "max_time" in config:
-        raise ConfigError("ode has no key 'max_time'; lower 't_end' to shorten the horizon")
     if "initial" in config:
         initial = fraction_vector(config["initial"], params.capacity_k)
     else:
@@ -238,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.params, _parse_overrides(args.set))
+        for key, instead in _RETIRED_KEYS.get(args.command, {}).items():
+            if key in config:
+                raise ConfigError(f"{args.command} has no key {key!r}; {instead}")
         if args.command == "fixed-point":
             return _cmd_fixed_point(config, args.out)
         if args.command == "ode":

@@ -169,10 +169,6 @@ class SystemParams:
             raise ConfigError(f"missing parameter keys: {', '.join(sorted(missing))}")
         return cls(**kwargs)
 
-    @classmethod
-    def from_json(cls, path) -> "SystemParams":
-        return cls.from_dict(_read_json_object(path))
-
     def to_dict(self) -> dict:
         return {key: getattr(self, name) for key, name in _JSON_FIELDS.items()}
 
@@ -329,13 +325,21 @@ def limiting_rates(y, params: SystemParams) -> RatePair:
 
 
 def _rate_pair(rates) -> tuple[float, float]:
-    """The (birth, death) pair of a constant-rate queue: birth >= 0, death > 0."""
+    """The (birth, death) pair of a constant-rate queue: birth >= 0, death > 0 (NaN fails)."""
     a, b = float(rates[0]), float(rates[1])
-    if a < 0:
+    if not a >= 0:
         raise ConfigError(f"birth rate must be nonnegative, got {a}")
-    if b <= 0:
+    if not b > 0:
         raise ConfigError(f"death rate must be positive, got {b}")
     return a, b
+
+
+def _queue_capacity(capacity_k) -> int:
+    """The capacity K of a constant-rate queue: an integer of at least 1."""
+    capacity_k = _as_int("capacity_k", capacity_k)
+    if capacity_k < 1:
+        raise ConfigError(f"capacity_k must be at least 1, got {capacity_k}")
+    return capacity_k
 
 
 def build_generator(rates: RatePair, capacity_k: int) -> np.ndarray:
@@ -346,9 +350,7 @@ def build_generator(rates: RatePair, capacity_k: int) -> np.ndarray:
     sums to zero up to one rounding of the diagonal.
     """
     a, b = _rate_pair(rates)
-    if capacity_k < 1:
-        raise ConfigError(f"capacity_k must be at least 1, got {capacity_k}")
-    n = capacity_k + 1
+    n = _queue_capacity(capacity_k) + 1
     gen = np.zeros((n, n))
     # strided writes into the flat view: entry (i, j) sits at i * n + j
     flat = gen.reshape(-1)

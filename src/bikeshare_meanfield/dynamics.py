@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     RatePair,
     SystemParams,
+    _as_float,
     _as_int,
     _guarded_rates,
     _levels,
@@ -46,7 +47,7 @@ class OdeConfig:
     """Integration run description.
 
     initial          starting fraction vector (must sum to 1)
-    t_end            requested horizon
+    t_end            requested horizon; the three numbers must be finite
     step             fixed step size; None picks ``default_step``
     stationarity_tol stop early once the sup-norm of the drift falls below this
     """
@@ -58,6 +59,8 @@ class OdeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "initial", fraction_vector(self.initial))
+        for name in ("t_end", "stationarity_tol") + (() if self.step is None else ("step",)):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.step is not None and not 0 < self.step <= self.t_end:

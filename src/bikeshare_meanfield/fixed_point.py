@@ -19,10 +19,12 @@ import numpy as np
 from .core import (
     RatePair,
     SystemParams,
+    _as_int,
     _death_rate,
     _levels,
     _one_vector,
     _point_rates,
+    _queue_capacity,
     _rate_pair,
     _write_json,
     build_generator,
@@ -40,8 +42,8 @@ from .errors import (
 #: relative |birth - death| gap below which the load counts as exactly 1
 UNIFORM_THRESHOLD = 1e-13
 
-#: default residual tolerance for the solver
-DEFAULT_TOL = 1e-10
+#: residual of p V_p, relative to birth + death, that accepts a solved point outright
+RESIDUAL_TOL = 1e-10
 
 #: absolute and relative step tolerances of the bracketed root finder
 #: (8.9e-16 is just above 4 eps, the smallest rtol scipy's ``brentq`` accepts)
@@ -97,11 +99,9 @@ def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
     Normalized powers of rho, evaluated through the smaller of rho and
     1/rho so the computation is smooth in rho and safe for extreme loads.
     """
-    if rho < 0:
+    if not rho >= 0:
         raise ConfigError(f"load must be nonnegative, got {rho}")
-    if capacity_k < 1:
-        raise ConfigError(f"capacity_k must be at least 1, got {capacity_k}")
-    return _truncated_geometric(rho, *_levels(capacity_k))
+    return _truncated_geometric(rho, *_levels(_queue_capacity(capacity_k)))
 
 
 def birth_death_stationary(rates: RatePair, capacity_k: int) -> np.ndarray:
@@ -127,19 +127,16 @@ def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
     (both roots collapse to 1; use the uniform branch).
     """
     a, b = float(rates[0]), float(rates[1])
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ConfigError(f"rates must be positive, got birth={a}, death={b}")
     if abs(a - b) < UNIFORM_THRESHOLD * (a + b):
         raise DegenerateCaseError(
             "equal birth and death rates: both roots collapse to 1"
         )
     minimal = (a + b - abs(a - b)) / 2.0
-    k, down = _levels(capacity_k)
-    if a < b:
-        r = minimal / b
-        return 1.0 / float(np.sum(r ** k)) * r ** k
-    g = minimal / a
-    return 1.0 / float(np.sum(g ** down)) * g ** down
+    k, down = _levels(_queue_capacity(capacity_k))
+    w = (minimal / b) ** k if a < b else (minimal / a) ** down
+    return 1.0 / float(np.sum(w)) * w
 
 
 def _defect_kernel(params: SystemParams):
@@ -255,24 +252,29 @@ def rho_upper_bound(params: SystemParams) -> float:
     return params.mu * params.capacity_c / (params.delta * params.lam)
 
 
-def solve_fixed_point(params: SystemParams, tol: float = DEFAULT_TOL) -> FixedPointResult:
+def _sign_certified(defect, rho: float) -> bool:
+    """Whether the defect is 0 at rho or 16 ``_brent_root`` tolerances to either side
+    (0 at the least), or changes sign between those two; a NaN certifies nothing."""
+    width = 16 * (_XTOL + _RTOL * abs(rho)) / 2
+    d_lo, d_hi = defect(max(rho - width, 0.0)), defect(rho + width)
+    return d_lo == 0.0 or defect(rho) == 0.0 or _straddles(d_lo, d_hi)
+
+
+def solve_fixed_point(params: SystemParams) -> FixedPointResult:
     """Solve p V_p = 0, p e = 1 by scalar reduction on the load.
 
     For a trial load rho the stationary vector p(rho) is explicit, so the
     fixed point solves defect(rho) = birth(p(rho)) - rho*death(p(rho)) = 0.
     The defect is bracketed on [0, mu*C/(delta*lambda)] and solved with
     Brent's method (``_brent_root``); a NaN defect at either end brackets
-    nothing and raises ``NoBracketError``.  The result is rejected loudly if
-    its empty or full fraction violates the assumed 1 - delta bound.  ``tol``
-    bounds the sup-norm of p V_p relative to birth + death, so rescaling
-    every rate leaves the verdict unchanged.
+    nothing and raises ``NoBracketError``.  The root is accepted if p V_p is
+    below ``RESIDUAL_TOL`` times birth + death in sup-norm or, since the best
+    float load can miss that where C - E[Q] cancels, if ``_sign_certified``.
+    It is rejected loudly if p0 or pK violates the assumed 1 - delta bound.
     """
-    if not tol >= 1e-13:
-        raise ConfigError(f"tolerance below 1e-13 is not attainable, got {tol}")
     defect = _defect_kernel(params)
     rho_hi = rho_upper_bound(params)
-    d_lo = defect(0.0)
-    d_hi = defect(rho_hi)
+    d_lo, d_hi = defect(0.0), defect(rho_hi)
     if d_lo == 0.0:
         rho, iterations = 0.0, 0
     elif not _straddles(d_lo, d_hi):
@@ -285,10 +287,10 @@ def solve_fixed_point(params: SystemParams, tol: float = DEFAULT_TOL) -> FixedPo
         rho, iterations = _brent_root(defect, 0.0, rho_hi, d_lo, d_hi, maxiter=200)
     result = _result_at(rho, params, iterations)
     scale = result.rates.birth + result.rates.death
-    if result.residual >= tol * scale:
+    if result.residual >= RESIDUAL_TOL * scale and not _sign_certified(defect, result.rho):
         raise InvariantViolationError(
-            f"solver residual {result.residual:.3e} did not reach tol {tol:.1e} "
-            f"relative to birth + death = {scale:.3e}"
+            f"solver residual {result.residual:.3e} did not reach {RESIDUAL_TOL:.0e} relative to "
+            f"birth + death = {scale:.3e}, and the defect keeps its sign near rho={result.rho!r}"
         )
     bound = 1.0 - params.delta
     if result.p[0] > bound or result.p[-1] > bound:
@@ -384,6 +386,8 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     of its refinement.  All results must agree within 1e-8 in sup-norm,
     otherwise ``MultipleFixedPointsError`` carries the distinct results.
     """
+    n_starts = _as_int("n_starts", n_starts)
+    max_iterations = _as_int("max_iterations", max_iterations)
     if n_starts < 1:
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
     rng = np.random.default_rng(seed)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SystemParams, _as_bool, _as_float, _as_int, _write_json
+from .core import SystemParams, _as_float, _as_int, _write_json
 from .dynamics import OdeConfig, Trajectory, integrate
 from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
@@ -55,10 +55,6 @@ class SimConfig:
                      times must be finite numbers
     sample_interval  spacing of empirical-measure snapshots from t = 0;
                      None disables trajectory recording
-    exclude_first_ride_origin
-                     if set, a freshly rented bike never targets the station
-                     it was rented from (default allows it; the difference
-                     is O(1/N))
     """
 
     params: SystemParams
@@ -66,17 +62,15 @@ class SimConfig:
     t_measure: float
     t_warmup: float = 0.0
     sample_interval: float | None = None
-    exclude_first_ride_origin: bool = False
 
     def __post_init__(self):
         seed = _as_int("seed", self.seed)
         if not 0 <= seed < 2 ** 64:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         object.__setattr__(self, "seed", seed)
-        for name in ("t_measure", "t_warmup", "sample_interval"):
-            value = getattr(self, name)
-            if name != "sample_interval" or value is not None:  # None turns sampling off
-                object.__setattr__(self, name, _as_float(name, value))
+        optional = () if self.sample_interval is None else ("sample_interval",)
+        for name in ("t_measure", "t_warmup") + optional:
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not self.t_measure > 0:
             raise ConfigError(f"t_measure must be positive, got {self.t_measure}")
         if self.t_warmup < 0:
@@ -89,15 +83,8 @@ class SimConfig:
         params = SystemParams.from_dict(data)
         if "seed" not in data or "t_measure" not in data:
             raise ConfigError("simulation config needs keys 'seed' and 't_measure'")
-        return cls(
-            params=params,
-            seed=data["seed"],
-            t_measure=data["t_measure"],
-            t_warmup=data.get("t_warmup", 0.0),
-            sample_interval=data.get("sample_interval"),
-            exclude_first_ride_origin=_as_bool(
-                "exclude_first_ride_origin", data.get("exclude_first_ride_origin", False)),
-        )
+        return cls(params=params, seed=data["seed"], t_measure=data["t_measure"],
+                   t_warmup=data.get("t_warmup", 0.0), sample_interval=data.get("sample_interval"))
 
 
 @dataclass(frozen=True)
@@ -180,7 +167,6 @@ def simulate(config: SimConfig) -> SimReport:
     gamma = p.gamma
     mu = p.mu
     arrival_rate = n * p.lam
-    exclude_first = config.exclude_first_ride_origin
 
     # the seed contract of the module docstring: each stream's draws sit in a
     # list (te and tu share the index it; au, wu, ru) refilled at the block end
@@ -206,6 +192,7 @@ def simulate(config: SimConfig) -> SimReport:
 
     walker_station: list[int] = []
     walker_left: list[int] = []
+    # per riding bike, the full station it bounced off last, or -1 for a new ride
     ride_excl: list[int] = []
     n_walk = n_ride = 0
 
@@ -269,7 +256,7 @@ def simulate(config: SimConfig) -> SimReport:
                 parked -= 1
                 st = i
                 k_old = k
-                ride_excl.append(i if exclude_first else -1)
+                ride_excl.append(-1)
                 n_ride += 1
                 rentals += 1
             elif omega > 0:
@@ -297,7 +284,7 @@ def simulate(config: SimConfig) -> SimReport:
                 parked -= 1
                 st = d
                 k_old = k
-                ride_excl.append(d if exclude_first else -1)
+                ride_excl.append(-1)
                 n_ride += 1
                 rentals += 1
                 walk_rentals += 1

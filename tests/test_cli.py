@@ -28,6 +28,13 @@ FIG5 = {
     "lambda": 15.0, "mu": 8.0, "gamma": 0.25, "omega": 1,
     "capacity_c": 30, "capacity_k": 50, "n_stations": 1000, "delta": 0.1,
 }
+# the fleet C - E[Q] cancels to 5.6e-8 at the root, so the best float load
+# leaves a residual 78 times the relative gate; the defect changes sign there
+ILL_CONDITIONED = {
+    "lambda": 0.0001992485218634334, "mu": 4249.814105197107,
+    "gamma": 0.059746640450473024, "omega": 1, "capacity_c": 286, "capacity_k": 428,
+    "delta": 0.43950317724412447,
+}
 
 
 def write_params(tmp_path, data, name="params.json"):
@@ -182,6 +189,15 @@ class TestSimulateCommand:
         pytest.param("optimize", "grid_c=[10.7]", id="grid_c=[10.7]"),
         pytest.param("fixed-point", "lambda=1e400", id="lambda=1e400"),
         pytest.param("fixed-point", "tol=NaN", id="tol=NaN"),
+        # retired keys are refused whatever their value
+        pytest.param("fixed-point", "tol=1e-10", id="tol=1e-10"),
+        pytest.param("simulate", "exclude_first_ride_origin=false",
+                     id="exclude_first_ride_origin=false"),
+        pytest.param("ode", "t_end=true", id="t_end=true"),
+        pytest.param("ode", "step=true", id="step=true"),
+        pytest.param("ode", "stationarity_tol=true", id="stationarity_tol=true"),
+        pytest.param("ode", "t_end=Infinity", id="t_end=Infinity"),
+        pytest.param("ode", "step=null", id="step=null"),
         pytest.param("simulate", "t_warmup=NaN", id="t_warmup=NaN"),
         pytest.param("simulate", "t_warmup=Infinity", id="t_warmup=Infinity"),
         pytest.param("ode", "max_time=-1", id="max_time=-1"),
@@ -290,6 +306,82 @@ class TestInternalErrorExit:
         assert not out.exists()
 
 
+class TestRootCertificate:
+    def test_ill_conditioned_set_solves(self, tmp_path):
+        params = write_params(tmp_path, ILL_CONDITIONED)
+        out = tmp_path / "fp.json"
+        assert main(["fixed-point", "--params", str(params), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["rho"] == pytest.approx(1.00506, abs=1e-5)
+        assert payload["p"][0] == pytest.approx(6.55e-4, rel=1e-3)
+        assert payload["p"][-1] == pytest.approx(5.69e-3, rel=1e-3)
+        assert payload["residual"] >= 1e-10 * (payload["a"] + payload["b"])
+
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6, 1e-9, -1e-9])
+    @pytest.mark.parametrize("config", [FIG5, ILL_CONDITIONED], ids=["fig5", "ill"])
+    def test_moved_root_exits_5(self, tmp_path, monkeypatch, capsys, config, shift):
+        from bikeshare_meanfield import fixed_point
+
+        brent = fixed_point._brent_root
+
+        def moved(*args, **kwargs):
+            root, iterations = brent(*args, **kwargs)
+            return root * (1.0 + shift), iterations
+
+        monkeypatch.setattr(fixed_point, "_brent_root", moved)
+        params = write_params(tmp_path, config)
+        out = tmp_path / "fp.json"
+        assert main(["fixed-point", "--params", str(params), "--out", str(out)]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
+        assert not out.exists()
+
+
+LOG_RATES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def wide_params(draw):
+    """A valid parameter set: rates 1e-6 to 1e6, K 2 to 500, omega 0 to 5."""
+    mu, gamma = sorted((draw(LOG_RATES), draw(LOG_RATES)), reverse=True)
+    k = draw(st.integers(2, 500))
+    return {"lambda": draw(LOG_RATES), "mu": mu, "gamma": gamma,
+            "omega": draw(st.integers(0, 5)), "capacity_c": draw(st.integers(1, k - 1)),
+            "capacity_k": k, "delta": draw(st.floats(0.01, 0.99))}
+
+
+@pytest.fixture(scope="module")
+def valid_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("valid")
+
+
+def run_quietly(argv):
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestValidInput:
+    """A valid parameter set solves or fails in the model's domain: exit 0 or 4, never 5."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=wide_params())
+    def test_fixed_point(self, valid_dir, config):
+        params = write_params(valid_dir, config)
+        code, err = run_quietly(["fixed-point", "--params", str(params),
+                                 "--out", str(valid_dir / "fp.json")])
+        assert code in (0, 4), err
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=wide_params(), grid=st.lists(LOG_RATES, min_size=1, max_size=4))
+    def test_sweep(self, valid_dir, config, grid):
+        params = write_params(valid_dir, dict(config, vary="lambda", grid=grid))
+        code, err = run_quietly(["sweep", "--params", str(params),
+                                 "--out", str(valid_dir / "sweep.csv")])
+        assert code in (0, 4), err
+
+
 class TestValidateCommand:
     def test_small_system_passes(self, tmp_path, capsys):
         config = dict(SMALL, validate_t_measure=300.0)
@@ -379,11 +471,11 @@ MODEL_KEYS = {"lambda": "number", "mu": "number", "gamma": "number", "omega": "i
               "capacity_c": "integer", "capacity_k": "integer", "n_stations": "integer",
               "delta": "number"}
 COMMAND_KEYS = {
-    "fixed-point": {"tol": "number"},
+    "fixed-point": {},
     "ode": {"t_end": "number", "step": "number", "stationarity_tol": "number",
             "initial": "list", "finite_n": "boolean"},
     "simulate": {"seed": "integer", "t_warmup": "number", "t_measure": "number",
-                 "sample_interval": "number", "exclude_first_ride_origin": "boolean"},
+                 "sample_interval": "number"},
     "sweep": {"vary": "name", "grid": "list", "grid_start": "number", "grid_stop": "number",
               "grid_num": "integer", "cost_c": "number", "benefit_psi": "number"},
     "optimize": {"objective": "name", "grid_c": "list", "grid_k": "list", "grid_mu": "list",

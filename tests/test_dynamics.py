@@ -218,6 +218,21 @@ class TestIntegrate:
         with pytest.raises(ConfigError):
             OdeConfig(initial=[0.5, 0.6], t_end=1.0)
 
+    @pytest.mark.parametrize("numbers", [
+        dict(t_end=True), dict(t_end=1.0, step=True), dict(t_end=1.0, stationarity_tol=True),
+        dict(t_end="5"), dict(t_end=float("inf")), dict(t_end=float("nan")),
+        dict(t_end=1.0, step=float("nan")), dict(t_end=1.0, stationarity_tol=float("inf")),
+    ])
+    def test_numbers_read_strictly(self, numbers):
+        # an infinite horizon would integrate until a stationarity that may never come
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            OdeConfig(initial=[0.5, 0.5], **numbers)
+
+    def test_numbers_stored_as_floats(self):
+        config = OdeConfig(initial=[0.5, 0.5], t_end=2, step=np.float32(0.5))
+        assert (config.t_end, config.step, config.stationarity_tol) == (2.0, 0.5, 1e-10)
+        assert all(type(v) is float for v in (config.t_end, config.step))
+
 
 def _frozen_rates(y, params):
     """The limiting (birth, death) rates as computed before the fused stepper."""

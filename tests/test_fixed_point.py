@@ -51,6 +51,11 @@ FIG7 = SystemParams(lam=20.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
 # solves in closed form: p = (4, 2, 1) / 7 at load 1/2
 ANALYTIC = SystemParams(lam=1.0, mu=1.0, gamma=0.5, omega=0, capacity_c=1,
                         capacity_k=2, n_stations=100, delta=0.2)
+# the fleet C - E[Q] cancels to 5.6e-8 at the root: the best float load leaves
+# a residual 78 times the relative gate, and the defect changes sign there
+ILL_CONDITIONED = SystemParams(lam=0.0001992485218634334, mu=4249.814105197107,
+                               gamma=0.059746640450473024, omega=1, capacity_c=286,
+                               capacity_k=428, delta=0.43950317724412447)
 
 # the lambda-sweep families of figures 5-8: (curve field, curve values,
 # overrides of the figure-5 set, lambda range), then the solves of a
@@ -472,6 +477,37 @@ class TestGeometricForm:
             geometric_form(RatePair(1.0, 1.0), 3)
 
 
+NAN = float("nan")
+
+
+class TestConstantRateKernels:
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: stationary_from_load(NAN, 4), id="load-nan"),
+        pytest.param(lambda: birth_death_stationary(RatePair(NAN, 1.0), 3), id="stationary-nan"),
+        pytest.param(lambda: birth_death_stationary(RatePair(1.0, NAN), 3),
+                     id="stationary-death-nan"),
+        pytest.param(lambda: geometric_form(RatePair(NAN, 1.0), 3), id="geometric-nan"),
+        pytest.param(lambda: geometric_form(RatePair(1.0, NAN), 3), id="geometric-death-nan"),
+        pytest.param(lambda: build_generator(RatePair(NAN, 1.0), 2), id="generator-nan"),
+        pytest.param(lambda: build_generator(RatePair(1.0, NAN), 2), id="generator-death-nan"),
+        pytest.param(lambda: stationary_from_load(0.5, 2.5), id="load-K=2.5"),
+        pytest.param(lambda: stationary_from_load(0.5, True), id="load-K=True"),
+        pytest.param(lambda: stationary_from_load(0.5, "3"), id="load-K=str"),
+        pytest.param(lambda: geometric_form(RatePair(1.0, 2.0), 2.5), id="geometric-K=2.5"),
+        pytest.param(lambda: geometric_form(RatePair(1.0, 2.0), True), id="geometric-K=True"),
+        pytest.param(lambda: build_generator(RatePair(1.0, 2.0), 2.5), id="generator-K=2.5"),
+        pytest.param(lambda: build_generator(RatePair(1.0, 2.0), True), id="generator-K=True"),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
+    def test_integral_capacity_accepted(self):
+        assert np.array_equal(stationary_from_load(0.5, 2.0), stationary_from_load(0.5, 2))
+        assert np.array_equal(build_generator(RatePair(1.0, 2.0), np.int64(2)),
+                              build_generator(RatePair(1.0, 2.0), 2))
+
+
 class TestStationaryFromLoad:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(8)
@@ -557,13 +593,6 @@ class TestSolveFixedPoint:
         assert err.value.result is not None
         assert err.value.result.p[0] > 1 - params.delta
 
-    def test_tolerance_floor(self):
-        with pytest.raises(ConfigError):
-            solve_fixed_point(FIG5, tol=1e-14)
-        # a NaN tolerance would accept any residual
-        with pytest.raises(ConfigError):
-            solve_fixed_point(FIG5, tol=float("nan"))
-
     def test_large_rates_pass_the_relative_gate(self):
         # absolute residual about 1.4e-10, relative to birth + death 1.6e-14
         params = SystemParams(lam=4319.006245057224, mu=55679.60041732922,
@@ -583,6 +612,22 @@ class TestSolveFixedPoint:
                                          gamma=params.gamma * s)
             assert np.max(np.abs(solve_fixed_point(scaled).p - reference)) <= 1e-12
 
+    def test_time_rescaling_by_powers_of_two_is_exact(self):
+        # scaling every rate by 2**k scales the defect exactly, so the root
+        # finder takes the same steps and every verdict is the same
+        rng = np.random.default_rng(3)
+        for params in [_wide_params(rng) for _ in range(40)] + [FIG5, ILL_CONDITIONED]:
+            reference = _solve_outcome(params)
+            for k in range(-10, 11):
+                s = 2.0 ** k
+                scaled = dataclasses.replace(params, lam=params.lam * s,
+                                             mu=params.mu * s, gamma=params.gamma * s)
+                outcome = _solve_outcome(scaled)
+                if isinstance(reference[0], str):
+                    assert outcome[0] == reference[0]
+                else:
+                    assert outcome[:2] == reference[:2] and outcome[4] == reference[4]
+
     @pytest.mark.parametrize("s", [1.0, 1e3, 1e5])
     def test_characterization_check_is_scale_free(self, s):
         import dataclasses
@@ -591,6 +636,51 @@ class TestSolveFixedPoint:
                                      gamma=FIG5.gamma * s)
         check = check_fixed_point_characterizations(scaled)
         assert check.passed, check.detail
+
+
+class TestRootCertificate:
+    def test_ill_conditioned_set_solves_by_sign(self):
+        result = solve_fixed_point(ILL_CONDITIONED)
+        scale = result.rates.birth + result.rates.death
+        assert result.residual > 50 * fixed_point.RESIDUAL_TOL * scale
+        assert result.rho == pytest.approx(1.00506, abs=1e-5)
+        assert fixed_point._sign_certified(fixed_point._defect_kernel(ILL_CONDITIONED),
+                                           result.rho)
+
+    def test_wide_draws_never_raise_invariant_violation(self):
+        # rates 1e-6 to 1e6, K 2 to 500: every draw solves or raises a domain error
+        rng = np.random.default_rng(0)
+        outcomes = [_solve_outcome(_wide_params(rng))[0] for _ in range(500)]
+        assert "InvariantViolationError" not in outcomes
+
+    def test_certifies_solved_roots_and_no_moved_load(self):
+        rng = np.random.default_rng(1)
+        solved = 0
+        for _ in range(300):
+            params = _wide_params(rng)
+            try:
+                rho = solve_fixed_point(params).rho
+            except BikeShareError:
+                continue
+            solved += 1
+            defect = fixed_point._defect_kernel(params)
+            assert fixed_point._sign_certified(defect, rho)
+            for shift in (1e-6, -1e-6, 1e-9, -1e-9, 1e-12):
+                assert not fixed_point._sign_certified(defect, rho * (1.0 + shift))
+        assert solved > 100
+
+    @pytest.mark.parametrize("params", [FIG5, ILL_CONDITIONED], ids=["fig5", "ill"])
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6, 1e-9, -1e-9])
+    def test_moved_root_raises(self, monkeypatch, params, shift):
+        brent = fixed_point._brent_root
+
+        def moved(*args, **kwargs):
+            root, iterations = brent(*args, **kwargs)
+            return root * (1.0 + shift), iterations
+
+        monkeypatch.setattr(fixed_point, "_brent_root", moved)
+        with pytest.raises(InvariantViolationError):
+            solve_fixed_point(params)
 
 
 class TestNonlinearResidual:
@@ -642,6 +732,14 @@ class TestUniquenessProbe:
     def test_rejects_zero_starts(self):
         with pytest.raises(ConfigError):
             uniqueness_probe(FIG5, 0)
+
+    @pytest.mark.parametrize("keys", [
+        {"n_starts": 2.5}, {"n_starts": True}, {"n_starts": "3"},
+        {"n_starts": 2, "max_iterations": 2.5}, {"n_starts": 2, "max_iterations": True},
+    ])
+    def test_counts_must_be_integers(self, keys):
+        with pytest.raises(ConfigError):
+            uniqueness_probe(FIG5, **keys)
 
     def test_iterations_count_the_defect_evaluations_of_each_start(self, monkeypatch):
         # 500 starts on 100 criterion-5 sets; about half reach the bracketed

@@ -78,7 +78,6 @@ def _frozen_simulate(config: SimConfig) -> SimReport:
     p = config.params
     n, cap_k, cap_c, omega = p.n_stations, p.capacity_k, p.capacity_c, p.omega
     arrival_rate = n * p.lam
-    exclude_first = config.exclude_first_ride_origin
     s_time, s_arr, s_walk, s_ride = (_FrozenStream(ss)
                                      for ss in np.random.SeedSequence(config.seed).spawn(4))
     bikes = [cap_c] * n
@@ -147,7 +146,7 @@ def _frozen_simulate(config: SimConfig) -> SimReport:
             if bikes[i] > 0:
                 bikes[i] -= 1
                 move_station(i, bikes[i] + 1, bikes[i], t_next)
-                ride_excl.append(i if exclude_first else -1)
+                ride_excl.append(-1)
                 ec["rentals"] += 1
             elif omega > 0:
                 walker_station.append(i)
@@ -163,7 +162,7 @@ def _frozen_simulate(config: SimConfig) -> SimReport:
             if bikes[d] > 0:
                 bikes[d] -= 1
                 move_station(d, bikes[d] + 1, bikes[d], t_next)
-                ride_excl.append(d if exclude_first else -1)
+                ride_excl.append(-1)
                 ec["rentals"] += 1
                 ec["walk_rentals"] += 1
                 remove((walker_station, walker_left), j)
@@ -276,9 +275,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig.from_dict(data)
 
-    def test_string_flag_rejected(self):
+    def test_string_time_rejected(self):
         data = SMALL.to_dict()
-        data.update(seed=1, t_measure=1.0, exclude_first_ride_origin="false")
+        data.update(seed=1, t_measure="1.0")
         with pytest.raises(ConfigError):
             SimConfig.from_dict(data)
 
@@ -314,8 +313,6 @@ class TestInlinedLoop:
                           t_warmup=1.0, t_measure=3.0),
         # long enough for every stream to draw past its first block
         "walk-heavy": SimConfig(params=WALK_HEAVY, seed=0, t_warmup=1.0, t_measure=6.0),
-        "exclude-first": SimConfig(params=WALK_HEAVY, seed=0, t_warmup=0.5, t_measure=2.0,
-                                   exclude_first_ride_origin=True),
         "sampled": SimConfig(params=SMALL, seed=0, t_warmup=1.0, t_measure=5.0,
                              sample_interval=0.25),
         "omega-0": SimConfig(params=SystemParams(lam=5.0, mu=1.0, gamma=1.0, omega=0,
@@ -496,14 +493,6 @@ class TestEmpiricalVsOde:
 
 
 class TestRideRouting:
-    def test_exclude_first_origin_flag_changes_run(self):
-        base = SimConfig(params=SMALL, seed=43, t_measure=10.0)
-        flagged = dataclasses.replace(base, exclude_first_ride_origin=True)
-        a, b = simulate(base), simulate(flagged)
-        assert a.event_counts != b.event_counts or not np.array_equal(
-            a.time_avg_measure, b.time_avg_measure
-        )
-
     def test_replicate_seeds(self):
         config = SimConfig(params=SMALL, seed=0, t_measure=3.0)
         reports = replicate(config, seeds=[5, 6])
