@@ -238,23 +238,33 @@ def mean_bikes(y) -> float:
     return float(np.arange(y.size) @ y)
 
 
-def _geom_sum(x, omega: int):
-    """Sum of the first ``omega`` powers of x: 1 + x + ... + x**(omega-1).
+def _geom_series(omega: int):
+    """The function x -> 1 + x + ... + x**(omega-1), the sum of the first ``omega`` powers.
 
     Elementwise for arrays; the empty sum (omega = 0) is 0.  This is the
     finite form of (1 - x**omega) / (1 - x) and is exact at x = 1.  The bits
     of omega are walked from the top by doubling, S(2n) = S(n) + x**n S(n)
-    and S(2n+1) = S(2n) + x**(2n), so the cost is O(log omega).
+    and S(2n+1) = S(2n) + x**(2n), so the cost is O(log omega).  For a float
+    0 <= x < 1 the walk stops once the power underflows to 0, after which
+    every step would leave the sum as it is (total + 0.0 * total is total).
     """
-    total = x * 0.0
-    power = total + 1.0
-    for bit in format(omega, "b"):
-        total = total + power * total
-        power = power * power
-        if bit == "1":
-            total = total + power
-            power = power * x
-    return total
+    bits = format(omega, "b")
+
+    def series(x):
+        total = x * 0.0
+        power = total + 1.0
+        underflows = type(x) is float and 0.0 <= x < 1.0
+        for bit in bits:
+            total = total + power * total
+            power = power * power
+            if bit == "1":
+                total = total + power
+                power = power * x
+            if underflows and power == 0.0:
+                break
+        return total
+
+    return series
 
 
 def geometric_walk_factor(p0: float, omega: int) -> float:
@@ -263,7 +273,7 @@ def geometric_walk_factor(p0: float, omega: int) -> float:
         raise ConfigError(f"p0 must lie in [0, 1], got {p0}")
     if omega < 0:
         raise ConfigError(f"omega must be nonnegative, got {omega}")
-    return float(_geom_sum(float(p0), omega))
+    return float(_geom_series(omega)(float(p0)))
 
 
 @functools.lru_cache
@@ -275,43 +285,61 @@ def _levels(capacity_k: int) -> tuple[np.ndarray, np.ndarray]:
     return k, down
 
 
-def _death_rate(y0, params: SystemParams):
-    """Rental-side rate lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1))."""
-    return params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
+def _death_rate(params: SystemParams):
+    """The rental-side rate y0 -> lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1))
+    of ``params``, for a float y0 or elementwise for an array of them."""
+    lam, gamma, series = params.lam, params.gamma, _geom_series(params.omega)
+
+    def death(y0):
+        return lam + gamma * y0 * series(y0)
+
+    return death
 
 
 def _walk_slope(y0: float, omega: int) -> float:
-    """Derivative of y0 * (1 + y0 + ... + y0**(omega-1)) by a complex step through ``_geom_sum``.
+    """Derivative of y0 * (1 + y0 + ... + y0**(omega-1)) by a complex step through the series.
 
     For a real polynomial f, Im f(y0 + ih) = h f'(y0) - h**3 f'''(y0) / 6 + ...
     involves no subtraction, so at h = 2**-64 the slope is exact to rounding.
     """
     x = complex(y0, 2.0 ** -64)
-    return (x * _geom_sum(x, omega)).imag * 2.0 ** 64
+    return (x * _geom_series(omega)(x)).imag * 2.0 ** 64
 
 
-def _check_fleet(yk, fleet) -> None:
-    """Full-system and negative-fleet guards of the limiting rates."""
-    if yk >= 1.0 - _EPS:
-        raise FullSystemError("full-station fraction reached 1: persistent-return rate undefined")
-    if fleet < -FLEET_TOL:
-        raise NegativeFleetError("mean parked bikes exceed C: bikes in transit would be "
-                                 f"negative (deficit {float(fleet):.3e})")
+def _guarded_rates(params: SystemParams):
+    """The scalar (birth, death, fleet) of one float vector of ``params`` under the
+    full-system and negative-fleet guards; a round-off-sized negative fleet is
+    clamped to zero."""
+    levels, mu, c = _levels(params.capacity_k)[0], params.mu, params.capacity_c
+    death = _death_rate(params)
+    full = 1.0 - _EPS
+
+    def rates(y):
+        yk, fleet = y.item(-1), c - float(y.dot(levels))
+        if yk >= full:
+            raise FullSystemError("full-station fraction reached 1: persistent-return rate "
+                                  "undefined")
+        if fleet < -FLEET_TOL:
+            raise NegativeFleetError("mean parked bikes exceed C: bikes in transit would be "
+                                     f"negative (deficit {fleet:.3e})")
+        fleet = max(fleet, 0.0)
+        return mu * fleet / (1.0 - yk), death(y.item(0)), fleet
+
+    return rates
 
 
-def _guarded_rates(y, params: SystemParams) -> tuple[float, float, float]:
-    """Scalar (birth, death, fleet) of one float vector under the full-system and
-    negative-fleet guards; a round-off-sized negative fleet is clamped to zero."""
-    yk, fleet = y.item(-1), params.capacity_c - float(y.dot(_levels(params.capacity_k)[0]))
-    _check_fleet(yk, fleet)
-    fleet = max(fleet, 0.0)
-    return params.mu * fleet / (1.0 - yk), _death_rate(y.item(0), params), fleet
+def _point_rates(params: SystemParams):
+    """The unguarded scalar (birth, death) of one float vector of ``params``; where
+    1 - y_K is 0 numpy divides, so it warns and gives an infinite or NaN rate."""
+    levels, mu, c = _levels(params.capacity_k)[0], params.mu, params.capacity_c
+    death = _death_rate(params)
 
+    def rates(y):
+        fleet, free = c - float(y.dot(levels)), 1.0 - y.item(-1)
+        birth = mu * fleet / free if free else float(mu * fleet / np.float64(free))
+        return birth, death(y.item(0))
 
-def _point_rates(y, params: SystemParams):
-    """Unguarded scalar (birth, death) of one vector; a numpy y_K = 1 warns, never raises."""
-    fleet = params.capacity_c - float(y.dot(_levels(params.capacity_k)[0]))
-    return params.mu * fleet / (1.0 - y[-1]), _death_rate(y.item(0), params)
+    return rates
 
 
 def limiting_rates(y, params: SystemParams) -> RatePair:
@@ -320,7 +348,7 @@ def limiting_rates(y, params: SystemParams) -> RatePair:
     death = lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1));
     birth = mu * (C - sum_k k*y_k) / (1 - y_K).
     """
-    birth, death, _ = _guarded_rates(_one_vector("limiting_rates", y, params), params)
+    birth, death, _ = _guarded_rates(params)(_one_vector("limiting_rates", y, params))
     return RatePair(birth=birth, death=death)
 
 

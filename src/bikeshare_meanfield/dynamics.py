@@ -150,13 +150,14 @@ def _limiting_stencil(capacity_k: int):
 
 def _drift_body(params: SystemParams, finite_n: bool):
     """The chosen drift as ``drift(y, out, inner)`` for one float vector, where
-    ``inner`` is ``out[1:-1]``: the own-fleet vector and the scratch vectors are
-    built once, the rates are Python floats and a call allocates nothing."""
+    ``inner`` is ``out[1:-1]``: the guarded rates of ``params``, the own-fleet
+    vector and the scratch vectors are built once, the rates are Python floats
+    and a call allocates nothing."""
     if not finite_n:
-        stencil = _limiting_stencil(params.capacity_k)
+        stencil, rates = _limiting_stencil(params.capacity_k), _guarded_rates(params)
 
         def drift(y, out, inner):
-            birth, death, _ = _guarded_rates(y, params)
+            birth, death, _ = rates(y)
             return stencil(y, birth, death, out, inner)
 
         return drift
@@ -169,9 +170,10 @@ def _drift_body(params: SystemParams, finite_n: bool):
     term = np.empty(params.capacity_k - 1)
     scale = np.array(params.mu / n)
     shared, free, death = np.empty(()), np.empty(()), np.empty(())
+    rates = _guarded_rates(params)
 
     def drift(y, out, inner):
-        _, eta, fleet = _guarded_rates(y, params)
+        _, eta, fleet = rates(y)
         shared[()] = (n - 1) * fleet
         free[()] = 1.0 - y.item(-1)
         death[()] = eta
@@ -220,6 +222,16 @@ def drift_finite_n(y, params: SystemParams) -> np.ndarray:
 _STATE_BLOCK_BYTES = 1 << 21
 
 
+def _domain_exit(state, time: float, bound: float) -> DomainExitError:
+    """The error of a state whose y0 or y_K lies above ``bound`` at ``time``."""
+    y0, yk = state.item(0), state.item(-1)
+    return DomainExitError(
+        f"trajectory left the assumed domain at t={time:.6g} "
+        f"(y0={y0:.6g}, yK={yk:.6g}, bound={bound:.6g})",
+        time=time,
+    )
+
+
 def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -> Trajectory:
     """Fixed-step classical RK4 integration of the chosen drift.
 
@@ -239,18 +251,8 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     initial = _one_vector("integrate", config.initial, params)
     drift = _drift_body(params, finite_n)
     h = config.step if config.step is not None else default_step(params)
-    horizon = config.t_end
+    horizon, stationarity_tol, budget = config.t_end, config.stationarity_tol, STEP_REPAIR_BUDGET
     bound = 1.0 - params.delta
-
-    def check_domain(state, time):
-        y0, yk = state.item(0), state.item(-1)
-        if y0 > bound or yk > bound:
-            raise DomainExitError(
-                f"trajectory left the assumed domain at t={time:.6g} "
-                f"(y0={y0:.6g}, yK={yk:.6g}, bound={bound:.6g})",
-                time=time,
-            )
-
     width = initial.size
     block_rows = max(1, _STATE_BLOCK_BYTES // initial.nbytes)
     rows = np.empty((block_rows, width))
@@ -258,8 +260,10 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     y = rows[0]
     y[...] = initial
     used = 1
-    check_domain(y, 0.0)
+    if y.item(0) > bound or y.item(-1) > bound:
+        raise _domain_exit(y, 0.0, bound)
     times = [0.0]
+    record_time = times.append
     t = 0.0
     step_index = 0
     stages = np.empty((4, width))
@@ -269,45 +273,51 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     arg, raw, scratch = np.empty(width), np.empty(width), np.empty(width)
     half, full, sixth, total, worst = (np.empty(()) for _ in range(5))
     two, zero = np.array(2.0), np.array(0.0)
+    add, multiply, subtract, divide, maximum, absolute = (
+        np.add, np.multiply, np.subtract, np.divide, np.maximum, np.abs)
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
     drift(y, k1, i1)
     while t < horizon * (1.0 - 1e-15):
-        t_next = min((step_index + 1) * h, horizon)
+        t_next = (step_index + 1) * h
+        if horizon < t_next:
+            t_next = horizon
         hs = t_next - t
         half[()] = 0.5 * hs
         full[()] = hs
         sixth[()] = hs / 6.0
-        drift(np.add(y, np.multiply(half, k1, arg), arg), k2, i2)
-        drift(np.add(y, np.multiply(half, k2, arg), arg), k3, i3)
-        drift(np.add(y, np.multiply(full, k3, arg), arg), k4, i4)
+        drift(add(y, multiply(half, k1, arg), arg), k2, i2)
+        drift(add(y, multiply(half, k2, arg), arg), k3, i3)
+        drift(add(y, multiply(full, k3, arg), arg), k4, i4)
         # y + (hs/6) * (((k1 + 2 k2) + 2 k3) + k4): the row reduction adds in row order
-        np.multiply(doubled, two, doubled)
-        np.add.reduce(stages, axis=0, out=raw)
-        np.add(y, np.multiply(sixth, raw, raw), raw)
+        multiply(doubled, two, doubled)
+        add_reduce(stages, axis=0, out=raw)
+        add(y, multiply(sixth, raw, raw), raw)
         if used == block_rows:
             rows = np.empty((block_rows, width))
             blocks.append(rows)
             used = 0
         y = rows[used]
-        np.maximum(raw, zero, out=y)
-        np.add.reduce(y, out=total)
-        np.divide(y, total, y)
-        np.maximum.reduce(np.abs(np.subtract(y, raw, scratch), scratch), out=worst)
+        maximum(raw, zero, out=y)
+        add_reduce(y, out=total)
+        divide(y, total, y)
+        max_reduce(absolute(subtract(y, raw, scratch), scratch), out=worst)
         correction = worst.item()
-        if correction > STEP_REPAIR_BUDGET:
+        if correction > budget:
             raise StepInstabilityError(
                 f"simplex repair {correction:.3e} exceeded budget "
-                f"{STEP_REPAIR_BUDGET:.1e} at t={t_next:.6g}; reduce the step",
+                f"{budget:.1e} at t={t_next:.6g}; reduce the step",
                 time=t_next,
                 correction=correction,
             )
         used += 1
         t = t_next
         step_index += 1
-        check_domain(y, t)
-        times.append(t)
+        if y.item(0) > bound or y.item(-1) > bound:
+            raise _domain_exit(y, t, bound)
+        record_time(t)
         drift(y, k1, i1)
-        np.maximum.reduce(np.abs(k1, scratch), out=worst)
-        if worst.item() < config.stationarity_tol:
+        max_reduce(absolute(k1, scratch), out=worst)
+        if worst.item() < stationarity_tol:
             break
     blocks[-1] = rows[:used]
     return Trajectory(np.array(times), np.concatenate(blocks))
@@ -323,7 +333,7 @@ def jacobian(y, params: SystemParams) -> np.ndarray:
     grad(b) is gamma d[y0 S(y0)]/dy0 at level 0 and zero elsewhere.
     """
     y = _one_vector("jacobian", y, params)
-    birth, death, _ = _guarded_rates(y, params)
+    birth, death, _ = _guarded_rates(params)(y)
     scale = 1.0 - y.item(-1)
     grad_birth = _levels(params.capacity_k)[0] * (-params.mu / scale)
     grad_birth[-1] += birth / scale

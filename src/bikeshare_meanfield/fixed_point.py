@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _EPS,
     RatePair,
     SystemParams,
     _as_int,
@@ -83,14 +84,16 @@ class FixedPointResult:
 
 
 def _truncated_geometric(rho: float, k: np.ndarray, down: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
+                         out: np.ndarray | None = None,
+                         total: np.ndarray | None = None) -> np.ndarray:
     """Powers rho**k, or (1/rho)**(K-k) for rho > 1, normalized to sum 1 in place.
 
     ``k`` and ``down`` are the level vectors of ``_levels``; the powers are
-    written to ``out`` (a fresh array if None), which is returned.
+    written to ``out`` (a fresh array if None), which is returned, and their
+    sum into the 0-d array ``total`` if one is given.
     """
-    w = np.power(rho, k, out=out) if rho <= 1.0 else np.power(1.0 / rho, down, out=out)
-    return np.divide(w, np.add.reduce(w), out=w)
+    w = np.power(rho, k, out) if rho <= 1.0 else np.power(1.0 / rho, down, out)
+    return np.divide(w, np.add.reduce(w, out=total), w)
 
 
 def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
@@ -142,19 +145,21 @@ def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
 def _defect_kernel(params: SystemParams):
     """The scalar defect rho -> birth(p(rho)) - rho * death(p(rho)) of ``params``.
 
-    The returned function writes p(rho) into one work buffer of its own and
+    The returned function writes p(rho) into work buffers of its own and
     does not validate rho (callers pass loads of at least 0), so a solve or
     check builds it once and calls it at every trial load.  The rates are
-    ``_point_rates``: the birth rate has no nonnegative-fleet guard (trial
-    loads with mean parked bikes above C must give a smoothly negative
-    defect), and p_K = 1 warns and gives an infinite rate instead of raising.
+    ``_point_rates`` bound to ``params``: the birth rate has no
+    nonnegative-fleet guard (trial loads with mean parked bikes above C must
+    give a smoothly negative defect), and p_K = 1 warns and gives an
+    infinite rate instead of raising.
     """
     k, down = _levels(params.capacity_k)
-    w = np.empty(k.size)
+    w, total = np.empty(k.size), np.empty(())
+    rates = _point_rates(params)
 
     def defect(rho: float) -> float:
-        birth, death = _point_rates(_truncated_geometric(rho, k, down, w), params)
-        return float(birth) - rho * death
+        birth, death = rates(_truncated_geometric(rho, k, down, w, total))
+        return birth - rho * death
 
     return defect
 
@@ -240,7 +245,7 @@ def _brent_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
 
 def _result_at(rho: float, params: SystemParams, iterations: int) -> FixedPointResult:
     p = stationary_from_load(rho, params.capacity_k)
-    a, b = _point_rates(p, params)
+    a, b = _point_rates(params)(p)
     rates = RatePair(birth=float(max(a, 0.0)), death=float(b))
     residual = float(np.abs(p @ build_generator(rates, params.capacity_k)).max())
     return FixedPointResult(p=p, rho=rho, rates=rates, residual=residual,
@@ -260,6 +265,17 @@ def _sign_certified(defect, rho: float) -> bool:
     return d_lo == 0.0 or defect(rho) == 0.0 or _straddles(d_lo, d_hi)
 
 
+def _rounding_bound(result: FixedPointResult, params: SystemParams) -> float:
+    """First-order rounding bound eps * E[Q] * mu / (1 - p_K) * max_k p_k of the residual
+    at ``result``: one rounding of E[Q] moves the birth rate by eps * E[Q] * mu / (1 - p_K),
+    and a level's balance weighs that rate by at most the largest p_k."""
+    p = result.p
+    free = 1.0 - p.item(-1)
+    if not free > 0.0:
+        return 0.0
+    return _EPS * float(p.dot(_levels(params.capacity_k)[0])) * params.mu / free * p.max()
+
+
 def solve_fixed_point(params: SystemParams) -> FixedPointResult:
     """Solve p V_p = 0, p e = 1 by scalar reduction on the load.
 
@@ -269,7 +285,9 @@ def solve_fixed_point(params: SystemParams) -> FixedPointResult:
     Brent's method (``_brent_root``); a NaN defect at either end brackets
     nothing and raises ``NoBracketError``.  The root is accepted if p V_p is
     below ``RESIDUAL_TOL`` times birth + death in sup-norm or, since the best
-    float load can miss that where C - E[Q] cancels, if ``_sign_certified``.
+    float load can miss that where C - E[Q] cancels, if ``_sign_certified``,
+    or, where the defect near the root is rounding noise of either sign, if
+    the residual is within its ``_rounding_bound``.
     It is rejected loudly if p0 or pK violates the assumed 1 - delta bound.
     """
     defect = _defect_kernel(params)
@@ -287,10 +305,12 @@ def solve_fixed_point(params: SystemParams) -> FixedPointResult:
         rho, iterations = _brent_root(defect, 0.0, rho_hi, d_lo, d_hi, maxiter=200)
     result = _result_at(rho, params, iterations)
     scale = result.rates.birth + result.rates.death
-    if result.residual >= RESIDUAL_TOL * scale and not _sign_certified(defect, result.rho):
+    if (result.residual >= RESIDUAL_TOL * scale and not _sign_certified(defect, result.rho)
+            and not result.residual <= (rounding := _rounding_bound(result, params))):
         raise InvariantViolationError(
             f"solver residual {result.residual:.3e} did not reach {RESIDUAL_TOL:.0e} relative to "
-            f"birth + death = {scale:.3e}, and the defect keeps its sign near rho={result.rho!r}"
+            f"birth + death = {scale:.3e} or its rounding bound {rounding:.3e}, and the defect "
+            f"keeps its sign near rho={result.rho!r}"
         )
     bound = 1.0 - params.delta
     if result.p[0] > bound or result.p[-1] > bound:
@@ -338,13 +358,14 @@ def _refine_locally(rho0: float, defect, max_steps: int) -> tuple[float, int]:
     f0 = defect(x0)
     f1 = defect(x1)
     used = 2
+    reach = max(1.0, abs(rho0))
     for _ in range(max_steps):
         if f1 == 0.0:
             return x1, used
         if f1 == f0:
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not np.isfinite(x2) or x2 < 0.0 or abs(x2 - x1) > max(1.0, abs(rho0)):
+        if not math.isfinite(x2) or x2 < 0.0 or abs(x2 - x1) > reach:
             break
         x0, f0 = x1, f1
         x1 = x2
@@ -396,7 +417,7 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     birth = params.mu * fleet / (1.0 - starts[:, -1])
     defect = _defect_kernel(params)
     results: list[FixedPointResult] = []
-    for rho0 in np.maximum(birth, 0.0) / _death_rate(starts[:, 0], params):
+    for rho0 in np.maximum(birth, 0.0) / _death_rate(params)(starts[:, 0]):
         rho, used = _refine_locally(float(rho0), defect, max_iterations)
         results.append(_result_at(rho, params, used))
     distinct = [results[0]]
@@ -414,6 +435,6 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
 def self_map_residual(p, params: SystemParams) -> float:
     """Sup-norm distance between p and the stationary vector its rates induce."""
     p = fraction_vector(_one_vector("self_map_residual", p, params))
-    a, b = _point_rates(p, params)
+    a, b = _point_rates(params)(p)
     image = stationary_from_load(max(float(a), 0.0) / float(b), params.capacity_k)
     return float(np.max(np.abs(p - image)))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bikeshare_meanfield
@@ -34,6 +34,13 @@ ILL_CONDITIONED = {
     "lambda": 0.0001992485218634334, "mu": 4249.814105197107,
     "gamma": 0.059746640450473024, "omega": 1, "capacity_c": 286, "capacity_k": 428,
     "delta": 0.43950317724412447,
+}
+
+# the defect near the root is rounding noise of either sign, so only the
+# solver's rounding bound accepts it; p_K then breaks the 1 - delta bound (exit 4)
+ROUNDING_NOISE = {
+    "lambda": 1.0, "mu": 103473.85121678609, "gamma": 1.0, "omega": 0,
+    "capacity_c": 144, "capacity_k": 145, "delta": 0.8125,
 }
 
 
@@ -318,7 +325,9 @@ class TestRootCertificate:
         assert payload["residual"] >= 1e-10 * (payload["a"] + payload["b"])
 
     @pytest.mark.parametrize("shift", [1e-6, -1e-6, 1e-9, -1e-9])
-    @pytest.mark.parametrize("config", [FIG5, ILL_CONDITIONED], ids=["fig5", "ill"])
+    @pytest.mark.parametrize("config", [
+        FIG5, ILL_CONDITIONED, ROUNDING_NOISE,
+    ], ids=["fig5", "ill", "rounding-noise"])
     def test_moved_root_exits_5(self, tmp_path, monkeypatch, capsys, config, shift):
         from bikeshare_meanfield import fixed_point
 
@@ -367,6 +376,7 @@ class TestValidInput:
 
     @settings(max_examples=300, deadline=None)
     @given(config=wide_params())
+    @example(config=ROUNDING_NOISE)
     def test_fixed_point(self, valid_dir, config):
         params = write_params(valid_dir, config)
         code, err = run_quietly(["fixed-point", "--params", str(params),

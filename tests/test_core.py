@@ -16,7 +16,7 @@ from bikeshare_meanfield import (
     nonlinear_residual,
     self_map_residual,
 )
-from bikeshare_meanfield.core import _levels
+from bikeshare_meanfield.core import _geom_series, _levels
 from bikeshare_meanfield.errors import (
     ConfigError,
     FullSystemError,
@@ -312,6 +312,42 @@ def _frozen_tridiagonal_generator(births, deaths):
         inner = np.arange(1, n - 1)
         gen[inner, inner] = -(births[1:] + deaths[:-1])
     return gen
+
+
+def _frozen_geom_sum(x, omega):
+    """Reference: the geometric sum walking every bit of omega, before it could stop early."""
+    total = x * 0.0
+    power = total + 1.0
+    for bit in format(omega, "b"):
+        total = total + power * total
+        power = power * power
+        if bit == "1":
+            total = total + power
+            power = power * x
+    return total
+
+
+class TestGeomSeries:
+    OMEGAS = [0, 1, 2, 3, 5, 64, 1000, 2 ** 53 + 1, 10 ** 100, 2 ** 1020, 2 ** 1023 + 12345]
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_bit_identical_to_full_bit_walk(self, omega):
+        rng = np.random.default_rng(omega % 2 ** 32)
+        xs = [0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e-160, 1e-20, 0.5, 0.9,
+              float(np.nextafter(1.0, 0.0)), 1.0, *rng.random(20).tolist()]
+        series = _geom_series(omega)
+        for x in xs:
+            got, want = series(x), _frozen_geom_sum(x, omega)
+            assert type(got) is float
+            assert got == want and np.signbit(got) == np.signbit(want), x
+
+    @pytest.mark.parametrize("omega", [0, 1, 7, 2 ** 1020])
+    def test_arrays_and_complex_keep_the_full_walk(self, omega):
+        # elementwise for arrays, and the complex step of the walk slope
+        x = np.array([0.0, 0.3, 1.0, 0.999999])
+        assert _geom_series(omega)(x).tobytes() == _frozen_geom_sum(x, omega).tobytes()
+        z = complex(0.3, 2.0 ** -64)
+        assert _geom_series(omega)(z) == _frozen_geom_sum(z, omega)
 
 
 class TestLevels:

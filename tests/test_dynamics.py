@@ -1,13 +1,14 @@
 """Drift, integration, Jacobian and the analytic norm bound."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_acceptance import LIPSCHITZ_SETS
+from test_acceptance import LIPSCHITZ_SETS, random_valid_parameter_sets
 
 from bikeshare_meanfield import (
     OdeConfig,
@@ -27,6 +28,7 @@ from bikeshare_meanfield import (
     solve_fixed_point,
     weighted_sup_distance,
 )
+from bikeshare_meanfield.core import SIMPLEX_TOL
 from bikeshare_meanfield.errors import (
     ConfigError,
     DomainExitError,
@@ -139,6 +141,28 @@ class TestIntegrate:
         sums = traj.states.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
         assert traj.states.min() >= 0.0
+
+    @pytest.mark.parametrize("finite_n", [False, True], ids=["limiting", "finite-n"])
+    def test_every_stored_state_is_on_the_simplex(self, finite_n):
+        # 30 solvable draws from the all-at-C start and the uniform start on
+        # 0..C, at the default step and at three times it, where raw RK4
+        # states go negative and the clamp acts or the step fails loudly
+        checked = 0
+        for params in random_valid_parameter_sets(30, seed=16):
+            spread = np.zeros(params.capacity_k + 1)
+            spread[:params.capacity_c + 1] = 1.0 / (params.capacity_c + 1)
+            for initial, step in itertools.product((all_at_c(params), spread), (1.0, 3.0)):
+                step *= default_step(params)
+                config = OdeConfig(initial=initial, t_end=300 * step, step=step,
+                                   stationarity_tol=1e-300)
+                try:
+                    states = integrate(config, params, finite_n=finite_n).states
+                except (DomainExitError, StepInstabilityError):
+                    continue
+                assert states.min() >= 0.0
+                assert np.max(np.abs(states.sum(axis=1) - 1.0)) <= SIMPLEX_TOL
+                checked += 1
+        assert checked >= 100
 
     def test_self_convergence_order(self):
         # Richardson-style: error against a step/16 reference shrinks by

@@ -14,6 +14,7 @@ import scipy.optimize as scipy_optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_valid_parameter_sets
+from test_core import _frozen_geom_sum
 
 from bikeshare_meanfield import (
     RatePair,
@@ -29,7 +30,6 @@ from bikeshare_meanfield import (
     uniqueness_probe,
 )
 from bikeshare_meanfield import fixed_point, validation
-from bikeshare_meanfield.core import _geom_sum
 from bikeshare_meanfield.errors import (
     AssumptionViolationError,
     BikeShareError,
@@ -56,6 +56,12 @@ ANALYTIC = SystemParams(lam=1.0, mu=1.0, gamma=0.5, omega=0, capacity_c=1,
 ILL_CONDITIONED = SystemParams(lam=0.0001992485218634334, mu=4249.814105197107,
                                gamma=0.059746640450473024, omega=1, capacity_c=286,
                                capacity_k=428, delta=0.43950317724412447)
+# near the root the defect is rounding noise of a few 1e-9 of either sign (mu
+# times a few ulps of E[Q]), so neither the relative gate nor the sign certificate
+# accepts it; the residual 5.8e-10 is within its rounding bound 3.3e-9.  Its
+# p_K = 0.49999 breaks the 1 - delta bound, so it ends in a domain error
+ROUNDING_NOISE = SystemParams(lam=1.0, mu=103473.85121678609, gamma=1.0, omega=0,
+                              capacity_c=144, capacity_k=145, delta=0.8125)
 
 # the lambda-sweep families of figures 5-8: (curve field, curve values,
 # overrides of the figure-5 set, lambda range), then the solves of a
@@ -89,7 +95,7 @@ def _frozen_stationary_and_rates(rho, params):
     p = w / w.sum()
     y0, yk = p[..., 0], p[..., -1]
     fleet = params.capacity_c - p @ np.arange(p.shape[-1], dtype=float)
-    death = params.lam + params.gamma * y0 * _geom_sum(y0, params.omega)
+    death = params.lam + params.gamma * y0 * _frozen_geom_sum(y0, params.omega)
     return p, params.mu * fleet / (1.0 - yk), death
 
 
@@ -669,7 +675,33 @@ class TestRootCertificate:
                 assert not fixed_point._sign_certified(defect, rho * (1.0 + shift))
         assert solved > 100
 
-    @pytest.mark.parametrize("params", [FIG5, ILL_CONDITIONED], ids=["fig5", "ill"])
+    @pytest.mark.parametrize("delta", [0.8125, 0.45])
+    def test_rounding_noise_root_is_within_its_bound(self, delta):
+        params = dataclasses.replace(ROUNDING_NOISE, delta=delta)
+        defect = fixed_point._defect_kernel(params)
+        if delta == 0.45:
+            result = solve_fixed_point(params)
+        else:
+            with pytest.raises(AssumptionViolationError) as err:
+                solve_fixed_point(params)
+            result = err.value.result
+            assert result.p[-1] > 1.0 - delta
+        scale = result.rates.birth + result.rates.death
+        assert result.rho == pytest.approx(1.99999034, rel=1e-8)
+        assert result.residual > fixed_point.RESIDUAL_TOL * scale
+        assert not fixed_point._sign_certified(defect, result.rho)
+        assert result.residual <= fixed_point._rounding_bound(result, params) < 4e-9
+
+    def test_rounding_bound_is_below_the_gate_on_the_figure_sets(self):
+        # the third step can only accept where the first two might fail for rounding
+        for params in FIGURE_SETS:
+            result = solve_fixed_point(params)
+            scale = result.rates.birth + result.rates.death
+            assert fixed_point._rounding_bound(result, params) < fixed_point.RESIDUAL_TOL * scale
+
+    @pytest.mark.parametrize("params", [
+        FIG5, ILL_CONDITIONED, ROUNDING_NOISE,
+    ], ids=["fig5", "ill", "rounding-noise"])
     @pytest.mark.parametrize("shift", [1e-6, -1e-6, 1e-9, -1e-9])
     def test_moved_root_raises(self, monkeypatch, params, shift):
         brent = fixed_point._brent_root
