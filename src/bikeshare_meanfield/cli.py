@@ -41,7 +41,8 @@ from .core import (
     _write_json,
     fraction_vector,
 )
-from .dynamics import OdeConfig, integrate
+from .csvrows import open_stream
+from .dynamics import OdeConfig, _csv_head, _rk4_blocks, integrate
 from .errors import (
     BikeShareError,
     ConfigError,
@@ -110,14 +111,22 @@ def _cmd_ode(config: dict, out: str) -> int:
         **{key: _as_float(key, config[key])
            for key in ("step", "stationarity_tol") if key in config},
     )
-    traj = integrate(ode_config, params,
-                     finite_n=_as_bool("finite_n", config.get("finite_n", False)))
-    traj.to_csv(out, params=params)
-    terminal_path = Path(out).with_suffix(".terminal.json")
-    _write_json(str(terminal_path), {
+    finite_n = _as_bool("finite_n", config.get("finite_n", False))
+    # a writer process formats each block of rows while the next one is integrated
+    stream = open_stream(out, _csv_head(params, params.capacity_k), params.capacity_k + 2)
+    if stream is None:  # no process could be started: integrate, then format here
+        traj = integrate(ode_config, params, finite_n=finite_n)
+        traj.to_csv(out, params=params)
+        t, y = traj.times[-1], traj.terminal
+    else:
+        with stream:
+            for block in _rk4_blocks(ode_config, params, finite_n):
+                stream.send(block)
+        t, y = block[-1, 0], block[-1, 1:]
+    _write_json(str(Path(out).with_suffix(".terminal.json")), {
         "params": params.to_dict(),
-        "t": float(traj.times[-1]),
-        "y": [float(v) for v in traj.terminal],
+        "t": float(t),
+        "y": [float(v) for v in y],
     })
     return EXIT_OK
 

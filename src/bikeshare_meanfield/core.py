@@ -269,11 +269,12 @@ def _geom_series(omega: int):
 
 def geometric_walk_factor(p0: float, omega: int) -> float:
     """Walk multiplier sum(p0**k for k < omega); equals omega at p0 = 1."""
+    p0, omega = _as_float("p0", p0), _as_int("omega", omega)
     if not 0.0 <= p0 <= 1.0:
         raise ConfigError(f"p0 must lie in [0, 1], got {p0}")
     if omega < 0:
         raise ConfigError(f"omega must be nonnegative, got {omega}")
-    return float(_geom_series(omega)(float(p0)))
+    return float(_geom_series(omega)(p0))
 
 
 @functools.lru_cache

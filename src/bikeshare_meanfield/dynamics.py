@@ -7,10 +7,11 @@ finite-N system (level-dependent birth rates) and its infinite-population
 limit with a classical fixed-step fourth-order scheme, keeping the state on
 the probability simplex, through one drift body per route on guarded scalar
 rates.  A step allocates nothing: the stage derivatives share one 4 x (K+1)
-block, the stage arguments one buffer, and accepted states fill the rows of
-preallocated blocks, with every operation in the textbook step's order.  The
-module also provides the exact Jacobian of the limiting drift and the
-analytic bound on its norm used to certify Lipschitz continuity.
+block, the stage arguments one buffer, and accepted states and their times
+fill the rows of preallocated blocks, yielded as they fill, with every
+operation in the textbook step's order.  The module also provides the exact
+Jacobian of the limiting drift and the analytic bound on its norm used to
+certify Lipschitz continuity.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     build_generator,
     fraction_vector,
 )
+from .csvrows import block_rows, format_rows
 from .errors import ConfigError, DomainExitError, StepInstabilityError
 
 #: per-step budget for the clamp-and-renormalize simplex repair
@@ -97,16 +99,21 @@ class Trajectory:
 
     def to_csv(self, path, params: SystemParams) -> None:
         """Write the params line, then "t,y0,...,yK" rows at full double precision (17 digits)."""
-        k = self.states.shape[1] - 1
-        row = ",".join(["%.17g"] * (k + 2)) + "\n"
+        width = self.states.shape[1] + 1
+        rows = block_rows(width)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(params.csv_params_line())
-            fh.write("t," + ",".join(f"y{i}" for i in range(k + 1)) + "\n")
+            fh.write(_csv_head(params, width - 2))
             # blocks of rows: formatting the whole file at once nearly doubles peak memory
-            for start in range(0, self.times.size, 512):
-                stop = start + 512
+            for start in range(0, self.times.size, rows):
+                stop = start + rows
                 block = np.column_stack((self.times[start:stop], self.states[start:stop]))
-                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+                fh.write(format_rows(block.ravel().tolist(), width))
+
+
+def _csv_head(params: SystemParams, capacity_k: int) -> str:
+    """The params line and the "t,y0,...,yK" header that open a trajectory CSV."""
+    return (params.csv_params_line()
+            + "t," + ",".join(f"y{i}" for i in range(capacity_k + 1)) + "\n")
 
 
 # The drift and step bodies run tens of thousands of times on short vectors,
@@ -218,10 +225,6 @@ def drift_finite_n(y, params: SystemParams) -> np.ndarray:
     return _fresh_drift(params, True, _one_vector("drift_finite_n", y, params))
 
 
-#: bytes of one block of stored states; a block holds at least one state
-_STATE_BLOCK_BYTES = 1 << 21
-
-
 def _domain_exit(state, time: float, bound: float) -> DomainExitError:
     """The error of a state whose y0 or y_K lies above ``bound`` at ``time``."""
     y0, yk = state.item(0), state.item(-1)
@@ -232,21 +235,13 @@ def _domain_exit(state, time: float, bound: float) -> DomainExitError:
     )
 
 
-def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -> Trajectory:
-    """Fixed-step classical RK4 integration of the chosen drift.
+def _rk4_blocks(config: OdeConfig, params: SystemParams, finite_n: bool):
+    """The rows ``(t, y0, ..., yK)`` of ``integrate``'s run, yielded in blocks.
 
-    After every step the state is clamped at zero and renormalized to sum
-    one; a repair larger than ``STEP_REPAIR_BUDGET`` aborts with
-    ``StepInstabilityError``.  Leaving the assumed domain (y0 or y_K above
-    1 - delta) raises ``DomainExitError`` with the exit time.  Integration
-    stops early once the drift sup-norm falls below the stationarity
-    tolerance; the drift of that check is the next step's first stage.
-
-    A step allocates nothing: the four stage derivatives are the rows of one
-    4 x (K+1) block, each stage argument is built in one buffer, and every
-    accepted state is written straight into the next row of a block of
-    stored states (about 2 MB each), joined once at the end.  The arithmetic
-    is the textbook step's, operation by operation and in the same order.
+    Each block is a new C-contiguous array of ``csvrows.block_rows(K + 2)``
+    rows, yielded once it is full and the next state needs a row; the last
+    block holds the rows left when the run ends.  An error is raised where
+    ``integrate`` raises it, after the blocks completed before it.
     """
     initial = _one_vector("integrate", config.initial, params)
     drift = _drift_body(params, finite_n)
@@ -254,16 +249,15 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     horizon, stationarity_tol, budget = config.t_end, config.stationarity_tol, STEP_REPAIR_BUDGET
     bound = 1.0 - params.delta
     width = initial.size
-    block_rows = max(1, _STATE_BLOCK_BYTES // initial.nbytes)
-    rows = np.empty((block_rows, width))
-    blocks = [rows]
-    y = rows[0]
+    block_size = block_rows(width + 1)
+    block = np.empty((block_size, width + 1))
+    times, states = block[:, 0], block[:, 1:]
+    times[0] = 0.0
+    y = states[0]
     y[...] = initial
     used = 1
     if y.item(0) > bound or y.item(-1) > bound:
         raise _domain_exit(y, 0.0, bound)
-    times = [0.0]
-    record_time = times.append
     t = 0.0
     step_index = 0
     stages = np.empty((4, width))
@@ -292,11 +286,12 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
         multiply(doubled, two, doubled)
         add_reduce(stages, axis=0, out=raw)
         add(y, multiply(sixth, raw, raw), raw)
-        if used == block_rows:
-            rows = np.empty((block_rows, width))
-            blocks.append(rows)
+        if used == block_size:
+            yield block
+            block = np.empty((block_size, width + 1))
+            times, states = block[:, 0], block[:, 1:]
             used = 0
-        y = rows[used]
+        y = states[used]
         maximum(raw, zero, out=y)
         add_reduce(y, out=total)
         divide(y, total, y)
@@ -309,18 +304,39 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
                 time=t_next,
                 correction=correction,
             )
-        used += 1
         t = t_next
         step_index += 1
         if y.item(0) > bound or y.item(-1) > bound:
             raise _domain_exit(y, t, bound)
-        record_time(t)
+        times[used] = t
+        used += 1
         drift(y, k1, i1)
         max_reduce(absolute(k1, scratch), out=worst)
         if worst.item() < stationarity_tol:
             break
-    blocks[-1] = rows[:used]
-    return Trajectory(np.array(times), np.concatenate(blocks))
+    yield block[:used]
+
+
+def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -> Trajectory:
+    """Fixed-step classical RK4 integration of the chosen drift.
+
+    After every step the state is clamped at zero and renormalized to sum
+    one; a repair larger than ``STEP_REPAIR_BUDGET`` aborts with
+    ``StepInstabilityError``.  Leaving the assumed domain (y0 or y_K above
+    1 - delta) raises ``DomainExitError`` with the exit time.  Integration
+    stops early once the drift sup-norm falls below the stationarity
+    tolerance; the drift of that check is the next step's first stage.
+
+    A step allocates nothing: the four stage derivatives are the rows of one
+    4 x (K+1) block, each stage argument is built in one buffer, and every
+    accepted state and its time are written straight into the next row of a
+    block of at most 512 rows, the blocks of ``_rk4_blocks``, joined once at
+    the end.  The arithmetic is the textbook step's, operation by operation
+    and in the same order.
+    """
+    blocks = list(_rk4_blocks(config, params, finite_n))
+    return Trajectory(np.concatenate([block[:, 0] for block in blocks]),
+                      np.concatenate([block[:, 1:] for block in blocks]))
 
 
 def jacobian(y, params: SystemParams) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bikeshare_meanfield
+from bikeshare_meanfield import OdeConfig, SystemParams, integrate
 from bikeshare_meanfield.cli import main
 
 SMALL = {
@@ -48,6 +49,13 @@ def write_params(tmp_path, data, name="params.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def _package_env():
+    """The environment of a fresh process that imports this package's source."""
+    src = str(Path(bikeshare_meanfield.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestFixedPointCommand:
@@ -143,6 +151,188 @@ class TestOdeCommand:
         code = main(["ode", "--params", str(params),
                      "--out", str(tmp_path / "t.csv")])
         assert code == 3
+
+
+def _in_process_ode(tmp_path, config, finite_n):
+    """The parent's ``ode`` outputs: ``integrate``, then ``Trajectory.to_csv`` and
+    the terminal JSON, all in this process."""
+    from bikeshare_meanfield.core import _write_json
+
+    params = SystemParams.from_dict(config)
+    initial = np.zeros(params.capacity_k + 1)
+    initial[params.capacity_c] = 1.0
+    traj = integrate(OdeConfig(initial=initial, t_end=config["t_end"],
+                               **{key: config[key] for key in ("step", "stationarity_tol")
+                                  if key in config}), params, finite_n=finite_n)
+    out = tmp_path / "expected.csv"
+    traj.to_csv(out, params=params)
+    _write_json(out.with_suffix(".terminal.json"), {
+        "params": params.to_dict(), "t": float(traj.times[-1]),
+        "y": [float(v) for v in traj.terminal]})
+    return out.read_bytes(), out.with_suffix(".terminal.json").read_bytes(), traj.times.size
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """Every writer process the CLI starts, recorded as it starts."""
+    started, popen = [], subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    return started
+
+
+class TestOdeStream:
+    """``ode`` hands each block of rows to a writer process while it integrates."""
+
+    # row counts (limiting, finite N); SMALL rows have 6 values, so a block holds
+    # 512 of them, and no run has fewer than 2 rows: it takes at least one step
+    @pytest.mark.parametrize("data,rows", [
+        pytest.param(dict(FIG5, t_end=30.0), (6976, 6976), id="fig5"),
+        pytest.param(dict(ANALYTIC, t_end=50.0), (1394, 1400), id="k=2"),
+        pytest.param(dict(SMALL, t_end=511 * 0.01, step=0.01, stationarity_tol=1e-300),
+                     (512, 512), id="one-block"),
+        pytest.param(dict(SMALL, t_end=512 * 0.01, step=0.01, stationarity_tol=1e-300),
+                     (513, 513), id="one-block-and-a-row"),
+        pytest.param(dict(SMALL, t_end=0.01, step=0.01), (2, 2), id="one-step"),
+        pytest.param(dict(SMALL, t_end=3.3333, step=0.0071, stationarity_tol=1e-300),
+                     (471, 471), id="short-last-step"),
+    ])
+    @pytest.mark.parametrize("finite_n", [False, True], ids=["limiting", "finite-n"])
+    def test_bytes_match_in_process_export(self, tmp_path, writers, data, rows, finite_n):
+        csv, terminal, size = _in_process_ode(tmp_path, data, finite_n)
+        assert size == rows[finite_n]
+        params = write_params(tmp_path, dict(data, finite_n=finite_n))
+        out = tmp_path / "traj.csv"
+        assert main(["ode", "--params", str(params), "--out", str(out)]) == 0
+        assert out.read_bytes() == csv
+        assert out.with_suffix(".terminal.json").read_bytes() == terminal
+        assert len(writers) == 1 and writers[0].returncode == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "expected.csv", "expected.terminal.json", "params.json", "traj.csv",
+            "traj.terminal.json"]
+
+    def test_fallback_without_a_writer_process(self, tmp_path, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise OSError("no process")
+
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        data = dict(FIG5, t_end=3.0)
+        csv, terminal, _ = _in_process_ode(tmp_path, data, False)
+        out = tmp_path / "traj.csv"
+        assert main(["ode", "--params", str(write_params(tmp_path, data)),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == csv
+        assert out.with_suffix(".terminal.json").read_bytes() == terminal
+        assert len(list(tmp_path.iterdir())) == 5
+
+    @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"], ids=["new", "existing"])
+    def test_domain_exit_leaves_out_as_it_was(self, tmp_path, writers, capsys, existing):
+        # the set of test_domain_exit_reported: the run leaves the domain at t = 0.32
+        params = write_params(tmp_path, dict(SMALL, delta=0.9, t_end=50.0))
+        out = tmp_path / "traj.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["ode", "--params", str(params), "--out", str(out)]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainExitError"
+        assert (out.read_bytes() if out.exists() else None) == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["params.json"] + (["traj.csv"] if existing is not None else []))
+        assert len(writers) == 1 and writers[0].returncode not in (None, 0)
+
+    def test_interrupt_mid_stream(self, tmp_path, writers, monkeypatch):
+        from bikeshare_meanfield import cli
+
+        blocks = cli._rk4_blocks
+
+        def interrupted(*args):
+            for index, block in enumerate(blocks(*args)):
+                if index == 3:
+                    raise KeyboardInterrupt
+                yield block
+
+        monkeypatch.setattr(cli, "_rk4_blocks", interrupted)
+        out = tmp_path / "traj.csv"
+        out.write_bytes(b"earlier bytes\n")
+        params = write_params(tmp_path, dict(FIG5, t_end=30.0))
+        with pytest.raises(KeyboardInterrupt):
+            main(["ode", "--params", str(params), "--out", str(out)])
+        assert out.read_bytes() == b"earlier bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "traj.csv"]
+        # end of input without the end frame
+        assert len(writers) == 1 and writers[0].returncode == 1
+
+    def test_failed_writer_is_reported_in_one_line(self, tmp_path, capfd, monkeypatch):
+        popen = subprocess.Popen
+        started = []
+
+        def failing(args, **kwargs):
+            script = "import sys; sys.stderr.write('writer trace\\n'); sys.exit(3)"
+            started.append(popen([sys.executable, "-c", script], **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", failing)
+        out = tmp_path / "traj.csv"
+        params = write_params(tmp_path, dict(FIG5, t_end=30.0))
+        assert main(["ode", "--params", str(params), "--out", str(out)]) == 5
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "OSError", "message": "the CSV writer process exited with status 3"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
+        assert started[0].returncode == 3
+
+    def test_missing_directory_exits_5_in_one_line(self, tmp_path):
+        params = write_params(tmp_path, dict(SMALL, t_end=1.0))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bikeshare_meanfield.cli", "ode", "--params", str(params),
+             "--out", str(tmp_path / "missing" / "traj.csv")],
+            env=_package_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 5
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "FileNotFoundError"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
+
+    def test_out_is_a_directory(self, tmp_path, writers, capsys):
+        params = write_params(tmp_path, dict(SMALL, t_end=1.0))
+        (tmp_path / "traj.csv").mkdir()
+        assert main(["ode", "--params", str(params), "--out", str(tmp_path / "traj.csv")]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "traj.csv"]
+        assert len(writers) == 1 and writers[0].returncode == 0
+
+    def test_writer_script_alone(self, tmp_path):
+        from bikeshare_meanfield import csvrows
+
+        # one 1-row block, then the end frame, no end frame, or a cut block
+        values = [0.0, -0.0, 5e-324, 1e300, 2.0 / 3.0, 0.1]
+        row = ("0,-0,4.9406564584124654e-324,1.0000000000000001e+300,"
+               "0.66666666666666663,0.10000000000000001\n")
+        frame = (1).to_bytes(8, "little") + np.array(values).tobytes()
+        path = tmp_path / "rows.csv"
+        for stdin, code, text in ((frame + bytes(8), 0, row), (frame, 1, None),
+                                  (frame[:20], 1, None)):
+            path.write_text("head\n")
+            proc = subprocess.run([sys.executable, "-I", "-S", csvrows.__file__, str(path), "6"],
+                                  input=stdin, capture_output=True, timeout=60)
+            assert proc.returncode == code
+            if text is not None:
+                assert path.read_text() == "head\n" + text
+                assert text == csvrows.format_rows(values, 6)
+
+    def test_writer_imports_only_the_standard_library(self):
+        import ast
+
+        from bikeshare_meanfield import csvrows
+
+        tree = ast.parse(Path(csvrows.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert imported <= {"__future__", "os", "subprocess", "sys"}
 
 
 class TestSimulateCommand:
@@ -466,11 +656,8 @@ def test_runtime_loads_no_scipy(tmp_path):
     commands = ["fixed-point", "sweep", "optimize", "ode", "simulate"]
     argvs = [[command, "--params", str(params), "--out", str(tmp_path / f"{command}.out")]
              for command in commands]
-    src = str(Path(bikeshare_meanfield.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_package_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"after_import": [], "codes": [0] * len(commands), "after_cli": []}

@@ -180,6 +180,13 @@ class TestGeometricWalkFactor:
             geometric_walk_factor(1.5, 2)
         with pytest.raises(ConfigError):
             geometric_walk_factor(0.5, -1)
+        # 2.5 and 2.0 raised a raw ValueError, "3" a raw TypeError, and True ran as omega = 1
+        for p0, omega in ((0.5, 2.5), (0.5, "3"), (0.5, True), (0.5, np.bool_(True)),
+                          ("0.5", 2), (True, 2), (float("nan"), 2), (0.5, None)):
+            with pytest.raises(ConfigError):
+                geometric_walk_factor(p0, omega)
+        assert geometric_walk_factor(0.5, 2.0) == geometric_walk_factor(0.5, 2) == 1.5
+        assert geometric_walk_factor(np.float64(0.5), np.int64(3)) == 1.75
 
     @given(p0=st.floats(0.0, 1.0), omega=st.integers(0, 12))
     @settings(max_examples=200, deadline=None)

@@ -410,13 +410,13 @@ class TestFusedStepper:
 
     @pytest.mark.parametrize("finite_n", [False, True], ids=["limiting", "finite-n"])
     def test_bit_identical_over_several_state_blocks(self, finite_n):
-        from bikeshare_meanfield.dynamics import _STATE_BLOCK_BYTES
+        from bikeshare_meanfield.csvrows import block_rows
 
         at_c = all_at_c(FIG5)
         config = OdeConfig(initial=at_c, t_end=40.0, stationarity_tol=1e-300)
         traj = integrate(config, FIG5, finite_n=finite_n)
         times, states = _frozen_integrate(config, FIG5, finite_n)
-        assert times.size > 9000 > _STATE_BLOCK_BYTES // at_c.nbytes
+        assert times.size > 9000 > 17 * block_rows(at_c.size + 1)
         assert_same_bits(traj.times, times)
         assert_same_bits(traj.states, states)
 
