@@ -5,8 +5,8 @@ p0, the full-station probability pK, their sum (the problematic-station
 probability), the mean parked-bike count E[Q], and the station profit
 R = -c E[Q] + psi (C - E[Q]).  Sweeps vary one model constant over a grid
 and solve the fixed point at every grid node; the design optimizers search
-exhaustively over (C, K, mu) grids, which is cheap because one solve takes
-milliseconds.
+exhaustively over (C, K, mu) grids.  The nodes of a sweep or grid are solved
+together, in lockstep wherever they share K and omega.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, mean_bikes
 from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError, InvariantViolationError
-from .fixed_point import solve_fixed_point
+from .fixed_point import _solve_many, solve_fixed_point  # noqa: F401 - still importable here
 
 SWEEP_CSV_HEADER = "vary_name,value,p0,pK,p0_plus_pK,eq,profit"
 
@@ -89,19 +89,23 @@ def _as_values(name: str, values) -> list:
         raise ConfigError(f"{name} must be a list of values, got {values!r}") from None
 
 
-def _solve_record(params: SystemParams, prices: ProfitPrices, **where) -> SweepRecord:
-    """Solve one node; a domain failure is recorded on the record instead of raised.
+def _solve_records(nodes: list[SystemParams], prices: ProfitPrices,
+                   wheres: list[dict]) -> list[SweepRecord]:
+    """Solve every node; a domain failure is recorded on its record instead of raised.
 
     An ``InvariantViolationError`` is an internal bug, not a property of the
-    node, and propagates.
+    node: the first one in node order propagates.
     """
-    try:
-        metrics = compute_metrics(solve_fixed_point(params).p, params, prices)
-    except InvariantViolationError:
-        raise
-    except BikeShareError as exc:
-        return SweepRecord(params=params, metrics=None, error=str(exc), **where)
-    return SweepRecord(params=params, metrics=metrics, **where)
+    records = []
+    for params, outcome, where in zip(nodes, _solve_many(nodes), wheres):
+        if isinstance(outcome, InvariantViolationError):
+            raise outcome
+        if isinstance(outcome, BikeShareError):
+            records.append(SweepRecord(params=params, metrics=None, error=str(outcome), **where))
+        else:
+            records.append(SweepRecord(params=params, metrics=compute_metrics(
+                outcome.p, params, prices), **where))
+    return records
 
 
 def _metric_cells(metrics: Metrics | None) -> str:
@@ -124,8 +128,8 @@ def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[Swe
     grid = _as_values("grid", grid)
     if not grid:
         raise ConfigError("sweep grid must not be empty")
-    return [_solve_record(replace(base, **{field: value}), prices, vary=vary, value=float(value))
-            for value in grid]
+    return _solve_records([replace(base, **{field: value}) for value in grid], prices,
+                          [{"vary": vary, "value": float(value)} for value in grid])
 
 
 def sweep_to_csv(records: list[SweepRecord], path, base: SystemParams) -> None:
@@ -159,14 +163,14 @@ def evaluate_design_grid(
     c_grid, k_grid, mu_grid = (
         sorted(read(key, v) for v in _as_values(key, search.get(key, [getattr(base, key)])))
         for key, read in (("capacity_c", _as_int), ("capacity_k", _as_int), ("mu", _as_float)))
-    records = [_solve_record(replace(base, capacity_c=c, capacity_k=k, mu=mu), prices)
-               for c, k, mu in itertools.product(c_grid, k_grid, mu_grid)
-               if 0 < base.gamma < mu and 1 <= c < k]
-    if not records:
+    nodes = [replace(base, capacity_c=c, capacity_k=k, mu=mu)
+             for c, k, mu in itertools.product(c_grid, k_grid, mu_grid)
+             if 0 < base.gamma < mu and 1 <= c < k]
+    if not nodes:
         raise EmptyFeasibleSetError(
             "no design candidate satisfies 0 < gamma < mu and 1 <= C < K"
         )
-    return records
+    return _solve_records(nodes, prices, [{}] * len(nodes))
 
 
 def _pick_minimum(records: list[SweepRecord], objective) -> SweepRecord:

@@ -244,17 +244,23 @@ def _geom_series(omega: int):
     Elementwise for arrays; the empty sum (omega = 0) is 0.  This is the
     finite form of (1 - x**omega) / (1 - x) and is exact at x = 1.  The bits
     of omega are walked from the top by doubling, S(2n) = S(n) + x**n S(n)
-    and S(2n+1) = S(2n) + x**(2n), so the cost is O(log omega).  For a float
+    and S(2n+1) = S(2n) + x**(2n), so the cost is O(log omega).  The walk
+    of the leading bit 1 from S(0) = 0 and x**0 = 1 leaves S(1) = 1 and
+    x**1 = x, or NaN for a non-finite x (whose x * 0.0 is NaN), so the walk
+    starts there, with S(0) = x * 0.0 returned for omega = 0.  For a float
     0 <= x < 1 the walk stops once the power underflows to 0, after which
     every step would leave the sum as it is (total + 0.0 * total is total).
     """
-    bits = format(omega, "b")
+    rest = format(omega, "b")[1:]
 
     def series(x):
         total = x * 0.0
-        power = total + 1.0
+        if not omega:
+            return total
+        total = total + 1.0
+        power = total * x
         underflows = type(x) is float and 0.0 <= x < 1.0
-        for bit in bits:
+        for bit in rest:
             total = total + power * total
             power = power * power
             if bit == "1":

@@ -22,6 +22,7 @@ package), so the script starts in milliseconds.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 
@@ -88,9 +89,12 @@ class RowStream:
 def open_stream(path, head: str, width: int) -> RowStream | None:
     """Write ``head`` to a new temporary file next to ``path`` and start its
     writer process; None, with the temporary file removed, when no process
-    can be started."""
+    can be started.  A ``path`` that names a directory raises
+    ``IsADirectoryError`` first, before the caller computes a row."""
     import subprocess  # here, not above: it would add about 18 ms to the writer's start-up
 
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     directory, name = os.path.split(os.fspath(path))
     temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     with open(temp, "x", encoding="utf-8") as fh:

@@ -22,6 +22,7 @@ from .core import (
     SystemParams,
     _as_int,
     _death_rate,
+    _geom_series,
     _levels,
     _one_vector,
     _point_rates,
@@ -33,6 +34,7 @@ from .core import (
 )
 from .errors import (
     AssumptionViolationError,
+    BikeShareError,
     ConfigError,
     DegenerateCaseError,
     InvariantViolationError,
@@ -83,28 +85,18 @@ class FixedPointResult:
         _write_json(path, {"params": params.to_dict(), **self.to_dict()})
 
 
-def _truncated_geometric(rho: float, k: np.ndarray, down: np.ndarray,
-                         out: np.ndarray | None = None,
-                         total: np.ndarray | None = None) -> np.ndarray:
-    """Powers rho**k, or (1/rho)**(K-k) for rho > 1, normalized to sum 1 in place.
-
-    ``k`` and ``down`` are the level vectors of ``_levels``; the powers are
-    written to ``out`` (a fresh array if None), which is returned, and their
-    sum into the 0-d array ``total`` if one is given.
-    """
-    w = np.power(rho, k, out) if rho <= 1.0 else np.power(1.0 / rho, down, out)
-    return np.divide(w, np.add.reduce(w, out=total), w)
-
-
 def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
     """Stationary vector of the constant-rate birth-death queue with load rho.
 
     Normalized powers of rho, evaluated through the smaller of rho and
-    1/rho so the computation is smooth in rho and safe for extreme loads.
+    1/rho so the computation is smooth in rho and safe for extreme loads:
+    rho**k, or (1/rho)**(K-k) for rho > 1.
     """
     if not rho >= 0:
         raise ConfigError(f"load must be nonnegative, got {rho}")
-    return _truncated_geometric(rho, *_levels(_queue_capacity(capacity_k)))
+    k, down = _levels(_queue_capacity(capacity_k))
+    w = np.power(rho, k) if rho <= 1.0 else np.power(1.0 / rho, down)
+    return np.divide(w, np.add.reduce(w), w)
 
 
 def birth_death_stationary(rates: RatePair, capacity_k: int) -> np.ndarray:
@@ -142,26 +134,45 @@ def geometric_form(rates: RatePair, capacity_k: int) -> np.ndarray:
     return 1.0 / float(np.sum(w)) * w
 
 
-def _defect_kernel(params: SystemParams):
-    """The scalar defect rho -> birth(p(rho)) - rho * death(p(rho)) of ``params``.
+def _defect_kernel(group: list[SystemParams]):
+    """The defect rho -> birth(p(rho)) - rho * death(p(rho)) of parameter sets that
+    share (K, omega), for many trial loads in one call.
 
-    The returned function writes p(rho) into work buffers of its own and
-    does not validate rho (callers pass loads of at least 0), so a solve or
-    check builds it once and calls it at every trial load.  The rates are
-    ``_point_rates`` bound to ``params``: the birth rate has no
-    nonnegative-fleet guard (trial loads with mean parked bikes above C must
-    give a smoothly negative defect), and p_K = 1 warns and gives an
-    infinite rate instead of raising.
+    The returned function ``rows(loads, lanes)`` takes trial loads (at least 0; they
+    are not validated) and, per load, the index of its set in ``group``.  It returns
+    the defects, the (n, K+1) block whose row i is p(loads[i]), and the birth and
+    death rates of each row.  A row is computed with the operations, in the order,
+    of ``stationary_from_load`` and of ``_point_rates`` on that one vector, so it is
+    bit-identical to a solve of its set alone.  The birth rate has no
+    nonnegative-fleet guard (trial loads with mean parked bikes above C must give a
+    smoothly negative defect); where 1 - p_K is 0 it is infinite or NaN, and numpy's
+    floating-point warnings are off, so overflow and 0 * inf give their IEEE values
+    silently.
     """
-    k, down = _levels(params.capacity_k)
-    w, total = np.empty(k.size), np.empty(())
-    rates = _point_rates(params)
+    k, down = _levels(group[0].capacity_k)
+    exponents = np.stack((down, k))
+    series = _geom_series(group[0].omega)
+    rates = np.array([[params.mu, params.capacity_c, params.lam, params.gamma]
+                      for params in group]).T
+    levels = k[:, None]
 
-    def defect(rho: float) -> float:
-        birth, death = rates(_truncated_geometric(rho, k, down, w, total))
-        return birth - rho * death
+    def rows(loads, lanes):
+        with np.errstate(all="ignore"):
+            rho = np.array(loads, dtype=float)
+            low = rho <= 1.0
+            # rho**k, or (1/rho)**(K-k) above 1 (row 1 or 0 of the exponents),
+            # each row normalized to sum 1
+            w = np.power(np.where(low, rho, 1.0 / rho)[:, None],
+                         exponents.take(low.view(np.uint8), axis=0))
+            p = np.divide(w, np.add.reduce(w, axis=1)[:, None], w)
+            mu, c, lam, gamma = rates.take(lanes, axis=1)
+            # a stacked matmul takes one dot product per row, like ``p.dot(k)``
+            birth = mu * (c - np.matmul(p[:, None, :], levels)[:, 0, 0]) / (1.0 - p[:, -1])
+            y0 = p[:, 0]
+            death = lam + gamma * y0 * series(y0)
+            return birth - rho * death, p, birth, death
 
-    return defect
+    return rows
 
 
 def _straddles(f_lo: float, f_hi: float) -> bool:
@@ -170,13 +181,13 @@ def _straddles(f_lo: float, f_hi: float) -> bool:
     return f_lo < 0.0 <= f_hi or f_hi <= 0.0 < f_lo
 
 
-def _brent_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                maxiter: int) -> tuple[float, int]:
-    """Root of f(x) on the bracket [lo, hi] by Brent's method.
+def _brent_steps(lo: float, hi: float, f_lo: float, f_hi: float, maxiter: int):
+    """Brent's method for a root of f on the bracket [lo, hi], as a generator.
 
     ``f_lo`` and ``f_hi`` are f(lo) and f(hi), which the caller has already
-    evaluated for its own bracket test; f is called only inside the bracket.
-    Returns (root, iterations).  A step-for-step port of scipy's ``brentq``
+    evaluated for its own bracket test.  The generator yields each trial x
+    inside the bracket as a 1-tuple, takes [f(x)] by ``send`` and returns
+    (root, iterations).  A step-for-step port of scipy's ``brentq``
     (``Zeros/brentq.c``) at the tolerances ``_XTOL`` and ``_RTOL``, in
     Python floats: it returns the same root bits after the same number of
     iterations, as the oracle test pins.  A zero at an end is returned
@@ -237,19 +248,76 @@ def _brent_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur, f(xcur))
+        fcur = value(xcur, (yield (xcur,))[0])
     raise InvariantViolationError(
         f"root finder did not converge after {maxiter} iterations, value is {xcur!r}"
     )
 
 
-def _result_at(rho: float, params: SystemParams, iterations: int) -> FixedPointResult:
-    p = stationary_from_load(rho, params.capacity_k)
-    a, b = _point_rates(params)(p)
-    rates = RatePair(birth=float(max(a, 0.0)), death=float(b))
-    residual = float(np.abs(p @ build_generator(rates, params.capacity_k)).max())
-    return FixedPointResult(p=p, rho=rho, rates=rates, residual=residual,
-                            iterations=iterations)
+def _brent_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
+                maxiter: int) -> tuple[float, int]:
+    """Root of the scalar function f on the bracket [lo, hi]: ``_brent_steps``
+    driven by calling f at each trial x.  Returns (root, iterations)."""
+    steps = _brent_steps(lo, hi, f_lo, f_hi, maxiter)
+    try:
+        trial = next(steps)
+        while True:
+            trial = steps.send([f(x) for x in trial])
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lockstep(steppers: list, rows) -> list:
+    """Run step generators side by side on one ``_defect_kernel``.
+
+    Generator i is lane i of ``rows``: it yields a tuple of trial loads and
+    takes the list of their defects by ``send``.  Each round evaluates the
+    loads of every live lane in one kernel call.  Returns, per lane, the
+    generator's return value, or the ``BikeShareError`` it raised; a lane
+    that raises stops, and the others go on.
+    """
+    outcomes: list = [None] * len(steppers)
+    sends = dict.fromkeys(range(len(steppers)))
+    while sends:
+        loads, lanes, ends = [], [], []
+        for lane, values in sends.items():
+            try:
+                trial = steppers[lane].send(values)
+            except StopIteration as stop:
+                outcomes[lane] = stop.value
+                continue
+            except BikeShareError as exc:
+                outcomes[lane] = exc
+                continue
+            loads += trial
+            lanes += [lane] * len(trial)
+            ends.append((lane, len(loads)))
+        values = rows(loads, lanes)[0].tolist() if loads else []
+        sends, start = {}, 0
+        for lane, end in ends:
+            sends[lane], start = values[start:end], end
+    return outcomes
+
+
+def _solved_points(rows, found: list, capacity_k: int) -> list:
+    """The outcomes ``found`` of a ``_lockstep`` run on ``rows``, with each lane's
+    (root, iterations) replaced by its ``FixedPointResult``, or by the
+    ``BikeShareError`` its rates raise.  The vectors and rates of all roots come
+    from one kernel block; the residual is p V_p in sup-norm."""
+    lanes = [lane for lane, outcome in enumerate(found) if type(outcome) is tuple]
+    roots = [found[lane][0] for lane in lanes]
+    _, block, births, deaths = rows(roots, lanes)
+    points = list(found)
+    for lane, rho, p, a, b in zip(lanes, roots, block, births.tolist(), deaths.tolist()):
+        rates = RatePair(birth=max(a, 0.0), death=b)
+        try:
+            residual = float(np.abs(p @ build_generator(rates, capacity_k)).max())
+        except BikeShareError as exc:
+            points[lane] = exc
+            continue
+        points[lane] = FixedPointResult(p=p, rho=rho, rates=rates, residual=residual,
+                                        iterations=found[lane][1])
+    return points
 
 
 def rho_upper_bound(params: SystemParams) -> float:
@@ -257,12 +325,13 @@ def rho_upper_bound(params: SystemParams) -> float:
     return params.mu * params.capacity_c / (params.delta * params.lam)
 
 
-def _sign_certified(defect, rho: float) -> bool:
-    """Whether the defect is 0 at rho or 16 ``_brent_root`` tolerances to either side
-    (0 at the least), or changes sign between those two; a NaN certifies nothing."""
+def _sign_certified(rows, lane: int, rho: float) -> bool:
+    """Whether lane ``lane`` of ``rows`` has a defect of 0 at rho or 16 ``_brent_steps``
+    tolerances to either side (0 at the least), or one that changes sign between those
+    two; a NaN certifies nothing."""
     width = 16 * (_XTOL + _RTOL * abs(rho)) / 2
-    d_lo, d_hi = defect(max(rho - width, 0.0)), defect(rho + width)
-    return d_lo == 0.0 or defect(rho) == 0.0 or _straddles(d_lo, d_hi)
+    d_lo, d_rho, d_hi = rows([max(rho - width, 0.0), rho, rho + width], [lane] * 3)[0].tolist()
+    return d_lo == 0.0 or d_rho == 0.0 or _straddles(d_lo, d_hi)
 
 
 def _rounding_bound(result: FixedPointResult, params: SystemParams) -> float:
@@ -276,50 +345,82 @@ def _rounding_bound(result: FixedPointResult, params: SystemParams) -> float:
     return _EPS * float(p.dot(_levels(params.capacity_k)[0])) * params.mu / free * p.max()
 
 
-def solve_fixed_point(params: SystemParams) -> FixedPointResult:
-    """Solve p V_p = 0, p e = 1 by scalar reduction on the load.
-
-    For a trial load rho the stationary vector p(rho) is explicit, so the
-    fixed point solves defect(rho) = birth(p(rho)) - rho*death(p(rho)) = 0.
-    The defect is bracketed on [0, mu*C/(delta*lambda)] and solved with
-    Brent's method (``_brent_root``); a NaN defect at either end brackets
-    nothing and raises ``NoBracketError``.  The root is accepted if p V_p is
-    below ``RESIDUAL_TOL`` times birth + death in sup-norm or, since the best
-    float load can miss that where C - E[Q] cancels, if ``_sign_certified``,
-    or, where the defect near the root is rounding noise of either sign, if
-    the residual is within its ``_rounding_bound``.
-    It is rejected loudly if p0 or pK violates the assumed 1 - delta bound.
-    """
-    defect = _defect_kernel(params)
-    rho_hi = rho_upper_bound(params)
-    d_lo, d_hi = defect(0.0), defect(rho_hi)
+def _root_steps(rho_hi: float):
+    """The load of one solve, as a generator for ``_lockstep``: the defect at 0 and at
+    ``rho_hi``, then ``_brent_steps`` on that bracket.  Returns (root, iterations)."""
+    d_lo, d_hi = yield 0.0, rho_hi
     if d_lo == 0.0:
-        rho, iterations = 0.0, 0
-    elif not _straddles(d_lo, d_hi):
+        return 0.0, 0
+    if not _straddles(d_lo, d_hi):
         raise NoBracketError(
             f"defect does not change sign between 0 ({d_lo:.6g}) and "
             f"{rho_hi:.6g} ({d_hi:.6g}); no fixed point in the assumed domain",
             lo=0.0, hi=rho_hi, defect_lo=d_lo, defect_hi=d_hi,
         )
-    else:
-        rho, iterations = _brent_root(defect, 0.0, rho_hi, d_lo, d_hi, maxiter=200)
-    result = _result_at(rho, params, iterations)
+    return (yield from _brent_steps(0.0, rho_hi, d_lo, d_hi, maxiter=200))
+
+
+def _accepted(result: FixedPointResult, params: SystemParams, rows, lane: int):
+    """``result`` if ``solve_fixed_point`` accepts it, else the error it raises."""
     scale = result.rates.birth + result.rates.death
-    if (result.residual >= RESIDUAL_TOL * scale and not _sign_certified(defect, result.rho)
+    if (result.residual >= RESIDUAL_TOL * scale and not _sign_certified(rows, lane, result.rho)
             and not result.residual <= (rounding := _rounding_bound(result, params))):
-        raise InvariantViolationError(
+        return InvariantViolationError(
             f"solver residual {result.residual:.3e} did not reach {RESIDUAL_TOL:.0e} relative to "
             f"birth + death = {scale:.3e} or its rounding bound {rounding:.3e}, and the defect "
             f"keeps its sign near rho={result.rho!r}"
         )
     bound = 1.0 - params.delta
     if result.p[0] > bound or result.p[-1] > bound:
-        raise AssumptionViolationError(
+        return AssumptionViolationError(
             "fixed point violates the problematic-station bound: "
             f"p0={result.p[0]:.6g}, pK={result.p[-1]:.6g}, bound={bound:.6g}",
             result=result,
         )
     return result
+
+
+def _solve_many(params_list: list[SystemParams]) -> list:
+    """``solve_fixed_point`` of every set in ``params_list``: per set its
+    ``FixedPointResult``, or the ``BikeShareError`` its solve raises.
+
+    Sets that share (K, omega) are solved in lockstep on one ``_defect_kernel``,
+    which gives every set the bits of a solve on its own.
+    """
+    outcomes: list = [None] * len(params_list)
+    groups: dict = {}
+    for index, params in enumerate(params_list):
+        groups.setdefault((params.capacity_k, params.omega), []).append(index)
+    for indices in groups.values():
+        group = [params_list[index] for index in indices]
+        rows = _defect_kernel(group)
+        found = _lockstep([_root_steps(rho_upper_bound(params)) for params in group], rows)
+        points = _solved_points(rows, found, group[0].capacity_k)
+        for lane, (index, point) in enumerate(zip(indices, points)):
+            outcomes[index] = (point if isinstance(point, BikeShareError)
+                               else _accepted(point, group[lane], rows, lane))
+    return outcomes
+
+
+def solve_fixed_point(params: SystemParams) -> FixedPointResult:
+    """Solve p V_p = 0, p e = 1 by scalar reduction on the load.
+
+    For a trial load rho the stationary vector p(rho) is explicit, so the
+    fixed point solves defect(rho) = birth(p(rho)) - rho*death(p(rho)) = 0.
+    The defect is bracketed on [0, mu*C/(delta*lambda)] and solved with
+    Brent's method (``_brent_steps``); a NaN defect at either end brackets
+    nothing and raises ``NoBracketError``.  The root is accepted if p V_p is
+    below ``RESIDUAL_TOL`` times birth + death in sup-norm or, since the best
+    float load can miss that where C - E[Q] cancels, if ``_sign_certified``,
+    or, where the defect near the root is rounding noise of either sign, if
+    the residual is within its ``_rounding_bound``.
+    It is rejected loudly if p0 or pK violates the assumed 1 - delta bound.
+    This is the one-set case of ``_solve_many``.
+    """
+    (outcome,) = _solve_many([params])
+    if isinstance(outcome, BikeShareError):
+        raise outcome
+    return outcome
 
 
 def nonlinear_residual(p, params: SystemParams) -> np.ndarray:
@@ -344,9 +445,9 @@ def nonlinear_residual(p, params: SystemParams) -> np.ndarray:
     return res
 
 
-def _refine_locally(rho0: float, defect, max_steps: int) -> tuple[float, int]:
-    """Polish a load estimate with at most ``max_steps`` secant steps on
-    ``defect`` (a ``_defect_kernel``) around rho0.
+def _refine_locally(rho0: float, max_steps: int):
+    """Polish a load estimate with at most ``max_steps`` secant steps on the
+    defect around rho0, as a generator for ``_lockstep``.
 
     Falls back to Brent's method on a small expanding bracket if the secant
     iteration leaves the neighbourhood; the search never restarts globally
@@ -355,8 +456,7 @@ def _refine_locally(rho0: float, defect, max_steps: int) -> tuple[float, int]:
     """
     x0 = max(rho0, 0.0)
     x1 = x0 * (1.0 + 1e-7) + 1e-12
-    f0 = defect(x0)
-    f1 = defect(x1)
+    f0, f1 = yield x0, x1
     used = 2
     reach = max(1.0, abs(rho0))
     for _ in range(max_steps):
@@ -369,7 +469,7 @@ def _refine_locally(rho0: float, defect, max_steps: int) -> tuple[float, int]:
             break
         x0, f0 = x1, f1
         x1 = x2
-        f1 = defect(x1)
+        (f1,) = yield (x1,)
         used += 1
         if abs(x1 - x0) <= 1e-15 * max(1.0, abs(x1)):
             return x1, used
@@ -378,13 +478,12 @@ def _refine_locally(rho0: float, defect, max_steps: int) -> tuple[float, int]:
     for _ in range(60):
         lo = max(0.0, rho0 - width)
         hi = rho0 + width
-        flo = defect(lo)
-        fhi = defect(hi)
+        flo, fhi = yield lo, hi
         used += 2
         if flo == 0.0:
             return lo, used
         if _straddles(flo, fhi):
-            root, iterations = _brent_root(defect, lo, hi, flo, fhi, maxiter=100)
+            root, iterations = yield from _brent_steps(lo, hi, flo, fhi, maxiter=100)
             # Brent evaluates once per iteration but the last (none for a zero at an end)
             return root, used + max(iterations - 1, 0)
         width *= 2.0
@@ -403,7 +502,8 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     once to that load, and the load is refined locally on the defect with
     at most ``max_iterations`` secant steps; the run never falls back to the
     global bracketed solve, so a root in another basin produces another
-    answer.  ``iterations`` of each result counts the defect evaluations
+    answer.  The starts are refined in lockstep, one kernel call per round.
+    ``iterations`` of each result counts the defect evaluations
     of its refinement.  All results must agree within 1e-8 in sup-norm,
     otherwise ``MultipleFixedPointsError`` carries the distinct results.
     """
@@ -415,11 +515,13 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
     fleet = params.capacity_c - starts @ _levels(params.capacity_k)[0]
     birth = params.mu * fleet / (1.0 - starts[:, -1])
-    defect = _defect_kernel(params)
-    results: list[FixedPointResult] = []
-    for rho0 in np.maximum(birth, 0.0) / _death_rate(params)(starts[:, 0]):
-        rho, used = _refine_locally(float(rho0), defect, max_iterations)
-        results.append(_result_at(rho, params, used))
+    loads = np.maximum(birth, 0.0) / _death_rate(params)(starts[:, 0])
+    rows = _defect_kernel([params] * n_starts)
+    found = _lockstep([_refine_locally(rho0, max_iterations) for rho0 in loads.tolist()], rows)
+    results = _solved_points(rows, found, params.capacity_k)
+    for outcome in results:
+        if isinstance(outcome, BikeShareError):
+            raise outcome
     distinct = [results[0]]
     for res in results[1:]:
         if all(float(np.max(np.abs(res.p - d.p))) > 1e-8 for d in distinct):

@@ -78,8 +78,7 @@ def check_defect_root_count(params: SystemParams) -> CheckResult:
     exactly zero are dropped, so a root on a grid point counts once.
     """
     grid = np.linspace(0.0, rho_upper_bound(params), 2001)
-    defect = _defect_kernel(params)
-    signs = np.sign([defect(rho) for rho in grid.tolist()])
+    signs = np.sign(_defect_kernel([params] * grid.size)(grid, range(grid.size))[0])
     signs = signs[signs != 0]
     changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
     return CheckResult(

@@ -279,12 +279,13 @@ class TestSolveFailures:
 
     @staticmethod
     def failing_solve(error):
-        def solve(params, *args, **kwargs):
-            raise error("solver broke")
-        return solve
+        # every node's outcome is the error its solve raised
+        def solve_many(nodes):
+            return [error("solver broke") for _ in nodes]
+        return solve_many
 
     def test_invariant_violation_propagates(self, monkeypatch):
-        monkeypatch.setattr(analysis, "solve_fixed_point",
+        monkeypatch.setattr(analysis, "_solve_many",
                             self.failing_solve(InvariantViolationError))
         with pytest.raises(InvariantViolationError, match="solver broke"):
             sweep(SMALL, "lambda", [0.8, 1.0], ProfitPrices())
@@ -292,7 +293,7 @@ class TestSolveFailures:
             evaluate_design_grid(self.SEARCH, SMALL, ProfitPrices())
 
     def test_domain_error_recorded_per_node(self, monkeypatch):
-        monkeypatch.setattr(analysis, "solve_fixed_point", self.failing_solve(
+        monkeypatch.setattr(analysis, "_solve_many", self.failing_solve(
             AssumptionViolationError))
         records = (sweep(SMALL, "lambda", [0.8, 1.0], ProfitPrices())
                    + evaluate_design_grid(self.SEARCH, SMALL, ProfitPrices()))

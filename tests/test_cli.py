@@ -296,13 +296,23 @@ class TestOdeStream:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "FileNotFoundError"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
 
-    def test_out_is_a_directory(self, tmp_path, writers, capsys):
+    def test_out_is_a_directory(self, tmp_path, writers, capsys, monkeypatch):
+        # refused before a writer starts or a step is taken, naming --out itself
+        from bikeshare_meanfield import cli
+
+        stepped = []
+        monkeypatch.setattr(cli, "_rk4_blocks", lambda *args: stepped.append(args) or iter(()))
         params = write_params(tmp_path, dict(SMALL, t_end=1.0))
-        (tmp_path / "traj.csv").mkdir()
-        assert main(["ode", "--params", str(params), "--out", str(tmp_path / "traj.csv")]) == 5
-        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+        out = tmp_path / "traj.csv"
+        out.mkdir()
+        assert main(["ode", "--params", str(params), "--out", str(out)]) == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "IsADirectoryError",
+                                        "message": f"[Errno 21] Is a directory: {str(out)!r}"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "traj.csv"]
-        assert len(writers) == 1 and writers[0].returncode == 0
+        assert list(out.iterdir()) == []
+        assert writers == [] and stepped == []
 
     def test_writer_script_alone(self, tmp_path):
         from bikeshare_meanfield import csvrows
@@ -332,7 +342,7 @@ class TestOdeStream:
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                     for alias in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-        assert imported <= {"__future__", "os", "subprocess", "sys"}
+        assert imported <= {"__future__", "errno", "os", "subprocess", "sys"}
 
 
 class TestSimulateCommand:
@@ -465,12 +475,12 @@ class TestOptimizeCommand:
 
         calls = []
 
-        def counting_solve(params, *args, **kwargs):
-            calls.append(params)
-            return solve(params, *args, **kwargs)
+        def counting_solve(nodes):
+            calls.append(nodes)
+            return solve(nodes)
 
-        solve = analysis.solve_fixed_point
-        monkeypatch.setattr(analysis, "solve_fixed_point", counting_solve)
+        solve = analysis._solve_many
+        monkeypatch.setattr(analysis, "_solve_many", counting_solve)
         config = dict(SMALL, objective=objective, grid_c=[2, 3, 5], grid_mu=[0.25, 2.0, 4.0])
         params = write_params(tmp_path, config)
         out = tmp_path / "win.json"
@@ -478,8 +488,9 @@ class TestOptimizeCommand:
         rows = (tmp_path / "win.grid.csv").read_text().splitlines()[1:]
         # C=5 >= K and mu=0.25 <= gamma are infeasible: 2 x 2 candidates remain
         assert len(rows) == 4
-        assert len(calls) == 4
-        assert len(set(calls)) == 4
+        assert len(calls) == 1
+        assert len(calls[0]) == 4
+        assert len(set(calls[0])) == 4
 
 
 class TestInternalErrorExit:
@@ -492,10 +503,10 @@ class TestInternalErrorExit:
         from bikeshare_meanfield import analysis
         from bikeshare_meanfield.errors import InvariantViolationError
 
-        def broken_solve(params, *args, **kwargs):
-            raise InvariantViolationError("solver broke")
+        def broken_solve(nodes):
+            return [InvariantViolationError("solver broke") for _ in nodes]
 
-        monkeypatch.setattr(analysis, "solve_fixed_point", broken_solve)
+        monkeypatch.setattr(analysis, "_solve_many", broken_solve)
         params = write_params(tmp_path, dict(SMALL, **keys))
         out = tmp_path / "out.csv"
         assert main([command, "--params", str(params), "--out", str(out)]) == 5
@@ -521,13 +532,13 @@ class TestRootCertificate:
     def test_moved_root_exits_5(self, tmp_path, monkeypatch, capsys, config, shift):
         from bikeshare_meanfield import fixed_point
 
-        brent = fixed_point._brent_root
+        brent = fixed_point._brent_steps
 
         def moved(*args, **kwargs):
-            root, iterations = brent(*args, **kwargs)
+            root, iterations = yield from brent(*args, **kwargs)
             return root * (1.0 + shift), iterations
 
-        monkeypatch.setattr(fixed_point, "_brent_root", moved)
+        monkeypatch.setattr(fixed_point, "_brent_steps", moved)
         params = write_params(tmp_path, config)
         out = tmp_path / "fp.json"
         assert main(["fixed-point", "--params", str(params), "--out", str(out)]) == 5

@@ -334,6 +334,10 @@ def _frozen_geom_sum(x, omega):
     return total
 
 
+def _same_bits(x, y):
+    return np.array(x).tobytes() == np.array(y).tobytes()
+
+
 class TestGeomSeries:
     OMEGAS = [0, 1, 2, 3, 5, 64, 1000, 2 ** 53 + 1, 10 ** 100, 2 ** 1020, 2 ** 1023 + 12345]
 
@@ -348,13 +352,24 @@ class TestGeomSeries:
             assert type(got) is float
             assert got == want and np.signbit(got) == np.signbit(want), x
 
-    @pytest.mark.parametrize("omega", [0, 1, 7, 2 ** 1020])
+    @pytest.mark.parametrize("omega", [0, 1, 2, 7, 2 ** 1020])
     def test_arrays_and_complex_keep_the_full_walk(self, omega):
         # elementwise for arrays, and the complex step of the walk slope
         x = np.array([0.0, 0.3, 1.0, 0.999999])
         assert _geom_series(omega)(x).tobytes() == _frozen_geom_sum(x, omega).tobytes()
-        z = complex(0.3, 2.0 ** -64)
-        assert _geom_series(omega)(z) == _frozen_geom_sum(z, omega)
+        for z in (complex(0.3, 2.0 ** -64), complex(0.0, 2.0 ** -64), complex(1.0, 2.0 ** -64)):
+            assert _same_bits(_geom_series(omega)(z), _frozen_geom_sum(z, omega)), z
+
+    @pytest.mark.parametrize("omega", [0, 1, 2, 7, 2 ** 1020])
+    def test_signed_and_non_finite_entries_keep_the_full_walk(self, omega):
+        # starting after the leading bit keeps the sign of zero and the NaN of inf and NaN
+        x = np.array([-0.0, -0.5, -1.0, -2.0, 1.5, np.inf, -np.inf, np.nan])
+        with np.errstate(all="ignore"):
+            got, want = _geom_series(omega)(x), _frozen_geom_sum(x, omega)
+        assert got.tobytes() == want.tobytes()
+        for value in x.tolist():
+            got, want = _geom_series(omega)(value), _frozen_geom_sum(value, omega)
+            assert _same_bits(got, want), value
 
 
 class TestLevels:

@@ -114,6 +114,52 @@ def _frozen_result_at(rho, params, iterations):
                                         iterations=iterations)
 
 
+def _frozen_solve(params):
+    """Reference: ``solve_fixed_point`` before the lockstep solve, one node at a time
+    on the frozen defect and result, with the in-package Brent port."""
+    defect = functools.partial(_frozen_defect, params=params)
+    rho_hi = params.mu * params.capacity_c / (params.delta * params.lam)
+    d_lo, d_hi = defect(0.0), defect(rho_hi)
+    if d_lo == 0.0:
+        rho, iterations = 0.0, 0
+    elif not (d_lo < 0.0 <= d_hi or d_hi <= 0.0 < d_lo):
+        raise NoBracketError(
+            f"defect does not change sign between 0 ({d_lo:.6g}) and "
+            f"{rho_hi:.6g} ({d_hi:.6g}); no fixed point in the assumed domain",
+            lo=0.0, hi=rho_hi, defect_lo=d_lo, defect_hi=d_hi,
+        )
+    else:
+        rho, iterations = fixed_point._brent_root(defect, 0.0, rho_hi, d_lo, d_hi, maxiter=200)
+    result = _frozen_result_at(rho, params, iterations)
+    scale = result.rates.birth + result.rates.death
+    width = 16 * (1e-15 + 8.9e-16 * abs(rho)) / 2
+    s_lo, s_hi = defect(max(rho - width, 0.0)), defect(rho + width)
+    certified = s_lo == 0.0 or defect(rho) == 0.0 or s_lo < 0.0 <= s_hi or s_hi <= 0.0 < s_lo
+    p, free = result.p, 1.0 - result.p[-1]
+    rounding = (np.finfo(float).eps * float(p @ np.arange(p.size, dtype=float)) * params.mu
+                / free * p.max()) if free > 0.0 else 0.0
+    if result.residual >= 1e-10 * scale and not certified and not result.residual <= rounding:
+        raise InvariantViolationError(
+            f"solver residual {result.residual:.3e} did not reach 1e-10 relative to "
+            f"birth + death = {scale:.3e} or its rounding bound {rounding:.3e}, and the defect "
+            f"keeps its sign near rho={result.rho!r}"
+        )
+    bound = 1.0 - params.delta
+    if result.p[0] > bound or result.p[-1] > bound:
+        raise AssumptionViolationError(
+            "fixed point violates the problematic-station bound: "
+            f"p0={result.p[0]:.6g}, pK={result.p[-1]:.6g}, bound={bound:.6g}",
+            result=result,
+        )
+    return result
+
+
+def _scalar_defect(params):
+    """The defect of ``params`` at one load, as a one-lane call of the lane kernel."""
+    rows = fixed_point._defect_kernel([params])
+    return lambda rho: float(rows([rho], [0])[0][0])
+
+
 def _wide_params(rng):
     """A parameter set with rates from 1e-6 to 1e6 and K up to 500."""
     mu, gamma = sorted(10.0 ** rng.uniform(-6, 6, size=2), reverse=True)
@@ -128,81 +174,224 @@ def _same_float(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
-def _solve_outcome(params):
+def _outcome(solve, params):
     try:
-        r = solve_fixed_point(params)
+        r = solve(params)
     except BikeShareError as exc:
         return type(exc).__name__, str(exc)
     return r.p.tobytes(), r.rho, r.rates, r.residual, r.iterations
 
 
+def _solve_outcome(params):
+    return _outcome(solve_fixed_point, params)
+
+
+def _frozen_outcome(params):
+    with warnings.catch_warnings():
+        # the frozen defect warns where every station is full
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return _outcome(_frozen_solve, params)
+
+
+def _grid_of_groups(rng, groups):
+    """Wide draws in ``groups`` groups that share (K, omega), shuffled together."""
+    nodes = []
+    for _ in range(groups):
+        k, omega = int(rng.integers(2, 501)), int(rng.integers(0, 6))
+        for _ in range(int(rng.integers(1, 12))):
+            params = _wide_params(rng)
+            nodes.append(dataclasses.replace(params, capacity_k=k, omega=omega,
+                                             capacity_c=min(params.capacity_c, k - 1)))
+    return [nodes[i] for i in rng.permutation(len(nodes))]
+
+
+def _detail(solve, params):
+    """Everything a solve returns or raises: root, iterations and residual bits, or the
+    error class, message and bracket."""
+    try:
+        r = solve(params)
+    except NoBracketError as exc:
+        return ("NoBracketError", str(exc), exc.lo.hex(), exc.hi.hex(),
+                exc.defect_lo.hex(), exc.defect_hi.hex())
+    except BikeShareError as exc:
+        return type(exc).__name__, str(exc)
+    return r.p.tobytes(), r.rho.hex(), r.iterations, r.residual.hex(), r.rates
+
+
+def _frozen_detail(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return _detail(_frozen_solve, params)
+
+
+def _outcome_of(outcome):
+    """``outcome`` of ``_solve_many`` as a function that returns or raises it."""
+    def solve(_params):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+    return solve
+
+
 class TestLoadKernel:
     def test_bit_identical_to_frozen_bodies(self):
+        # groups of sets sharing (K, omega), every load in one call on mixed lanes
         rng = np.random.default_rng(2026)
         pairs = 0
-        for _ in range(600):
-            params = _wide_params(rng)
+        for _ in range(150):
+            k, omega = int(rng.integers(2, 501)), int(rng.integers(0, 6))
+            group = [dataclasses.replace(params, capacity_k=k, omega=omega,
+                                         capacity_c=min(params.capacity_c, k - 1))
+                     for params in (_wide_params(rng) for _ in range(4))]
             loads = [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
                      *10.0 ** rng.uniform(-6, 6, size=5)]
-            # one kernel per set: its work buffer is reused across loads
-            defect = fixed_point._defect_kernel(params)
-            for rho in map(float, loads):
-                assert _same_float(defect(rho), _frozen_defect(rho, params))
-                new = fixed_point._result_at(rho, params, 3)
+            loads = [float(rho) for rho in loads for _ in group]
+            lanes = rng.permutation(len(loads)) % len(group)
+            defects = fixed_point._defect_kernel(group)(loads, lanes)[0].tolist()
+            # one lane per load for the solved points
+            results = fixed_point._solved_points(
+                fixed_point._defect_kernel([group[lane] for lane in lanes]),
+                [(rho, 3) for rho in loads], k)
+            for rho, lane, value, new in zip(loads, lanes, defects, results):
+                params = group[lane]
+                assert _same_float(value, _frozen_defect(rho, params))
                 old = _frozen_result_at(rho, params, 3)
                 assert new.p.tobytes() == old.p.tobytes()
                 assert new.rates == old.rates and _same_float(new.residual, old.residual)
                 pairs += 1
         assert pairs >= 5000
 
-    def test_solves_bit_identical_to_frozen_kernels(self, monkeypatch):
-        current = [_solve_outcome(params) for params in FIGURE_SETS]
-        monkeypatch.setattr(fixed_point, "_defect_kernel",
-                            lambda params: functools.partial(_frozen_defect, params=params))
-        monkeypatch.setattr(fixed_point, "_result_at", _frozen_result_at)
-        assert [_solve_outcome(params) for params in FIGURE_SETS] == current
+    @pytest.mark.parametrize("omega", [0, 1, 2 ** 1020])
+    def test_edge_loads_bit_identical_to_frozen_defect_without_warnings(self, omega):
+        # loads 0, 1, either side of 1, where p_K rounds to 1 and 1e300; at
+        # omega = 2**1020 the walk term overflows to inf and 0 * inf is NaN
+        sets = [dataclasses.replace(params, omega=omega)
+                for params in (FIG5, FIG7, dataclasses.replace(FIG5, mu=1e6, gamma=1e6))]
+        loads = [0.0, 1.0, float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)),
+                 0.5, 1.7, 1e17, 1e200, 1e300]
+        assert stationary_from_load(1e17, FIG5.capacity_k)[-1] == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = fixed_point._defect_kernel(sets)
+            values = rows(loads * len(sets), [lane for lane in range(len(sets))
+                                              for _ in loads])[0].tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            frozen = [_frozen_defect(rho, params) for params in sets for rho in loads]
+        assert [v.hex() for v in values] == [float(v).hex() for v in frozen]
+        assert values[loads.index(1e300)] == -np.inf
+        if omega == 2 ** 1020:
+            assert math.isnan(values[len(loads) * 2])
+
+    def test_lockstep_solves_equal_frozen_node_by_node_solves(self):
+        # mixed-K, mixed-omega grids of wide draws, plus bracket failures, domain
+        # errors and the sets that need the second and third acceptance steps
+        rng = np.random.default_rng(2028)
+        huge = [dataclasses.replace(FIG5, omega=2 ** 1020, mu=1e6, gamma=1e6, lam=lam)
+                for lam in (1.0, 15.0)]
+        nodes = (_grid_of_groups(rng, 60) + FIGURE_SETS + huge
+                 + [ILL_CONDITIONED, ROUNDING_NOISE, dataclasses.replace(ROUNDING_NOISE,
+                                                                        delta=0.45)])
+        nodes = [nodes[i] for i in rng.permutation(len(nodes))]
+        frozen = [_frozen_detail(params) for params in nodes]
+        lockstep = [_detail(_outcome_of(outcome), params)
+                    for params, outcome in zip(nodes, fixed_point._solve_many(nodes))]
+        assert lockstep == frozen
+        kinds = {detail[0] for detail in frozen if isinstance(detail[0], str)}
+        assert {"NoBracketError", "AssumptionViolationError"} <= kinds
+        assert sum(isinstance(detail[0], bytes) for detail in frozen) > len(nodes) // 2
+
+    def test_solves_bit_identical_to_frozen_kernels(self):
+        assert [_solve_outcome(params) for params in FIGURE_SETS] == [
+            _frozen_outcome(params) for params in FIGURE_SETS]
 
     def test_figure5_solve_evaluates_the_defect_iterations_plus_one_times(self, monkeypatch):
-        # both bracket ends once, then one load per root-finder iteration but the last
-        kernels, loads = [], []
+        # both bracket ends in one call, then one load per root-finder iteration
+        # but the last, then the solved point in one last call
+        kernels, calls = [], []
         make_kernel = fixed_point._defect_kernel
 
-        def counting_kernel(params):
-            kernels.append(params)
-            defect = make_kernel(params)
+        def counting_kernel(group):
+            kernels.append(group)
+            rows = make_kernel(group)
 
-            def counted(rho):
-                loads.append(rho)
-                return defect(rho)
+            def counted(loads, lanes):
+                calls.append((list(loads), list(lanes)))
+                return rows(loads, lanes)
 
             return counted
 
         monkeypatch.setattr(fixed_point, "_defect_kernel", counting_kernel)
         result = solve_fixed_point(FIG5)
-        assert kernels == [FIG5]
+        assert kernels == [[FIG5]]
         assert result.iterations == 11
-        assert len(loads) == result.iterations + 1 == 12
-        assert loads[:2] == [0.0, fixed_point.rho_upper_bound(FIG5)]
+        assert calls[0] == ([0.0, fixed_point.rho_upper_bound(FIG5)], [0, 0])
+        assert all(len(loads) == 1 and lanes == [0] for loads, lanes in calls[1:])
+        assert sum(len(loads) for loads, _ in calls[:-1]) == result.iterations + 1 == 12
+        assert calls[-1] == ([result.rho], [0])
+
+    def test_sweep_takes_one_kernel_call_per_round(self, monkeypatch):
+        # 41 nodes sharing (K, omega): one kernel, each round one call for every live node
+        kernels, calls = [], []
+        make_kernel = fixed_point._defect_kernel
+
+        def counting_kernel(group):
+            kernels.append(len(group))
+            rows = make_kernel(group)
+
+            def counted(loads, lanes):
+                calls.append(len(loads))
+                return rows(loads, lanes)
+
+            return counted
+
+        nodes = [dataclasses.replace(FIG5, lam=float(lam)) for lam in np.linspace(10, 30, 41)]
+        monkeypatch.setattr(fixed_point, "_defect_kernel", counting_kernel)
+        results = fixed_point._solve_many(nodes)
+        assert kernels == [41]
+        iterations = [r.iterations for r in results]
+        # one bracket round, one per iteration of the slowest node but its last, one result call
+        assert calls[0] == 2 * 41 and calls[-1] == 41
+        assert len(calls) == 1 + max(iterations) - 1 + 1
+        assert sum(calls[1:-1]) == sum(n - 1 for n in iterations)
 
     @pytest.mark.parametrize("rho", [1e17, 1e200])
-    def test_full_station_load_warns_like_frozen_defect(self, rho):
-        # p_K rounds to 1, so 1 - p_K is 0: numpy's infinite rate and
-        # RuntimeWarning, never Python's ZeroDivisionError
+    def test_full_station_load_matches_frozen_defect_without_a_warning(self, rho):
+        # p_K rounds to 1, so 1 - p_K is 0: the frozen defect divides with numpy's
+        # RuntimeWarning, the lane kernel gives the same infinite rate silently
         assert stationary_from_load(rho, FIG5.capacity_k)[-1] == 1.0
         with warnings.catch_warnings(record=True) as new:
             warnings.simplefilter("always")
-            value = fixed_point._defect_kernel(FIG5)(rho)
+            value = _scalar_defect(FIG5)(rho)
         with warnings.catch_warnings(record=True) as old:
             warnings.simplefilter("always")
             frozen = _frozen_defect(rho, FIG5)
         assert value == frozen == -np.inf
-        assert [w.category for w in new] == [w.category for w in old] == [RuntimeWarning]
+        assert new == [] and [w.category for w in old] == [RuntimeWarning]
 
 
 def _scipy_root(f, lo, hi, maxiter=100):
     root, info = scipy_optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16,
                                        maxiter=maxiter, full_output=True)
     return root.hex(), info.iterations
+
+
+def _lockstep_roots(params, brackets, maxiter=200):
+    """``_brent_steps`` on each bracket of ``params`` in lockstep: per bracket its
+    (root, iterations) or error, and the defect at every load the lanes evaluated."""
+    rows = fixed_point._defect_kernel([params] * len(brackets))
+    ends = [x for bracket in brackets for x in bracket]
+    values = rows(ends, [lane for lane in range(len(brackets)) for _ in (0, 1)])[0].tolist()
+    seen = dict(zip(ends, values))
+
+    def recording(loads, lanes):
+        block = rows(loads, lanes)
+        seen.update(zip(loads, block[0].tolist()))
+        return block
+
+    steppers = [fixed_point._brent_steps(lo, hi, values[2 * i], values[2 * i + 1], maxiter)
+                for i, (lo, hi) in enumerate(brackets)]
+    return fixed_point._lockstep(steppers, recording), seen
 
 
 def _port_brent(f, lo, hi, maxiter=100):
@@ -216,9 +405,9 @@ def _port_root(f, lo, hi, maxiter=100):
 
 
 def _port_lines_run(f, lo, hi):
-    """Source lines of ``_brent_root`` executed while it solves f on [lo, hi]."""
-    code = fixed_point._brent_root.__code__
-    source, first = inspect.getsourcelines(fixed_point._brent_root)
+    """Source lines of ``_brent_steps`` executed while it solves f on [lo, hi]."""
+    code = fixed_point._brent_steps.__code__
+    source, first = inspect.getsourcelines(fixed_point._brent_steps)
     hit = set()
 
     def tracer(frame, event, arg):
@@ -240,40 +429,42 @@ class TestBrentRoot:
 
     def test_matches_scipy_on_defect_brackets(self):
         # criterion-5 sets, then wide draws: the whole bracket
-        # [0, rho_upper_bound], three random sub-brackets around its root
-        # and one random sub-bracket that may hold no root
+        # [0, rho_upper_bound], then, in lockstep, three random sub-brackets
+        # around its root and one random sub-bracket that may hold no root
         rng = np.random.default_rng(2027)
         criterion_5 = random_valid_parameter_sets(1000, seed=2027)
         solved = refused = 0
 
-        def compare(lo, hi, params):
+        def compare(params, brackets):
+            # scipy calls the lanes' recorded values, and the kernel at any other load
             nonlocal solved, refused
-            defect = fixed_point._defect_kernel(params)
-            try:
-                expected = _scipy_root(defect, lo, hi, 200)
-            except ValueError:
-                with pytest.raises(NoBracketError):
-                    _port_brent(defect, lo, hi, 200)
-                refused += 1
-                return None
-            assert _port_root(defect, lo, hi, 200) == expected, (params, lo, hi)
-            solved += 1
-            return float.fromhex(expected[0])
-
-        with warnings.catch_warnings():
-            # wide draws reach loads where every station is full
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for n in itertools.count():
-                if solved >= 10_000:
-                    break
-                params = criterion_5[n] if n < len(criterion_5) else _wide_params(rng)
-                top = fixed_point.rho_upper_bound(params)
-                root = compare(0.0, top, params)
-                if root is None:
+            outcomes, seen = _lockstep_roots(params, brackets)
+            scalar = _scalar_defect(params)
+            roots = []
+            for (lo, hi), outcome in zip(brackets, outcomes):
+                try:
+                    expected = _scipy_root(lambda x: seen[x] if x in seen else scalar(x),
+                                           lo, hi, 200)
+                except ValueError:
+                    assert isinstance(outcome, NoBracketError)
+                    refused += 1
+                    roots.append(None)
                     continue
-                for _ in range(3):
-                    compare(rng.uniform(0.0, root), rng.uniform(root, top), params)
-                compare(*sorted(rng.uniform(0.0, top, 2)), params)
+                assert (outcome[0].hex(), outcome[1]) == expected, (params, lo, hi)
+                solved += 1
+                roots.append(outcome[0])
+            return roots
+
+        for n in itertools.count():
+            if solved >= 10_000:
+                break
+            params = criterion_5[n] if n < len(criterion_5) else _wide_params(rng)
+            top = fixed_point.rho_upper_bound(params)
+            (root,) = compare(params, [(0.0, top)])
+            if root is None:
+                continue
+            compare(params, [(rng.uniform(0.0, root), rng.uniform(root, top)) for _ in range(3)]
+                    + [tuple(sorted(rng.uniform(0.0, top, 2)))])
         assert refused > 0
 
     @pytest.mark.parametrize("lo,hi", [(1.0, 3.0), (-1.0, 1.0)], ids=["lo", "hi"])
@@ -650,7 +841,7 @@ class TestRootCertificate:
         scale = result.rates.birth + result.rates.death
         assert result.residual > 50 * fixed_point.RESIDUAL_TOL * scale
         assert result.rho == pytest.approx(1.00506, abs=1e-5)
-        assert fixed_point._sign_certified(fixed_point._defect_kernel(ILL_CONDITIONED),
+        assert fixed_point._sign_certified(fixed_point._defect_kernel([ILL_CONDITIONED]), 0,
                                            result.rho)
 
     def test_wide_draws_never_raise_invariant_violation(self):
@@ -669,16 +860,16 @@ class TestRootCertificate:
             except BikeShareError:
                 continue
             solved += 1
-            defect = fixed_point._defect_kernel(params)
-            assert fixed_point._sign_certified(defect, rho)
+            rows = fixed_point._defect_kernel([params])
+            assert fixed_point._sign_certified(rows, 0, rho)
             for shift in (1e-6, -1e-6, 1e-9, -1e-9, 1e-12):
-                assert not fixed_point._sign_certified(defect, rho * (1.0 + shift))
+                assert not fixed_point._sign_certified(rows, 0, rho * (1.0 + shift))
         assert solved > 100
 
     @pytest.mark.parametrize("delta", [0.8125, 0.45])
     def test_rounding_noise_root_is_within_its_bound(self, delta):
         params = dataclasses.replace(ROUNDING_NOISE, delta=delta)
-        defect = fixed_point._defect_kernel(params)
+        rows = fixed_point._defect_kernel([params])
         if delta == 0.45:
             result = solve_fixed_point(params)
         else:
@@ -689,7 +880,7 @@ class TestRootCertificate:
         scale = result.rates.birth + result.rates.death
         assert result.rho == pytest.approx(1.99999034, rel=1e-8)
         assert result.residual > fixed_point.RESIDUAL_TOL * scale
-        assert not fixed_point._sign_certified(defect, result.rho)
+        assert not fixed_point._sign_certified(rows, 0, result.rho)
         assert result.residual <= fixed_point._rounding_bound(result, params) < 4e-9
 
     def test_rounding_bound_is_below_the_gate_on_the_figure_sets(self):
@@ -704,13 +895,13 @@ class TestRootCertificate:
     ], ids=["fig5", "ill", "rounding-noise"])
     @pytest.mark.parametrize("shift", [1e-6, -1e-6, 1e-9, -1e-9])
     def test_moved_root_raises(self, monkeypatch, params, shift):
-        brent = fixed_point._brent_root
+        brent = fixed_point._brent_steps
 
         def moved(*args, **kwargs):
-            root, iterations = brent(*args, **kwargs)
+            root, iterations = yield from brent(*args, **kwargs)
             return root * (1.0 + shift), iterations
 
-        monkeypatch.setattr(fixed_point, "_brent_root", moved)
+        monkeypatch.setattr(fixed_point, "_brent_steps", moved)
         with pytest.raises(InvariantViolationError):
             solve_fixed_point(params)
 
@@ -740,6 +931,21 @@ class TestNonlinearResidual:
         nudged[1] -= 1e-4
         res_nudged = np.max(np.abs(nonlinear_residual(nudged, FIG5)))
         assert res_nudged > 100 * max(res_at_fp, 1e-15)
+
+
+def _with_defect(make_kernel, defect):
+    """``make_kernel`` with its defect replaced by the elementwise function ``defect``
+    of the loads; the vectors and rates stay the kernel's own."""
+    def kernel(group):
+        rows = make_kernel(group)
+
+        def replaced(loads, lanes):
+            _, p, birth, death = rows(loads, lanes)
+            return defect(np.array(loads, dtype=float)), p, birth, death
+
+        return replaced
+
+    return kernel
 
 
 class TestUniquenessProbe:
@@ -775,36 +981,35 @@ class TestUniquenessProbe:
 
     def test_iterations_count_the_defect_evaluations_of_each_start(self, monkeypatch):
         # 500 starts on 100 criterion-5 sets; about half reach the bracketed
-        # fallback, where Brent's last iteration evaluates nothing
+        # fallback, where Brent's last iteration evaluates nothing.  The starts
+        # share one kernel; its last call gives every start its solved point
         sets = random_valid_parameter_sets(100, seed=5)
-        counts = []
-        make_kernel, refine = fixed_point._defect_kernel, fixed_point._refine_locally
+        calls = []
+        make_kernel = fixed_point._defect_kernel
 
-        def counting_kernel(params):
-            defect = make_kernel(params)
+        def counting_kernel(group):
+            rows = make_kernel(group)
 
-            def counted(rho):
-                counts[-1] += 1
-                return defect(rho)
+            def counted(loads, lanes):
+                calls.append(list(lanes))
+                return rows(loads, lanes)
 
             return counted
 
-        def counting_refine(rho0, defect, max_steps):
-            counts.append(0)
-            return refine(rho0, defect, max_steps)
-
         monkeypatch.setattr(fixed_point, "_defect_kernel", counting_kernel)
-        monkeypatch.setattr(fixed_point, "_refine_locally", counting_refine)
         for params in sets:
-            counts.clear()
+            calls.clear()
             results = uniqueness_probe(params, 5)
+            assert calls[-1] == [0, 1, 2, 3, 4]
+            assert all(lanes == sorted(lanes) for lanes in calls)
+            counts = [sum(lanes.count(start) for lanes in calls[:-1]) for start in range(5)]
             assert [r.iterations for r in results] == counts
 
     def test_reports_every_root_of_a_cubic_defect(self, monkeypatch):
         # a defect with three roots stands in for a system with three fixed
         # points; the random starts must land in all three basins
-        monkeypatch.setattr(fixed_point, "_defect_kernel",
-                            lambda params: lambda rho: -(rho - 0.5) * (rho - 1.6) * (rho - 3.0))
+        monkeypatch.setattr(fixed_point, "_defect_kernel", _with_defect(
+            fixed_point._defect_kernel, lambda rho: -(rho - 0.5) * (rho - 1.6) * (rho - 3.0)))
         with pytest.raises(MultipleFixedPointsError) as err:
             uniqueness_probe(FIG5, 20, seed=0)
         roots = sorted(r.rho for r in err.value.results)
@@ -819,15 +1024,15 @@ class TestUniquenessProbe:
 
     def test_root_on_a_grid_point_counts_once(self, monkeypatch):
         # linspace(0, 5, 2001) holds 0.5 exactly, so the defect passes + 0 -
-        monkeypatch.setattr(validation, "_defect_kernel",
-                            lambda params: lambda rho: 1.0 - 2.0 * rho)
+        monkeypatch.setattr(validation, "_defect_kernel", _with_defect(
+            validation._defect_kernel, lambda rho: 1.0 - 2.0 * rho))
         check = check_defect_root_count(ANALYTIC)
         assert check.passed
         assert check.detail.startswith("defect sign changes 1 on 2001 loads in [0, 5]")
 
     def test_root_count_check_fails_on_three_roots(self, monkeypatch):
-        monkeypatch.setattr(validation, "_defect_kernel",
-                            lambda params: lambda rho: -(rho - 0.5) * (rho - 1.7) * (rho - 3.1))
+        monkeypatch.setattr(validation, "_defect_kernel", _with_defect(
+            validation._defect_kernel, lambda rho: -(rho - 0.5) * (rho - 1.7) * (rho - 3.1)))
         check = check_defect_root_count(FIG5)
         assert not check.passed
         assert check.detail.startswith("defect sign changes 3 on 2001 loads")
