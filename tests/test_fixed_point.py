@@ -356,6 +356,23 @@ class TestLoadKernel:
         assert sum(calls[1:-1]) == sum(n - 1 for n in iterations)
 
     @pytest.mark.parametrize("rho", [1e17, 1e200])
+    def test_full_station_load_warns_like_frozen_defect(self, rho):
+        # p_K rounds to 1, so 1 - p_K is 0: the scalar rates that
+        # ``self_map_residual`` reads give numpy's infinite rate and
+        # RuntimeWarning, never Python's ZeroDivisionError
+        p = stationary_from_load(rho, FIG5.capacity_k)
+        assert p[-1] == 1.0
+        with warnings.catch_warnings(record=True) as new:
+            warnings.simplefilter("always")
+            birth, death = fixed_point._point_rates(FIG5)(p)
+            value = float(birth) - rho * float(death)
+        with warnings.catch_warnings(record=True) as old:
+            warnings.simplefilter("always")
+            frozen = _frozen_defect(rho, FIG5)
+        assert value == frozen == -np.inf
+        assert [w.category for w in new] == [w.category for w in old] == [RuntimeWarning]
+
+    @pytest.mark.parametrize("rho", [1e17, 1e200])
     def test_full_station_load_matches_frozen_defect_without_a_warning(self, rho):
         # p_K rounds to 1, so 1 - p_K is 0: the frozen defect divides with numpy's
         # RuntimeWarning, the lane kernel gives the same infinite rate silently
