@@ -292,17 +292,6 @@ def _levels(capacity_k: int) -> tuple[np.ndarray, np.ndarray]:
     return k, down
 
 
-def _death_rate(params: SystemParams):
-    """The rental-side rate y0 -> lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1))
-    of ``params``, for a float y0 or elementwise for an array of them."""
-    lam, gamma, series = params.lam, params.gamma, _geom_series(params.omega)
-
-    def death(y0):
-        return lam + gamma * y0 * series(y0)
-
-    return death
-
-
 def _walk_slope(y0: float, omega: int) -> float:
     """Derivative of y0 * (1 + y0 + ... + y0**(omega-1)) by a complex step through the series.
 
@@ -318,11 +307,11 @@ def _guarded_rates(params: SystemParams):
     full-system and negative-fleet guards; a round-off-sized negative fleet is
     clamped to zero."""
     levels, mu, c = _levels(params.capacity_k)[0], params.mu, params.capacity_c
-    death = _death_rate(params)
+    lam, gamma, series = params.lam, params.gamma, _geom_series(params.omega)
     full = 1.0 - _EPS
 
     def rates(y):
-        yk, fleet = y.item(-1), c - float(y.dot(levels))
+        yk, fleet, y0 = y.item(-1), c - float(y.dot(levels)), y.item(0)
         if yk >= full:
             raise FullSystemError("full-station fraction reached 1: persistent-return rate "
                                   "undefined")
@@ -330,21 +319,7 @@ def _guarded_rates(params: SystemParams):
             raise NegativeFleetError("mean parked bikes exceed C: bikes in transit would be "
                                      f"negative (deficit {fleet:.3e})")
         fleet = max(fleet, 0.0)
-        return mu * fleet / (1.0 - yk), death(y.item(0)), fleet
-
-    return rates
-
-
-def _point_rates(params: SystemParams):
-    """The unguarded scalar (birth, death) of one float vector of ``params``; where
-    1 - y_K is 0 numpy divides, so it warns and gives an infinite or NaN rate."""
-    levels, mu, c = _levels(params.capacity_k)[0], params.mu, params.capacity_c
-    death = _death_rate(params)
-
-    def rates(y):
-        fleet, free = c - float(y.dot(levels)), 1.0 - y.item(-1)
-        birth = mu * fleet / free if free else float(mu * fleet / np.float64(free))
-        return birth, death(y.item(0))
+        return mu * fleet / (1.0 - yk), lam + gamma * y0 * series(y0), fleet
 
     return rates
 

@@ -11,6 +11,7 @@ combination) are implemented as mutually checking routes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,11 +22,9 @@ from .core import (
     RatePair,
     SystemParams,
     _as_int,
-    _death_rate,
     _geom_series,
     _levels,
     _one_vector,
-    _point_rates,
     _queue_capacity,
     _rate_pair,
     _write_json,
@@ -85,18 +84,62 @@ class FixedPointResult:
         _write_json(path, {"params": params.to_dict(), **self.to_dict()})
 
 
+@functools.lru_cache
+def _exponents(capacity_k: int) -> np.ndarray:
+    """Read-only (2, K+1) stack of the exponents K - k and k of ``_stationary_rows``."""
+    exponents = np.stack(_levels(capacity_k)[::-1])
+    exponents.flags.writeable = False
+    return exponents
+
+
+def _stationary_rows(loads: np.ndarray, capacity_k: int) -> np.ndarray:
+    """The (n, K+1) block whose row i is p(loads[i]) for a float array of loads: rho**k,
+    or (1/rho)**(K-k) for rho > 1 (smooth in rho and safe for extreme loads), normalized.
+
+    A row's bits do not depend on the other rows.  The loads are not validated, and a
+    load of 0 divides by zero on the unused 1/rho branch, so callers hold numpy's
+    floating-point warnings off.
+    """
+    low = loads <= 1.0
+    # row 1 or 0 of the exponents per load
+    w = np.power(np.where(low, loads, 1.0 / loads)[:, None],
+                 _exponents(capacity_k).take(low.view(np.uint8), axis=0))
+    return np.divide(w, np.add.reduce(w, axis=1)[:, None], w)
+
+
+def _lane_rates(group: list[SystemParams]):
+    """The unguarded rates ``rates(p, lanes) -> (birth, death)`` of the rows of a block p
+    of fraction vectors, row i under the set ``group[lanes[i]]`` (the sets share K, omega).
+
+    The birth rate has no nonnegative-fleet guard, so trial loads with more parked bikes
+    than C give a smoothly negative defect; where 1 - p_K is 0 it is infinite or NaN, so
+    callers hold numpy's floating-point warnings off.
+    """
+    levels = _levels(group[0].capacity_k)[0][:, None]
+    series = _geom_series(group[0].omega)
+    constants = np.array([[params.mu, params.capacity_c, params.lam, params.gamma]
+                          for params in group]).T
+
+    def rates(p, lanes):
+        mu, c, lam, gamma = constants.take(lanes, axis=1)
+        # a stacked matmul takes one dot product per row, like ``p.dot(k)``
+        birth = mu * (c - np.matmul(p[:, None, :], levels)[:, 0, 0]) / (1.0 - p[:, -1])
+        y0 = p[:, 0]
+        return birth, lam + gamma * y0 * series(y0)
+
+    return rates
+
+
 def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
     """Stationary vector of the constant-rate birth-death queue with load rho.
 
-    Normalized powers of rho, evaluated through the smaller of rho and
-    1/rho so the computation is smooth in rho and safe for extreme loads:
-    rho**k, or (1/rho)**(K-k) for rho > 1.
+    The one-row, validated case of ``_stationary_rows``: rho**k, or
+    (1/rho)**(K-k) for rho > 1, normalized.
     """
     if not rho >= 0:
         raise ConfigError(f"load must be nonnegative, got {rho}")
-    k, down = _levels(_queue_capacity(capacity_k))
-    w = np.power(rho, k) if rho <= 1.0 else np.power(1.0 / rho, down)
-    return np.divide(w, np.add.reduce(w), w)
+    with np.errstate(all="ignore"):
+        return _stationary_rows(np.array([rho], dtype=float), _queue_capacity(capacity_k))[0]
 
 
 def birth_death_stationary(rates: RatePair, capacity_k: int) -> np.ndarray:
@@ -140,36 +183,17 @@ def _defect_kernel(group: list[SystemParams]):
 
     The returned function ``rows(loads, lanes)`` takes trial loads (at least 0; they
     are not validated) and, per load, the index of its set in ``group``.  It returns
-    the defects, the (n, K+1) block whose row i is p(loads[i]), and the birth and
-    death rates of each row.  A row is computed with the operations, in the order,
-    of ``stationary_from_load`` and of ``_point_rates`` on that one vector, so it is
-    bit-identical to a solve of its set alone.  The birth rate has no
-    nonnegative-fleet guard (trial loads with mean parked bikes above C must give a
-    smoothly negative defect); where 1 - p_K is 0 it is infinite or NaN, and numpy's
-    floating-point warnings are off, so overflow and 0 * inf give their IEEE values
-    silently.
+    the defects, the block ``_stationary_rows`` of the loads and its ``_lane_rates``,
+    whose rows have the bits of a solve of their set alone.  numpy's floating-point
+    warnings are off, so overflow, 1 - p_K = 0 and 0 * inf give their IEEE values.
     """
-    k, down = _levels(group[0].capacity_k)
-    exponents = np.stack((down, k))
-    series = _geom_series(group[0].omega)
-    rates = np.array([[params.mu, params.capacity_c, params.lam, params.gamma]
-                      for params in group]).T
-    levels = k[:, None]
+    capacity_k, rates = group[0].capacity_k, _lane_rates(group)
 
     def rows(loads, lanes):
         with np.errstate(all="ignore"):
             rho = np.array(loads, dtype=float)
-            low = rho <= 1.0
-            # rho**k, or (1/rho)**(K-k) above 1 (row 1 or 0 of the exponents),
-            # each row normalized to sum 1
-            w = np.power(np.where(low, rho, 1.0 / rho)[:, None],
-                         exponents.take(low.view(np.uint8), axis=0))
-            p = np.divide(w, np.add.reduce(w, axis=1)[:, None], w)
-            mu, c, lam, gamma = rates.take(lanes, axis=1)
-            # a stacked matmul takes one dot product per row, like ``p.dot(k)``
-            birth = mu * (c - np.matmul(p[:, None, :], levels)[:, 0, 0]) / (1.0 - p[:, -1])
-            y0 = p[:, 0]
-            death = lam + gamma * y0 * series(y0)
+            p = _stationary_rows(rho, capacity_k)
+            birth, death = rates(p, lanes)
             return birth - rho * death, p, birth, death
 
     return rows
@@ -252,19 +276,6 @@ def _brent_steps(lo: float, hi: float, f_lo: float, f_hi: float, maxiter: int):
     raise InvariantViolationError(
         f"root finder did not converge after {maxiter} iterations, value is {xcur!r}"
     )
-
-
-def _brent_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                maxiter: int) -> tuple[float, int]:
-    """Root of the scalar function f on the bracket [lo, hi]: ``_brent_steps``
-    driven by calling f at each trial x.  Returns (root, iterations)."""
-    steps = _brent_steps(lo, hi, f_lo, f_hi, maxiter)
-    try:
-        trial = next(steps)
-        while True:
-            trial = steps.send([f(x) for x in trial])
-    except StopIteration as stop:
-        return stop.value
 
 
 def _lockstep(steppers: list, rows) -> list:
@@ -513,9 +524,9 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
     rng = np.random.default_rng(seed)
     starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
-    fleet = params.capacity_c - starts @ _levels(params.capacity_k)[0]
-    birth = params.mu * fleet / (1.0 - starts[:, -1])
-    loads = np.maximum(birth, 0.0) / _death_rate(params)(starts[:, 0])
+    with np.errstate(all="ignore"):
+        birth, death = _lane_rates([params])(starts, [0] * n_starts)
+    loads = np.maximum(birth, 0.0) / death
     rows = _defect_kernel([params] * n_starts)
     found = _lockstep([_refine_locally(rho0, max_iterations) for rho0 in loads.tolist()], rows)
     results = _solved_points(rows, found, params.capacity_k)
@@ -537,6 +548,7 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
 def self_map_residual(p, params: SystemParams) -> float:
     """Sup-norm distance between p and the stationary vector its rates induce."""
     p = fraction_vector(_one_vector("self_map_residual", p, params))
-    a, b = _point_rates(params)(p)
+    with np.errstate(all="ignore"):
+        (a,), (b,) = _lane_rates([params])(p[None, :], [0])
     image = stationary_from_load(max(float(a), 0.0) / float(b), params.capacity_k)
     return float(np.max(np.abs(p - image)))

@@ -70,6 +70,10 @@ def check_fixed_point_characterizations(params: SystemParams) -> CheckResult:
     )
 
 
+#: loads per kernel call of the root-count scan, which bounds its (loads, K+1) blocks
+_SCAN_SLICE = 256
+
+
 def check_defect_root_count(params: SystemParams) -> CheckResult:
     """The defect must change sign exactly once on 2,001 loads spanning [0, mu*C/(delta*lambda)].
 
@@ -78,7 +82,9 @@ def check_defect_root_count(params: SystemParams) -> CheckResult:
     exactly zero are dropped, so a root on a grid point counts once.
     """
     grid = np.linspace(0.0, rho_upper_bound(params), 2001)
-    signs = np.sign(_defect_kernel([params] * grid.size)(grid, range(grid.size))[0])
+    rows = _defect_kernel([params])
+    signs = np.concatenate([np.sign(rows(loads, [0] * loads.size)[0]) for loads in
+                            np.split(grid, range(_SCAN_SLICE, grid.size, _SCAN_SLICE))])
     signs = signs[signs != 0]
     changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
     return CheckResult(

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -114,6 +115,33 @@ def _frozen_result_at(rho, params, iterations):
                                         iterations=iterations)
 
 
+def _frozen_point_rates(params):
+    """Reference: the unguarded scalar (birth, death) of one vector before the lane
+    rates, in Python floats; where 1 - y_K is 0 numpy divides with a RuntimeWarning."""
+    levels = np.arange(params.capacity_k + 1, dtype=float)
+
+    def rates(y):
+        fleet, free = params.capacity_c - float(y.dot(levels)), 1.0 - y.item(-1)
+        birth = (params.mu * fleet / free if free
+                 else float(params.mu * fleet / np.float64(free)))
+        y0 = y.item(0)
+        return birth, params.lam + params.gamma * y0 * _frozen_geom_sum(y0, params.omega)
+
+    return rates
+
+
+def _brent_root(f, lo, hi, f_lo, f_hi, maxiter):
+    """Root of the scalar function f on the bracket [lo, hi]: ``_brent_steps`` driven
+    by calling f at each trial x.  Returns (root, iterations)."""
+    steps = fixed_point._brent_steps(lo, hi, f_lo, f_hi, maxiter)
+    try:
+        trial = next(steps)
+        while True:
+            trial = steps.send([f(x) for x in trial])
+    except StopIteration as stop:
+        return stop.value
+
+
 def _frozen_solve(params):
     """Reference: ``solve_fixed_point`` before the lockstep solve, one node at a time
     on the frozen defect and result, with the in-package Brent port."""
@@ -129,7 +157,7 @@ def _frozen_solve(params):
             lo=0.0, hi=rho_hi, defect_lo=d_lo, defect_hi=d_hi,
         )
     else:
-        rho, iterations = fixed_point._brent_root(defect, 0.0, rho_hi, d_lo, d_hi, maxiter=200)
+        rho, iterations = _brent_root(defect, 0.0, rho_hi, d_lo, d_hi, maxiter=200)
     result = _frozen_result_at(rho, params, iterations)
     scale = result.rates.birth + result.rates.death
     width = 16 * (1e-15 + 8.9e-16 * abs(rho)) / 2
@@ -356,21 +384,38 @@ class TestLoadKernel:
         assert sum(calls[1:-1]) == sum(n - 1 for n in iterations)
 
     @pytest.mark.parametrize("rho", [1e17, 1e200])
-    def test_full_station_load_warns_like_frozen_defect(self, rho):
-        # p_K rounds to 1, so 1 - p_K is 0: the scalar rates that
-        # ``self_map_residual`` reads give numpy's infinite rate and
-        # RuntimeWarning, never Python's ZeroDivisionError
+    def test_self_map_residual_is_one_at_a_full_station_load(self, rho):
+        # p_K rounds to 1, so 1 - p_K is 0 and the fleet C - E[Q] is negative: the
+        # unguarded birth rate is -inf, its load is clipped to 0, and the image e_0
+        # lies 1 from p
         p = stationary_from_load(rho, FIG5.capacity_k)
         assert p[-1] == 1.0
-        with warnings.catch_warnings(record=True) as new:
-            warnings.simplefilter("always")
-            birth, death = fixed_point._point_rates(FIG5)(p)
-            value = float(birth) - rho * float(death)
-        with warnings.catch_warnings(record=True) as old:
-            warnings.simplefilter("always")
-            frozen = _frozen_defect(rho, FIG5)
-        assert value == frozen == -np.inf
-        assert [w.category for w in new] == [w.category for w in old] == [RuntimeWarning]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self_map_residual(p, FIG5) == 1.0
+
+    def test_lane_rates_bit_identical_to_frozen_point_rates(self):
+        # Dirichlet vectors are not p(rho): ``self_map_residual`` and the probe's
+        # starts read the lane rates on arbitrary fraction vectors, here on mixed
+        # lanes of groups sharing (K, omega), plus the vectors e_0 and e_K
+        rng = np.random.default_rng(2029)
+        checked = 0
+        for _ in range(100):
+            k, omega = int(rng.integers(2, 301)), int(rng.integers(0, 5))
+            group = [dataclasses.replace(params, capacity_k=k, omega=omega,
+                                         capacity_c=min(params.capacity_c, k - 1))
+                     for params in (_wide_params(rng) for _ in range(3))]
+            p = np.concatenate((rng.dirichlet(np.ones(k + 1), size=60), np.eye(k + 1)[[0, -1]]))
+            lanes = rng.integers(0, len(group), size=len(p))
+            with np.errstate(all="ignore"):
+                birth, death = fixed_point._lane_rates(group)(p, lanes)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                frozen = [_frozen_point_rates(group[lane])(y) for y, lane in zip(p, lanes)]
+            for a, b, (old_a, old_b) in zip(birth.tolist(), death.tolist(), frozen):
+                assert (a.hex(), b.hex()) == (old_a.hex(), old_b.hex())
+                checked += 1
+        assert checked >= 6000
 
     @pytest.mark.parametrize("rho", [1e17, 1e200])
     def test_full_station_load_matches_frozen_defect_without_a_warning(self, rho):
@@ -413,7 +458,7 @@ def _lockstep_roots(params, brackets, maxiter=200):
 
 def _port_brent(f, lo, hi, maxiter=100):
     # the package's callers evaluate both ends for their own bracket test
-    return fixed_point._brent_root(f, lo, hi, f(lo), f(hi), maxiter)
+    return _brent_root(f, lo, hi, f(lo), f(hi), maxiter)
 
 
 def _port_root(f, lo, hi, maxiter=100):
@@ -965,6 +1010,17 @@ def _with_defect(make_kernel, defect):
     return kernel
 
 
+def _one_call_root_count_detail(params):
+    """Reference: the root-count scan's detail with all 2,001 loads in one kernel call,
+    one lane per load."""
+    grid = np.linspace(0.0, fixed_point.rho_upper_bound(params), 2001)
+    signs = np.sign(fixed_point._defect_kernel([params] * grid.size)(grid, range(grid.size))[0])
+    signs = signs[signs != 0]
+    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+    return (f"defect sign changes {changes} on {grid.size} loads "
+            f"in [0, {grid[-1]:.6g}] (want exactly 1)")
+
+
 class TestUniquenessProbe:
     def test_single_start(self):
         results = uniqueness_probe(FIG5, 1, seed=3)
@@ -1053,6 +1109,35 @@ class TestUniquenessProbe:
         check = check_defect_root_count(FIG5)
         assert not check.passed
         assert check.detail.startswith("defect sign changes 3 on 2001 loads")
+
+    def test_sliced_root_count_scan_matches_a_one_call_scan(self):
+        rng = np.random.default_rng(2030)
+        for params in [FIG5, FIG7, ANALYTIC, ILL_CONDITIONED, ROUNDING_NOISE,
+                       *(_wide_params(rng) for _ in range(20))]:
+            assert check_defect_root_count(params).detail == _one_call_root_count_detail(params)
+
+    def test_sign_change_across_a_scan_slice_boundary_counts(self, monkeypatch):
+        # the last load of the first slice and the first of the second straddle the root
+        grid = np.linspace(0.0, fixed_point.rho_upper_bound(FIG5), 2001)
+        root = (grid[validation._SCAN_SLICE - 1] + grid[validation._SCAN_SLICE]) / 2
+        monkeypatch.setattr(validation, "_defect_kernel", _with_defect(
+            validation._defect_kernel, lambda rho: root - rho))
+        check = check_defect_root_count(FIG5)
+        assert check.passed
+        assert check.detail.startswith("defect sign changes 1 on 2001 loads")
+
+    def test_root_count_scan_memory_is_bounded_at_large_capacity(self):
+        # a one-call scan of 2,001 loads at K = 2000 peaks at about 64 MB of
+        # (loads, K+1) blocks, a scan in slices of 256 loads at about 8 MB
+        params = dataclasses.replace(FIG5, capacity_k=2000)
+        tracemalloc.start()
+        try:
+            detail = check_defect_root_count(params).detail
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert detail == _one_call_root_count_detail(params)
 
 
 class TestResultExport:
