@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, mean_bikes
+from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, _levels
 from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError, InvariantViolationError
 from .fixed_point import _solve_many, solve_fixed_point  # noqa: F401 - still importable here
 
@@ -67,18 +67,24 @@ class SweepRecord:
     error: str | None = None
 
 
+def _block_metrics(block: np.ndarray, capacities_c, prices: ProfitPrices) -> list[Metrics]:
+    """The metrics of each row of an (n, K+1) block of occupancy vectors, row i at the
+    capacity C ``capacities_c[i]``."""
+    # E[Q] is one dot product per row, the bits of ``mean_bikes``; the gemv ``block @ k``
+    # sums in another order and differs in the last bits for most K
+    eq = np.matmul(block[:, None, :], _levels(block.shape[1] - 1)[0][:, None])[:, 0, 0]
+    profit = -prices.cost_c * eq + prices.benefit_psi * (np.array(capacities_c) - eq)
+    p0, pk = block[:, 0], block[:, -1]
+    return [Metrics(*row) for row in zip(p0.tolist(), pk.tolist(), (p0 + pk).tolist(),
+                                          eq.tolist(), profit.tolist())]
+
+
 def compute_metrics(p, params: SystemParams, prices: ProfitPrices) -> Metrics:
-    """All five metrics of a stationary occupancy vector."""
-    p = np.asarray(p, dtype=float)
-    eq = mean_bikes(p)
-    profit = -prices.cost_c * eq + prices.benefit_psi * (params.capacity_c - eq)
-    return Metrics(
-        p0=float(p[0]),
-        pK=float(p[-1]),
-        p_problematic=float(p[0]) + float(p[-1]),
-        mean_bikes=eq,
-        profit=profit,
-    )
+    """All five metrics of a stationary occupancy vector: the one-row case of the
+    metrics of a solved block."""
+    (metrics,) = _block_metrics(np.asarray(p, dtype=float)[None, :], [params.capacity_c],
+                                prices)
+    return metrics
 
 
 def _as_values(name: str, values) -> list:
@@ -92,20 +98,27 @@ def _as_values(name: str, values) -> list:
 def _solve_records(nodes: list[SystemParams], prices: ProfitPrices,
                    wheres: list[dict]) -> list[SweepRecord]:
     """Solve every node; a domain failure is recorded on its record instead of raised.
+    The metrics of the nodes that solve come from one block of vectors per K.
 
     An ``InvariantViolationError`` is an internal bug, not a property of the
     node: the first one in node order propagates.
     """
-    records = []
-    for params, outcome, where in zip(nodes, _solve_many(nodes), wheres):
+    outcomes = _solve_many(nodes)
+    solved: dict = {}  # K -> indices of the nodes that solved
+    for index, (params, outcome) in enumerate(zip(nodes, outcomes)):
         if isinstance(outcome, InvariantViolationError):
             raise outcome
-        if isinstance(outcome, BikeShareError):
-            records.append(SweepRecord(params=params, metrics=None, error=str(outcome), **where))
-        else:
-            records.append(SweepRecord(params=params, metrics=compute_metrics(
-                outcome.p, params, prices), **where))
-    return records
+        if not isinstance(outcome, BikeShareError):
+            solved.setdefault(params.capacity_k, []).append(index)
+    metrics: list = [None] * len(nodes)
+    for indices in solved.values():
+        block = np.array([outcomes[index].p for index in indices])
+        for index, row in zip(indices, _block_metrics(
+                block, [nodes[index].capacity_c for index in indices], prices)):
+            metrics[index] = row
+    return [SweepRecord(params=params, metrics=row,
+                        error=None if row is not None else str(outcome), **where)
+            for params, outcome, row, where in zip(nodes, outcomes, metrics, wheres)]
 
 
 def _metric_cells(metrics: Metrics | None) -> str:

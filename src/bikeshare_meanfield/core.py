@@ -45,6 +45,8 @@ _JSON_FIELDS = {
 
 
 def _as_int(name: str, value) -> int:
+    if type(value) is int:
+        return value
     if isinstance(value, (bool, np.bool_, str)) or (
             isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -55,11 +57,13 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_float(name: str, value) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     number = math.nan
     if not isinstance(value, (bool, np.bool_, str)):
         try:
             number = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
@@ -352,21 +356,33 @@ def _queue_capacity(capacity_k) -> int:
     return capacity_k
 
 
+def _generator_stack(out: np.ndarray, births: np.ndarray, deaths: np.ndarray) -> np.ndarray:
+    """The tridiagonal generators of ``build_generator`` with the rates births[i],
+    deaths[i] (float arrays of length n, not validated), written into the first n
+    slices of ``out``, an (m, K+1, K+1) stack with m >= n whose entries off the three
+    diagonals are zero.  Returns those n slices.  A caller that builds many slices
+    allocates and zeroes their memory once."""
+    gen = out[:births.size]
+    n = gen.shape[-1]
+    # strided writes into each slice's flat view: entry (i, j) sits at i * n + j
+    flat = gen.reshape(births.size, -1)
+    a, b = births[:, None], deaths[:, None]
+    flat[:, 1::n + 1] = a
+    flat[:, n::n + 1] = b
+    flat[:, ::n + 1] = -(a + b)
+    flat[:, 0] = -births
+    flat[:, -1] = -deaths
+    return gen
+
+
 def build_generator(rates: RatePair, capacity_k: int) -> np.ndarray:
     """(K+1)x(K+1) tridiagonal generator with constant birth/death rates.
 
     Birth rate on the superdiagonal, death rate on the subdiagonal, and
     diagonal entries -birth, -(birth+death), ..., -death so that every row
-    sums to zero up to one rounding of the diagonal.
+    sums to zero up to one rounding of the diagonal.  The validated one-slice
+    case of ``_generator_stack``.
     """
     a, b = _rate_pair(rates)
     n = _queue_capacity(capacity_k) + 1
-    gen = np.zeros((n, n))
-    # strided writes into the flat view: entry (i, j) sits at i * n + j
-    flat = gen.reshape(-1)
-    flat[1::n + 1] = a
-    flat[n::n + 1] = b
-    flat[::n + 1] = -(a + b)
-    flat[0] = -a
-    flat[-1] = -b
-    return gen
+    return _generator_stack(np.zeros((1, n, n)), np.array([a]), np.array([b]))[0]

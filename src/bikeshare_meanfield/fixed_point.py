@@ -22,13 +22,13 @@ from .core import (
     RatePair,
     SystemParams,
     _as_int,
+    _generator_stack,
     _geom_series,
     _levels,
     _one_vector,
     _queue_capacity,
     _rate_pair,
     _write_json,
-    build_generator,
     fraction_vector,
 )
 from .errors import (
@@ -51,6 +51,11 @@ RESIDUAL_TOL = 1e-10
 #: (8.9e-16 is just above 4 eps, the smallest rtol scipy's ``brentq`` accepts)
 _XTOL = 1e-15
 _RTOL = 8.9e-16
+
+#: bytes of dense generators per residual slice of ``_solved_points``: a slice and
+#: its vectors stay in a 2 MiB L2 cache, and from K = 256 on a slice holds one
+#: generator, so the peak is that of one residual at a time
+_RESIDUAL_SLICE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,12 @@ def stationary_from_load(rho: float, capacity_k: int) -> np.ndarray:
     """
     if not rho >= 0:
         raise ConfigError(f"load must be nonnegative, got {rho}")
+    try:
+        loads = np.array([rho], dtype=float)
+    except OverflowError:
+        raise ConfigError(f"load must fit in a float, got {rho!r}") from None
     with np.errstate(all="ignore"):
-        return _stationary_rows(np.array([rho], dtype=float), _queue_capacity(capacity_k))[0]
+        return _stationary_rows(loads, _queue_capacity(capacity_k))[0]
 
 
 def birth_death_stationary(rates: RatePair, capacity_k: int) -> np.ndarray:
@@ -210,8 +219,8 @@ def _brent_steps(lo: float, hi: float, f_lo: float, f_hi: float, maxiter: int):
 
     ``f_lo`` and ``f_hi`` are f(lo) and f(hi), which the caller has already
     evaluated for its own bracket test.  The generator yields each trial x
-    inside the bracket as a 1-tuple, takes [f(x)] by ``send`` and returns
-    (root, iterations).  A step-for-step port of scipy's ``brentq``
+    inside the bracket as a 1-tuple, reads f(x) from the iterator it is
+    sent and returns (root, iterations).  A step-for-step port of scipy's ``brentq``
     (``Zeros/brentq.c``) at the tolerances ``_XTOL`` and ``_RTOL``, in
     Python floats: it returns the same root bits after the same number of
     iterations, as the oracle test pins.  A zero at an end is returned
@@ -221,14 +230,11 @@ def _brent_steps(lo: float, hi: float, f_lo: float, f_hi: float, maxiter: int):
     ``RuntimeError`` after ``maxiter`` iterations, this raises
     ``InvariantViolationError``.
     """
-    def value(x: float, fx) -> float:
-        fx = float(fx)
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f_lo), float(f_hi)
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
         if fx != fx:
             raise InvariantViolationError(f"root finder got NaN at x={x!r}")
-        return fx
-
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = value(xpre, f_lo), value(xcur, f_hi)
     if fpre == 0.0:
         return xpre, 0
     if fcur == 0.0:
@@ -239,19 +245,25 @@ def _brent_steps(lo: float, hi: float, f_lo: float, f_hi: float, maxiter: int):
             f"and {xcur:.6g} ({fcur:.6g})",
             lo=xpre, hi=xcur, defect_lo=fpre, defect_hi=fcur,
         )
+    xtol, rtol = _XTOL, _RTOL
     xblk = fblk = spre = scur = 0.0
     for iterations in range(1, maxiter + 1):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        # each magnitude once per iteration; a swap moves fblk's into fcur's place
+        abs_fcur, abs_fblk = abs(fcur), abs(fblk)
+        if abs_fblk < abs_fcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+            abs_fcur = abs_fblk
+        delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        abs_sbis = abs(sbis)
+        if fcur == 0.0 or abs_sbis < delta:
             return xcur, iterations
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        abs_spre = abs(spre)
+        if abs_spre > delta and abs_fcur < abs(fpre):
             try:
                 if xpre == xblk:  # interpolate
                     stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -263,8 +275,8 @@ def _brent_steps(lo: float, hi: float, f_lo: float, f_hi: float, maxiter: int):
                 # C divides to +-inf or NaN there, and a non-finite trial
                 # step always fails the short-step test below
                 stry = math.inf
-            limit = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):  # C's MIN
+            limit = 3 * abs_sbis - delta
+            if 2 * abs(stry) < (abs_spre if abs_spre < limit else limit):  # C's MIN
                 spre, scur = scur, stry  # good short step
             else:
                 spre = scur = sbis
@@ -272,7 +284,9 @@ def _brent_steps(lo: float, hi: float, f_lo: float, f_hi: float, maxiter: int):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur, (yield (xcur,))[0])
+        fcur = float(next((yield (xcur,))))
+        if fcur != fcur:
+            raise InvariantViolationError(f"root finder got NaN at x={xcur!r}")
     raise InvariantViolationError(
         f"root finder did not converge after {maxiter} iterations, value is {xcur!r}"
     )
@@ -281,32 +295,31 @@ def _brent_steps(lo: float, hi: float, f_lo: float, f_hi: float, maxiter: int):
 def _lockstep(steppers: list, rows) -> list:
     """Run step generators side by side on one ``_defect_kernel``.
 
-    Generator i is lane i of ``rows``: it yields a tuple of trial loads and
-    takes the list of their defects by ``send``.  Each round evaluates the
-    loads of every live lane in one kernel call.  Returns, per lane, the
-    generator's return value, or the ``BikeShareError`` it raised; a lane
-    that raises stops, and the others go on.
+    Generator i is lane i of ``rows``: it yields a tuple of trial loads and is
+    sent an iterator over the round's defects, from which it reads the defects
+    of its own loads, in order, before it yields again, returns or raises.
+    Each round evaluates the loads of every live lane in one kernel call.
+    Returns, per lane, the generator's return value, or the ``BikeShareError``
+    it raised; a lane that raises stops, and the others go on.
     """
     outcomes: list = [None] * len(steppers)
-    sends = dict.fromkeys(range(len(steppers)))
-    while sends:
-        loads, lanes, ends = [], [], []
-        for lane, values in sends.items():
+    live, values = list(enumerate(steppers)), None
+    while live:
+        asked, loads, lanes = [], [], []
+        for lane, stepper in live:
             try:
-                trial = steppers[lane].send(values)
+                trial = stepper.send(values)
             except StopIteration as stop:
                 outcomes[lane] = stop.value
                 continue
             except BikeShareError as exc:
                 outcomes[lane] = exc
                 continue
+            asked.append((lane, stepper))
             loads += trial
-            lanes += [lane] * len(trial)
-            ends.append((lane, len(loads)))
-        values = rows(loads, lanes)[0].tolist() if loads else []
-        sends, start = {}, 0
-        for lane, end in ends:
-            sends[lane], start = values[start:end], end
+            lanes += (lane,) * len(trial)
+        # the lanes read this round's defects in the order they asked for them
+        live, values = asked, iter(rows(loads, lanes)[0].tolist() if loads else ())
     return outcomes
 
 
@@ -314,20 +327,37 @@ def _solved_points(rows, found: list, capacity_k: int) -> list:
     """The outcomes ``found`` of a ``_lockstep`` run on ``rows``, with each lane's
     (root, iterations) replaced by its ``FixedPointResult``, or by the
     ``BikeShareError`` its rates raise.  The vectors and rates of all roots come
-    from one kernel block; the residual is p V_p in sup-norm."""
+    from one kernel block; the residual is p V_p in sup-norm, taken for a slice of
+    lanes at a time on a ``_generator_stack`` of at most ``_RESIDUAL_SLICE_BYTES``
+    (one lane at a time from K = 256 on)."""
     lanes = [lane for lane, outcome in enumerate(found) if type(outcome) is tuple]
     roots = [found[lane][0] for lane in lanes]
     _, block, births, deaths = rows(roots, lanes)
     points = list(found)
-    for lane, rho, p, a, b in zip(lanes, roots, block, births.tolist(), deaths.tolist()):
+    rated = {}  # block row -> rates, for every lane whose rates are valid
+    for row, (lane, a, b) in enumerate(zip(lanes, births.tolist(), deaths.tolist())):
         rates = RatePair(birth=max(a, 0.0), death=b)
         try:
-            residual = float(np.abs(p @ build_generator(rates, capacity_k)).max())
+            _rate_pair(rates)
         except BikeShareError as exc:
             points[lane] = exc
             continue
-        points[lane] = FixedPointResult(p=p, rho=rho, rates=rates, residual=residual,
-                                        iterations=found[lane][1])
+        rated[row] = rates
+    picked = list(rated)
+    birth, death = np.array([*rated.values()]).reshape(-1, 2).T
+    vectors = block if len(picked) == len(lanes) else block[picked]
+    size = max(1, _RESIDUAL_SLICE_BYTES // (8 * (capacity_k + 1) ** 2))
+    # one slice of zeros, reused: each slice rewrites the same three diagonals
+    stack = np.zeros((min(size, len(picked)), capacity_k + 1, capacity_k + 1))
+    for start in range(0, len(picked), size):
+        part = slice(start, start + size)
+        generators = _generator_stack(stack, birth[part], death[part])
+        # a stacked matmul takes one vector-matrix product per row, like ``p @ generator``
+        products = np.matmul(vectors[part, None, :], generators)[:, 0, :]
+        for row, residual in zip(picked[part], np.abs(products).max(axis=1).tolist()):
+            lane = lanes[row]
+            points[lane] = FixedPointResult(p=block[row], rho=roots[row], rates=rated[row],
+                                            residual=residual, iterations=found[lane][1])
     return points
 
 
@@ -359,7 +389,8 @@ def _rounding_bound(result: FixedPointResult, params: SystemParams) -> float:
 def _root_steps(rho_hi: float):
     """The load of one solve, as a generator for ``_lockstep``: the defect at 0 and at
     ``rho_hi``, then ``_brent_steps`` on that bracket.  Returns (root, iterations)."""
-    d_lo, d_hi = yield 0.0, rho_hi
+    defects = yield 0.0, rho_hi
+    d_lo, d_hi = next(defects), next(defects)
     if d_lo == 0.0:
         return 0.0, 0
     if not _straddles(d_lo, d_hi):
@@ -467,7 +498,8 @@ def _refine_locally(rho0: float, max_steps: int):
     """
     x0 = max(rho0, 0.0)
     x1 = x0 * (1.0 + 1e-7) + 1e-12
-    f0, f1 = yield x0, x1
+    defects = yield x0, x1
+    f0, f1 = next(defects), next(defects)
     used = 2
     reach = max(1.0, abs(rho0))
     for _ in range(max_steps):
@@ -480,7 +512,7 @@ def _refine_locally(rho0: float, max_steps: int):
             break
         x0, f0 = x1, f1
         x1 = x2
-        (f1,) = yield (x1,)
+        f1 = next((yield (x1,)))
         used += 1
         if abs(x1 - x0) <= 1e-15 * max(1.0, abs(x1)):
             return x1, used
@@ -489,7 +521,8 @@ def _refine_locally(rho0: float, max_steps: int):
     for _ in range(60):
         lo = max(0.0, rho0 - width)
         hi = rho0 + width
-        flo, fhi = yield lo, hi
+        defects = yield lo, hi
+        flo, fhi = next(defects), next(defects)
         used += 2
         if flo == 0.0:
             return lo, used

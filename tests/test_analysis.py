@@ -10,8 +10,10 @@ from bikeshare_meanfield import (
     SystemParams,
     compute_metrics,
     evaluate_design_grid,
+    mean_bikes,
     optimize_profit,
     optimize_weighted,
+    solve_fixed_point,
     sweep,
     sweep_to_csv,
 )
@@ -28,6 +30,60 @@ FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
 SMALL = SystemParams(lam=1.0, mu=4.0, gamma=0.5, omega=1, capacity_c=3,
                      capacity_k=4, n_stations=100, delta=0.2)
+
+
+def _frozen_metrics(p, params, prices):
+    """Reference: ``compute_metrics`` before the metrics of a solved block, one vector
+    at a time in Python floats."""
+    p = np.asarray(p, dtype=float)
+    eq = mean_bikes(p)
+    profit = -prices.cost_c * eq + prices.benefit_psi * (params.capacity_c - eq)
+    return Metrics(p0=float(p[0]), pK=float(p[-1]), p_problematic=float(p[0]) + float(p[-1]),
+                   mean_bikes=eq, profit=profit)
+
+
+def _bits(metrics):
+    return [float(value).hex() for value in metrics.to_dict().values()]
+
+
+class TestBlockMetrics:
+    # E[Q] of a block is one dot product per row (a stacked matmul); the gemv
+    # ``block @ k`` sums in another order and differs from ``mean_bikes`` in the last
+    # bits for most K, so these compare bits, not values within a tolerance
+
+    def test_sweep_and_grid_metrics_equal_frozen_per_node_metrics(self):
+        rng = np.random.default_rng(2032)
+        records = []
+        for k in (2, 5, 50, 137, 500, 1000):
+            prices = ProfitPrices(*rng.uniform(0.0, 3.0, size=2))
+            base = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=int(rng.integers(0, 4)),
+                                capacity_c=min(30, k - 1), capacity_k=k)
+            records += [(rec, prices) for rec in sweep(base, "lambda", np.linspace(
+                1.0, 40.0, 21).tolist(), prices)]
+        prices = ProfitPrices(0.5, 2.0)
+        records += [(rec, prices) for rec in evaluate_design_grid(
+            {"capacity_c": [10, 30], "capacity_k": [40, 300, 1000],
+             "mu": [0.5, 2.0, 8.0, 12.0]}, FIG5, prices)]
+        solved = 0
+        for rec, prices in records:
+            if rec.metrics is None:
+                continue
+            p = solve_fixed_point(rec.params).p
+            assert _bits(rec.metrics) == _bits(_frozen_metrics(p, rec.params, prices))
+            solved += 1
+        assert solved >= 100
+
+    def test_compute_metrics_equals_frozen_metrics_on_any_vector(self):
+        # fraction vectors that are not p(rho), as ``validate`` passes from the simulator
+        rng = np.random.default_rng(2033)
+        for _ in range(400):
+            k = int(rng.integers(2, 1001))
+            params = SystemParams(lam=1.0, mu=4.0, gamma=0.5, omega=1,
+                                  capacity_c=int(rng.integers(1, k)), capacity_k=k)
+            p = rng.dirichlet(np.ones(k + 1) * rng.uniform(0.05, 5.0))
+            prices = ProfitPrices(*rng.uniform(0.0, 3.0, size=2))
+            assert _bits(compute_metrics(p, params, prices)) == _bits(
+                _frozen_metrics(p, params, prices))
 
 
 class TestComputeMetrics:

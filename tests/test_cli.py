@@ -86,6 +86,18 @@ class TestFixedPointCommand:
                      "--out", str(tmp_path / "o.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("key", ["lambda", "delta"])
+    def test_overflowing_integer_constant_exits_3(self, tmp_path, capsys, key):
+        # a 401-digit integer is valid JSON, but no float holds it
+        params = write_params(tmp_path, dict(ANALYTIC, **{key: 10 ** 400}))
+        out = tmp_path / "fp.json"
+        code = main(["fixed-point", "--params", str(params), "--out", str(out)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{key} must be a finite number, got 1000")
+        assert not out.exists()
+
     def test_domain_error_exit_code(self, tmp_path, capsys):
         bad = dict(ANALYTIC, delta=0.6)  # solved p0 = 4/7 > 1 - delta
         params = write_params(tmp_path, bad)

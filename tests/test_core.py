@@ -1,5 +1,9 @@
 """Core rate formulas and the generator construction."""
 
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,65 @@ def make_params(**kwargs):
                 capacity_k=4, n_stations=100, delta=0.2)
     base.update(kwargs)
     return SystemParams(**base)
+
+
+def _frozen_as_int(name, value):
+    """Reference: ``_as_int`` before its fast path for an exact ``int``."""
+    if isinstance(value, (bool, np.bool_, str)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _frozen_as_float(name, value):
+    """Reference: ``_as_float`` before its fast path for a finite exact ``float``, when
+    an integer too large for a float raised a bare ``OverflowError``."""
+    number = math.nan
+    if not isinstance(value, (bool, np.bool_, str)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _conversion(convert, value):
+    """The type and repr of ``convert("x", value)``, its ``ConfigError`` message, or
+    "OverflowError"."""
+    try:
+        out = convert("x", value)
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+    except OverflowError:
+        return "OverflowError"
+    return type(out), repr(out)
+
+
+def _input_id(value):
+    return f"{type(value).__name__}-{str(value)[:12]}"
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+CONVERSION_INPUTS = [
+    True, False, np.bool_(True), np.bool_(False),
+    0, 3, -7, 2 ** 53 + 1, 2 ** 1023, 2 ** 1024, 10 ** 400, -(10 ** 400), _Int(4),
+    0.0, -0.0, 2.0, 2.5, -3.0, 1e308, 5e-324, math.nan, math.inf, -math.inf, _Float(2.0),
+    _Float(2.5), _Float(math.inf), np.float64(2.0), np.float64(2.5), np.float64(math.nan),
+    np.float32(1.5), np.int64(5), np.uint8(3), Fraction(3, 2), Fraction(10 ** 400),
+    Decimal("2.5"), Decimal("NaN"), "7", "2.5", " 7 ", "nan", "", None, [1], 1 + 0j,
+]
 
 
 class TestSystemParams:
@@ -103,6 +166,23 @@ class TestSystemParams:
 
         with pytest.raises(ConfigError, match="lambda must be a finite number"):
             _as_float("lambda", value)
+
+    @pytest.mark.parametrize("value", CONVERSION_INPUTS, ids=_input_id)
+    def test_as_int_gives_the_frozen_value_or_message(self, value):
+        from bikeshare_meanfield.core import _as_int
+
+        assert _conversion(_as_int, value) == _conversion(_frozen_as_int, value)
+
+    @pytest.mark.parametrize("value", CONVERSION_INPUTS, ids=_input_id)
+    def test_as_float_gives_the_frozen_value_or_message(self, value):
+        from bikeshare_meanfield.core import _as_float
+
+        expected = _conversion(_frozen_as_float, value)
+        if expected == "OverflowError":
+            # an integer too large for a float is a configuration error, not a crash
+            assert abs(value) >= 2 ** 1024
+            expected = ("ConfigError", f"x must be a finite number, got {value!r}")
+        assert _conversion(_as_float, value) == expected
 
     @pytest.mark.parametrize("bad", [dict(lam=float("inf")), dict(mu=float("nan")),
                                      dict(delta=float("nan")), dict(capacity_k=float("inf"))])

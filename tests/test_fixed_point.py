@@ -137,7 +137,7 @@ def _brent_root(f, lo, hi, f_lo, f_hi, maxiter):
     try:
         trial = next(steps)
         while True:
-            trial = steps.send([f(x) for x in trial])
+            trial = steps.send(iter([f(x) for x in trial]))
     except StopIteration as stop:
         return stop.value
 
@@ -430,6 +430,90 @@ class TestLoadKernel:
             frozen = _frozen_defect(rho, FIG5)
         assert value == frozen == -np.inf
         assert new == [] and [w.category for w in old] == [RuntimeWarning]
+
+
+def _dense_residual(p, rates, capacity_k):
+    """Reference: the residual of one solved point as a gemv on its own dense generator."""
+    return float(np.abs(p @ build_generator(rates, capacity_k)).max())
+
+
+def _slice_lanes(capacity_k):
+    """Lanes per residual slice of ``_solved_points`` at K."""
+    return max(1, fixed_point._RESIDUAL_SLICE_BYTES // (8 * (capacity_k + 1) ** 2))
+
+
+class TestStackedResidual:
+    def test_solve_many_residuals_equal_per_node_dense_products(self):
+        # mixed-K, mixed-omega groups of wide draws, shuffled into one call; each group
+        # has more lanes than a residual slice holds at its K, and K = 362 and 900 take
+        # one lane per slice
+        rng = np.random.default_rng(2031)
+        nodes = []
+        for k in [*rng.integers(60, 362, size=8).tolist(), 362, 900]:
+            omega, lanes = int(rng.integers(0, 6)), _slice_lanes(k)
+            for _ in range(lanes + 1 + int(rng.integers(0, lanes))):
+                params = _wide_params(rng)
+                nodes.append(dataclasses.replace(params, capacity_k=k, omega=omega,
+                                                 capacity_c=min(params.capacity_c, k - 1)))
+        nodes = [nodes[i] for i in rng.permutation(len(nodes))]
+        solved = {}
+        for params, outcome in zip(nodes, fixed_point._solve_many(nodes)):
+            # a domain error carries the point the residual was taken on
+            result = getattr(outcome, "result", outcome)
+            if isinstance(result, fixed_point.FixedPointResult):
+                assert result.residual.hex() == _dense_residual(
+                    result.p, result.rates, params.capacity_k).hex()
+                solved[params.capacity_k] = solved.get(params.capacity_k, 0) + 1
+        assert len(solved) == 10 and all(count > _slice_lanes(k) for k, count in solved.items())
+
+    def test_lanes_whose_rates_fail_keep_their_error(self):
+        # every third lane gets a NaN birth rate: it keeps ``build_generator``'s typed
+        # error, and the other lanes' residuals come from a picked subset of the block
+        # that spans four slices
+        k = 100
+        group = [dataclasses.replace(FIG5, capacity_k=k, lam=float(lam))
+                 for lam in np.linspace(10, 30, 4 * _slice_lanes(k))]
+        rows = fixed_point._defect_kernel(group)
+
+        def nan_births(loads, lanes):
+            defects, block, births, deaths = rows(loads, lanes)
+            births[::3] = NAN
+            return defects, block, births, deaths
+
+        bracket = NoBracketError("no root", lo=0.0, hi=1.0, defect_lo=1.0, defect_hi=1.0)
+        found = [bracket] + [(float(rho), 7) for rho in np.linspace(0.5, 1.5, len(group) - 1)]
+        points = fixed_point._solved_points(nan_births, found, k)
+        assert points[0] is bracket
+        lanes = list(range(1, len(group)))
+        _, block, births, deaths = rows([found[lane][0] for lane in lanes], lanes)
+        births[::3] = NAN
+        for lane, p, a, b in zip(lanes, block, births.tolist(), deaths.tolist()):
+            rates = RatePair(birth=max(a, 0.0), death=b)
+            try:
+                residual = _dense_residual(p, rates, k)
+            except ConfigError as exc:
+                assert type(points[lane]) is ConfigError and str(points[lane]) == str(exc)
+                continue
+            assert points[lane].p.tobytes() == p.tobytes() and points[lane].rates == rates
+            assert points[lane].residual.hex() == residual.hex()
+            assert (points[lane].rho, points[lane].iterations) == found[lane]
+        assert sum(isinstance(point, ConfigError) for point in points) == (len(lanes) + 2) // 3
+
+    def test_residual_memory_is_one_generator_at_large_capacity(self):
+        # one dense generator at K = 2000 is 32 MB; the kernel holds a few (lanes, K+1)
+        # blocks at once, and two generators at once would be 64 MB
+        nodes = [dataclasses.replace(FIG5, capacity_k=2000, lam=float(lam))
+                 for lam in np.linspace(10, 30, 8)]
+        fixed_point._solve_many(nodes[:1])
+        tracemalloc.start()
+        try:
+            results = fixed_point._solve_many(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(result, fixed_point.FixedPointResult) for result in results)
+        generator, block = 8 * 2001 ** 2, 8 * len(nodes) * 2001
+        assert generator < peak < generator + 4 * block
 
 
 def _scipy_root(f, lo, hi, maxiter=100):
@@ -742,6 +826,7 @@ NAN = float("nan")
 class TestConstantRateKernels:
     @pytest.mark.parametrize("call", [
         pytest.param(lambda: stationary_from_load(NAN, 4), id="load-nan"),
+        pytest.param(lambda: stationary_from_load(10 ** 400, 3), id="load-huge-int"),
         pytest.param(lambda: birth_death_stationary(RatePair(NAN, 1.0), 3), id="stationary-nan"),
         pytest.param(lambda: birth_death_stationary(RatePair(1.0, NAN), 3),
                      id="stationary-death-nan"),
