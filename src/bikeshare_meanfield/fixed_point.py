@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,10 +328,10 @@ def _lockstep(steppers: list, rows) -> list:
 def _solved_points(rows, found: list, capacity_k: int) -> list:
     """The outcomes ``found`` of a ``_lockstep`` run on ``rows``, with each lane's
     (root, iterations) replaced by its ``FixedPointResult``, or by the
-    ``BikeShareError`` its rates raise.  The vectors and rates of all roots come
-    from one kernel block; the residual is p V_p in sup-norm, taken for a slice of
-    lanes at a time on a ``_generator_stack`` of at most ``_RESIDUAL_SLICE_BYTES``
-    (one lane at a time from K = 256 on)."""
+    ``BikeShareError`` its rates raise; every other entry is kept as it is.  The
+    vectors and rates of all roots come from one kernel block; the residual is p V_p
+    in sup-norm, taken for a slice of lanes at a time on a ``_generator_stack`` of at
+    most ``_RESIDUAL_SLICE_BYTES`` (one lane at a time from K = 256 on)."""
     lanes = [lane for lane, outcome in enumerate(found) if type(outcome) is tuple]
     roots = [found[lane][0] for lane in lanes]
     _, block, births, deaths = rows(roots, lanes)
@@ -422,6 +424,31 @@ def _accepted(result: FixedPointResult, params: SystemParams, rows, lane: int):
     return result
 
 
+@functools.cache
+def _array_byte_limit() -> int:
+    """The most bytes one array can take: what numpy can address, and at most the
+    machine's physical memory where the system reports it."""
+    limit = int(np.iinfo(np.intp).max)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return limit
+    return min(limit, memory) if memory > 0 else limit
+
+
+def _capacity_error(capacity_k: int) -> ConfigError | None:
+    """The ``ConfigError`` of a capacity whose dense (K+1) x (K+1) residual generator
+    needs more than ``_array_byte_limit``, found before anything is allocated, or None."""
+    limit = _array_byte_limit()
+    if 8 * (capacity_k + 1) ** 2 <= limit:
+        return None
+    name = (f"capacity_k={capacity_k}" if capacity_k.bit_length() <= 64
+            else f"a {capacity_k.bit_length()}-bit capacity_k")
+    return ConfigError(f"{name} is too large to solve: the dense (K+1) x (K+1) residual "
+                       f"generator needs 8 (K+1)**2 bytes, more than the {limit} bytes "
+                       "one array can take here")
+
+
 def _solve_many(params_list: list[SystemParams]) -> list:
     """``solve_fixed_point`` of every set in ``params_list``: per set its
     ``FixedPointResult``, or the ``BikeShareError`` its solve raises.
@@ -435,6 +462,10 @@ def _solve_many(params_list: list[SystemParams]) -> list:
         groups.setdefault((params.capacity_k, params.omega), []).append(index)
     for indices in groups.values():
         group = [params_list[index] for index in indices]
+        if (error := _capacity_error(group[0].capacity_k)) is not None:
+            for index in indices:
+                outcomes[index] = error
+            continue
         rows = _defect_kernel(group)
         found = _lockstep([_root_steps(rho_upper_bound(params)) for params in group], rows)
         points = _solved_points(rows, found, group[0].capacity_k)
@@ -457,6 +488,8 @@ def solve_fixed_point(params: SystemParams) -> FixedPointResult:
     or, where the defect near the root is rounding noise of either sign, if
     the residual is within its ``_rounding_bound``.
     It is rejected loudly if p0 or pK violates the assumed 1 - delta bound.
+    A capacity whose dense residual generator cannot be allocated raises
+    ``ConfigError`` before anything is allocated (``_capacity_error``).
     This is the one-set case of ``_solve_many``.
     """
     (outcome,) = _solve_many([params])
@@ -536,6 +569,12 @@ def _refine_locally(rho0: float, max_steps: int):
     )
 
 
+def _bits(x: float) -> int:
+    """The IEEE 754 bit pattern of a float, as a key that tells 0.0 from -0.0 and
+    merges two NaNs only if their bits are equal."""
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
 def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
                      max_iterations: int = 60) -> list[FixedPointResult]:
     """Hunt for multiple fixed points from random starting vectors.
@@ -546,30 +585,55 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     once to that load, and the load is refined locally on the defect with
     at most ``max_iterations`` secant steps; the run never falls back to the
     global bracketed solve, so a root in another basin produces another
-    answer.  The starts are refined in lockstep, one kernel call per round.
-    ``iterations`` of each result counts the defect evaluations
-    of its refinement.  All results must agree within 1e-8 in sup-norm,
-    otherwise ``MultipleFixedPointsError`` carries the distinct results.
+    answer.  A refinement reads nothing but its start load, so starts whose
+    loads have the same bits share one refinement (every start that parks
+    more than C bikes on average has load 0), and the distinct loads are
+    refined in lockstep, one kernel call per round.  Refinements that end on
+    the same root bits share one solved point.  Each start still gets its
+    own result and its own copy of p; its ``iterations`` counts the defect
+    evaluations of the refinement it shares.  All results must agree within
+    1e-8 in sup-norm, otherwise ``MultipleFixedPointsError`` carries the
+    distinct results, each the first start's result at its root.
     """
     n_starts = _as_int("n_starts", n_starts)
     max_iterations = _as_int("max_iterations", max_iterations)
     if n_starts < 1:
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
+    if (error := _capacity_error(params.capacity_k)) is not None:
+        raise error
     rng = np.random.default_rng(seed)
     starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
     with np.errstate(all="ignore"):
         birth, death = _lane_rates([params])(starts, [0] * n_starts)
-    loads = np.maximum(birth, 0.0) / death
-    rows = _defect_kernel([params] * n_starts)
-    found = _lockstep([_refine_locally(rho0, max_iterations) for rho0 in loads.tolist()], rows)
-    results = _solved_points(rows, found, params.capacity_k)
-    for outcome in results:
-        if isinstance(outcome, BikeShareError):
-            raise outcome
-    distinct = [results[0]]
-    for res in results[1:]:
-        if all(float(np.max(np.abs(res.p - d.p))) > 1e-8 for d in distinct):
+    lane_of: dict = {}  # start load bits -> lane of its refinement
+    lanes = [lane_of.setdefault(bits, len(lane_of))
+             for bits in (np.maximum(birth, 0.0) / death).view(np.uint64).tolist()]
+    rows = _defect_kernel([params] * len(lane_of))
+    loads = np.array(list(lane_of), dtype=np.uint64).view(float).tolist()
+    found = _lockstep([_refine_locally(rho0, max_iterations) for rho0 in loads], rows)
+    root_lane: dict = {}  # root bits -> the first lane that ends there
+    solving, shared = list(found), list(range(len(found)))
+    for lane, outcome in enumerate(found):
+        if type(outcome) is tuple:
+            shared[lane] = root_lane.setdefault(_bits(outcome[0]), lane)
+            if shared[lane] != lane:
+                solving[lane] = None  # takes the solved point of the root's first lane
+    points = _solved_points(rows, solving, params.capacity_k)
+    results, distinct, taken = [], [], set()
+    for lane in lanes:
+        first = shared[lane]
+        point = points[first]
+        if isinstance(point, BikeShareError):
+            raise point
+        res = FixedPointResult(p=point.p.copy() if first in taken else point.p, rho=point.rho,
+                               rates=point.rates, residual=point.residual,
+                               iterations=found[lane][1])
+        results.append(res)
+        # a later start at a root already seen has the same p, so it is never distinct
+        if first not in taken and all(float(np.max(np.abs(res.p - d.p))) > 1e-8
+                                      for d in distinct):
             distinct.append(res)
+        taken.add(first)
     if len(distinct) > 1:
         raise MultipleFixedPointsError(
             f"{len(distinct)} distinct fixed points found across {n_starts} starts",

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bikeshare_meanfield
-from bikeshare_meanfield import OdeConfig, SystemParams, integrate
+from bikeshare_meanfield import OdeConfig, SystemParams, fixed_point, integrate
 from bikeshare_meanfield.cli import main
 
 SMALL = {
@@ -654,6 +654,52 @@ class TestHugeOmega:
             "FAIL jacobian-norm-bound: max sampled norm 1515 vs bound inf over 200 points; "
             "the bound is not finite"
         ]
+
+
+class TestHugeCapacity:
+    # a solve allocates rows of K + 1 floats and a dense (K+1) x (K+1) residual
+    # generator; 10**13 would need 72.8 TiB per row, 2**62 more than numpy can
+    # address, and no float holds 10**400.  The kernel is replaced by one that
+    # fails the run (exit 5), so the solve must refuse the capacity before it
+    # builds anything
+    @pytest.mark.parametrize("capacity_k", [10 ** 13, 2 ** 62, 10 ** 400],
+                             ids=["10**13", "2**62", "10**400"])
+    def test_refused_before_any_allocation(self, tmp_path, capsys, monkeypatch, capacity_k):
+        def no_kernel(group):
+            raise AssertionError("the solve built a defect kernel")
+
+        monkeypatch.setattr(fixed_point, "_defect_kernel", no_kernel)
+        params = write_params(tmp_path, dict(FIG5, capacity_k=capacity_k))
+        out = tmp_path / "o.json"
+        assert main(["fixed-point", "--params", str(params), "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "is too large to solve" in err["message"]
+        assert not out.exists()
+
+    def test_sweep_records_the_refused_capacity(self, tmp_path, monkeypatch):
+        # the refusal is per (K, omega) group: K = 50 solves, K = 10**13 is a failed node
+        make_kernel = fixed_point._defect_kernel
+
+        def small_kernel(group):
+            assert group[0].capacity_k == 50, "the solve built a kernel for K = 10**13"
+            return make_kernel(group)
+
+        monkeypatch.setattr(fixed_point, "_defect_kernel", small_kernel)
+        out = tmp_path / "sweep.csv"
+        params = write_params(tmp_path, dict(FIG5, vary="capacity_k", grid=[50, 10 ** 13]))
+        assert main(["sweep", "--params", str(params), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [row[1] for row in rows] == ["50", "10000000000000"]
+        assert rows[0][2] != "nan" and rows[1][2:] == ["nan"] * 5
+
+    def test_refusal_follows_the_byte_limit(self, tmp_path, capsys, monkeypatch):
+        # a limit with room for a 40 x 40 generator only, as on a small machine, refuses K = 50
+        monkeypatch.setattr(fixed_point, "_array_byte_limit", lambda: 8 * 40 ** 2)
+        params = write_params(tmp_path, FIG5)
+        out = tmp_path / "o.json"
+        assert main(["fixed-point", "--params", str(params), "--out", str(out)]) == 3
+        assert "more than the 12800 bytes" in json.loads(capsys.readouterr().err)["message"]
 
 
 STARTUP_SCRIPT = """

@@ -1106,6 +1106,43 @@ def _one_call_root_count_detail(params):
             f"in [0, {grid[-1]:.6g}] (want exactly 1)")
 
 
+def _start_loads(params, n_starts, seed=0):
+    """The load of each Dirichlet start of ``uniqueness_probe``."""
+    starts = np.random.default_rng(seed).dirichlet(np.ones(params.capacity_k + 1),
+                                                   size=n_starts)
+    with np.errstate(all="ignore"):
+        birth, death = fixed_point._lane_rates([params])(starts, [0] * n_starts)
+    return (np.maximum(birth, 0.0) / death).tolist()
+
+
+def _probe_lane_per_start(params, n_starts, seed=0, max_iterations=60):
+    """Reference: ``uniqueness_probe`` with one refinement lane and one solved point per
+    start, on ``_defect_kernel([params] * n_starts)``, and the distinctness check over
+    every result."""
+    rows = fixed_point._defect_kernel([params] * n_starts)
+    found = fixed_point._lockstep(
+        [fixed_point._refine_locally(rho0, max_iterations)
+         for rho0 in _start_loads(params, n_starts, seed)], rows)
+    results = fixed_point._solved_points(rows, found, params.capacity_k)
+    for outcome in results:
+        if isinstance(outcome, BikeShareError):
+            raise outcome
+    distinct = [results[0]]
+    for res in results[1:]:
+        if all(float(np.max(np.abs(res.p - d.p))) > 1e-8 for d in distinct):
+            distinct.append(res)
+    if len(distinct) > 1:
+        raise MultipleFixedPointsError(f"{len(distinct)} distinct fixed points", results=distinct)
+    return results
+
+
+def _result_bits(result):
+    """Every field of a ``FixedPointResult`` as bytes and ints, so -0.0 and 0.0 differ."""
+    return (result.p.tobytes(), result.p.shape,
+            np.array([result.rho, *result.rates, result.residual]).tobytes(),
+            type(result.rates), result.iterations)
+
+
 class TestUniquenessProbe:
     def test_single_start(self):
         results = uniqueness_probe(FIG5, 1, seed=3)
@@ -1125,6 +1162,13 @@ class TestUniquenessProbe:
         for res in results:
             assert np.max(np.abs(res.p - reference)) < 1e-8
 
+    def test_rejects_a_capacity_whose_residual_cannot_be_allocated(self):
+        # refused before the starts are drawn, so nothing of size K + 1 is allocated
+        for capacity_k in (10 ** 13, 2 ** 62, 10 ** 400):
+            params = dataclasses.replace(FIG5, capacity_k=capacity_k)
+            with pytest.raises(ConfigError, match="too large to solve"):
+                uniqueness_probe(params, 20)
+
     def test_rejects_zero_starts(self):
         with pytest.raises(ConfigError):
             uniqueness_probe(FIG5, 0)
@@ -1139,13 +1183,16 @@ class TestUniquenessProbe:
 
     def test_iterations_count_the_defect_evaluations_of_each_start(self, monkeypatch):
         # 500 starts on 100 criterion-5 sets; about half reach the bracketed
-        # fallback, where Brent's last iteration evaluates nothing.  The starts
-        # share one kernel; its last call gives every start its solved point
+        # fallback, where Brent's last iteration evaluates nothing.  Starts with
+        # the same load bits share one kernel lane, in order of their first
+        # start; the kernel's last call gives the first lane of each distinct
+        # root its solved point, and every start counts its lane's evaluations
         sets = random_valid_parameter_sets(100, seed=5)
-        calls = []
+        calls, sizes = [], []
         make_kernel = fixed_point._defect_kernel
 
         def counting_kernel(group):
+            sizes.append(len(group))
             rows = make_kernel(group)
 
             def counted(loads, lanes):
@@ -1155,13 +1202,35 @@ class TestUniquenessProbe:
             return counted
 
         monkeypatch.setattr(fixed_point, "_defect_kernel", counting_kernel)
+        shared = 0
         for params in sets:
             calls.clear()
+            sizes.clear()
             results = uniqueness_probe(params, 5)
-            assert calls[-1] == [0, 1, 2, 3, 4]
-            assert all(lanes == sorted(lanes) for lanes in calls)
-            counts = [sum(lanes.count(start) for lanes in calls[:-1]) for start in range(5)]
-            assert [r.iterations for r in results] == counts
+            lane_of = {}
+            lanes = [lane_of.setdefault(np.float64(rho0).tobytes(), len(lane_of))
+                     for rho0 in _start_loads(params, 5)]
+            shared += 5 - len(lane_of)
+            assert sizes == [len(lane_of)]
+            first_at_root = {}
+            for lane, res in sorted(zip(lanes, results), key=lambda pair: pair[0]):
+                first_at_root.setdefault(np.float64(res.rho).tobytes(), lane)
+            assert calls[-1] == sorted(first_at_root.values())
+            assert all(call == sorted(call) for call in calls)
+            counts = [sum(call.count(lane) for call in calls[:-1]) for lane in range(len(lane_of))]
+            assert [r.iterations for r in results] == [counts[lane] for lane in lanes]
+        assert shared > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_a_lane_per_start_bit_for_bit(self, seed):
+        # the 50 criterion-5 sets; many starts share a load (0 for every start
+        # that parks more than C bikes), and no two results share memory
+        for params in random_valid_parameter_sets(50):
+            results = uniqueness_probe(params, 20, seed=seed)
+            reference = _probe_lane_per_start(params, 20, seed=seed)
+            assert [_result_bits(r) for r in results] == [_result_bits(r) for r in reference]
+            for x, y in itertools.combinations(results, 2):
+                assert not np.shares_memory(x.p, y.p)
 
     def test_reports_every_root_of_a_cubic_defect(self, monkeypatch):
         # a defect with three roots stands in for a system with three fixed
@@ -1172,6 +1241,11 @@ class TestUniquenessProbe:
             uniqueness_probe(FIG5, 20, seed=0)
         roots = sorted(r.rho for r in err.value.results)
         assert np.allclose(roots, [0.5, 1.6, 3.0], rtol=0.0, atol=1e-12)
+        # the same distinct results, in the same order, as a lane per start
+        with pytest.raises(MultipleFixedPointsError) as ref:
+            _probe_lane_per_start(FIG5, 20, seed=0)
+        assert ([_result_bits(r) for r in err.value.results]
+                == [_result_bits(r) for r in ref.value.results])
 
     @pytest.mark.parametrize("params", [FIG5, FIG7, ANALYTIC])
     def test_defect_changes_sign_once(self, params):
