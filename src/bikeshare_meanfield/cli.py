@@ -42,7 +42,7 @@ from .core import (
     fraction_vector,
 )
 from .csvrows import open_stream
-from .dynamics import OdeConfig, _csv_head, _rk4_blocks, integrate
+from .dynamics import OdeConfig, _csv_head, _rk4_blocks, _stage_capacity_error, integrate
 from .errors import (
     BikeShareError,
     ConfigError,
@@ -100,6 +100,8 @@ def _cmd_ode(config: dict, out: str) -> int:
     params = SystemParams.from_dict(config)
     if "t_end" not in config:
         raise ConfigError("ode needs key 't_end'")
+    if (error := _stage_capacity_error(params.capacity_k)) is not None:
+        raise error
     if "initial" in config:
         initial = fraction_vector(config["initial"], params.capacity_k)
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -236,6 +237,32 @@ def _one_vector(name: str, y, params: SystemParams) -> np.ndarray:
     return y.astype(float, copy=False)
 
 
+@functools.cache
+def _array_byte_limit() -> int:
+    """The most bytes one array can take: what numpy can address, and at most the
+    machine's physical memory where the system reports it."""
+    limit = int(np.iinfo(np.intp).max)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return limit
+    return min(limit, memory) if memory > 0 else limit
+
+
+def _capacity_error(capacity_k: int, nbytes: int, task: str, need: str) -> ConfigError | None:
+    """The ``ConfigError`` of a capacity too large to ``task``: ``need`` names the
+    largest array the task allocates at this K, which takes ``nbytes``, more than
+    ``_array_byte_limit``.  Callers ask before they allocate anything; None when
+    the array fits."""
+    limit = _array_byte_limit()
+    if nbytes <= limit:
+        return None
+    name = (f"capacity_k={capacity_k}" if capacity_k.bit_length() <= 64
+            else f"a {capacity_k.bit_length()}-bit capacity_k")
+    return ConfigError(f"{name} is too large to {task}: {need}, more than the {limit} bytes "
+                       "one array can take here")
+
+
 def mean_bikes(y) -> float:
     """Mean number of parked bikes per station under occupancy fractions y."""
     y = np.asarray(y, dtype=float)
@@ -307,15 +334,16 @@ def _walk_slope(y0: float, omega: int) -> float:
 
 
 def _guarded_rates(params: SystemParams):
-    """The scalar (birth, death, fleet) of one float vector of ``params`` under the
-    full-system and negative-fleet guards; a round-off-sized negative fleet is
-    clamped to zero."""
-    levels, mu, c = _levels(params.capacity_k)[0], params.mu, params.capacity_c
+    """``rates(y0, yk, parked)``: the scalar (birth, death, fleet) of one float
+    vector y of ``params`` under the full-system and negative-fleet guards, from
+    its end entries y0 and yK and its mean parked bikes ``y.dot(levels)``, which
+    the caller reads once; a round-off-sized negative fleet is clamped to zero."""
+    mu, c = params.mu, params.capacity_c
     lam, gamma, series = params.lam, params.gamma, _geom_series(params.omega)
     full = 1.0 - _EPS
 
-    def rates(y):
-        yk, fleet, y0 = y.item(-1), c - float(y.dot(levels)), y.item(0)
+    def rates(y0, yk, parked):
+        fleet = c - float(parked)
         if yk >= full:
             raise FullSystemError("full-station fraction reached 1: persistent-return rate "
                                   "undefined")
@@ -334,7 +362,9 @@ def limiting_rates(y, params: SystemParams) -> RatePair:
     death = lambda + gamma * y0 * (1 + y0 + ... + y0**(omega-1));
     birth = mu * (C - sum_k k*y_k) / (1 - y_K).
     """
-    birth, death, _ = _guarded_rates(params)(_one_vector("limiting_rates", y, params))
+    y = _one_vector("limiting_rates", y, params)
+    birth, death, _ = _guarded_rates(params)(y.item(0), y.item(-1),
+                                             y.dot(_levels(params.capacity_k)[0]))
     return RatePair(birth=birth, death=death)
 
 

@@ -6,12 +6,16 @@ the occupancy-dependent birth/death rates.  This module integrates both the
 finite-N system (level-dependent birth rates) and its infinite-population
 limit with a classical fixed-step fourth-order scheme, keeping the state on
 the probability simplex, through one drift body per route on guarded scalar
-rates.  A step allocates nothing: the stage derivatives share one 4 x (K+1)
-block, the stage arguments one buffer, and accepted states and their times
-fill the rows of preallocated blocks, yielded as they fill, with every
-operation in the textbook step's order.  The module also provides the exact
-Jacobian of the limiting drift and the analytic bound on its norm used to
-certify Lipschitz continuity.
+rates.  A step allocates nothing, and its drifts make no slice view: each
+run binds its four drifts once, each to the buffer it reads (the accepted
+state or the stage argument) and to the row of the 4 x (K+1) stage block it
+writes, and each accepted state is copied with its time into the next row of
+a preallocated block, yielded as it fills.  A drift returns its two boundary
+components, and the stepper computes the full sup-norm of the stationarity
+test only when both lie below the tolerance, which decides every step as the
+full test would.  Every operation keeps the textbook step's order.  The
+module also provides the exact Jacobian of the limiting drift and the
+analytic bound on its norm used to certify Lipschitz continuity.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .core import (
     SystemParams,
     _as_float,
     _as_int,
+    _capacity_error,
     _guarded_rates,
     _levels,
     _one_vector,
@@ -122,89 +127,118 @@ def _csv_head(params: SystemParams, capacity_k: int) -> str:
 # (cheaper than the keyword, which ``np.maximum`` alone requires).  Per-call
 # scalars reach ufuncs as 0-d arrays (``slot[()] = value``), which numpy takes
 # without converting a Python float each time, and reductions write into 0-d
-# outputs for the same reason.  No operation or its order changes.
+# outputs for the same reason.  The slice views a body reads are made once,
+# when it is bound to its buffers.  No operation or its order changes.
 
 
 def _limiting_stencil(capacity_k: int):
-    """``stencil(y, a, b, out, inner)``: write y V_y at birth rate a and death
-    rate b into ``out``, whose view ``out[1:-1]`` is ``inner``.
+    """``bind(y, out)``: the stencil that writes y V_y at birth rate a and death
+    rate b into ``out``, bound to the float vectors ``y`` and ``out`` as
+    ``stencil(a, b, y0, yk) -> (out[0], out[K])``, where y0 and yk are y's end
+    entries, read by the caller.
 
     The interior is d[:-1] * (-a) + d[1:] * b for the forward differences
-    d = y[1:] - y[:-1], held in one scratch vector: bit for bit
-    (y[k-1] - y[k]) * a + b * (y[k+1] - y[k]).  A difference and its reverse
-    differ only in the sign of an exact zero.  That sign can reach the result
-    only if y holds -0.0, which the stepper's clamp never leaves in a state,
-    or if b is 0, as in ``jacobian``, which adds the result to entries that
-    are nonzero or +0.0, where the sign vanishes.
+    d = y[1:] - y[:-1], held in one scratch vector that every bound stencil of
+    this call shares: bit for bit (y[k-1] - y[k]) * a + b * (y[k+1] - y[k]).
+    A difference and its reverse differ only in the sign of an exact zero.
+    That sign can reach the result only if y holds -0.0, which the stepper's
+    clamp never leaves in a state, or if b is 0, as in ``jacobian``, which adds
+    the result to entries that are nonzero or +0.0, where the sign vanishes.
     """
     diff = np.empty(capacity_k)
     fall, rise = diff[:-1], diff[1:]
     minus_a, death = np.empty(()), np.empty(())
+    add, multiply, subtract = np.add, np.multiply, np.subtract
 
-    def stencil(y, a, b, out, inner):
-        minus_a[()] = -a
-        death[()] = b
-        np.subtract(y[1:], y[:-1], diff)
-        np.multiply(fall, minus_a, inner)
-        np.multiply(rise, death, rise)
-        np.add(inner, rise, inner)
-        out[0] = -a * y.item(0) + b * y.item(1)
-        out[-1] = a * y.item(-2) - b * y.item(-1)
-        return out
+    def bind(y, out):
+        upper, lower, inner, item = y[1:], y[:-1], out[1:-1], y.item
 
-    return stencil
+        def stencil(a, b, y0, yk):
+            minus_a[()] = -a
+            death[()] = b
+            subtract(upper, lower, diff)
+            multiply(fall, minus_a, inner)
+            multiply(rise, death, rise)
+            add(inner, rise, inner)
+            out[0] = first = -a * y0 + b * item(1)
+            out[-1] = last = a * item(-2) - b * yk
+            return first, last
+
+        return stencil
+
+    return bind
 
 
 def _drift_body(params: SystemParams, finite_n: bool):
-    """The chosen drift as ``drift(y, out, inner)`` for one float vector, where
-    ``inner`` is ``out[1:-1]``: the guarded rates of ``params``, the own-fleet
-    vector and the scratch vectors are built once, the rates are Python floats
-    and a call allocates nothing."""
+    """``bind(y, out)``: the chosen drift bound to the float vector ``y`` it reads
+    and the vector ``out`` it writes, as ``drift() -> (out[0], out[K])``.
+
+    The guarded rates of ``params``, the own-fleet vector and the scratch
+    vectors are built once and shared by every drift bound from this call;
+    ``bind`` makes the slice views of its two vectors once.  A call reads each
+    end entry of y once, passes y0 and yK to the rates, which are Python
+    floats, allocates nothing and returns the two boundary components as
+    Python floats.
+    """
+    levels, rates = _levels(params.capacity_k)[0], _guarded_rates(params)
     if not finite_n:
-        stencil, rates = _limiting_stencil(params.capacity_k), _guarded_rates(params)
+        stencil_on = _limiting_stencil(params.capacity_k)
 
-        def drift(y, out, inner):
-            birth, death, _ = rates(y)
-            return stencil(y, birth, death, out, inner)
+        def bind(y, out):
+            stencil, item, dot = stencil_on(y, out), y.item, y.dot
 
-        return drift
+            def drift():
+                y0, yk = item(0), item(-1)
+                birth, death, _ = rates(y0, yk, dot(levels))
+                return stencil(birth, death, y0, yk)
+
+            return drift
+
+        return bind
     # birth rate of level l < K: mu/N * ((C - l)^+ + (N - 1) * fleet) / (1 - yK)
     c, n = params.capacity_c, params.n_stations
-    levels = np.arange(params.capacity_k + 1)
     own = np.where(levels[:-1] <= c - 1, c - levels[:-1], 0.0)
     xi = np.empty(params.capacity_k)
-    xi_lo, xi_hi = xi[:-1], xi[1:]
+    xi_lo, xi_hi, xi_item = xi[:-1], xi[1:], xi.item
     term = np.empty(params.capacity_k - 1)
     scale = np.array(params.mu / n)
     shared, free, death = np.empty(()), np.empty(()), np.empty(())
-    rates = _guarded_rates(params)
+    add, multiply, subtract, divide = np.add, np.multiply, np.subtract, np.divide
 
-    def drift(y, out, inner):
-        _, eta, fleet = rates(y)
-        shared[()] = (n - 1) * fleet
-        free[()] = 1.0 - y.item(-1)
-        death[()] = eta
-        np.add(own, shared, xi)
-        np.multiply(scale, xi, xi)
-        np.divide(xi, free, xi)
-        # xi[:-1] * y[:-2] - (xi[1:] + eta) * y[1:-1] + eta * y[2:], in that order
-        np.multiply(xi_lo, y[:-2], inner)
-        np.add(xi_hi, death, term)
-        np.multiply(term, y[1:-1], term)
-        np.subtract(inner, term, inner)
-        np.multiply(y[2:], death, term)
-        np.add(inner, term, inner)
-        out[0] = -xi.item(0) * y.item(0) + eta * y.item(1)
-        out[-1] = xi.item(-1) * y.item(-2) - eta * y.item(-1)
-        return out
+    def bind(y, out):
+        low, mid, high, inner = y[:-2], y[1:-1], y[2:], out[1:-1]
+        item, dot = y.item, y.dot
 
-    return drift
+        def drift():
+            y0, yk = item(0), item(-1)
+            _, eta, fleet = rates(y0, yk, dot(levels))
+            shared[()] = (n - 1) * fleet
+            free[()] = 1.0 - yk
+            death[()] = eta
+            add(own, shared, xi)
+            multiply(scale, xi, xi)
+            divide(xi, free, xi)
+            # xi[:-1] * y[:-2] - (xi[1:] + eta) * y[1:-1] + eta * y[2:], in that order
+            multiply(xi_lo, low, inner)
+            add(xi_hi, death, term)
+            multiply(term, mid, term)
+            subtract(inner, term, inner)
+            multiply(high, death, term)
+            add(inner, term, inner)
+            out[0] = first = -xi_item(0) * y0 + eta * item(1)
+            out[-1] = last = xi_item(-1) * item(-2) - eta * yk
+            return first, last
+
+        return drift
+
+    return bind
 
 
 def _fresh_drift(params: SystemParams, finite_n: bool, y) -> np.ndarray:
     """One drift evaluation into a new vector."""
     out = np.empty_like(y)
-    return _drift_body(params, finite_n)(y, out, out[1:-1])
+    _drift_body(params, finite_n)(y, out)()
+    return out
 
 
 def drift_limiting(y, params: SystemParams) -> np.ndarray:
@@ -223,6 +257,14 @@ def drift_finite_n(y, params: SystemParams) -> np.ndarray:
     N grows.
     """
     return _fresh_drift(params, True, _one_vector("drift_finite_n", y, params))
+
+
+def _stage_capacity_error(capacity_k: int) -> ConfigError | None:
+    """The ``ConfigError`` of a capacity whose 4 x (K+1) stage block, the largest
+    array of a run, cannot be allocated, or None.  A caller that builds the
+    initial vector from K asks before it does."""
+    return _capacity_error(capacity_k, 32 * (capacity_k + 1), "integrate",
+                           "the 4 x (K+1) stage block needs 32 (K+1) bytes")
 
 
 def _domain_exit(state, time: float, bound: float) -> DomainExitError:
@@ -244,7 +286,7 @@ def _rk4_blocks(config: OdeConfig, params: SystemParams, finite_n: bool):
     ``integrate`` raises it, after the blocks completed before it.
     """
     initial = _one_vector("integrate", config.initial, params)
-    drift = _drift_body(params, finite_n)
+    bind = _drift_body(params, finite_n)
     h = config.step if config.step is not None else default_step(params)
     horizon, stationarity_tol, budget = config.t_end, config.stationarity_tol, STEP_REPAIR_BUDGET
     bound = 1.0 - params.delta
@@ -253,8 +295,9 @@ def _rk4_blocks(config: OdeConfig, params: SystemParams, finite_n: bool):
     block = np.empty((block_size, width + 1))
     times, states = block[:, 0], block[:, 1:]
     times[0] = 0.0
-    y = states[0]
-    y[...] = initial
+    # the accepted state keeps one buffer, copied into the next row of a block
+    y = initial.copy()
+    states[0] = y
     used = 1
     if y.item(0) > bound or y.item(-1) > bound:
         raise _domain_exit(y, 0.0, bound)
@@ -262,15 +305,16 @@ def _rk4_blocks(config: OdeConfig, params: SystemParams, finite_n: bool):
     step_index = 0
     stages = np.empty((4, width))
     k1, k2, k3, k4 = stages
-    i1, i2, i3, i4 = stages[:, 1:-1]
     doubled = stages[1:3]
     arg, raw, scratch = np.empty(width), np.empty(width), np.empty(width)
+    # each drift bound once to the buffer it reads and the stage row it writes
+    stage1, stage2, stage3, stage4 = bind(y, k1), bind(arg, k2), bind(arg, k3), bind(arg, k4)
     half, full, sixth, total, worst = (np.empty(()) for _ in range(5))
     two, zero = np.array(2.0), np.array(0.0)
     add, multiply, subtract, divide, maximum, absolute = (
         np.add, np.multiply, np.subtract, np.divide, np.maximum, np.abs)
     add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
-    drift(y, k1, i1)
+    stage1()
     while t < horizon * (1.0 - 1e-15):
         t_next = (step_index + 1) * h
         if horizon < t_next:
@@ -279,9 +323,12 @@ def _rk4_blocks(config: OdeConfig, params: SystemParams, finite_n: bool):
         half[()] = 0.5 * hs
         full[()] = hs
         sixth[()] = hs / 6.0
-        drift(add(y, multiply(half, k1, arg), arg), k2, i2)
-        drift(add(y, multiply(half, k2, arg), arg), k3, i3)
-        drift(add(y, multiply(full, k3, arg), arg), k4, i4)
+        add(y, multiply(half, k1, arg), arg)
+        stage2()
+        add(y, multiply(half, k2, arg), arg)
+        stage3()
+        add(y, multiply(full, k3, arg), arg)
+        stage4()
         # y + (hs/6) * (((k1 + 2 k2) + 2 k3) + k4): the row reduction adds in row order
         multiply(doubled, two, doubled)
         add_reduce(stages, axis=0, out=raw)
@@ -291,7 +338,6 @@ def _rk4_blocks(config: OdeConfig, params: SystemParams, finite_n: bool):
             block = np.empty((block_size, width + 1))
             times, states = block[:, 0], block[:, 1:]
             used = 0
-        y = states[used]
         maximum(raw, zero, out=y)
         add_reduce(y, out=total)
         divide(y, total, y)
@@ -308,12 +354,16 @@ def _rk4_blocks(config: OdeConfig, params: SystemParams, finite_n: bool):
         step_index += 1
         if y.item(0) > bound or y.item(-1) > bound:
             raise _domain_exit(y, t, bound)
+        states[used] = y
         times[used] = t
         used += 1
-        drift(y, k1, i1)
-        max_reduce(absolute(k1, scratch), out=worst)
-        if worst.item() < stationarity_tol:
-            break
+        # max|k1| is at least either boundary component, so the full reduction
+        # runs only when both already lie below the tolerance
+        first, last = stage1()
+        if abs(first) < stationarity_tol and abs(last) < stationarity_tol:
+            max_reduce(absolute(k1, scratch), out=worst)
+            if worst.item() < stationarity_tol:
+                break
     yield block[:used]
 
 
@@ -328,11 +378,13 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     tolerance; the drift of that check is the next step's first stage.
 
     A step allocates nothing: the four stage derivatives are the rows of one
-    4 x (K+1) block, each stage argument is built in one buffer, and every
-    accepted state and its time are written straight into the next row of a
-    block of at most 512 rows, the blocks of ``_rk4_blocks``, joined once at
-    the end.  The arithmetic is the textbook step's, operation by operation
-    and in the same order.
+    4 x (K+1) block, each stage argument is built in one buffer, the four
+    drifts are bound to their buffers once per run, and every accepted state
+    and its time are copied into the next row of a block of at most 512 rows,
+    the blocks of ``_rk4_blocks``, joined once at the end.  The stationarity
+    sup-norm is taken only when both boundary components of the drift are
+    already below the tolerance.  The arithmetic is the textbook step's,
+    operation by operation and in the same order.
     """
     blocks = list(_rk4_blocks(config, params, finite_n))
     return Trajectory(np.concatenate([block[:, 0] for block in blocks]),
@@ -349,15 +401,18 @@ def jacobian(y, params: SystemParams) -> np.ndarray:
     grad(b) is gamma d[y0 S(y0)]/dy0 at level 0 and zero elsewhere.
     """
     y = _one_vector("jacobian", y, params)
-    birth, death, _ = _guarded_rates(params)(y)
-    scale = 1.0 - y.item(-1)
+    y0, yk = y.item(0), y.item(-1)
+    birth, death, _ = _guarded_rates(params)(y0, yk, y.dot(_levels(params.capacity_k)[0]))
+    scale = 1.0 - yk
     grad_birth = _levels(params.capacity_k)[0] * (-params.mu / scale)
     grad_birth[-1] += birth / scale
     jac = build_generator(RatePair(birth, death), params.capacity_k)
-    stencil, out = _limiting_stencil(params.capacity_k), np.empty_like(y)
-    jac += np.outer(grad_birth, stencil(y, 1.0, 0.0, out, out[1:-1]))
-    jac[0] += (params.gamma * _walk_slope(y.item(0), params.omega)
-               * stencil(y, 0.0, 1.0, out, out[1:-1]))
+    out = np.empty_like(y)
+    stencil = _limiting_stencil(params.capacity_k)(y, out)
+    stencil(1.0, 0.0, y0, yk)
+    jac += np.outer(grad_birth, out)
+    stencil(0.0, 1.0, y0, yk)
+    jac[0] += params.gamma * _walk_slope(y0, params.omega) * out
     return jac
 
 

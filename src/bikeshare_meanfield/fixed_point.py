@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import struct
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .core import (
     RatePair,
     SystemParams,
     _as_int,
+    _capacity_error,
     _generator_stack,
     _geom_series,
     _levels,
@@ -424,29 +424,11 @@ def _accepted(result: FixedPointResult, params: SystemParams, rows, lane: int):
     return result
 
 
-@functools.cache
-def _array_byte_limit() -> int:
-    """The most bytes one array can take: what numpy can address, and at most the
-    machine's physical memory where the system reports it."""
-    limit = int(np.iinfo(np.intp).max)
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return limit
-    return min(limit, memory) if memory > 0 else limit
-
-
-def _capacity_error(capacity_k: int) -> ConfigError | None:
+def _residual_capacity_error(capacity_k: int) -> ConfigError | None:
     """The ``ConfigError`` of a capacity whose dense (K+1) x (K+1) residual generator
-    needs more than ``_array_byte_limit``, found before anything is allocated, or None."""
-    limit = _array_byte_limit()
-    if 8 * (capacity_k + 1) ** 2 <= limit:
-        return None
-    name = (f"capacity_k={capacity_k}" if capacity_k.bit_length() <= 64
-            else f"a {capacity_k.bit_length()}-bit capacity_k")
-    return ConfigError(f"{name} is too large to solve: the dense (K+1) x (K+1) residual "
-                       f"generator needs 8 (K+1)**2 bytes, more than the {limit} bytes "
-                       "one array can take here")
+    cannot be allocated, or None."""
+    return _capacity_error(capacity_k, 8 * (capacity_k + 1) ** 2, "solve",
+                           "the dense (K+1) x (K+1) residual generator needs 8 (K+1)**2 bytes")
 
 
 def _solve_many(params_list: list[SystemParams]) -> list:
@@ -462,7 +444,7 @@ def _solve_many(params_list: list[SystemParams]) -> list:
         groups.setdefault((params.capacity_k, params.omega), []).append(index)
     for indices in groups.values():
         group = [params_list[index] for index in indices]
-        if (error := _capacity_error(group[0].capacity_k)) is not None:
+        if (error := _residual_capacity_error(group[0].capacity_k)) is not None:
             for index in indices:
                 outcomes[index] = error
             continue
@@ -489,7 +471,7 @@ def solve_fixed_point(params: SystemParams) -> FixedPointResult:
     the residual is within its ``_rounding_bound``.
     It is rejected loudly if p0 or pK violates the assumed 1 - delta bound.
     A capacity whose dense residual generator cannot be allocated raises
-    ``ConfigError`` before anything is allocated (``_capacity_error``).
+    ``ConfigError`` before anything is allocated (``_residual_capacity_error``).
     This is the one-set case of ``_solve_many``.
     """
     (outcome,) = _solve_many([params])
@@ -599,7 +581,7 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     max_iterations = _as_int("max_iterations", max_iterations)
     if n_starts < 1:
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
-    if (error := _capacity_error(params.capacity_k)) is not None:
+    if (error := _residual_capacity_error(params.capacity_k)) is not None:
         raise error
     rng = np.random.default_rng(seed)
     starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SystemParams, _as_float, _as_int, _write_json
+from .core import SystemParams, _as_float, _as_int, _capacity_error, _write_json
 from .dynamics import OdeConfig, Trajectory, integrate
 from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
@@ -157,9 +157,15 @@ def simulate(config: SimConfig) -> SimReport:
     walking (budget omega) where none is, or abandons if omega = 0; a walk
     completing at an empty station spends one unit of budget; a ride
     completing at a full station turns into another ride toward one of the
-    other stations.  Bike conservation is asserted at every event.
+    other stations.  Bike conservation is asserted at every event.  A capacity
+    whose dense (K+1) x (K+1) joint occupancy matrix cannot be allocated raises
+    ``ConfigError`` before anything is allocated.
     """
     p = config.params
+    if (error := _capacity_error(p.capacity_k, 8 * (p.capacity_k + 1) ** 2, "simulate",
+                                 "the dense (K+1) x (K+1) joint occupancy matrix needs "
+                                 "8 (K+1)**2 bytes")) is not None:
+        raise error
     n = p.n_stations
     cap_k = p.capacity_k
     cap_c = p.capacity_c

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bikeshare_meanfield
-from bikeshare_meanfield import OdeConfig, SystemParams, fixed_point, integrate
+from bikeshare_meanfield import OdeConfig, SystemParams, cli, core, fixed_point, integrate
 from bikeshare_meanfield.cli import main
 
 SMALL = {
@@ -695,11 +695,55 @@ class TestHugeCapacity:
 
     def test_refusal_follows_the_byte_limit(self, tmp_path, capsys, monkeypatch):
         # a limit with room for a 40 x 40 generator only, as on a small machine, refuses K = 50
-        monkeypatch.setattr(fixed_point, "_array_byte_limit", lambda: 8 * 40 ** 2)
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: 8 * 40 ** 2)
         params = write_params(tmp_path, FIG5)
         out = tmp_path / "o.json"
         assert main(["fixed-point", "--params", str(params), "--out", str(out)]) == 3
         assert "more than the 12800 bytes" in json.loads(capsys.readouterr().err)["message"]
+
+    # ode holds O(K) vectors, the largest its 4 x (K+1) stage block; simulate
+    # holds a dense (K+1) x (K+1) joint occupancy matrix.  At these capacities
+    # both used to exit 5 with a raw MemoryError; the refusal must come before
+    # the initial vector, the CSV writer or the simulation state is built
+    REFUSED = {"ode": ({"t_end": 5.0}, "o.csv", "is too large to integrate: the 4 x (K+1) "
+                                               "stage block needs 32 (K+1) bytes"),
+               "simulate": ({"seed": 1, "t_measure": 1.0}, "o.json",
+                            "is too large to simulate: the dense (K+1) x (K+1) joint "
+                            "occupancy matrix needs 8 (K+1)**2 bytes")}
+
+    @pytest.mark.parametrize("command", ["ode", "simulate"])
+    @pytest.mark.parametrize("capacity_k,name", [
+        (10 ** 13, "capacity_k=10000000000000"), (2 ** 199 + 1, "a 200-bit capacity_k"),
+    ], ids=["10**13", "200-bit"])
+    def test_ode_and_simulate_refuse_before_any_allocation(self, tmp_path, capsys, monkeypatch,
+                                                           command, capacity_k, name):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ode started its run")
+
+        # simulate refuses in its own first lines, before its state lists and matrix
+        monkeypatch.setattr(cli, "open_stream", no_run)
+        monkeypatch.setattr(cli, "integrate", no_run)
+        keys, out_name, message = self.REFUSED[command]
+        params = write_params(tmp_path, dict(FIG5, capacity_k=capacity_k, **keys))
+        out = tmp_path / out_name
+        assert main([command, "--params", str(params), "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{name} {message}, more than the ")
+        assert sorted(os.listdir(tmp_path)) == ["params.json"]
+
+    @pytest.mark.parametrize("command,limit", [("ode", 32 * 50), ("simulate", 8 * 50 ** 2)])
+    def test_ode_and_simulate_refusal_follows_the_byte_limit(self, tmp_path, capsys,
+                                                             monkeypatch, command, limit):
+        # one byte short of the largest array at K = 49 refuses it; K = 48 fits and runs
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: limit - 1)
+        keys, out_name, _ = self.REFUSED[command]
+        out = tmp_path / out_name
+        for capacity_k, code in ((49, 3), (48, 0)):
+            params = write_params(tmp_path, dict(FIG5, capacity_k=capacity_k, **keys))
+            assert main([command, "--params", str(params), "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert f"more than the {limit - 1} bytes" in capsys.readouterr().err
 
 
 STARTUP_SCRIPT = """

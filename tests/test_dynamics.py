@@ -1,6 +1,7 @@
 """Drift, integration, Jacobian and the analytic norm bound."""
 
 import dataclasses
+import functools
 import itertools
 import json
 
@@ -380,6 +381,17 @@ def all_at_c(params):
     return start
 
 
+@functools.cache
+def _frozen_run_to_rest(params, finite_n):
+    """The frozen loop from the all-at-C start to stationarity at 1e-11, with the
+    sup-norm of the frozen drift at every state it accepted."""
+    config = OdeConfig(initial=all_at_c(params), t_end=5000.0, stationarity_tol=1e-11)
+    times, states = _frozen_integrate(config, params, finite_n)
+    drift = _frozen_drift_finite_n if finite_n else _frozen_drift_limiting
+    norms = np.array([np.max(np.abs(drift(y, params))) for y in states])
+    return times, states, norms
+
+
 def assert_same_bits(actual, expected):
     """Equal shape, dtype and bytes: unlike ``np.array_equal``, this tells -0 from 0,
     which the trajectory CSV prints differently."""
@@ -430,6 +442,51 @@ class TestFusedStepper:
             assert traj.times[-1] < 4000.0
             assert_same_bits(traj.times, times)
             assert_same_bits(traj.states, states)
+
+    @pytest.mark.parametrize("finite_n", [False, True], ids=["limiting", "finite-n"])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
+    @pytest.mark.parametrize("params", [SMALL, FIG5], ids=["small", "fig5"])
+    def test_boundary_screen_stops_at_the_frozen_step(self, params, tol, finite_n):
+        # the stepper takes the full max|k1| only when both boundary components
+        # lie below the tolerance.  From all-at-C on figure 5 both are exactly 0
+        # for the first steps while the interior moves, so the screen must hand
+        # those steps to the full test; on the small set k[K] is not 0 at once.
+        # The frozen loop stops at the first accepted state whose drift sup-norm
+        # is below the tolerance, so its 1e-11 run holds the runs at 1e-6 and 1e-9
+        times, states, norms = _frozen_run_to_rest(params, finite_n)
+        stop = 1 + int(np.argmax(norms[1:] < tol))
+        assert norms[stop] < tol <= norms[1:stop].min()
+        config = OdeConfig(initial=all_at_c(params), t_end=5000.0, stationarity_tol=tol)
+        traj = integrate(config, params, finite_n=finite_n)
+        assert_same_bits(traj.times, times[:stop + 1])
+        assert_same_bits(traj.states, states[:stop + 1])
+        drift = _frozen_drift_finite_n if finite_n else _frozen_drift_limiting
+        first = drift(states[1], params)
+        if params is FIG5:
+            assert first[0] == first[-1] == 0.0 < np.max(np.abs(first))
+        else:
+            assert abs(first[-1]) > 1e-2
+
+    @pytest.mark.parametrize("finite_n", [False, True], ids=["limiting", "finite-n"])
+    def test_interior_component_decides_the_stop(self, finite_n):
+        # near rest on figure 5, a second difference at levels 19-21 leaves the
+        # mean bikes, y0 and yK, and so the rates and the boundary components,
+        # as they were; the screen passes every step to the full test, and an
+        # interior component is the last to fall below the tolerance
+        rest = integrate(OdeConfig(initial=all_at_c(FIG5), t_end=5000.0,
+                                   stationarity_tol=1e-9), FIG5, finite_n=finite_n).terminal
+        start = rest.copy()
+        start[19:22] += [1e-4, -2e-4, 1e-4]
+        config = OdeConfig(initial=start, t_end=5000.0, stationarity_tol=1e-6)
+        traj = integrate(config, FIG5, finite_n=finite_n)
+        times, states = _frozen_integrate(config, FIG5, finite_n)
+        assert traj.times[-1] < 5000.0
+        assert_same_bits(traj.times, times)
+        assert_same_bits(traj.states, states)
+        drift = _frozen_drift_finite_n if finite_n else _frozen_drift_limiting
+        before, last = drift(states[-2], FIG5), drift(states[-1], FIG5)
+        assert max(abs(before[0]), abs(before[-1])) < 1e-6 <= np.max(np.abs(before[1:-1]))
+        assert np.max(np.abs(last)) < 1e-6
 
     @pytest.mark.parametrize("finite_n,correction", [
         (False, 2.282377694084645e-06), (True, 2.351150507948868e-06),
@@ -509,7 +566,7 @@ class TestFusedStepper:
                 with pytest.raises(error) as public:
                     drift(y, SMALL)
                 with pytest.raises(error) as fused:
-                    _drift_body(SMALL, finite_n)(y, out, out[1:-1])
+                    _drift_body(SMALL, finite_n)(y, out)()
                 assert str(fused.value) == str(public.value)
         for drift in (drift_limiting, drift_finite_n):
             with pytest.raises(NegativeFleetError, match=r"negative \(deficit -5\.000e-01\)$"):

@@ -1156,6 +1156,26 @@ class TestUniquenessProbe:
         for res in results:
             assert np.max(np.abs(res.p - reference)) < 1e-8
 
+    def test_refinement_lands_on_the_root_from_loads_across_the_bracket(self):
+        # criterion 5's Dirichlet starts reach few basins: at seed 1, 540 of its
+        # 1,000 starts park more than C bikes and so have load 0, and only 496
+        # loads are distinct.  Here each of its 50 sets refines 20 distinct loads
+        # that span the bracket, 0 and 19 log-spaced over [1e-6, 1] * rho_upper_bound,
+        # through the probe's own refinement in lockstep on one kernel
+        worst = 0.0
+        for params in random_valid_parameter_sets(50):
+            loads = [0.0, *(fixed_point.rho_upper_bound(params) * np.logspace(-6, 0, 19))]
+            assert len(set(loads)) == 20
+            rows = fixed_point._defect_kernel([params] * len(loads))
+            found = fixed_point._lockstep(
+                [fixed_point._refine_locally(rho0, 60) for rho0 in loads], rows)
+            points = fixed_point._solved_points(rows, found, params.capacity_k)
+            reference = solve_fixed_point(params).p
+            for point in points:
+                assert not isinstance(point, BikeShareError), point
+                worst = max(worst, float(np.max(np.abs(point.p - reference))))
+        assert worst < 1e-8
+
     def test_fig7_parameters(self):
         results = uniqueness_probe(FIG7, 5, seed=9)
         reference = solve_fixed_point(FIG7).p
