@@ -41,8 +41,8 @@ from .core import (
     _write_json,
     fraction_vector,
 )
-from .csvrows import open_stream
-from .dynamics import OdeConfig, _csv_head, _rk4_blocks, _stage_capacity_error, integrate
+from .csvrows import stream_csv
+from .dynamics import OdeConfig, _all_at_c, _csv_head, _rk4_blocks, _stage_capacity_error
 from .errors import (
     BikeShareError,
     ConfigError,
@@ -102,33 +102,21 @@ def _cmd_ode(config: dict, out: str) -> int:
         raise ConfigError("ode needs key 't_end'")
     if (error := _stage_capacity_error(params.capacity_k)) is not None:
         raise error
-    if "initial" in config:
-        initial = fraction_vector(config["initial"], params.capacity_k)
-    else:
-        initial = np.zeros(params.capacity_k + 1)
-        initial[params.capacity_c] = 1.0
     ode_config = OdeConfig(
-        initial=initial,
+        initial=(fraction_vector(config["initial"], params.capacity_k)
+                 if "initial" in config else _all_at_c(params)),
         t_end=_as_float("t_end", config["t_end"]),
         **{key: _as_float(key, config[key])
            for key in ("step", "stationarity_tol") if key in config},
     )
     finite_n = _as_bool("finite_n", config.get("finite_n", False))
     # a writer process formats each block of rows while the next one is integrated
-    stream = open_stream(out, _csv_head(params, params.capacity_k), params.capacity_k + 2)
-    if stream is None:  # no process could be started: integrate, then format here
-        traj = integrate(ode_config, params, finite_n=finite_n)
-        traj.to_csv(out, params=params)
-        t, y = traj.times[-1], traj.terminal
-    else:
-        with stream:
-            for block in _rk4_blocks(ode_config, params, finite_n):
-                stream.send(block)
-        t, y = block[-1, 0], block[-1, 1:]
+    last = stream_csv(out, _csv_head(params, params.capacity_k), params.capacity_k + 2,
+                      _rk4_blocks(ode_config, params, finite_n))
     _write_json(str(Path(out).with_suffix(".terminal.json")), {
         "params": params.to_dict(),
-        "t": float(t),
-        "y": [float(v) for v in y],
+        "t": float(last[-1, 0]),
+        "y": [float(v) for v in last[-1, 1:]],
     })
     return EXIT_OK
 

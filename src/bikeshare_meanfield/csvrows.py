@@ -1,20 +1,24 @@
-"""Rows of a full-precision CSV, formatted in this process or in a writer process.
+"""Rows of a full-precision CSV, written whole onto their target or not at all.
 
 A trajectory CSV is a head (the params line and the column header) followed
 by rows of ``width`` values, each printed with ``%.17g``: the same bytes as
 formatting every value with ``f"{v:.17g}"``.  ``format_rows`` is that
-formatter.  ``open_stream`` runs it in a separate process, so that the
-caller computes the next rows while the last ones are formatted: it writes
-the head to a temporary file next to the target and starts this file as a
-script,
+formatter.  ``write_csv`` and ``stream_csv`` write the head to a temporary
+file next to the target, append the rows of every block (a C-contiguous
+float64 array of whole rows), and rename the file onto the target only once
+every block is written; on any error, an interrupt included, they remove it,
+so the target keeps its bytes.  ``write_csv`` formats the rows in this
+process.  ``stream_csv`` formats them in a writer process, so that the caller
+computes the next block while the last one is formatted: it starts this file
+as a script,
 
     python -I -S csvrows.py TEMP_PATH WIDTH
 
-which reads blocks of rows from stdin as raw float64 values, each framed by
-its row count, and appends their text to TEMP_PATH.  A count of 0 ends the
-stream: the script exits 0, and the stream renames the temporary file onto
-the target.  At the end of its input without that frame the script exits 1;
-the stream then removes the temporary file, so the target keeps its bytes.
+which reads the blocks from stdin as raw float64 values, each framed by its
+row count, and appends their text to TEMP_PATH with the same loop.  A count
+of 0 ends the stream, and the script exits 0; at the end of its input
+without that frame it exits 1.  When no process can be started,
+``stream_csv`` formats the rows in this process, which gives the same bytes.
 
 The module imports only the standard library (never numpy or its own
 package), so the script starts in milliseconds.
@@ -43,87 +47,93 @@ def format_rows(values, width: int) -> str:
     return (row * (len(values) // width)) % tuple(values)
 
 
-class RowStream:
-    """Blocks of rows on their way to a writer process; use it as a context manager.
-
-    Leaving the ``with`` block normally sends the end frame, waits for the
-    writer and renames the temporary file onto the target; a writer that
-    fails raises ``OSError`` with its exit status.  Leaving it by an
-    exception closes the pipe, waits for the writer and removes the
-    temporary file before the exception goes on.
-    """
-
-    def __init__(self, path, temp: str, width: int, process):
-        self.path, self.temp, self.width, self.process = path, temp, width, process
-
-    def send(self, block) -> None:
-        """Queue a C-contiguous float64 block of whole rows for the writer."""
-        data = memoryview(block).cast("B")
-        rows = data.nbytes // (8 * self.width)
-        self.process.stdin.write(rows.to_bytes(_FRAME_BYTES, "little"))
-        self.process.stdin.write(data)
-
-    def __enter__(self) -> RowStream:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            try:
-                if exc_type is None:
-                    self.process.stdin.write(bytes(_FRAME_BYTES))
-                self.process.stdin.close()
-            except BrokenPipeError:
-                pass  # the writer stopped early; its status tells
-            status = self.process.wait()
-            if exc_type is None and status == 0:
-                os.replace(self.temp, self.path)
-        finally:
-            try:
-                os.remove(self.temp)
-            except FileNotFoundError:
-                pass  # renamed onto the target
-        if status != 0 and (exc_type is None or issubclass(exc_type, BrokenPipeError)):
-            raise OSError(f"the CSV writer process exited with status {status}") from exc
+def write_csv(path, head: str, width: int, blocks):
+    """Write ``head`` and every block of rows onto ``path``, formatted in this
+    process; the last block, or None."""
+    return _write(path, head, width, blocks, _append_rows)
 
 
-def open_stream(path, head: str, width: int) -> RowStream | None:
-    """Write ``head`` to a new temporary file next to ``path`` and start its
-    writer process; None, with the temporary file removed, when no process
-    can be started.  A ``path`` that names a directory raises
-    ``IsADirectoryError`` first, before the caller computes a row."""
-    import subprocess  # here, not above: it would add about 18 ms to the writer's start-up
+def stream_csv(path, head: str, width: int, blocks):
+    """``write_csv`` through a writer process when one can be started; a writer
+    that fails raises ``OSError`` with its exit status."""
+    return _write(path, head, width, blocks, _pipe_rows)
 
+
+def _write(path, head: str, width: int, blocks, append):
+    """Write ``head`` to a temporary file next to ``path``, ``append`` the rows
+    of ``blocks`` to it and rename it onto ``path``; remove it on any error.
+    A ``path`` that names a directory raises ``IsADirectoryError`` before a
+    block is computed."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     directory, name = os.path.split(os.fspath(path))
     temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    with open(temp, "x", encoding="utf-8") as fh:
-        fh.write(head)
+    fh = open(temp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(head)
+        last = append(temp, width, blocks)
+        os.replace(temp, path)
+    finally:
+        try:
+            os.remove(temp)
+        except FileNotFoundError:
+            pass  # renamed onto the target
+    return last
+
+
+def _append_rows(path: str, width: int, blocks):
+    """Append the text of every block to ``path``; the last block, or None."""
+    block = None
+    with open(path, "a", encoding="utf-8") as fh:
+        for block in blocks:
+            fh.write(format_rows(memoryview(block).cast("B").cast("d"), width))
+    return block
+
+
+def _pipe_rows(path: str, width: int, blocks):
+    """Send every block, then the end frame, to a writer process appending to
+    ``path``; ``_append_rows`` when no process can be started."""
+    import subprocess  # here, not above: it would add about 18 ms to the writer's start-up
+
     try:
         process = subprocess.Popen(
-            [sys.executable, "-I", "-S", os.path.abspath(__file__), temp, str(width)],
+            [sys.executable, "-I", "-S", os.path.abspath(__file__), path, str(width)],
             stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except OSError:
-        os.remove(temp)
-        return None
-    return RowStream(path, temp, width, process)
+        return _append_rows(path, width, blocks)
+    block = broken = None
+    try:
+        for block in blocks:
+            data = memoryview(block).cast("B")
+            process.stdin.write((data.nbytes // (8 * width)).to_bytes(_FRAME_BYTES, "little"))
+            process.stdin.write(data)
+        process.stdin.write(bytes(_FRAME_BYTES))
+    except BrokenPipeError as exc:
+        broken = exc  # the writer stopped early; its status tells
+    finally:  # after any other error the writer's input ends without the end frame
+        try:
+            process.stdin.close()
+        except BrokenPipeError:
+            pass
+        status = process.wait()
+    if broken is not None or status != 0:
+        raise OSError(f"the CSV writer process exited with status {status}") from broken
+    return block
 
 
-def _append(path: str, width: int) -> int:
-    """The writer: append the rows of each block on stdin to ``path``; 0 after
-    the end frame, 1 at the end of input without it."""
+def _frames(width: int):
+    """The writer's blocks: the rows framed on stdin, as bytes, up to the end
+    frame; at the end of input without it the writer exits 1."""
     read = sys.stdin.buffer.read
-    with open(path, "a", encoding="utf-8") as fh:
-        while len(head := read(_FRAME_BYTES)) == _FRAME_BYTES:
-            rows = int.from_bytes(head, "little")
-            if rows == 0:
-                return 0
-            data = read(8 * rows * width)
-            if len(data) != 8 * rows * width:
-                return 1
-            fh.write(format_rows(memoryview(data).cast("d"), width))
-    return 1
+    while len(head := read(_FRAME_BYTES)) == _FRAME_BYTES:
+        if (size := 8 * width * int.from_bytes(head, "little")) == 0:
+            return
+        if len(data := read(size)) != size:
+            break
+        yield data
+    sys.exit(1)
 
 
 if __name__ == "__main__":
-    sys.exit(_append(sys.argv[1], int(sys.argv[2])))
+    _append_rows(sys.argv[1], int(sys.argv[2]), _frames(int(sys.argv[2])))

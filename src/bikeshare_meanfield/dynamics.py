@@ -37,7 +37,7 @@ from .core import (
     build_generator,
     fraction_vector,
 )
-from .csvrows import block_rows, format_rows
+from .csvrows import block_rows, write_csv
 from .errors import ConfigError, DomainExitError, StepInstabilityError
 
 #: per-step budget for the clamp-and-renormalize simplex repair
@@ -103,16 +103,23 @@ class Trajectory:
         return np.column_stack(cols)
 
     def to_csv(self, path, params: SystemParams) -> None:
-        """Write the params line, then "t,y0,...,yK" rows at full double precision (17 digits)."""
-        width = self.states.shape[1] + 1
+        """Write the params line, then "t,y0,...,yK" rows at full double precision
+        (17 digits) in this process, by ``csvrows.write_csv``: ``path`` is
+        replaced only once every row is written, or else keeps its bytes."""
+        times, states = self.times, self.states
+        width = states.shape[1] + 1
         rows = block_rows(width)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_csv_head(params, width - 2))
-            # blocks of rows: formatting the whole file at once nearly doubles peak memory
-            for start in range(0, self.times.size, rows):
-                stop = start + rows
-                block = np.column_stack((self.times[start:stop], self.states[start:stop]))
-                fh.write(format_rows(block.ravel().tolist(), width))
+        # blocks of rows: formatting the whole file at once nearly doubles peak memory
+        write_csv(path, _csv_head(params, width - 2), width,
+                  (np.column_stack((times[i:i + rows], states[i:i + rows]))
+                   for i in range(0, times.size, rows)))
+
+
+def _all_at_c(params: SystemParams) -> np.ndarray:
+    """The fractions of the start with every station at C bikes: 1 at level C."""
+    y = np.zeros(params.capacity_k + 1)
+    y[params.capacity_c] = 1.0
+    return y
 
 
 def _csv_head(params: SystemParams, capacity_k: int) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -551,12 +550,6 @@ def _refine_locally(rho0: float, max_steps: int):
     )
 
 
-def _bits(x: float) -> int:
-    """The IEEE 754 bit pattern of a float, as a key that tells 0.0 from -0.0 and
-    merges two NaNs only if their bits are equal."""
-    return struct.unpack("<Q", struct.pack("<d", x))[0]
-
-
 def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
                      max_iterations: int = 60) -> list[FixedPointResult]:
     """Hunt for multiple fixed points from random starting vectors.
@@ -595,9 +588,10 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     found = _lockstep([_refine_locally(rho0, max_iterations) for rho0 in loads], rows)
     root_lane: dict = {}  # root bits -> the first lane that ends there
     solving, shared = list(found), list(range(len(found)))
-    for lane, outcome in enumerate(found):
+    roots = np.array([outcome[0] if type(outcome) is tuple else 0.0 for outcome in found])
+    for lane, (outcome, bits) in enumerate(zip(found, roots.view(np.uint64).tolist())):
         if type(outcome) is tuple:
-            shared[lane] = root_lane.setdefault(_bits(outcome[0]), lane)
+            shared[lane] = root_lane.setdefault(bits, lane)
             if shared[lane] != lane:
                 solving[lane] = None  # takes the solved point of the root's first lane
     points = _solved_points(rows, solving, params.capacity_k)

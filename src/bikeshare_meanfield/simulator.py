@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SystemParams, _as_float, _as_int, _capacity_error, _write_json
-from .dynamics import OdeConfig, Trajectory, integrate
+from .dynamics import OdeConfig, Trajectory, _all_at_c, integrate
 from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
 #: draws per refill; must stay even, so that the two uniforms of a walk or
@@ -453,11 +453,8 @@ def empirical_vs_ode(config: SimConfig) -> float:
     if config.sample_interval is None:
         raise ConfigError("empirical_vs_ode needs sample_interval set")
     report = simulate(config)
-    params = config.params
-    g = np.zeros(params.capacity_k + 1)
-    g[params.capacity_c] = 1.0
     horizon = config.t_warmup + config.t_measure
-    ode = integrate(OdeConfig(initial=g, t_end=horizon), params)
+    ode = integrate(OdeConfig(initial=_all_at_c(config.params), t_end=horizon), config.params)
     sim_traj = report.trajectory
     ode_states = ode.at(sim_traj.times)
     return float(np.max(np.abs(sim_traj.states - ode_states)))

@@ -20,6 +20,7 @@ from .analysis import ProfitPrices, compute_metrics
 from .core import RatePair, SystemParams
 from .dynamics import (
     OdeConfig,
+    _all_at_c,
     column_sum_norm,
     integrate,
     jacobian,
@@ -27,6 +28,7 @@ from .dynamics import (
     sample_domain_points,
 )
 from .fixed_point import (
+    FixedPointResult,
     _defect_kernel,
     birth_death_stationary,
     geometric_form,
@@ -48,15 +50,15 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def check_fixed_point_characterizations(params: SystemParams) -> CheckResult:
-    """The solved point must satisfy all three stationary formulations.
+def check_fixed_point_characterizations(params: SystemParams,
+                                        result: FixedPointResult) -> CheckResult:
+    """The solved point ``result`` must satisfy all three stationary formulations.
 
     The generator and cleared-denominator residuals carry the units of a
     rate, so they are taken relative to birth + death at the solved point
     (as in ``solve_fixed_point``); the self-map residual is dimensionless.
     """
     tol = 1e-10
-    result = solve_fixed_point(params)
     scale = result.rates.birth + result.rates.death
     sta2 = result.residual / scale
     sta4 = self_map_residual(result.p, params)
@@ -95,12 +97,11 @@ def check_defect_root_count(params: SystemParams) -> CheckResult:
     )
 
 
-def check_geometric_form(params: SystemParams) -> CheckResult:
-    """Two closed forms of the stationary vector must coincide."""
+def check_geometric_form(params: SystemParams, result: FixedPointResult) -> CheckResult:
+    """Two closed forms of the stationary vector must coincide, at ``result``'s rates too."""
     rng = np.random.default_rng(7)
     tol = 1e-12
     worst = 0.0
-    result = solve_fixed_point(params)
     pairs = [(result.rates.birth, result.rates.death, params.capacity_k)]
     for _ in range(200):
         a, b = 10.0 ** rng.uniform(-2, 2, size=2)
@@ -121,12 +122,10 @@ def check_geometric_form(params: SystemParams) -> CheckResult:
     )
 
 
-def check_ode_terminal(params: SystemParams) -> CheckResult:
-    """Integration from the all-stations-at-C start must reach the fixed point."""
-    result = solve_fixed_point(params)
-    g = np.zeros(params.capacity_k + 1)
-    g[params.capacity_c] = 1.0
-    traj = integrate(OdeConfig(initial=g, t_end=5000.0, stationarity_tol=1e-11), params)
+def check_ode_terminal(params: SystemParams, result: FixedPointResult) -> CheckResult:
+    """Integration from the all-stations-at-C start must reach the solved point ``result``."""
+    config = OdeConfig(initial=_all_at_c(params), t_end=5000.0, stationarity_tol=1e-11)
+    traj = integrate(config, params)
     tol = 1e-6
     gap = float(np.max(np.abs(traj.terminal - result.p)))
     return CheckResult(
@@ -154,10 +153,9 @@ def check_jacobian_bound(params: SystemParams) -> CheckResult:
     )
 
 
-def check_simulation_agreement(params: SystemParams, seed: int = 20240,
-                               t_measure: float | None = None) -> CheckResult:
-    """Simulated time averages must land near the fixed point (budget 5/sqrt(N))."""
-    result = solve_fixed_point(params)
+def check_simulation_agreement(params: SystemParams, result: FixedPointResult,
+                               seed: int = 20240, t_measure: float | None = None) -> CheckResult:
+    """Simulated time averages must land near ``result`` (budget 5/sqrt(N))."""
     warmup = 200.0 / params.lam
     measure = t_measure if t_measure is not None else 500.0 / params.lam
     report = simulate(SimConfig(params=params, seed=seed,
@@ -177,12 +175,13 @@ def check_simulation_agreement(params: SystemParams, seed: int = 20240,
 
 def run_all(params: SystemParams, seed: int = 20240,
             sim_t_measure: float | None = None) -> list[CheckResult]:
-    """Run the full cross-check suite in a fixed order."""
+    """Run the full cross-check suite in a fixed order, on one solve of ``params``."""
+    result = solve_fixed_point(params)
     return [
-        check_fixed_point_characterizations(params),
+        check_fixed_point_characterizations(params, result),
         check_defect_root_count(params),
-        check_geometric_form(params),
-        check_ode_terminal(params),
+        check_geometric_form(params, result),
+        check_ode_terminal(params, result),
         check_jacobian_bound(params),
-        check_simulation_agreement(params, seed=seed, t_measure=sim_t_measure),
+        check_simulation_agreement(params, result, seed=seed, t_measure=sim_t_measure),
     ]

@@ -197,6 +197,10 @@ def writers(monkeypatch):
     return started
 
 
+def _no_process(*args, **kwargs):
+    raise OSError("no process")
+
+
 class TestOdeStream:
     """``ode`` hands each block of rows to a writer process while it integrates."""
 
@@ -228,10 +232,7 @@ class TestOdeStream:
             "traj.terminal.json"]
 
     def test_fallback_without_a_writer_process(self, tmp_path, monkeypatch):
-        def no_process(*args, **kwargs):
-            raise OSError("no process")
-
-        monkeypatch.setattr(subprocess, "Popen", no_process)
+        monkeypatch.setattr(subprocess, "Popen", _no_process)
         data = dict(FIG5, t_end=3.0)
         csv, terminal, _ = _in_process_ode(tmp_path, data, False)
         out = tmp_path / "traj.csv"
@@ -240,6 +241,58 @@ class TestOdeStream:
         assert out.read_bytes() == csv
         assert out.with_suffix(".terminal.json").read_bytes() == terminal
         assert len(list(tmp_path.iterdir())) == 5
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(dict(FIG5, t_end=30.0), id="fig5"),
+        pytest.param(dict(ANALYTIC, t_end=50.0, finite_n=True), id="k=2-finite-n"),
+    ])
+    def test_same_bytes_with_and_without_a_writer_process(self, tmp_path, monkeypatch, writers,
+                                                          data):
+        params = write_params(tmp_path, data)
+        outputs = []
+        for name in ("writer", "in-process"):
+            out = tmp_path / f"{name}.csv"
+            assert main(["ode", "--params", str(params), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".terminal.json").read_bytes()))
+            monkeypatch.setattr(subprocess, "Popen", _no_process)
+        assert outputs[0] == outputs[1]
+        assert len(writers) == 1 and writers[0].returncode == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "in-process.csv", "in-process.terminal.json", "params.json", "writer.csv",
+            "writer.terminal.json"]
+
+    def test_domain_exit_without_a_process_leaves_out_as_it_was(self, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.setattr(subprocess, "Popen", _no_process)
+        params = write_params(tmp_path, dict(SMALL, delta=0.9, t_end=50.0))
+        out = tmp_path / "traj.csv"
+        out.write_bytes(b"earlier bytes\n")
+        assert main(["ode", "--params", str(params), "--out", str(out)]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainExitError"
+        assert out.read_bytes() == b"earlier bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "traj.csv"]
+
+    def test_interrupt_without_a_process(self, tmp_path, monkeypatch):
+        blocks, written = cli._rk4_blocks, []
+
+        def interrupted(*args):
+            for index, block in enumerate(blocks(*args)):
+                if index == 3:
+                    # the rows of the first three blocks are in the temporary file
+                    written.extend(p.stat().st_size for p in tmp_path.glob(".traj.csv.*.tmp"))
+                    raise KeyboardInterrupt
+                yield block
+
+        monkeypatch.setattr(subprocess, "Popen", _no_process)
+        monkeypatch.setattr(cli, "_rk4_blocks", interrupted)
+        out = tmp_path / "traj.csv"
+        out.write_bytes(b"earlier bytes\n")
+        params = write_params(tmp_path, dict(FIG5, t_end=30.0))
+        with pytest.raises(KeyboardInterrupt):
+            main(["ode", "--params", str(params), "--out", str(out)])
+        assert len(written) == 1 and written[0] > 3 * 512 * 52 * 2
+        assert out.read_bytes() == b"earlier bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json", "traj.csv"]
 
     @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"], ids=["new", "existing"])
     def test_domain_exit_leaves_out_as_it_was(self, tmp_path, writers, capsys, existing):
@@ -313,7 +366,12 @@ class TestOdeStream:
         from bikeshare_meanfield import cli
 
         stepped = []
-        monkeypatch.setattr(cli, "_rk4_blocks", lambda *args: stepped.append(args) or iter(()))
+
+        def no_steps(*args):
+            stepped.append(args)  # runs when the first block is asked for
+            yield from ()
+
+        monkeypatch.setattr(cli, "_rk4_blocks", no_steps)
         params = write_params(tmp_path, dict(SMALL, t_end=1.0))
         out = tmp_path / "traj.csv"
         out.mkdir()
@@ -618,6 +676,17 @@ class TestValidateCommand:
         payload = json.loads(out.read_text())
         assert payload["all_passed"] is True
 
+    def test_solves_once(self, tmp_path, capsys, monkeypatch):
+        from bikeshare_meanfield import validation
+
+        solve, solved = validation.solve_fixed_point, []
+        monkeypatch.setattr(validation, "solve_fixed_point",
+                            lambda params: solved.append(params) or solve(params))
+        params = write_params(tmp_path, dict(SMALL, validate_t_measure=20.0))
+        assert main(["validate", "--params", str(params)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 6
+        assert solved == [SystemParams.from_dict(SMALL)]
+
     def test_figure5_parameters_pass(self, tmp_path, capsys):
         params = write_params(tmp_path, FIG5)
         code = main(["validate", "--params", str(params),
@@ -721,8 +790,8 @@ class TestHugeCapacity:
             raise AssertionError("ode started its run")
 
         # simulate refuses in its own first lines, before its state lists and matrix
-        monkeypatch.setattr(cli, "open_stream", no_run)
-        monkeypatch.setattr(cli, "integrate", no_run)
+        monkeypatch.setattr(cli, "stream_csv", no_run)
+        monkeypatch.setattr(cli, "_rk4_blocks", no_run)
         keys, out_name, message = self.REFUSED[command]
         params = write_params(tmp_path, dict(FIG5, capacity_k=capacity_k, **keys))
         out = tmp_path / out_name

@@ -608,6 +608,30 @@ class TestTrajectory:
         assert path.read_bytes() == "".join(expected).encode("utf-8")
         assert "-0," in path.read_text()
 
+    def test_interrupted_export_leaves_the_target_as_it_was(self, tmp_path, monkeypatch):
+        # 4,651 rows of 52 values: the export is cut while it builds its second block
+        traj = Trajectory(np.arange(4651.0), np.full((4651, 51), 1.0 / 51))
+        path = tmp_path / "traj.csv"
+        path.write_bytes(b"earlier bytes\n")
+        stack, calls = np.column_stack, []
+
+        def interrupted(arrays):
+            calls.append(len(arrays[0]))
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return stack(arrays)
+
+        monkeypatch.setattr(np, "column_stack", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            traj.to_csv(path, params=FIG5)
+        monkeypatch.undo()
+        assert calls == [512, 512]
+        assert path.read_bytes() == b"earlier bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+        traj.to_csv(path, params=FIG5)
+        assert len(path.read_text().splitlines()) == 2 + 4651
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
     def test_times_must_increase(self):
         with pytest.raises(ConfigError):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)))

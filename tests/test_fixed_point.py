@@ -978,7 +978,7 @@ class TestSolveFixedPoint:
 
         scaled = dataclasses.replace(FIG5, lam=FIG5.lam * s, mu=FIG5.mu * s,
                                      gamma=FIG5.gamma * s)
-        check = check_fixed_point_characterizations(scaled)
+        check = check_fixed_point_characterizations(scaled, solve_fixed_point(scaled))
         assert check.passed, check.detail
 
 
