@@ -56,6 +56,12 @@ class Metrics:
                 "eq": self.mean_bikes, "profit": self.profit}
 
 
+#: CSV data rows (``"%.17g" % v`` is ``f"{v:.17g}"``, byte for byte) and a failed node's metrics
+_SWEEP_ROW = "%s,%.17g" + ",%.17g" * 5 + "\n"
+_GRID_ROW = "%s,%s,%.17g" + ",%.17g" * 5 + ",%s\n"
+_UNSOLVED = Metrics(*[math.nan] * 5)
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     """One evaluated point of a sweep or design grid."""
@@ -95,10 +101,10 @@ def _as_values(name: str, values) -> list:
         raise ConfigError(f"{name} must be a list of values, got {values!r}") from None
 
 
-def _solve_records(nodes: list[SystemParams], prices: ProfitPrices,
-                   wheres: list[dict]) -> list[SweepRecord]:
-    """Solve every node; a domain failure is recorded on its record instead of raised.
-    The metrics of the nodes that solve come from one block of vectors per K.
+def _solve_records(nodes: list[SystemParams], prices: ProfitPrices, vary: str | None,
+                   values: list) -> list[SweepRecord]:
+    """Solve every node, node i recorded at ``vary`` and ``values[i]``; a domain failure is
+    recorded instead of raised.  Metrics come from one block of vectors per K.
 
     An ``InvariantViolationError`` is an internal bug, not a property of the
     node: the first one in node order propagates.
@@ -116,16 +122,8 @@ def _solve_records(nodes: list[SystemParams], prices: ProfitPrices,
         for index, row in zip(indices, _block_metrics(
                 block, [nodes[index].capacity_c for index in indices], prices)):
             metrics[index] = row
-    return [SweepRecord(params=params, metrics=row,
-                        error=None if row is not None else str(outcome), **where)
-            for params, outcome, row, where in zip(nodes, outcomes, metrics, wheres)]
-
-
-def _metric_cells(metrics: Metrics | None) -> str:
-    """The five metric cells of a CSV row, ``nan`` for a node that failed to solve."""
-    if metrics is None:
-        return ",".join(["nan"] * 5)
-    return ",".join(f"{v:.17g}" for v in metrics.to_dict().values())
+    return [SweepRecord(params, row, vary, value, None if row is not None else str(outcome))
+            for params, outcome, row, value in zip(nodes, outcomes, metrics, values)]
 
 
 def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[SweepRecord]:
@@ -142,7 +140,7 @@ def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[Swe
     if not grid:
         raise ConfigError("sweep grid must not be empty")
     return _solve_records([replace(base, **{field: value}) for value in grid], prices,
-                          [{"vary": vary, "value": float(value)} for value in grid])
+                          vary, [float(value) for value in grid])
 
 
 def sweep_to_csv(records: list[SweepRecord], path, base: SystemParams) -> None:
@@ -151,7 +149,9 @@ def sweep_to_csv(records: list[SweepRecord], path, base: SystemParams) -> None:
         fh.write(base.csv_params_line())
         fh.write(SWEEP_CSV_HEADER + "\n")
         for rec in records:
-            fh.write(f"{rec.vary},{rec.value:.17g},{_metric_cells(rec.metrics)}\n")
+            m = rec.metrics or _UNSOLVED
+            fh.write(_SWEEP_ROW % (rec.vary, rec.value, m.p0, m.pK, m.p_problematic,
+                                   m.mean_bikes, m.profit))
 
 
 def evaluate_design_grid(
@@ -183,7 +183,7 @@ def evaluate_design_grid(
         raise EmptyFeasibleSetError(
             "no design candidate satisfies 0 < gamma < mu and 1 <= C < K"
         )
-    return _solve_records(nodes, prices, [{}] * len(nodes))
+    return _solve_records(nodes, prices, None, [None] * len(nodes))
 
 
 def _pick_minimum(records: list[SweepRecord], objective) -> SweepRecord:
@@ -236,6 +236,7 @@ def grid_to_csv(records: list[SweepRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("capacity_c,capacity_k,mu,p0,pK,p0_plus_pK,eq,profit,error\n")
         for rec in records:
+            params, m = rec.params, rec.metrics or _UNSOLVED
             err = "" if rec.error is None else rec.error.replace(",", ";")
-            fh.write(f"{rec.params.capacity_c},{rec.params.capacity_k},{rec.params.mu:.17g},"
-                     f"{_metric_cells(rec.metrics)},{err}\n")
+            fh.write(_GRID_ROW % (params.capacity_c, params.capacity_k, params.mu, m.p0, m.pK,
+                                  m.p_problematic, m.mean_bikes, m.profit, err))

@@ -110,7 +110,7 @@ def _stationary_rows(loads: np.ndarray, capacity_k: int) -> np.ndarray:
     # row 1 or 0 of the exponents per load
     w = np.power(np.where(low, loads, 1.0 / loads)[:, None],
                  _exponents(capacity_k).take(low.view(np.uint8), axis=0))
-    return np.divide(w, np.add.reduce(w, axis=1)[:, None], w)
+    return np.divide(w, np.add.reduce(w, axis=1, keepdims=True), w)
 
 
 def _lane_rates(group: list[SystemParams]):
@@ -318,7 +318,10 @@ def _lockstep(steppers: list, rows) -> list:
                 continue
             asked.append((lane, stepper))
             loads += trial
-            lanes += (lane,) * len(trial)
+            if len(trial) == 1:
+                lanes.append(lane)
+            else:
+                lanes += (lane,) * len(trial)
         # the lanes read this round's defects in the order they asked for them
         live, values = asked, iter(rows(loads, lanes)[0].tolist() if loads else ())
     return outcomes
@@ -335,30 +338,29 @@ def _solved_points(rows, found: list, capacity_k: int) -> list:
     roots = [found[lane][0] for lane in lanes]
     _, block, births, deaths = rows(roots, lanes)
     points = list(found)
-    rated = {}  # block row -> rates, for every lane whose rates are valid
-    for row, (lane, a, b) in enumerate(zip(lanes, births.tolist(), deaths.tolist())):
-        rates = RatePair(birth=max(a, 0.0), death=b)
+    births = np.where(births < 0.0, 0.0, births)  # max(a, 0.0) bit for bit, -0.0 included
+    rates = list(map(RatePair, births.tolist(), deaths.tolist()))
+    valid = (births >= 0.0) & (deaths > 0.0)  # _rate_pair's two tests; a NaN fails both
+    for row in np.flatnonzero(~valid).tolist():
         try:
-            _rate_pair(rates)
+            _rate_pair(rates[row])
         except BikeShareError as exc:
-            points[lane] = exc
-            continue
-        rated[row] = rates
-    picked = list(rated)
-    birth, death = np.array([*rated.values()]).reshape(-1, 2).T
+            points[lanes[row]] = exc
+    picked = np.flatnonzero(valid).tolist()
     vectors = block if len(picked) == len(lanes) else block[picked]
+    births, deaths = births[valid], deaths[valid]
     size = max(1, _RESIDUAL_SLICE_BYTES // (8 * (capacity_k + 1) ** 2))
     # one slice of zeros, reused: each slice rewrites the same three diagonals
     stack = np.zeros((min(size, len(picked)), capacity_k + 1, capacity_k + 1))
     for start in range(0, len(picked), size):
         part = slice(start, start + size)
-        generators = _generator_stack(stack, birth[part], death[part])
+        generators = _generator_stack(stack, births[part], deaths[part])
         # a stacked matmul takes one vector-matrix product per row, like ``p @ generator``
         products = np.matmul(vectors[part, None, :], generators)[:, 0, :]
         for row, residual in zip(picked[part], np.abs(products).max(axis=1).tolist()):
             lane = lanes[row]
-            points[lane] = FixedPointResult(p=block[row], rho=roots[row], rates=rated[row],
-                                            residual=residual, iterations=found[lane][1])
+            points[lane] = FixedPointResult(block[row], roots[row], rates[row], residual,
+                                            found[lane][1])
     return points
 
 
@@ -601,9 +603,8 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
         point = points[first]
         if isinstance(point, BikeShareError):
             raise point
-        res = FixedPointResult(p=point.p.copy() if first in taken else point.p, rho=point.rho,
-                               rates=point.rates, residual=point.residual,
-                               iterations=found[lane][1])
+        res = FixedPointResult(point.p.copy() if first in taken else point.p, point.rho,
+                               point.rates, point.residual, found[lane][1])
         results.append(res)
         # a later start at a root already seen has the same p, so it is never distinct
         if first not in taken and all(float(np.max(np.abs(res.p - d.p))) > 1e-8

@@ -1,5 +1,7 @@
 """Metrics, sweeps and the design-grid optimizers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,10 @@ FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
 SMALL = SystemParams(lam=1.0, mu=4.0, gamma=0.5, omega=1, capacity_c=3,
                      capacity_k=4, n_stations=100, delta=0.2)
+
+# metrics no solve gives, to pin the bytes of the CSV writers
+ODD_METRICS = (Metrics(-0.0, 5e-324, 1e300, 2.0, -3.0),
+               Metrics(0.1, 1.0, 1e16, 123456789012345678.0, -1e-300))
 
 
 def _frozen_metrics(p, params, prices):
@@ -175,6 +181,20 @@ class TestSweep:
             "lambda,100,nan,nan,nan,nan,nan\n"
             f"lambda,1,{cells}\n"
         ).encode()
+        # signed zero, the least subnormal, huge and integral values, in every column
+        # that holds a float: the rows of the f"{v:.17g}" writer
+        records = [SweepRecord(SMALL, ODD_METRICS[0], "lambda", -0.0),
+                   SweepRecord(SMALL, ODD_METRICS[1], "mu", 5e-324),
+                   SweepRecord(SMALL, None, "gamma", 1e300),
+                   SweepRecord(SMALL, ODD_METRICS[0], "lambda", 2.0)]
+        sweep_to_csv(records, path, base=SMALL)
+        assert path.read_bytes().split(b"\n", 2)[2] == (
+            "lambda,-0,-0,4.9406564584124654e-324,1.0000000000000001e+300,2,-3\n"
+            "mu,4.9406564584124654e-324,0.10000000000000001,1,10000000000000000,"
+            "1.2345678901234568e+17,-1e-300\n"
+            "gamma,1.0000000000000001e+300,nan,nan,nan,nan,nan\n"
+            "lambda,2,-0,4.9406564584124654e-324,1.0000000000000001e+300,2,-3\n"
+        ).encode()
 
     def test_integer_fields_take_integral_values_only(self):
         records = sweep(SMALL, "capacity_c", [2.0, np.int64(3)], ProfitPrices())
@@ -292,6 +312,24 @@ class TestOptimizers:
             "capacity_c,capacity_k,mu,p0,pK,p0_plus_pK,eq,profit,error\n"
             "3,4,4,nan,nan,nan,nan,nan,no bracket; defect 1.5 at 0; 2.5 at 3\n"
             f"2,4,4,{cells},\n"
+        ).encode()
+        # commas anywhere in an error, an error beside metrics, and the values of
+        # ``test_failed_node_row_bytes`` in the float columns
+        records = [
+            SweepRecord(replace(SMALL, mu=0.7), None,
+                        error="no bracket, defect 1.5 at 0, 2.5 at 3,,end,"),
+            SweepRecord(replace(SMALL, mu=1e300, capacity_k=10**20), ODD_METRICS[0]),
+            SweepRecord(SMALL, ODD_METRICS[1], error="kept, with a metric"),
+        ]
+        grid_to_csv(records, path)
+        assert path.read_bytes() == (
+            "capacity_c,capacity_k,mu,p0,pK,p0_plus_pK,eq,profit,error\n"
+            "3,4,0.69999999999999996,nan,nan,nan,nan,nan,"
+            "no bracket; defect 1.5 at 0; 2.5 at 3;;end;\n"
+            "3,100000000000000000000,1.0000000000000001e+300,"
+            "-0,4.9406564584124654e-324,1.0000000000000001e+300,2,-3,\n"
+            "3,4,4,0.10000000000000001,1,10000000000000000,1.2345678901234568e+17,-1e-300,"
+            "kept; with a metric\n"
         ).encode()
 
     def test_fractional_capacity_rejected(self):

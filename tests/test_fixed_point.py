@@ -18,11 +18,13 @@ from test_acceptance import random_valid_parameter_sets
 from test_core import _frozen_geom_sum
 
 from bikeshare_meanfield import (
+    OdeConfig,
     RatePair,
     SystemParams,
     birth_death_stationary,
     build_generator,
     geometric_form,
+    integrate,
     limiting_rates,
     nonlinear_residual,
     self_map_residual,
@@ -30,7 +32,7 @@ from bikeshare_meanfield import (
     stationary_from_load,
     uniqueness_probe,
 )
-from bikeshare_meanfield import fixed_point, validation
+from bikeshare_meanfield import dynamics, fixed_point, validation
 from bikeshare_meanfield.errors import (
     AssumptionViolationError,
     BikeShareError,
@@ -43,6 +45,7 @@ from bikeshare_meanfield.errors import (
 from bikeshare_meanfield.validation import (
     check_defect_root_count,
     check_fixed_point_characterizations,
+    check_ode_terminal,
 )
 
 FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
@@ -469,16 +472,22 @@ class TestStackedResidual:
     def test_lanes_whose_rates_fail_keep_their_error(self):
         # every third lane gets a NaN birth rate: it keeps ``build_generator``'s typed
         # error, and the other lanes' residuals come from a picked subset of the block
-        # that spans four slices
+        # that spans four slices.  Of the others, some have a birth rate of -0.0, which
+        # max(a, 0.0) keeps and np.maximum would turn into 0.0, and some a negative one
         k = 100
         group = [dataclasses.replace(FIG5, capacity_k=k, lam=float(lam))
                  for lam in np.linspace(10, 30, 4 * _slice_lanes(k))]
         rows = fixed_point._defect_kernel(group)
 
+        def odd_births(births):
+            births[1::6] = -0.0
+            births[4::6] = -2.5
+            births[::3] = NAN
+            return births
+
         def nan_births(loads, lanes):
             defects, block, births, deaths = rows(loads, lanes)
-            births[::3] = NAN
-            return defects, block, births, deaths
+            return defects, block, odd_births(births), deaths
 
         bracket = NoBracketError("no root", lo=0.0, hi=1.0, defect_lo=1.0, defect_hi=1.0)
         found = [bracket] + [(float(rho), 7) for rho in np.linspace(0.5, 1.5, len(group) - 1)]
@@ -486,8 +495,8 @@ class TestStackedResidual:
         assert points[0] is bracket
         lanes = list(range(1, len(group)))
         _, block, births, deaths = rows([found[lane][0] for lane in lanes], lanes)
-        births[::3] = NAN
-        for lane, p, a, b in zip(lanes, block, births.tolist(), deaths.tolist()):
+        signed_zeros = 0
+        for lane, p, a, b in zip(lanes, block, odd_births(births).tolist(), deaths.tolist()):
             rates = RatePair(birth=max(a, 0.0), death=b)
             try:
                 residual = _dense_residual(p, rates, k)
@@ -495,9 +504,13 @@ class TestStackedResidual:
                 assert type(points[lane]) is ConfigError and str(points[lane]) == str(exc)
                 continue
             assert points[lane].p.tobytes() == p.tobytes() and points[lane].rates == rates
+            # RatePair equality cannot tell -0.0 from 0.0; the bits can
+            assert points[lane].rates.birth.hex() == rates.birth.hex()
+            signed_zeros += rates.birth.hex() == "-0x0.0p+0"
             assert points[lane].residual.hex() == residual.hex()
             assert (points[lane].rho, points[lane].iterations) == found[lane]
         assert sum(isinstance(point, ConfigError) for point in points) == (len(lanes) + 2) // 3
+        assert signed_zeros == (len(lanes) + 4) // 6
 
     def test_residual_memory_is_one_generator_at_large_capacity(self):
         # one dense generator at K = 2000 is 32 MB; the kernel holds a few (lanes, K+1)
@@ -514,6 +527,25 @@ class TestStackedResidual:
         assert all(isinstance(result, fixed_point.FixedPointResult) for result in results)
         generator, block = 8 * 2001 ** 2, 8 * len(nodes) * 2001
         assert generator < peak < generator + 4 * block
+
+
+class TestOdeTerminalCheck:
+    def test_keeps_the_last_block_of_the_run_only(self):
+        # figure 5 integrates 21,141 steps of t and 51 fractions, 8.8 MB of rows; the
+        # check reads the terminal row from the last block of 512 rows (0.2 MB)
+        result = solve_fixed_point(FIG5)
+        run = integrate(OdeConfig(initial=dynamics._all_at_c(FIG5), t_end=5000.0,
+                                  stationarity_tol=1e-11), FIG5)
+        tracemalloc.start()
+        try:
+            check = check_ode_terminal(FIG5, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gap = float(np.max(np.abs(run.terminal - result.p)))
+        assert check.passed and check.detail == (
+            f"terminal gap {gap:.2e} at t={run.times[-1]:.4g} (tol 1e-06)")
+        assert peak < 2 * 2 ** 20
 
 
 def _scipy_root(f, lo, hi, maxiter=100):
