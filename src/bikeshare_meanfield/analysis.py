@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, _levels
+from .csvrows import write_text
 from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError, InvariantViolationError
 from .fixed_point import _solve_many, solve_fixed_point  # noqa: F401 - still importable here
 
@@ -144,14 +145,14 @@ def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[Swe
 
 
 def sweep_to_csv(records: list[SweepRecord], path, base: SystemParams) -> None:
-    """Write the params line of ``base``, then sweep records as plot-ready CSV rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(base.csv_params_line())
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for rec in records:
-            m = rec.metrics or _UNSOLVED
-            fh.write(_SWEEP_ROW % (rec.vary, rec.value, m.p0, m.pK, m.p_problematic,
-                                   m.mean_bikes, m.profit))
+    """Write the params line of ``base``, then sweep records as plot-ready CSV rows; the
+    table is formatted whole before ``path`` is touched, so an error leaves its bytes."""
+    rows = [base.csv_params_line(), SWEEP_CSV_HEADER + "\n"]
+    for rec in records:
+        m = rec.metrics or _UNSOLVED
+        rows.append(_SWEEP_ROW % (rec.vary, rec.value, m.p0, m.pK, m.p_problematic,
+                                  m.mean_bikes, m.profit))
+    write_text(path, "".join(rows))
 
 
 def evaluate_design_grid(
@@ -232,11 +233,11 @@ def optimize_profit(search: dict, base: SystemParams, prices: ProfitPrices) -> S
 
 
 def grid_to_csv(records: list[SweepRecord], path) -> None:
-    """Write a design grid table: one row per candidate with its metrics."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("capacity_c,capacity_k,mu,p0,pK,p0_plus_pK,eq,profit,error\n")
-        for rec in records:
-            params, m = rec.params, rec.metrics or _UNSOLVED
-            err = "" if rec.error is None else rec.error.replace(",", ";")
-            fh.write(_GRID_ROW % (params.capacity_c, params.capacity_k, params.mu, m.p0, m.pK,
-                                  m.p_problematic, m.mean_bikes, m.profit, err))
+    """Write a design grid table, one row per candidate, as ``sweep_to_csv`` writes."""
+    rows = ["capacity_c,capacity_k,mu,p0,pK,p0_plus_pK,eq,profit,error\n"]
+    for rec in records:
+        params, m = rec.params, rec.metrics or _UNSOLVED
+        err = "" if rec.error is None else rec.error.replace(",", ";")
+        rows.append(_GRID_ROW % (params.capacity_c, params.capacity_k, params.mu, m.p0, m.pK,
+                                 m.p_problematic, m.mean_bikes, m.profit, err))
+    write_text(path, "".join(rows))

@@ -8,7 +8,8 @@ file next to the target, append the rows of every block (a C-contiguous
 float64 array of whole rows), and rename the file onto the target only once
 every block is written; on any error, an interrupt included, they remove it,
 so the target keeps its bytes.  ``write_csv`` formats the rows in this
-process.  ``stream_csv`` formats them in a writer process, so that the caller
+process, and ``write_text`` writes a table already formatted whole, the same
+way.  ``stream_csv`` formats them in a writer process, so that the caller
 computes the next block while the last one is formatted: it starts this file
 as a script,
 
@@ -51,6 +52,11 @@ def write_csv(path, head: str, width: int, blocks):
     """Write ``head`` and every block of rows onto ``path``, formatted in this
     process; the last block, or None."""
     return _write(path, head, width, blocks, _append_rows)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` onto ``path`` whole, by the same temporary file and rename."""
+    _write(path, text, 0, (), lambda *_: None)
 
 
 def stream_csv(path, head: str, width: int, blocks):

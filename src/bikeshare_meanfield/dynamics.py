@@ -350,7 +350,7 @@ def _rk4_blocks(config: OdeConfig, params: SystemParams, finite_n: bool):
         divide(y, total, y)
         max_reduce(absolute(subtract(y, raw, scratch), scratch), out=worst)
         correction = worst.item()
-        if correction > budget:
+        if not correction <= budget:  # a NaN state too: every later guard is False for NaN
             raise StepInstabilityError(
                 f"simplex repair {correction:.3e} exceeded budget "
                 f"{budget:.1e} at t={t_next:.6g}; reduce the step",
@@ -378,11 +378,12 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     """Fixed-step classical RK4 integration of the chosen drift.
 
     After every step the state is clamped at zero and renormalized to sum
-    one; a repair larger than ``STEP_REPAIR_BUDGET`` aborts with
-    ``StepInstabilityError``.  Leaving the assumed domain (y0 or y_K above
-    1 - delta) raises ``DomainExitError`` with the exit time.  Integration
-    stops early once the drift sup-norm falls below the stationarity
-    tolerance; the drift of that check is the next step's first stage.
+    one; a repair larger than ``STEP_REPAIR_BUDGET``, or a state that is not
+    a number, aborts with ``StepInstabilityError``.  Leaving the assumed
+    domain (y0 or y_K above 1 - delta) raises ``DomainExitError`` with the
+    exit time.  Integration stops early once the drift sup-norm falls below
+    the stationarity tolerance; the drift of that check is the next step's
+    first stage.
 
     A step allocates nothing: the four stage derivatives are the rows of one
     4 x (K+1) block, each stage argument is built in one buffer, the four

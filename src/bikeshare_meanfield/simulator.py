@@ -16,8 +16,10 @@ standard exponentials; only the timing stream reads its exponentials, the
 other three discard theirs.  A stream draws its next block only when a draw
 needs it: the timing stream refills both kinds together, exponentials first,
 and walk and ride completions read their two uniforms as a pair inside one
-even-sized block.  Reports are therefore bit-for-bit reproducible, and
-bit-identical to earlier releases for the same seed.
+even-sized block.  Arrival uniforms become stations once per block, as
+``int(u * N)`` bit for bit (the same IEEE product truncated toward zero;
+``u <= 1 - 2**-53`` keeps it below N).  Reports are therefore bit-for-bit
+reproducible, and bit-identical to earlier releases for the same seed.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def simulate(config: SimConfig) -> SimReport:
     tu = g_time.random(block).tolist()
     te = g_time.standard_exponential(block).tolist()
     # the other three streams draw their exponential block and never read it
-    au = g_arr.random(block).tolist()
+    au = _stations(g_arr.random(block), n)
     g_arr.standard_exponential(block)
     wu = g_walk.random(block).tolist()
     g_walk.standard_exponential(block)
@@ -205,11 +207,11 @@ def simulate(config: SimConfig) -> SimReport:
     w0 = config.t_warmup
     horizon = config.t_warmup + config.t_measure
     acc = [0.0] * (cap_k + 1)
-    mark = [0.0] * (cap_k + 1)
+    # a level's (or the joint cell's) time counts from its mark: w0, then only forward
+    mark = [w0] * (cap_k + 1)
     joint = np.zeros((cap_k + 1, cap_k + 1))
-    j0 = cap_c
-    j1 = cap_c
-    jmark = 0.0
+    j0 = j1 = cap_c
+    jmark = w0
 
     sampling = config.sample_interval is not None
     dt_s = config.sample_interval if sampling else 0.0
@@ -222,9 +224,9 @@ def simulate(config: SimConfig) -> SimReport:
 
     t = 0.0
     event_index = 0
+    deep_check_mask = _DEEP_CHECK_MASK
+    arrival_walk = arrival_rate + gamma * n_walk  # recomputed wherever n_walk changes
     while True:
-        rate_walk = gamma * n_walk
-        arrival_walk = arrival_rate + rate_walk
         total_rate = arrival_walk + mu * n_ride
         if it == block:
             te = g_time.standard_exponential(block).tolist()
@@ -252,9 +254,9 @@ def simulate(config: SimConfig) -> SimReport:
             # outside arrival at a uniformly random station
             arrivals += 1
             if iau == block:
-                au = g_arr.random(block).tolist()
+                au = _stations(g_arr.random(block), n)
                 iau = 0
-            i = int(au[iau] * n)
+            i = au[iau]
             iau += 1
             k = bikes[i]
             if k > 0:
@@ -269,6 +271,7 @@ def simulate(config: SimConfig) -> SimReport:
                 walker_station.append(i)
                 walker_left.append(omega)
                 n_walk += 1
+                arrival_walk = arrival_rate + gamma * n_walk
                 walk_starts += 1
             else:
                 abandonments += 1
@@ -304,6 +307,7 @@ def simulate(config: SimConfig) -> SimReport:
             if left == 0:
                 # the walker rented or gave up: swap-remove record j
                 n_walk -= 1
+                arrival_walk = arrival_rate + gamma * n_walk
                 if j != n_walk:
                     walker_station[j] = walker_station[n_walk]
                     walker_left[j] = walker_left[n_walk]
@@ -341,22 +345,19 @@ def simulate(config: SimConfig) -> SimReport:
         if st >= 0:
             # flush the time spent at both levels and at the joint cell
             m = mark[k_old]
-            lo = m if m > w0 else w0
-            if t_next > lo:
-                acc[k_old] += counts[k_old] * (t_next - lo)
-            mark[k_old] = t_next
+            if t_next > m:
+                acc[k_old] += counts[k_old] * (t_next - m)
+                mark[k_old] = t_next
             m = mark[k_new]
-            lo = m if m > w0 else w0
-            if t_next > lo:
-                acc[k_new] += counts[k_new] * (t_next - lo)
-            mark[k_new] = t_next
+            if t_next > m:
+                acc[k_new] += counts[k_new] * (t_next - m)
+                mark[k_new] = t_next
             counts[k_old] -= 1
             counts[k_new] += 1
             if st < 2:
-                lo = jmark if jmark > w0 else w0
-                if t_next > lo:
-                    joint[j0, j1] += t_next - lo
-                jmark = t_next
+                if t_next > jmark:
+                    joint[j0, j1] += t_next - jmark
+                    jmark = t_next
                 if st == 0:
                     j0 = k_new
                 else:
@@ -368,17 +369,15 @@ def simulate(config: SimConfig) -> SimReport:
                 f"{parked} parked + {len(ride_excl)} riding != {total_bikes}"
             )
         event_index += 1
-        if event_index & _DEEP_CHECK_MASK == 0:
+        if event_index & deep_check_mask == 0:
             _deep_check(bikes, counts, parked, walker_left, omega, cap_k, n)
         t = t_next
 
     for k in range(cap_k + 1):
-        lo = mark[k] if mark[k] > w0 else w0
-        if horizon > lo:
-            acc[k] += counts[k] * (horizon - lo)
-    lo = jmark if jmark > w0 else w0
-    if horizon > lo:
-        joint[j0, j1] += horizon - lo
+        if horizon > mark[k]:
+            acc[k] += counts[k] * (horizon - mark[k])
+    if horizon > jmark:
+        joint[j0, j1] += horizon - jmark
 
     _deep_check(bikes, counts, parked, walker_left, omega, cap_k, n)
     final_state = SimState(
@@ -389,9 +388,7 @@ def simulate(config: SimConfig) -> SimReport:
     )
     final_state.validate(p)
 
-    trajectory = None
-    if sampling:
-        trajectory = Trajectory(np.array(traj_times), np.array(traj_states))
+    trajectory = Trajectory(np.array(traj_times), np.array(traj_states)) if sampling else None
     event_counts = {
         "arrivals": arrivals,
         "rentals": rentals,
@@ -413,6 +410,11 @@ def simulate(config: SimConfig) -> SimReport:
         final_state=final_state,
         config=config,
     )
+
+
+def _stations(u: np.ndarray, n: int) -> list[int]:
+    """The arrival stations ``int(v * n)`` of a block of uniforms ``u``, bit for bit."""
+    return (u * n).astype(np.intp).tolist()
 
 
 def _deep_check(bikes, counts, parked, walker_left, omega, cap_k, n) -> None:

@@ -196,6 +196,18 @@ class TestSweep:
             "lambda,2,-0,4.9406564584124654e-324,1.0000000000000001e+300,2,-3\n"
         ).encode()
 
+    def test_failed_export_keeps_the_old_bytes(self, tmp_path):
+        # a value of None cannot be formatted: the table fails before its target
+        # is touched, so no params line, header or first rows replace the old bytes
+        solved = sweep(FIG5, "lambda", [12.0, 15.0], ProfitPrices())
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(TypeError):
+            sweep_to_csv([*solved, SweepRecord(FIG5, solved[0].metrics, "lambda", None)],
+                         path, base=FIG5)
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
     def test_integer_fields_take_integral_values_only(self):
         records = sweep(SMALL, "capacity_c", [2.0, np.int64(3)], ProfitPrices())
         assert [type(r.params.capacity_c) for r in records] == [int, int]
@@ -331,6 +343,15 @@ class TestOptimizers:
             "3,4,4,0.10000000000000001,1,10000000000000000,1.2345678901234568e+17,-1e-300,"
             "kept; with a metric\n"
         ).encode()
+
+    def test_failed_grid_export_keeps_the_old_bytes(self, tmp_path):
+        solved = evaluate_design_grid({"capacity_c": [2]}, SMALL, ProfitPrices())
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(TypeError):
+            grid_to_csv([*solved, SweepRecord(SMALL, replace(ODD_METRICS[0], p0=None))], path)
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
 
     def test_fractional_capacity_rejected(self):
         with pytest.raises(ConfigError, match="capacity_c must be an integer"):

@@ -361,6 +361,20 @@ class TestOdeStream:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "FileNotFoundError"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
 
+    def test_nan_state_exits_5_and_leaves_no_file(self, tmp_path):
+        # the step overflows to a NaN state, which used to be written as rows
+        # of nan with exit 0; numpy's overflow warnings go to stderr first
+        params = write_params(tmp_path, dict(FIG5, step=1e200, t_end=5e200))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bikeshare_meanfield.cli", "ode", "--params", str(params),
+             "--out", str(tmp_path / "traj.csv")],
+            env=_package_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 5
+        assert json.loads(proc.stderr.splitlines()[-1]) == {
+            "error": "StepInstabilityError",
+            "message": "simplex repair nan exceeded budget 1.0e-07 at t=1e+200; reduce the step"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
+
     def test_out_is_a_directory(self, tmp_path, writers, capsys, monkeypatch):
         # refused before a writer starts or a step is taken, naming --out itself
         from bikeshare_meanfield import cli

@@ -502,6 +502,19 @@ class TestFusedStepper:
         assert err.value.time == 0.15000000000000002
         assert err.value.correction == correction
 
+    @pytest.mark.parametrize("finite_n", [False, True], ids=["limiting", "finite-n"])
+    def test_nan_state_fails_the_repair_test(self, finite_n):
+        # a step of 1e200 overflows the stages and leaves a NaN state, for which
+        # the repair, domain and rate guards would all be False; the warnings are
+        # silenced because pytest would raise the overflow before the step ends
+        config = OdeConfig(initial=all_at_c(FIG5), t_end=5e200, step=1e200)
+        with np.errstate(all="ignore"), pytest.raises(StepInstabilityError) as err:
+            integrate(config, FIG5, finite_n=finite_n)
+        assert str(err.value) == ("simplex repair nan exceeded budget 1.0e-07 "
+                                  "at t=1e+200; reduce the step")
+        assert err.value.time == 1e200
+        assert np.isnan(err.value.correction)
+
     @pytest.mark.parametrize("finite_n,t,shown", [
         (False, 0.021505376344086023, "0.0215054"), (True, 0.025806451612903226, "0.0258065"),
     ], ids=["limiting", "finite-n"])

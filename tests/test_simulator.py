@@ -321,6 +321,14 @@ class TestInlinedLoop:
                              seed=0, t_measure=20.0),
         "two-stations": SimConfig(params=dataclasses.replace(SMALL, n_stations=2), seed=0,
                                   t_warmup=2.0, t_measure=100.0, sample_interval=1.0),
+        # some 200 level changes in the warm-up and at most two in the window, so
+        # at seeds 0, 3 and 11 an occupied level never changes inside it and the
+        # final flush reads a mark left at the warm-up end (at seed 3 the joint
+        # cell's too)
+        "two-stations-long-warmup": SimConfig(params=dataclasses.replace(SMALL, n_stations=2),
+                                              seed=0, t_warmup=30.0, t_measure=0.25),
+        "sampled-no-warmup": SimConfig(params=SMALL, seed=0, t_measure=5.0,
+                                       sample_interval=0.25),
     }
 
     @pytest.mark.parametrize("seed", [3, 11])
@@ -354,6 +362,23 @@ class TestInlinedLoop:
                                     t_measure=30.0)).event_counts["events"]
         assert events >> 16 >= 2
         assert len(calls) == (events >> 16) + 1
+
+
+class TestArrivalStations:
+    @pytest.mark.parametrize("n", [2, 3, 1000, 2 ** 20, 2 ** 20 + 1, 10 ** 9 + 7])
+    def test_block_index_is_int_of_the_product(self, n):
+        # the ends of [0, 1), a half, the multiples of 1/n below 64/n and their
+        # float neighbours (where truncation is closest to a station boundary),
+        # and random draws
+        edges = np.arange(1, 64) / n
+        u = np.concatenate(([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+                            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            np.random.default_rng(n).random(simulator._BLOCK)))
+        u = u[u < 1.0]
+        stations = simulator._stations(u, n)
+        assert stations == [int(v * n) for v in u.tolist()]
+        assert all(type(i) is int for i in stations)
+        assert max(stations) == n - 1
 
 
 class TestInvariants:
