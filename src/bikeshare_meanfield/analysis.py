@@ -163,9 +163,9 @@ def evaluate_design_grid(
     """Solve every feasible (C, K, mu) candidate of an exhaustive design grid.
 
     ``search`` maps any of "capacity_c", "capacity_k", "mu" to value lists;
-    omitted dimensions keep the base value.  Candidates must satisfy
-    0 < gamma < mu and 1 <= C < K; none feasible raises
-    ``EmptyFeasibleSetError``.  Candidates are visited in lexicographic
+    omitted dimensions keep the base value.  The feasible candidates are those
+    ``SystemParams`` accepts, 0 < gamma <= mu and 1 <= C < K; none feasible
+    raises ``EmptyFeasibleSetError``.  Candidates are visited in lexicographic
     (C, K, mu) order so ties resolve deterministically.
     """
     if not isinstance(search, Mapping):
@@ -177,12 +177,15 @@ def evaluate_design_grid(
     c_grid, k_grid, mu_grid = (
         sorted(read(key, v) for v in _as_values(key, search.get(key, [getattr(base, key)])))
         for key, read in (("capacity_c", _as_int), ("capacity_k", _as_int), ("mu", _as_float)))
-    nodes = [replace(base, capacity_c=c, capacity_k=k, mu=mu)
-             for c, k, mu in itertools.product(c_grid, k_grid, mu_grid)
-             if 0 < base.gamma < mu and 1 <= c < k]
+    nodes = []
+    for c, k, mu in itertools.product(c_grid, k_grid, mu_grid):
+        try:
+            nodes.append(replace(base, capacity_c=c, capacity_k=k, mu=mu))
+        except ConfigError:
+            pass  # infeasible: SystemParams owns the rule
     if not nodes:
         raise EmptyFeasibleSetError(
-            "no design candidate satisfies 0 < gamma < mu and 1 <= C < K"
+            "no design candidate satisfies 0 < gamma <= mu and 1 <= C < K"
         )
     return _solve_records(nodes, prices, None, [None] * len(nodes))
 

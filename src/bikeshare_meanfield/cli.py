@@ -2,9 +2,13 @@
 
 One JSON configuration file per run carries the model constants (keys
 lambda, mu, gamma, omega, capacity_c, capacity_k, n_stations, delta) plus
-command-specific keys; ``--set key=value`` overrides single entries.
-Outputs embed the exact parameter set used, and reruns of the same
-configuration overwrite outputs byte for byte.
+command-specific keys; ``--set key=value`` overrides single entries, and
+``--seed N`` is a final ``--set seed=N``.  Outputs embed the exact parameter
+set used, and reruns of the same configuration overwrite outputs byte for
+byte.  ``COMMANDS`` holds each command's handler, help text and retired keys;
+it builds the parser and drives ``main``, which runs the handler with numpy's
+warnings off, so that a failed run prints one JSON line on stderr and nothing
+else.  Every output file is written whole through ``csvrows``.
 
 Exit codes: 0 success, 2 usage, 3 unreadable/invalid configuration,
 4 model-domain failure (assumption violations, failed validation checks),
@@ -18,6 +22,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +42,6 @@ from .core import (
     _as_float,
     _as_int,
     _as_list,
-    _read_json_object,
     _write_json,
     fraction_vector,
 )
@@ -59,10 +63,10 @@ EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 EXIT_INTERNAL = 5
 
-#: keys a command no longer reads, and what to do instead; a configuration that sets one exits 3
-_RETIRED_KEYS = {"fixed-point": {"tol": "the solver certifies its root itself"},
-                 "ode": {"max_time": "lower 't_end' to shorten the horizon"},
-                 "simulate": {"exclude_first_ride_origin": "a new ride may end at any station"}}
+#: the exit code of a failed run: that of the first class its error is an instance of
+_EXIT_CODES = ((ConfigError, EXIT_PARSE), (StepInstabilityError, EXIT_INTERNAL),
+               (InvariantViolationError, EXIT_INTERNAL), (BikeShareError, EXIT_DOMAIN),
+               (Exception, EXIT_INTERNAL))
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -81,7 +85,13 @@ def _parse_overrides(pairs: list[str]) -> dict:
 def _load_config(path: str, overrides: dict) -> dict:
     if not Path(path).is_file():
         raise ConfigError(f"parameter file not found: {path}")
-    data = _read_json_object(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
     data.update(overrides)
     return data
 
@@ -90,13 +100,12 @@ def _prices(config: dict) -> ProfitPrices:
     return ProfitPrices(config.get("cost_c", 0.0), config.get("benefit_psi", 0.0))
 
 
-def _cmd_fixed_point(config: dict, out: str) -> int:
+def _cmd_fixed_point(config: dict, out: str) -> None:
     params = SystemParams.from_dict(config)
     solve_fixed_point(params).to_json(out, params=params)
-    return EXIT_OK
 
 
-def _cmd_ode(config: dict, out: str) -> int:
+def _cmd_ode(config: dict, out: str) -> None:
     params = SystemParams.from_dict(config)
     if "t_end" not in config:
         raise ConfigError("ode needs key 't_end'")
@@ -118,22 +127,18 @@ def _cmd_ode(config: dict, out: str) -> int:
         "t": float(last[-1, 0]),
         "y": [float(v) for v in last[-1, 1:]],
     })
-    return EXIT_OK
 
 
-def _cmd_simulate(config: dict, out: str, seed_override: int | None) -> int:
-    if seed_override is not None:
-        config = {**config, "seed": seed_override}
+def _cmd_simulate(config: dict, out: str) -> None:
     sim_config = SimConfig.from_dict(config)
     report = simulate(sim_config)
     report.to_json(out)
     if report.trajectory is not None:
         report.trajectory.to_csv(Path(out).with_suffix(".trajectory.csv"),
                                  params=sim_config.params)
-    return EXIT_OK
 
 
-def _cmd_sweep(config: dict, out: str) -> int:
+def _cmd_sweep(config: dict, out: str) -> None:
     params = SystemParams.from_dict(config)
     if "vary" not in config:
         raise ConfigError("sweep needs key 'vary'")
@@ -149,10 +154,9 @@ def _cmd_sweep(config: dict, out: str) -> int:
         raise ConfigError("sweep needs 'grid' or grid_start/grid_stop/grid_num")
     records = sweep(params, config["vary"], grid, _prices(config))
     sweep_to_csv(records, out, base=params)
-    return EXIT_OK
 
 
-def _cmd_optimize(config: dict, out: str) -> int:
+def _cmd_optimize(config: dict, out: str) -> None:
     params = SystemParams.from_dict(config)
     search = {}
     for key, grid_key in (("capacity_c", "grid_c"), ("capacity_k", "grid_k"), ("mu", "grid_mu")):
@@ -177,10 +181,9 @@ def _cmd_optimize(config: dict, out: str) -> int:
         "winner": winner.params.to_dict(),
         "metrics": winner.metrics.to_dict(),
     })
-    return EXIT_OK
 
 
-def _cmd_validate(config: dict, out: str | None) -> int:
+def _cmd_validate(config: dict, out: str | None) -> None:
     params = SystemParams.from_dict(config)
     checks = run_all(
         params,
@@ -200,7 +203,31 @@ def _cmd_validate(config: dict, out: str | None) -> int:
     failed = [c.name for c in checks if not c.passed]
     if failed:
         raise BikeShareError(f"validation checks failed: {', '.join(failed)}")
-    return EXIT_OK
+
+
+class Command(NamedTuple):
+    """A command: ``run(config, out)`` writes its outputs or raises; a configuration
+    that sets a ``retired`` key exits 3 with what to do instead."""
+
+    run: Callable[[dict, str | None], None]
+    help: str
+    retired: dict = {}
+    out_required: bool = True
+    seed_flag: bool = False
+
+
+COMMANDS = {
+    "fixed-point": Command(_cmd_fixed_point, "solve the stationary occupancy fractions",
+                           {"tol": "the solver certifies its root itself"}),
+    "ode": Command(_cmd_ode, "integrate the occupancy dynamics and export the trajectory",
+                   {"max_time": "lower 't_end' to shorten the horizon"}),
+    "simulate": Command(_cmd_simulate, "run the exact event-driven simulation",
+                        {"exclude_first_ride_origin": "a new ride may end at any station"},
+                        seed_flag=True),
+    "sweep": Command(_cmd_sweep, "solve the fixed point along a one-parameter grid"),
+    "optimize": Command(_cmd_optimize, "search a (C, K, mu) design grid"),
+    "validate": Command(_cmd_validate, "run the full cross-check suite", out_required=False),
+}
 
 
 @functools.cache
@@ -214,63 +241,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulation, mean-field integration and fixed-point solution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, out_required: bool = True):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--params", required=True, help="JSON parameter file")
-        cmd.add_argument("--out", required=out_required, help="output file path")
+        cmd.add_argument("--out", required=command.out_required, help="output file path")
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a configuration entry (repeatable)")
-        return cmd
-
-    add("fixed-point", "solve the stationary occupancy fractions")
-    add("ode", "integrate the occupancy dynamics and export the trajectory")
-    sim = add("simulate", "run the exact event-driven simulation")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    add("sweep", "solve the fixed point along a one-parameter grid")
-    add("optimize", "search a (C, K, mu) design grid")
-    add("validate", "run the full cross-check suite", out_required=False)
+        if command.seed_flag:
+            cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        config = _load_config(args.params, _parse_overrides(args.set))
-        for key, instead in _RETIRED_KEYS.get(args.command, {}).items():
+        overrides = _parse_overrides(args.set)
+        if getattr(args, "seed", None) is not None:
+            overrides["seed"] = args.seed
+        config = _load_config(args.params, overrides)
+        for key, instead in command.retired.items():
             if key in config:
                 raise ConfigError(f"{args.command} has no key {key!r}; {instead}")
-        if args.command == "fixed-point":
-            return _cmd_fixed_point(config, args.out)
-        if args.command == "ode":
-            return _cmd_ode(config, args.out)
-        if args.command == "simulate":
-            return _cmd_simulate(config, args.out, args.seed)
-        if args.command == "sweep":
-            return _cmd_sweep(config, args.out)
-        if args.command == "optimize":
-            return _cmd_optimize(config, args.out)
-        if args.command == "validate":
-            return _cmd_validate(config, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        _report_error(exc)
-        return EXIT_PARSE
-    except (StepInstabilityError, InvariantViolationError) as exc:
-        _report_error(exc)
-        return EXIT_INTERNAL
-    except BikeShareError as exc:
-        _report_error(exc)
-        return EXIT_DOMAIN
-    except Exception as exc:  # noqa: BLE001 - last-resort machine-readable report
-        _report_error(exc)
-        return EXIT_INTERNAL
-
-
-def _report_error(exc: Exception) -> None:
-    json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-    sys.stderr.write("\n")
+        # one guard around the whole run, never inside a generator: numpy keeps
+        # it in a context variable, which a yield would hand to the consumer
+        with np.errstate(all="ignore"):
+            command.run(config, args.out)
+    except Exception as exc:  # noqa: BLE001 - every failure ends in one JSON line
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvrows import write_text
 from .errors import ConfigError, FullSystemError, NegativeFleetError
 
 #: tolerance for "sums to one" checks on fraction vectors
@@ -83,23 +84,10 @@ def _as_list(name: str, value) -> list:
     return value
 
 
-def _read_json_object(path) -> dict:
-    """Parse a file that must hold one JSON object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    return data
-
-
 def _write_json(path, payload: dict) -> None:
-    """Write one output JSON document: two-space indent and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    """Write one output JSON document whole, through ``csvrows.write_text``: two-space
+    indent and a final newline.  A payload that cannot be encoded leaves ``path`` as it was."""
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -249,16 +237,17 @@ def _array_byte_limit() -> int:
     return min(limit, memory) if memory > 0 else limit
 
 
-def _capacity_error(capacity_k: int, nbytes: int, task: str, need: str) -> ConfigError | None:
-    """The ``ConfigError`` of a capacity too large to ``task``: ``need`` names the
-    largest array the task allocates at this K, which takes ``nbytes``, more than
-    ``_array_byte_limit``.  Callers ask before they allocate anything; None when
-    the array fits."""
+def _capacity_error(value: int, nbytes: int, task: str, need: str,
+                    key: str = "capacity_k") -> ConfigError | None:
+    """The ``ConfigError`` of a ``key`` (by default the capacity K) too large to
+    ``task``: ``need`` names the largest array the task allocates at this
+    ``value``, which takes ``nbytes``, more than ``_array_byte_limit``.  Callers
+    ask before they allocate anything; None when the array fits."""
     limit = _array_byte_limit()
     if nbytes <= limit:
         return None
-    name = (f"capacity_k={capacity_k}" if capacity_k.bit_length() <= 64
-            else f"a {capacity_k.bit_length()}-bit capacity_k")
+    name = (f"{key}={value}" if value.bit_length() <= 64
+            else f"a {value.bit_length()}-bit {key}")
     return ConfigError(f"{name} is too large to {task}: {need}, more than the {limit} bytes "
                        "one array can take here")
 

@@ -1,4 +1,4 @@
-"""Rows of a full-precision CSV, written whole onto their target or not at all.
+"""Every output file of the package, written whole onto its target or not at all.
 
 A trajectory CSV is a head (the params line and the column header) followed
 by rows of ``width`` values, each printed with ``%.17g``: the same bytes as
@@ -7,11 +7,11 @@ formatter.  ``write_csv`` and ``stream_csv`` write the head to a temporary
 file next to the target, append the rows of every block (a C-contiguous
 float64 array of whole rows), and rename the file onto the target only once
 every block is written; on any error, an interrupt included, they remove it,
-so the target keeps its bytes.  ``write_csv`` formats the rows in this
-process, and ``write_text`` writes a table already formatted whole, the same
-way.  ``stream_csv`` formats them in a writer process, so that the caller
-computes the next block while the last one is formatted: it starts this file
-as a script,
+so the target keeps its bytes.  ``write_text`` writes a text already
+formatted whole (a table or a JSON document) the same way.  ``write_csv``
+formats the rows in this process, ``stream_csv`` in a writer process, so
+that the caller computes the next block while the last one is formatted: it
+starts this file as a script,
 
     python -I -S csvrows.py TEMP_PATH WIDTH
 
@@ -51,34 +51,38 @@ def format_rows(values, width: int) -> str:
 def write_csv(path, head: str, width: int, blocks):
     """Write ``head`` and every block of rows onto ``path``, formatted in this
     process; the last block, or None."""
-    return _write(path, head, width, blocks, _append_rows)
+    return _write(path, head, lambda temp: _append_rows(temp, width, blocks))
 
 
 def write_text(path, text: str) -> None:
     """Write ``text`` onto ``path`` whole, by the same temporary file and rename."""
-    _write(path, text, 0, (), lambda *_: None)
+    _write(path, text, lambda temp: None)
 
 
 def stream_csv(path, head: str, width: int, blocks):
     """``write_csv`` through a writer process when one can be started; a writer
     that fails raises ``OSError`` with its exit status."""
-    return _write(path, head, width, blocks, _pipe_rows)
+    return _write(path, head, lambda temp: _pipe_rows(temp, width, blocks))
 
 
-def _write(path, head: str, width: int, blocks, append):
-    """Write ``head`` to a temporary file next to ``path``, ``append`` the rows
-    of ``blocks`` to it and rename it onto ``path``; remove it on any error.
-    A ``path`` that names a directory raises ``IsADirectoryError`` before a
-    block is computed."""
+def _write(path, head: str, append):
+    """Write ``head`` to a temporary file next to ``path``, let ``append(temp)``
+    add to it and rename it onto ``path``; remove it on any error.  Returns what
+    ``append`` returns.  A ``path`` that names a directory raises
+    ``IsADirectoryError`` before ``append`` runs, and an error that opening
+    the temporary file raises names ``path`` too."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     directory, name = os.path.split(os.fspath(path))
     temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    fh = open(temp, "x", encoding="utf-8")
+    try:
+        fh = open(temp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             fh.write(head)
-        last = append(temp, width, blocks)
+        last = append(temp)
         os.replace(temp, path)
     finally:
         try:

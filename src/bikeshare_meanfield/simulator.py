@@ -160,13 +160,18 @@ def simulate(config: SimConfig) -> SimReport:
     completing at an empty station spends one unit of budget; a ride
     completing at a full station turns into another ride toward one of the
     other stations.  Bike conservation is asserted at every event.  A capacity
-    whose dense (K+1) x (K+1) joint occupancy matrix cannot be allocated raises
-    ``ConfigError`` before anything is allocated.
+    whose dense (K+1) x (K+1) joint occupancy matrix cannot be allocated, or a
+    station count whose two per-station lists cannot, raises ``ConfigError``
+    before anything is allocated.
     """
     p = config.params
-    if (error := _capacity_error(p.capacity_k, 8 * (p.capacity_k + 1) ** 2, "simulate",
-                                 "the dense (K+1) x (K+1) joint occupancy matrix needs "
-                                 "8 (K+1)**2 bytes")) is not None:
+    error = (_capacity_error(p.capacity_k, 8 * (p.capacity_k + 1) ** 2, "simulate",
+                             "the dense (K+1) x (K+1) joint occupancy matrix needs "
+                             "8 (K+1)**2 bytes")
+             or _capacity_error(p.n_stations, 16 * p.n_stations, "simulate",
+                                "the bike counts per station and their final copy need "
+                                "16 N bytes", key="n_stations"))
+    if error is not None:
         raise error
     n = p.n_stations
     cap_k = p.capacity_k

@@ -290,8 +290,16 @@ class TestOptimizers:
         records = evaluate_design_grid(search, SMALL, ProfitPrices())
         assert all(r.params.capacity_c < r.params.capacity_k for r in records)
 
+    def test_mu_equal_to_gamma_is_feasible(self):
+        # the model's rule is 0 < gamma <= mu: mu = gamma is a candidate, and it
+        # solves as a sweep solves it
+        records = evaluate_design_grid({"mu": [0.25, 8.0]}, FIG5, ProfitPrices())
+        assert [r.params.mu for r in records] == [0.25, 8.0]
+        (node,) = sweep(FIG5, "mu", [0.25], ProfitPrices())
+        assert records[0].metrics == node.metrics and records[0].error is None
+
     def test_empty_feasible_set(self):
-        # gamma < mu fails for every mu in the grid
+        # gamma <= mu fails for every mu in the grid
         with pytest.raises(EmptyFeasibleSetError):
             optimize_weighted({"mu": [0.1, 0.2]}, SMALL, beta=(1.0, 0.0, 0.0))
 

@@ -125,6 +125,19 @@ class TestFixedPointCommand:
         main(["fixed-point", "--params", str(params), "--out", str(out)])
         assert out.read_bytes() == first
 
+    def test_unencodable_payload_keeps_the_old_bytes(self, tmp_path, capsys, monkeypatch):
+        # the document is formatted whole before --out is touched
+        to_dict = fixed_point.FixedPointResult.to_dict
+        monkeypatch.setattr(fixed_point.FixedPointResult, "to_dict",
+                            lambda self: {**to_dict(self), "rho": object()})
+        params = write_params(tmp_path, ANALYTIC)
+        out = tmp_path / "fp.json"
+        out.write_bytes(b"old bytes\n")
+        assert main(["fixed-point", "--params", str(params), "--out", str(out)]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "TypeError"
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fp.json", "params.json"]
+
 
 class TestOdeCommand:
     def test_outputs(self, tmp_path):
@@ -363,14 +376,17 @@ class TestOdeStream:
 
     def test_nan_state_exits_5_and_leaves_no_file(self, tmp_path):
         # the step overflows to a NaN state, which used to be written as rows
-        # of nan with exit 0; numpy's overflow warnings go to stderr first
+        # of nan with exit 0; numpy's overflow warnings are off, so the error
+        # line is all of stderr
         params = write_params(tmp_path, dict(FIG5, step=1e200, t_end=5e200))
         proc = subprocess.run(
             [sys.executable, "-m", "bikeshare_meanfield.cli", "ode", "--params", str(params),
              "--out", str(tmp_path / "traj.csv")],
             env=_package_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 5
-        assert json.loads(proc.stderr.splitlines()[-1]) == {
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
             "error": "StepInstabilityError",
             "message": "simplex repair nan exceeded budget 1.0e-07 at t=1e+200; reduce the step"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
@@ -442,13 +458,17 @@ class TestSimulateCommand:
         assert (tmp_path / "report.trajectory.csv").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
+        # --seed N is a final --set seed=N: it wins over the file and over --set
         config = dict(SMALL, seed=7, t_measure=3.0)
         params = write_params(tmp_path, config)
         out = tmp_path / "report.json"
-        code = main(["simulate", "--params", str(params), "--out", str(out),
-                     "--seed", "11"])
-        assert code == 0
-        assert json.loads(out.read_text())["seed"] == 11
+        outputs = []
+        for flags in (["--seed", "11"], ["--seed", "11", "--set", "seed=3"],
+                      ["--set", "seed=11"]):
+            assert main(["simulate", "--params", str(params), "--out", str(out), *flags]) == 0
+            outputs.append(out.read_bytes())
+        assert json.loads(outputs[0])["seed"] == 11
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_deterministic_outputs(self, tmp_path):
         config = dict(SMALL, seed=5, t_measure=2.0)
@@ -828,6 +848,54 @@ class TestHugeCapacity:
             assert out.exists() == (code == 0)
         assert f"more than the {limit - 1} bytes" in capsys.readouterr().err
 
+    # simulate holds two lists of N station counts (the bikes and the final
+    # state's copy); at these station counts it used to exit 5 with a raw
+    # MemoryError.  A child process under a 4 GiB address-space limit, so that
+    # no run can allocate them here
+    @pytest.mark.parametrize("n_stations,name", [
+        (10 ** 13, "n_stations=10000000000000"), (2 ** 64 + 1, "a 65-bit n_stations"),
+    ], ids=["10**13", "65-bit"])
+    def test_simulate_refuses_unallocatable_stations(self, tmp_path, n_stations, name):
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        params = write_params(tmp_path, dict(FIG5, n_stations=n_stations, seed=1, t_measure=1.0))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bikeshare_meanfield.cli", "simulate", "--params", str(params),
+             "--out", str(tmp_path / "o.json")],
+            env=_package_env(), capture_output=True, text=True, timeout=120,
+            preexec_fn=limit_address_space)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(
+            f"{name} is too large to simulate: the bike counts per station and their final "
+            "copy need 16 N bytes, more than the ")
+        assert sorted(os.listdir(tmp_path)) == ["params.json"]
+
+    def test_simulate_station_refusal_follows_the_byte_limit(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # one byte short of two 100-entry lists refuses N = 100; N = 99 fits and runs
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: 16 * 100 - 1)
+        out = tmp_path / "o.json"
+        for n_stations, code in ((100, 3), (99, 0)):
+            params = write_params(tmp_path, dict(SMALL, n_stations=n_stations, seed=1,
+                                                 t_measure=1.0))
+            assert main(["simulate", "--params", str(params), "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert "n_stations=100 is too large to simulate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,keys", [
+        ("fixed-point", {}), ("ode", {"t_end": 0.5, "finite_n": True}),
+    ])
+    def test_routes_without_station_lists_accept_any_n(self, tmp_path, command, keys):
+        params = write_params(tmp_path, dict(FIG5, n_stations=10 ** 13, **keys))
+        assert main([command, "--params", str(params), "--out", str(tmp_path / "o.out")]) == 0
+
 
 STARTUP_SCRIPT = """
 import json, sys
@@ -875,6 +943,13 @@ COMMAND_KEYS = {
                  "beta": "list", "cost_c": "number", "benefit_psi": "number"},
     "validate": {"seed": "integer", "validate_t_measure": "number"},
 }
+# the keys a command no longer reads, each with its exit-3 message
+RETIRED = [
+    ("fixed-point", "tol", "fixed-point has no key 'tol'; the solver certifies its root itself"),
+    ("ode", "max_time", "ode has no key 'max_time'; lower 't_end' to shorten the horizon"),
+    ("simulate", "exclude_first_ride_origin",
+     "simulate has no key 'exclude_first_ride_origin'; a new ride may end at any station"),
+]
 VALID_NAMES = {"lambda", "lam", "mu", "gamma", "omega", "capacity_c", "capacity_k",
                "n_stations", "delta", "weighted", "profit"}
 JUNK = st.one_of(
@@ -954,6 +1029,59 @@ class TestUsage:
         assert cli.build_parser() is cli.build_parser()
         assert cli.build_parser().parse_args(
             ["fixed-point", "--params", "p.json", "--out", "o.json"]).set == []
+
+    def test_subcommands_are_the_command_table(self):
+        import argparse
+
+        (sub,) = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli.COMMANDS) == list(COMMAND_KEYS)
+        assert {(name, key) for name, command in cli.COMMANDS.items()
+                for key in command.retired} == {(command, key) for command, key, _ in RETIRED}
+
+    @pytest.mark.parametrize("command,key,message", RETIRED)
+    def test_retired_key_exits_3(self, tmp_path, capsys, command, key, message):
+        params = write_params(tmp_path, dict(SMALL, seed=1, t_measure=1.0, t_end=1.0))
+        out = tmp_path / "o.out"
+        assert main([command, "--params", str(params), "--out", str(out),
+                      "--set", f"{key}=1"]) == 3
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["success", "failure"])
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS))
+    def test_run_ignores_numpy_warnings_and_restores_the_state(self, tmp_path, capsys,
+                                                                monkeypatch, command, failing):
+        # every handler builds its SystemParams first; record the error state it sees
+        seen, from_dict = [], SystemParams.from_dict.__func__
+
+        def recording(cls, data):
+            seen.append(np.geterr())
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(SystemParams, "from_dict", classmethod(recording))
+        params = write_params(tmp_path, dict(
+            SMALL, t_end=0.5, seed=1, t_measure=0.5, vary="lambda", grid=[0.8, 1.0],
+            grid_c=[2, 3], validate_t_measure=20.0))
+        argv = [command, "--params", str(params), "--out", str(tmp_path / "o.out")]
+        before = np.geterr()
+        assert main(argv + (["--set", "lambda=-1"] if failing else [])) == (3 if failing else 0)
+        assert np.geterr() == before
+        assert seen and all(state == dict.fromkeys(before, "ignore") for state in seen)
+
+    @pytest.mark.parametrize("command,name,keys", [
+        ("fixed-point", "o.json", {}), ("sweep", "o.csv", {"vary": "lambda", "grid": [1.0]}),
+        ("ode", "o.csv", {"t_end": 0.5}),
+    ])
+    def test_missing_directory_names_the_target(self, tmp_path, capsys, command, name, keys):
+        # every output goes through one temporary file next to the target; the
+        # error names the target, not that file
+        params = write_params(tmp_path, dict(SMALL, **keys))
+        out = tmp_path / "missing" / name
+        assert main([command, "--params", str(params), "--out", str(out)]) == 5
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "FileNotFoundError",
+            "message": f"[Errno 2] No such file or directory: {str(out)!r}"}
 
     def test_bad_set_syntax(self, tmp_path):
         params = write_params(tmp_path, ANALYTIC)
