@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, _levels
+from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, _level_sums, _one_vector
 from .csvrows import write_text
 from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError, InvariantViolationError
 from .fixed_point import _solve_many, solve_fixed_point  # noqa: F401 - still importable here
@@ -77,9 +77,7 @@ class SweepRecord:
 def _block_metrics(block: np.ndarray, capacities_c, prices: ProfitPrices) -> list[Metrics]:
     """The metrics of each row of an (n, K+1) block of occupancy vectors, row i at the
     capacity C ``capacities_c[i]``."""
-    # E[Q] is one dot product per row, the bits of ``mean_bikes``; the gemv ``block @ k``
-    # sums in another order and differs in the last bits for most K
-    eq = np.matmul(block[:, None, :], _levels(block.shape[1] - 1)[0][:, None])[:, 0, 0]
+    eq = _level_sums(block)
     profit = -prices.cost_c * eq + prices.benefit_psi * (np.array(capacities_c) - eq)
     p0, pk = block[:, 0], block[:, -1]
     return [Metrics(*row) for row in zip(p0.tolist(), pk.tolist(), (p0 + pk).tolist(),
@@ -89,8 +87,8 @@ def _block_metrics(block: np.ndarray, capacities_c, prices: ProfitPrices) -> lis
 def compute_metrics(p, params: SystemParams, prices: ProfitPrices) -> Metrics:
     """All five metrics of a stationary occupancy vector: the one-row case of the
     metrics of a solved block."""
-    (metrics,) = _block_metrics(np.asarray(p, dtype=float)[None, :], [params.capacity_c],
-                                prices)
+    (metrics,) = _block_metrics(_one_vector("compute_metrics", p, params)[None, :],
+                                [params.capacity_c], prices)
     return metrics
 
 

@@ -78,6 +78,15 @@ def _as_bool(name: str, value) -> bool:
     return value
 
 
+def _as_seed(value) -> int:
+    """The 64-bit seed of ``SimConfig``, ``uniqueness_probe`` and ``validate``: an integer
+    in [0, 2**64)."""
+    seed = _as_int("seed", value)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {value!r}")
+    return seed
+
+
 def _as_list(name: str, value) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list, got {value!r}")
@@ -208,8 +217,9 @@ def fraction_vector(values, capacity_k: int | None = None) -> np.ndarray:
     return y
 
 
-def _one_vector(name: str, y, params: SystemParams) -> np.ndarray:
-    """``y`` as one float vector of length K+1, the argument of a public rate or drift.
+def _one_vector(name: str, y, params: SystemParams | None = None) -> np.ndarray:
+    """``y`` as one float vector: of length K+1 under ``params``, the argument of a public
+    rate, drift or metric, and of any length of at least 1 without.
 
     Entries must be numbers: booleans, strings and ragged nesting are rejected, not converted.
     """
@@ -217,10 +227,14 @@ def _one_vector(name: str, y, params: SystemParams) -> np.ndarray:
         y = np.asarray(y)
     except ValueError as exc:
         raise ConfigError(f"{name} expects one vector of numbers, got a ragged nesting") from exc
-    if y.shape != (params.capacity_k + 1,) or y.dtype.kind not in "iuf":
+    if params is None:
+        shaped, expected = y.ndim == 1 and y.size > 0, "one nonempty vector"
+    else:
+        k1 = params.capacity_k + 1
+        shaped, expected = y.shape == (k1,), f"one vector of length K+1 = {k1}"
+    if not shaped or y.dtype.kind not in "iuf":
         raise ConfigError(
-            f"{name} expects one vector of length K+1 = {params.capacity_k + 1} "
-            f"of numbers, got shape {y.shape} and dtype {y.dtype}"
+            f"{name} expects {expected} of numbers, got shape {y.shape} and dtype {y.dtype}"
         )
     return y.astype(float, copy=False)
 
@@ -254,8 +268,8 @@ def _capacity_error(value: int, nbytes: int, task: str, need: str,
 
 def mean_bikes(y) -> float:
     """Mean number of parked bikes per station under occupancy fractions y."""
-    y = np.asarray(y, dtype=float)
-    return float(np.arange(y.size) @ y)
+    y = _one_vector("mean_bikes", y)
+    return float(_level_sum(y.size - 1)(y))
 
 
 def _geom_series(omega: int):
@@ -312,6 +326,18 @@ def _levels(capacity_k: int) -> tuple[np.ndarray, np.ndarray]:
     return k, down
 
 
+@functools.lru_cache
+def _level_sum(capacity_k: int):
+    """E[Q] = sum_k k y_k of a float vector y of length K+1: ``levels.dot``, one ``ddot``."""
+    return _levels(capacity_k)[0].dot
+
+
+def _level_sums(block: np.ndarray) -> np.ndarray:
+    """``_level_sum`` of each row of an (n, K+1) block: one stacked ``ddot`` per row keeps each
+    row's bits, where the gemv ``block @ k`` sums in another order."""
+    return np.matmul(block[:, None, :], _levels(block.shape[1] - 1)[0][:, None])[:, 0, 0]
+
+
 def _walk_slope(y0: float, omega: int) -> float:
     """Derivative of y0 * (1 + y0 + ... + y0**(omega-1)) by a complex step through the series.
 
@@ -325,7 +351,7 @@ def _walk_slope(y0: float, omega: int) -> float:
 def _guarded_rates(params: SystemParams):
     """``rates(y0, yk, parked)``: the scalar (birth, death, fleet) of one float
     vector y of ``params`` under the full-system and negative-fleet guards, from
-    its end entries y0 and yK and its mean parked bikes ``y.dot(levels)``, which
+    its end entries y0 and yK and its mean parked bikes ``_level_sum(K)(y)``, which
     the caller reads once; a round-off-sized negative fleet is clamped to zero."""
     mu, c = params.mu, params.capacity_c
     lam, gamma, series = params.lam, params.gamma, _geom_series(params.omega)
@@ -353,7 +379,7 @@ def limiting_rates(y, params: SystemParams) -> RatePair:
     """
     y = _one_vector("limiting_rates", y, params)
     birth, death, _ = _guarded_rates(params)(y.item(0), y.item(-1),
-                                             y.dot(_levels(params.capacity_k)[0]))
+                                             _level_sum(params.capacity_k)(y))
     return RatePair(birth=birth, death=death)
 
 

@@ -31,6 +31,8 @@ from .core import (
     _as_int,
     _capacity_error,
     _guarded_rates,
+    _level_sum,
+    _level_sums,
     _levels,
     _one_vector,
     _walk_slope,
@@ -187,23 +189,23 @@ def _drift_body(params: SystemParams, finite_n: bool):
     floats, allocates nothing and returns the two boundary components as
     Python floats.
     """
-    levels, rates = _levels(params.capacity_k)[0], _guarded_rates(params)
+    level_sum, rates = _level_sum(params.capacity_k), _guarded_rates(params)
     if not finite_n:
         stencil_on = _limiting_stencil(params.capacity_k)
 
         def bind(y, out):
-            stencil, item, dot = stencil_on(y, out), y.item, y.dot
+            stencil, item = stencil_on(y, out), y.item
 
             def drift():
                 y0, yk = item(0), item(-1)
-                birth, death, _ = rates(y0, yk, dot(levels))
+                birth, death, _ = rates(y0, yk, level_sum(y))
                 return stencil(birth, death, y0, yk)
 
             return drift
 
         return bind
     # birth rate of level l < K: mu/N * ((C - l)^+ + (N - 1) * fleet) / (1 - yK)
-    c, n = params.capacity_c, params.n_stations
+    c, n, levels = params.capacity_c, params.n_stations, _levels(params.capacity_k)[0]
     own = np.where(levels[:-1] <= c - 1, c - levels[:-1], 0.0)
     xi = np.empty(params.capacity_k)
     xi_lo, xi_hi, xi_item = xi[:-1], xi[1:], xi.item
@@ -214,11 +216,11 @@ def _drift_body(params: SystemParams, finite_n: bool):
 
     def bind(y, out):
         low, mid, high, inner = y[:-2], y[1:-1], y[2:], out[1:-1]
-        item, dot = y.item, y.dot
+        item = y.item
 
         def drift():
             y0, yk = item(0), item(-1)
-            _, eta, fleet = rates(y0, yk, dot(levels))
+            _, eta, fleet = rates(y0, yk, level_sum(y))
             shared[()] = (n - 1) * fleet
             free[()] = 1.0 - yk
             death[()] = eta
@@ -410,7 +412,7 @@ def jacobian(y, params: SystemParams) -> np.ndarray:
     """
     y = _one_vector("jacobian", y, params)
     y0, yk = y.item(0), y.item(-1)
-    birth, death, _ = _guarded_rates(params)(y0, yk, y.dot(_levels(params.capacity_k)[0]))
+    birth, death, _ = _guarded_rates(params)(y0, yk, _level_sum(params.capacity_k)(y))
     scale = 1.0 - yk
     grad_birth = _levels(params.capacity_k)[0] * (-params.mu / scale)
     grad_birth[-1] += birth / scale
@@ -448,8 +450,7 @@ def lipschitz_bound(params: SystemParams) -> float:
 
 def weighted_sup_distance(x, y) -> float:
     """sup_k |x_k - y_k| / (k + 1); at most 1 for two points on the simplex."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _one_vector("weighted_sup_distance", x), _one_vector("weighted_sup_distance", y)
     if x.shape != y.shape:
         raise ConfigError(f"shape mismatch: {x.shape} vs {y.shape}")
     return float(np.max(np.abs(x - y) / (np.arange(x.size) + 1.0)))
@@ -470,7 +471,6 @@ def sample_domain_points(params: SystemParams, n: int, rng: np.random.Generator)
     k = params.capacity_k
     margin = 1e-3
     bound = 1.0 - params.delta - margin
-    levels = np.arange(k + 1, dtype=float)
     out = []
     have = 0
     for _ in range(2000):
@@ -478,7 +478,7 @@ def sample_domain_points(params: SystemParams, n: int, rng: np.random.Generator)
         ok = (
             (batch[:, 0] <= bound)
             & (batch[:, -1] <= bound)
-            & (batch @ levels <= params.capacity_c - margin)
+            & (_level_sums(batch) <= params.capacity_c - margin)
         )
         good = batch[ok]
         if good.size:

@@ -22,9 +22,12 @@ from .core import (
     RatePair,
     SystemParams,
     _as_int,
+    _as_seed,
     _capacity_error,
     _generator_stack,
     _geom_series,
+    _level_sum,
+    _level_sums,
     _levels,
     _one_vector,
     _queue_capacity,
@@ -121,15 +124,13 @@ def _lane_rates(group: list[SystemParams]):
     than C give a smoothly negative defect; where 1 - p_K is 0 it is infinite or NaN, so
     callers hold numpy's floating-point warnings off.
     """
-    levels = _levels(group[0].capacity_k)[0][:, None]
     series = _geom_series(group[0].omega)
     constants = np.array([[params.mu, params.capacity_c, params.lam, params.gamma]
                           for params in group]).T
 
     def rates(p, lanes):
         mu, c, lam, gamma = constants.take(lanes, axis=1)
-        # a stacked matmul takes one dot product per row, like ``p.dot(k)``
-        birth = mu * (c - np.matmul(p[:, None, :], levels)[:, 0, 0]) / (1.0 - p[:, -1])
+        birth = mu * (c - _level_sums(p)) / (1.0 - p[:, -1])
         y0 = p[:, 0]
         return birth, lam + gamma * y0 * series(y0)
 
@@ -386,7 +387,7 @@ def _rounding_bound(result: FixedPointResult, params: SystemParams) -> float:
     free = 1.0 - p.item(-1)
     if not free > 0.0:
         return 0.0
-    return _EPS * float(p.dot(_levels(params.capacity_k)[0])) * params.mu / free * p.max()
+    return _EPS * float(_level_sum(params.capacity_k)(p)) * params.mu / free * p.max()
 
 
 def _root_steps(rho_hi: float):
@@ -493,7 +494,7 @@ def nonlinear_residual(p, params: SystemParams) -> np.ndarray:
     p = _one_vector("nonlinear_residual", p, params)
     p0 = p[0]
     pk = p[-1]
-    fleet = params.capacity_c - float(np.arange(p.size) @ p)
+    fleet = params.capacity_c - float(_level_sum(params.capacity_k)(p))
     rent = (params.lam * (1.0 - p0) + params.gamma * p0 * (1.0 - p0 ** params.omega)) * (1.0 - pk)
     res = np.empty_like(p)
     res[0] = -params.mu * p0 * (1.0 - p0) * fleet + p[1] * rent
@@ -578,7 +579,7 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
     if (error := _residual_capacity_error(params.capacity_k)) is not None:
         raise error
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
     with np.errstate(all="ignore"):
         birth, death = _lane_rates([params])(starts, [0] * n_starts)

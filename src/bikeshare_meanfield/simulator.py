@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SystemParams, _as_float, _as_int, _capacity_error, _write_json
+from .core import SystemParams, _as_float, _as_seed, _capacity_error, _write_json
 from .dynamics import OdeConfig, Trajectory, _all_at_c, integrate
 from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
@@ -66,10 +66,7 @@ class SimConfig:
     sample_interval: float | None = None
 
     def __post_init__(self):
-        seed = _as_int("seed", self.seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         optional = () if self.sample_interval is None else ("sample_interval",)
         for name in ("t_measure", "t_warmup") + optional:
             object.__setattr__(self, name, _as_float(name, getattr(self, name)))

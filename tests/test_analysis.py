@@ -111,6 +111,16 @@ class TestComputeMetrics:
         m = compute_metrics(all_out, SMALL, prices)
         assert m.profit == pytest.approx(3.0 * SMALL.capacity_c)
 
+    @pytest.mark.parametrize("p", [
+        pytest.param([0.5, 0.5], id="short"),
+        pytest.param(np.full((1, 51), 1 / 51), id="one-row-block"),
+        pytest.param(["0.02"] * 50 + ["0.0"], id="strings"),
+    ])
+    def test_vector_of_length_k_plus_one(self, p):
+        # [0.5, 0.5] at K = 50 read as p0 = pK = 0.5 and E[Q] = 0.5
+        with pytest.raises(ConfigError, match="compute_metrics expects one vector of length"):
+            compute_metrics(p, FIG5, ProfitPrices())
+
     def test_prices_validated(self):
         with pytest.raises(ConfigError):
             ProfitPrices(cost_c=-1.0)

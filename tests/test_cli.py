@@ -721,6 +721,19 @@ class TestValidateCommand:
         assert capsys.readouterr().out.count("PASS") == 6
         assert solved == [SystemParams.from_dict(SMALL)]
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_refused_before_any_check(self, tmp_path, capsys, monkeypatch, seed):
+        # a negative seed used to run the solve, ODE and Jacobian checks (about 1 s)
+        # before the simulation check refused it
+        monkeypatch.setattr(cli, "run_all", lambda *args, **kwargs: pytest.fail("checks ran"))
+        params = write_params(tmp_path, SMALL)
+        assert main(["validate", "--params", str(params), "--set", f"seed={seed}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith("seed must be an integer")
+
     def test_figure5_parameters_pass(self, tmp_path, capsys):
         params = write_params(tmp_path, FIG5)
         code = main(["validate", "--params", str(params),

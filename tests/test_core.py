@@ -20,7 +20,7 @@ from bikeshare_meanfield import (
     nonlinear_residual,
     self_map_residual,
 )
-from bikeshare_meanfield.core import _geom_series, _levels
+from bikeshare_meanfield.core import _geom_series, _level_sum, _level_sums, _levels
 from bikeshare_meanfield.errors import (
     ConfigError,
     FullSystemError,
@@ -384,6 +384,17 @@ class TestVectorLength:
         with pytest.raises(ConfigError, match="one vector"):
             rate(entries, self.FIG5)
 
+    @pytest.mark.parametrize("y", [
+        pytest.param("ab", id="string"),
+        pytest.param([[0.5, 0.5]], id="one-row-block"),
+        pytest.param([], id="empty"),
+        pytest.param([True, False], id="booleans"),
+    ])
+    def test_mean_bikes_reads_one_vector_of_numbers(self, y):
+        # numpy's ValueError escaped for the first two; [] read as 0 bikes and the booleans as 0
+        with pytest.raises(ConfigError, match="mean_bikes expects one nonempty vector"):
+            mean_bikes(y)
+
 
 def _frozen_tridiagonal_generator(births, deaths):
     """Reference: the per-level generator ``build_generator`` filled from
@@ -467,6 +478,47 @@ class TestLevels:
             assert not vector.flags.writeable
             with pytest.raises(ValueError):
                 vector[0] = 1.0
+
+
+def _level_sum_cases():
+    """Float vectors of length K+1 for the level-sum kernel: Dirichlet draws at K 1-130,
+    255-257, 500, 1,000, 2,000 and 4,096, a single 1 at level 0 or K, and subnormal entries."""
+    rng = np.random.default_rng(4096)
+    for k in [*range(1, 131), 255, 256, 257, 500, 1000, 2000, 4096]:
+        draws = rng.dirichlet(np.ones(k + 1) * rng.uniform(0.05, 5.0, size=1), size=8)
+        ends = np.zeros((2, k + 1))
+        ends[0, 0] = ends[1, -1] = 1.0
+        tiny = rng.dirichlet(np.ones(k + 1), size=2)
+        tiny[0, ::2] = 5e-324
+        tiny[1] = rng.uniform(0.0, 2.2e-308, size=k + 1)
+        yield k, np.vstack([draws, ends, tiny])
+
+
+class TestLevelSum:
+    def test_vector_form_has_the_bits_of_the_old_level_sums(self):
+        # mean_bikes and nonlinear_residual summed ``np.arange(n) @ y``, the rates and
+        # drifts ``y.dot(levels)``
+        for k, block in _level_sum_cases():
+            level_sum, levels = _level_sum(k), _levels(k)[0]
+            for y in block:
+                got = level_sum(y)
+                assert type(got) is np.float64
+                assert _same_bits(got, np.arange(k + 1) @ y), k
+                assert _same_bits(got, y.dot(levels)), k
+                assert _same_bits(mean_bikes(y), float(got)), k
+
+    def test_block_rows_have_the_bits_of_their_vector_alone(self):
+        for k, block in _level_sum_cases():
+            sums = _level_sums(block)
+            assert sums.shape == (len(block),)
+            assert sums.tobytes() == np.array([_level_sum(k)(y) for y in block]).tobytes(), k
+            for row in range(len(block)):
+                assert _same_bits(_level_sums(block[row:row + 1])[0], sums[row]), k
+
+    def test_bound_once_per_capacity(self):
+        assert _level_sum(50) is _level_sum(50)
+        assert _level_sum(50).__self__ is _levels(50)[0]
+        assert _level_sum(3)(np.array([0.0, 0.5, 0.25, 0.25])) == 1.75
 
 
 class TestBuildGenerator:

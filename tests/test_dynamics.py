@@ -709,6 +709,31 @@ class TestSampleDomainPoints:
         with pytest.raises(ConfigError, match="sample count must be"):
             sample_domain_points(FIG5, n, np.random.default_rng(0))
 
+    def test_same_points_as_the_frozen_gemv_filter(self):
+        # the mean-bikes filter now sums each row on its own instead of by one gemv;
+        # the 200 points of validate's sample stay the same on figure 5 and the criterion-7 sets
+        for params in LIPSCHITZ_SETS:
+            for seed in range(10):
+                got = sample_domain_points(params, 200, np.random.default_rng(seed))
+                want = _frozen_sample_domain_points(params, 200, np.random.default_rng(seed))
+                assert got.tobytes() == want.tobytes(), (params, seed)
+
+
+def _frozen_sample_domain_points(params, n, rng):
+    """Reference: ``sample_domain_points`` filtering mean parked bikes by the gemv
+    ``batch @ levels``."""
+    margin = 1e-3
+    bound = 1.0 - params.delta - margin
+    levels = np.arange(params.capacity_k + 1, dtype=float)
+    out, have = [], 0
+    while have < n:
+        batch = rng.dirichlet(np.ones(params.capacity_k + 1), size=max(4 * n, 256))
+        good = batch[(batch[:, 0] <= bound) & (batch[:, -1] <= bound)
+                     & (batch @ levels <= params.capacity_c - margin)]
+        out.append(good)
+        have += good.shape[0]
+    return np.vstack(out)[:n]
+
 
 class TestLipschitzBound:
     def test_hand_value(self):
@@ -747,3 +772,14 @@ class TestWeightedSupDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             weighted_sup_distance([0.5, 0.5], [0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize("x,y", [
+        pytest.param([], [], id="empty"),
+        pytest.param(["a"], [1], id="string"),
+        pytest.param([[0.5, 0.5]], [[0.5, 0.5]], id="one-row-blocks"),
+        pytest.param([True, False], [0.0, 1.0], id="booleans"),
+    ])
+    def test_reads_two_vectors_of_numbers(self, x, y):
+        # numpy's ValueError escaped for the first two
+        with pytest.raises(ConfigError, match="weighted_sup_distance expects one nonempty"):
+            weighted_sup_distance(x, y)

@@ -1225,6 +1225,18 @@ class TestUniquenessProbe:
         with pytest.raises(ConfigError):
             uniqueness_probe(FIG5, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True, 2 ** 64])
+    def test_seed_read_as_simulate_reads_it(self, seed):
+        # numpy raised its own ValueError or TypeError for the first three and ran True as 1
+        with pytest.raises(ConfigError, match=r"^seed must be an integer"):
+            uniqueness_probe(FIG5, 2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2.0, np.uint64(2 ** 64 - 1), 2 ** 64 - 1])
+    def test_valid_seeds_keep_their_results(self, seed):
+        results = uniqueness_probe(FIG5, 3, seed=seed)
+        reference = _probe_lane_per_start(FIG5, 3, seed=int(seed))
+        assert [_result_bits(r) for r in results] == [_result_bits(r) for r in reference]
+
     @pytest.mark.parametrize("keys", [
         {"n_starts": 2.5}, {"n_starts": True}, {"n_starts": "3"},
         {"n_starts": 2, "max_iterations": 2.5}, {"n_starts": 2, "max_iterations": True},
