@@ -42,7 +42,6 @@ from .core import (
     _as_float,
     _as_int,
     _as_list,
-    _as_seed,
     _write_json,
     fraction_vector,
 )
@@ -188,7 +187,7 @@ def _cmd_validate(config: dict, out: str | None) -> None:
     params = SystemParams.from_dict(config)
     checks = run_all(
         params,
-        seed=_as_seed(config.get("seed", 20240)),
+        seed=config.get("seed", 20240),
         sim_t_measure=(_as_float("validate_t_measure", config["validate_t_measure"])
                        if "validate_t_measure" in config else None),
     )

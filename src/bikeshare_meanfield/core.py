@@ -281,7 +281,8 @@ def _geom_series(omega: int):
     and S(2n+1) = S(2n) + x**(2n), so the cost is O(log omega).  The walk
     of the leading bit 1 from S(0) = 0 and x**0 = 1 leaves S(1) = 1 and
     x**1 = x, or NaN for a non-finite x (whose x * 0.0 is NaN), so the walk
-    starts there, with S(0) = x * 0.0 returned for omega = 0.  For a float
+    starts there, with S(0) = x * 0.0 returned for omega = 0 and S(1) for
+    omega = 1, which has no bit left to walk.  For a float
     0 <= x < 1 the walk stops once the power underflows to 0, after which
     every step would leave the sum as it is (total + 0.0 * total is total).
     """
@@ -289,9 +290,10 @@ def _geom_series(omega: int):
 
     def series(x):
         total = x * 0.0
-        if not omega:
+        if omega:
+            total = total + 1.0
+        if not rest:
             return total
-        total = total + 1.0
         power = total * x
         underflows = type(x) is float and 0.0 <= x < 1.0
         for bit in rest:
@@ -335,7 +337,7 @@ def _level_sum(capacity_k: int):
 def _level_sums(block: np.ndarray) -> np.ndarray:
     """``_level_sum`` of each row of an (n, K+1) block: one stacked ``ddot`` per row keeps each
     row's bits, where the gemv ``block @ k`` sums in another order."""
-    return np.matmul(block[:, None, :], _levels(block.shape[1] - 1)[0][:, None])[:, 0, 0]
+    return np.matmul(block[:, None, :], _levels(block.shape[1] - 1)[0])[:, 0]
 
 
 def _walk_slope(y0: float, omega: int) -> float:

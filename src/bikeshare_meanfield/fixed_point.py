@@ -11,7 +11,6 @@ combination) are implemented as mutually checking routes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +60,10 @@ _RTOL = 8.9e-16
 #: generator, so the peak is that of one residual at a time
 _RESIDUAL_SLICE_BYTES = 1 << 20
 
+#: 1.0 as a read-only 0-d array, which a ufunc takes without converting a Python float
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class FixedPointResult:
@@ -93,32 +96,31 @@ class FixedPointResult:
         _write_json(path, {"params": params.to_dict(), **self.to_dict()})
 
 
-@functools.lru_cache
-def _exponents(capacity_k: int) -> np.ndarray:
-    """Read-only (2, K+1) stack of the exponents K - k and k of ``_stationary_rows``."""
-    exponents = np.stack(_levels(capacity_k)[::-1])
-    exponents.flags.writeable = False
-    return exponents
-
-
 def _stationary_rows(loads: np.ndarray, capacity_k: int) -> np.ndarray:
     """The (n, K+1) block whose row i is p(loads[i]) for a float array of loads: rho**k,
     or (1/rho)**(K-k) for rho > 1 (smooth in rho and safe for extreme loads), normalized.
 
-    A row's bits do not depend on the other rows.  The loads are not validated, and a
+    A row's bits do not depend on the other rows: exponents broadcast over a round and
+    exponents chosen per load give the same powers.  The loads are not validated, and a
     load of 0 divides by zero on the unused 1/rho branch, so callers hold numpy's
     floating-point warnings off.
     """
-    low = loads <= 1.0
-    # row 1 or 0 of the exponents per load
-    w = np.power(np.where(low, loads, 1.0 / loads)[:, None],
-                 _exponents(capacity_k).take(low.view(np.uint8), axis=0))
-    return np.divide(w, np.add.reduce(w, axis=1, keepdims=True), w)
+    low, (k, down) = loads <= _ONE, _levels(capacity_k)
+    n_low = np.count_nonzero(low)
+    if n_low == low.size:  # every load at most 1: the exponents k, broadcast over the rows
+        base, exponents = loads, k
+    elif not n_low:  # every load above 1: K - k
+        base, exponents = _ONE / loads, down
+    else:  # k or K - k per load
+        base, exponents = np.where(low, loads, _ONE / loads), np.where(low[:, None], k, down)
+    w = np.power(base[:, None], exponents)
+    return np.divide(w, np.add.reduce(w, 1, None, None, True), w)
 
 
 def _lane_rates(group: list[SystemParams]):
     """The unguarded rates ``rates(p, lanes) -> (birth, death)`` of the rows of a block p
-    of fraction vectors, row i under the set ``group[lanes[i]]`` (the sets share K, omega).
+    of fraction vectors, row i under the set ``group[lanes[i]]`` (the sets share K, omega);
+    a one-set group reads no lanes.
 
     The birth rate has no nonnegative-fleet guard, so trial loads with more parked bikes
     than C give a smoothly negative defect; where 1 - p_K is 0 it is infinite or NaN, so
@@ -127,10 +129,12 @@ def _lane_rates(group: list[SystemParams]):
     series = _geom_series(group[0].omega)
     constants = np.array([[params.mu, params.capacity_c, params.lam, params.gamma]
                           for params in group]).T
+    # one set binds its constants as 0-d arrays, which a ufunc takes without a per-row gather
+    single = tuple(map(np.array, constants[:, 0])) if len(group) == 1 else None
 
     def rates(p, lanes):
-        mu, c, lam, gamma = constants.take(lanes, axis=1)
-        birth = mu * (c - _level_sums(p)) / (1.0 - p[:, -1])
+        mu, c, lam, gamma = single or constants.take(lanes, axis=1)
+        birth = mu * (c - _level_sums(p)) / (_ONE - p[:, -1])
         y0 = p[:, 0]
         return birth, lam + gamma * y0 * series(y0)
 
@@ -193,7 +197,8 @@ def _defect_kernel(group: list[SystemParams]):
     share (K, omega), for many trial loads in one call.
 
     The returned function ``rows(loads, lanes)`` takes trial loads (at least 0; they
-    are not validated) and, per load, the index of its set in ``group``.  It returns
+    are not validated) and, per load, the index of its set in ``group`` (any lane
+    numbers for a one-set group, as the probe's).  It returns
     the defects, the block ``_stationary_rows`` of the loads and its ``_lane_rates``,
     whose rows have the bits of a solve of their set alone.  numpy's floating-point
     warnings are off, so overflow, 1 - p_K = 0 and 0 * inf give their IEEE values.
@@ -342,14 +347,14 @@ def _solved_points(rows, found: list, capacity_k: int) -> list:
     births = np.where(births < 0.0, 0.0, births)  # max(a, 0.0) bit for bit, -0.0 included
     rates = list(map(RatePair, births.tolist(), deaths.tolist()))
     valid = (births >= 0.0) & (deaths > 0.0)  # _rate_pair's two tests; a NaN fails both
-    for row in np.flatnonzero(~valid).tolist():
-        try:
-            _rate_pair(rates[row])
-        except BikeShareError as exc:
-            points[lanes[row]] = exc
-    picked = np.flatnonzero(valid).tolist()
-    vectors = block if len(picked) == len(lanes) else block[picked]
-    births, deaths = births[valid], deaths[valid]
+    picked, vectors = valid.nonzero()[0].tolist(), block
+    if len(picked) < len(lanes):
+        for row in (~valid).nonzero()[0].tolist():
+            try:
+                _rate_pair(rates[row])
+            except BikeShareError as exc:
+                points[lanes[row]] = exc
+        vectors, births, deaths = block[picked], births[valid], deaths[valid]
     size = max(1, _RESIDUAL_SLICE_BYTES // (8 * (capacity_k + 1) ** 2))
     # one slice of zeros, reused: each slice rewrites the same three diagonals
     stack = np.zeros((min(size, len(picked)), capacity_k + 1, capacity_k + 1))
@@ -358,7 +363,7 @@ def _solved_points(rows, found: list, capacity_k: int) -> list:
         generators = _generator_stack(stack, births[part], deaths[part])
         # a stacked matmul takes one vector-matrix product per row, like ``p @ generator``
         products = np.matmul(vectors[part, None, :], generators)[:, 0, :]
-        for row, residual in zip(picked[part], np.abs(products).max(axis=1).tolist()):
+        for row, residual in zip(picked[part], np.maximum.reduce(np.abs(products), 1).tolist()):
             lane = lanes[row]
             points[lane] = FixedPointResult(block[row], roots[row], rates[row], residual,
                                             found[lane][1])
@@ -586,7 +591,7 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     lane_of: dict = {}  # start load bits -> lane of its refinement
     lanes = [lane_of.setdefault(bits, len(lane_of))
              for bits in (np.maximum(birth, 0.0) / death).view(np.uint64).tolist()]
-    rows = _defect_kernel([params] * len(lane_of))
+    rows = _defect_kernel([params])
     loads = np.array(list(lane_of), dtype=np.uint64).view(float).tolist()
     found = _lockstep([_refine_locally(rho0, max_iterations) for rho0 in loads], rows)
     root_lane: dict = {}  # root bits -> the first lane that ends there

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RatePair, SystemParams, mean_bikes
+from .core import RatePair, SystemParams, _as_seed, mean_bikes
 from .dynamics import (
     OdeConfig,
     _all_at_c,
@@ -173,7 +173,9 @@ def check_simulation_agreement(params: SystemParams, result: FixedPointResult,
 
 def run_all(params: SystemParams, seed: int = 20240,
             sim_t_measure: float | None = None) -> list[CheckResult]:
-    """Run the full cross-check suite in a fixed order, on one solve of ``params``."""
+    """Run the full cross-check suite in a fixed order, on one solve of ``params``.
+    The seed is read first, so a seed ``SimConfig`` refuses raises before any check runs."""
+    seed = _as_seed(seed)
     result = solve_fixed_point(params)
     return [
         check_fixed_point_characterizations(params, result),

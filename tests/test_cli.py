@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import bikeshare_meanfield
 from bikeshare_meanfield import OdeConfig, SystemParams, cli, core, fixed_point, integrate
 from bikeshare_meanfield.cli import main
+from bikeshare_meanfield.errors import ConfigError
 
 SMALL = {
     "lambda": 1.0, "mu": 4.0, "gamma": 0.5, "omega": 1,
@@ -724,8 +725,11 @@ class TestValidateCommand:
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_refused_before_any_check(self, tmp_path, capsys, monkeypatch, seed):
         # a negative seed used to run the solve, ODE and Jacobian checks (about 1 s)
-        # before the simulation check refused it
-        monkeypatch.setattr(cli, "run_all", lambda *args, **kwargs: pytest.fail("checks ran"))
+        # before the simulation check refused it; every check reads the one solve
+        from bikeshare_meanfield import validation
+
+        monkeypatch.setattr(validation, "solve_fixed_point",
+                            lambda params: pytest.fail("checks ran"))
         params = write_params(tmp_path, SMALL)
         assert main(["validate", "--params", str(params), "--set", f"seed={seed}"]) == 3
         captured = capsys.readouterr()
@@ -733,6 +737,19 @@ class TestValidateCommand:
         error = json.loads(captured.err)
         assert error["error"] == "ConfigError"
         assert error["message"].startswith("seed must be an integer")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True, 2 ** 64])
+    def test_run_all_refuses_the_seed_before_solving(self, monkeypatch, seed):
+        # run_all used to solve and run five checks (about 0.8 s on figure 5)
+        # before the simulation check refused the seed
+        from bikeshare_meanfield import validation
+
+        solve, solved = validation.solve_fixed_point, []
+        monkeypatch.setattr(validation, "solve_fixed_point",
+                            lambda params: solved.append(params) or solve(params))
+        with pytest.raises(ConfigError, match=r"^seed must be an integer"):
+            validation.run_all(SystemParams.from_dict(FIG5), seed=seed)
+        assert solved == []
 
     def test_figure5_parameters_pass(self, tmp_path, capsys):
         params = write_params(tmp_path, FIG5)
@@ -918,6 +935,7 @@ def scipy_modules():
 
 import bikeshare_meanfield
 from bikeshare_meanfield.cli import main
+from bikeshare_meanfield.errors import ConfigError
 
 after_import = scipy_modules()
 codes = [main(argv) for argv in json.loads(sys.argv[1])]

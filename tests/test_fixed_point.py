@@ -7,6 +7,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -131,6 +132,32 @@ def _frozen_point_rates(params):
         return birth, params.lam + params.gamma * y0 * _frozen_geom_sum(y0, params.omega)
 
     return rates
+
+
+def _gathered_kernel(group):
+    """Reference: ``_defect_kernel`` as it was before one-set groups and one-sided rounds.
+    Every round gathers an exponent row per load and the four rate constants per lane."""
+    capacity_k = group[0].capacity_k
+    levels = np.arange(capacity_k + 1, dtype=float)
+    exponents = np.stack((capacity_k - levels, levels))
+    constants = np.array([[params.mu, params.capacity_c, params.lam, params.gamma]
+                          for params in group]).T
+
+    def rows(loads, lanes):
+        with np.errstate(all="ignore"):
+            rho = np.array(loads, dtype=float)
+            low = rho <= 1.0
+            w = np.power(np.where(low, rho, 1.0 / rho)[:, None],
+                         exponents.take(low.view(np.uint8), axis=0))
+            p = np.divide(w, np.add.reduce(w, axis=1, keepdims=True), w)
+            mu, c, lam, gamma = constants.take(lanes, axis=1)
+            parked = np.matmul(p[:, None, :], levels[:, None])[:, 0, 0]
+            birth = mu * (c - parked) / (1.0 - p[:, -1])
+            y0 = p[:, 0]
+            death = lam + gamma * y0 * _frozen_geom_sum(y0, group[0].omega)
+            return birth - rho * death, p, birth, death
+
+    return rows
 
 
 def _brent_root(f, lo, hi, f_lo, f_hi, maxiter):
@@ -291,6 +318,34 @@ class TestLoadKernel:
                 assert new.rates == old.rates and _same_float(new.residual, old.residual)
                 pairs += 1
         assert pairs >= 5000
+
+    @pytest.mark.parametrize("capacity_k", [1, 2, 50, 255, 256, 257, 500])
+    @pytest.mark.parametrize("omega", [0, 1, 2 ** 1020])
+    def test_rounds_bit_identical_to_the_gathered_kernel(self, capacity_k, omega):
+        # rounds of 1-41 loads, all at most 1, all above 1 or mixed, on one set (whose
+        # kernel reads no lanes, so the probe's lane numbers reach it) and on three
+        # sets; the edge loads are 0, 1, 1 +- 1 ulp, 1e300 and 1e17, where p_K rounds
+        # to 1.  The kernel reads six fields of a set only, so K = 1 needs no valid set
+        rng = np.random.default_rng(capacity_k * 7 + omega % 5)
+        sets = [types.SimpleNamespace(mu=mu, capacity_c=max(1, capacity_k // 2),
+                                      capacity_k=capacity_k, lam=lam, gamma=gamma, omega=omega)
+                for mu, lam, gamma in 10.0 ** rng.uniform(-6, 6, size=(3, 3))]
+        below = [0.0, 1.0, float(np.nextafter(1.0, 0.0)), *10.0 ** rng.uniform(-6, 0, size=41)]
+        above = [float(np.nextafter(1.0, 2.0)), 1e300, 1e17, *1.0 + 10.0 ** rng.uniform(-6, 6, size=41)]
+        assert stationary_from_load(1e17, capacity_k)[-1] == 1.0
+        rounds = 0
+        for lanes in (1, 2, 5, 6, 17, 40, 41):
+            # the edge loads come first, so a round of 6 loads or more holds them all
+            for pool in (below, above, below[:3] + above[:3] + below[3:] + above[3:]):
+                loads = rng.permutation(pool[:max(lanes, 6)])[:lanes].tolist()
+                for group, new_lanes, old_lanes in (
+                        (sets[:1], list(range(lanes)), [0] * lanes),
+                        (sets, *[rng.integers(0, len(sets), size=lanes).tolist()] * 2)):
+                    new = fixed_point._defect_kernel(group)(loads, new_lanes)
+                    old = _gathered_kernel(group)(loads, old_lanes)
+                    assert [a.tobytes() for a in new] == [a.tobytes() for a in old]
+                    rounds += 1
+        assert rounds == 42
 
     @pytest.mark.parametrize("omega", [0, 1, 2 ** 1020])
     def test_edge_loads_bit_identical_to_frozen_defect_without_warnings(self, omega):
@@ -1247,10 +1302,11 @@ class TestUniquenessProbe:
 
     def test_iterations_count_the_defect_evaluations_of_each_start(self, monkeypatch):
         # 500 starts on 100 criterion-5 sets; about half reach the bracketed
-        # fallback, where Brent's last iteration evaluates nothing.  Starts with
-        # the same load bits share one kernel lane, in order of their first
-        # start; the kernel's last call gives the first lane of each distinct
-        # root its solved point, and every start counts its lane's evaluations
+        # fallback, where Brent's last iteration evaluates nothing.  The probe
+        # builds one kernel of its one set.  Starts with the same load bits share
+        # one lane, in order of their first start; the kernel's last call gives
+        # the first lane of each distinct root its solved point, and every start
+        # counts its lane's evaluations
         sets = random_valid_parameter_sets(100, seed=5)
         calls, sizes = [], []
         make_kernel = fixed_point._defect_kernel
@@ -1275,7 +1331,7 @@ class TestUniquenessProbe:
             lanes = [lane_of.setdefault(np.float64(rho0).tobytes(), len(lane_of))
                      for rho0 in _start_loads(params, 5)]
             shared += 5 - len(lane_of)
-            assert sizes == [len(lane_of)]
+            assert sizes == [1]
             first_at_root = {}
             for lane, res in sorted(zip(lanes, results), key=lambda pair: pair[0]):
                 first_at_root.setdefault(np.float64(res.rho).tobytes(), lane)
