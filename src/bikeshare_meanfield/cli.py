@@ -42,6 +42,7 @@ from .core import (
     _as_float,
     _as_int,
     _as_list,
+    _capacity_error,
     _write_json,
     fraction_vector,
 )
@@ -148,6 +149,10 @@ def _cmd_sweep(config: dict, out: str) -> None:
         num = _as_int("grid_num", config["grid_num"])
         if num < 1:
             raise ConfigError(f"grid_num must be at least 1, got {num}")
+        if (error := _capacity_error(num, 40 * num, "sweep", "the grid needs 40 bytes a "
+                                     "node: 8 in its array and 32 in the list made from it",
+                                     key="grid_num")) is not None:
+            raise error
         grid = np.linspace(_as_float("grid_start", config["grid_start"]),
                            _as_float("grid_stop", config["grid_stop"]), num).tolist()
     else:

@@ -14,11 +14,12 @@ Seed contract: ``SeedSequence(seed).spawn(4)`` gives four PCG64 streams
 stream draws a block of ``_BLOCK`` uniforms and then a block of ``_BLOCK``
 standard exponentials; only the timing stream reads its exponentials, the
 other three discard theirs.  A stream draws its next block only when a draw
-needs it: the timing stream refills both kinds together, exponentials first,
-and walk and ride completions read their two uniforms as a pair inside one
-even-sized block.  Arrival uniforms become stations once per block, as
-``int(u * N)`` bit for bit (the same IEEE product truncated toward zero;
-``u <= 1 - 2**-53`` keeps it below N).  Reports are therefore bit-for-bit
+needs it: the timing stream, read once per event, refills both kinds together,
+exponentials first, as soon as its block is spent, and walk and ride
+completions read their two uniforms as a pair inside one even-sized block.
+Arrival uniforms become stations once per block, as ``int(u * N)`` bit for
+bit (the same IEEE product truncated toward zero; ``u <= 1 - 2**-53`` keeps
+it below N).  Reports are therefore bit-for-bit
 reproducible, and bit-identical to earlier releases for the same seed.
 """
 
@@ -34,7 +35,8 @@ from .dynamics import OdeConfig, Trajectory, _all_at_c, integrate
 from .errors import ConfigError, EmptyMeasurementError, InvariantViolationError
 
 #: draws per refill; must stay even, so that the two uniforms of a walk or
-#: ride completion never straddle a block end
+#: ride completion never straddle a block end, and must divide 2**16, since
+#: the deep check runs at the timing refill after every 2**16-th event
 _BLOCK = 1 << 14
 _DEEP_CHECK_MASK = (1 << 16) - 1
 
@@ -157,17 +159,30 @@ def simulate(config: SimConfig) -> SimReport:
     completing at an empty station spends one unit of budget; a ride
     completing at a full station turns into another ride toward one of the
     other stations.  Bike conservation is asserted at every event.  A capacity
-    whose dense (K+1) x (K+1) joint occupancy matrix cannot be allocated, or a
-    station count whose two per-station lists cannot, raises ``ConfigError``
-    before anything is allocated.
+    whose dense (K+1) x (K+1) joint occupancy matrix cannot be allocated, a
+    station count whose two per-station lists cannot, or a sample interval
+    whose trajectory samples cannot, raises ``ConfigError`` before anything is
+    allocated.
     """
     p = config.params
+    samples = 0
+    if config.sample_interval is not None:
+        # the samples at the rounded times i * sample_interval up to the horizon:
+        # at most floor(horizon / sample_interval) + 2, the quotient taken exactly
+        (a, b), (c, d) = ((config.t_warmup + config.t_measure).as_integer_ratio(),
+                          config.sample_interval.as_integer_ratio())
+        samples = a * d // (b * c) + 2
     error = (_capacity_error(p.capacity_k, 8 * (p.capacity_k + 1) ** 2, "simulate",
                              "the dense (K+1) x (K+1) joint occupancy matrix needs "
                              "8 (K+1)**2 bytes")
              or _capacity_error(p.n_stations, 16 * p.n_stations, "simulate",
                                 "the bike counts per station and their final copy need "
-                                "16 N bytes", key="n_stations"))
+                                "16 N bytes", key="n_stations")
+             or _capacity_error(samples, 40 * (p.capacity_k + 2) * samples, "simulate",
+                                "the trajectory samples need 40 (K+2) bytes each: K+2 "
+                                "floats at 32 bytes in their lists and 8 in the arrays "
+                                "built from them",
+                                key="samples"))
     if error is not None:
         raise error
     n = p.n_stations
@@ -179,7 +194,8 @@ def simulate(config: SimConfig) -> SimReport:
     arrival_rate = n * p.lam
 
     # the seed contract of the module docstring: each stream's draws sit in a
-    # list (te and tu share the index it; au, wu, ru) refilled at the block end
+    # list (te and tu walked together; au, wu, ru by index) refilled at the
+    # block end, and the draws of a stream's earlier blocks are counted apart
     block = _BLOCK
     g_time, g_arr, g_walk, g_ride = (np.random.Generator(np.random.PCG64(ss))
                                      for ss in np.random.SeedSequence(config.seed).spawn(4))
@@ -192,7 +208,8 @@ def simulate(config: SimConfig) -> SimReport:
     g_walk.standard_exponential(block)
     ru = g_ride.random(block).tolist()
     g_ride.standard_exponential(block)
-    it = iau = iwu = iru = 0
+    iau = iwu = iru = 0
+    timed = arrived = walked = rode = 0
 
     bikes = [cap_c] * n
     counts = [0] * (cap_k + 1)
@@ -221,93 +238,77 @@ def simulate(config: SimConfig) -> SimReport:
     traj_times: list[float] = []
     traj_states: list[list[float]] = []
 
-    arrivals = rentals = abandonments = walk_starts = 0
-    re_rides = returns = walks_completed = walk_rentals = 0
+    # the totals that the stream indices do not give
+    rentals = abandonments = walk_starts = re_rides = walk_rentals = 0
 
     t = 0.0
-    event_index = 0
-    deep_check_mask = _DEEP_CHECK_MASK
     arrival_walk = arrival_rate + gamma * n_walk  # recomputed wherever n_walk changes
     while True:
-        total_rate = arrival_walk + mu * n_ride
-        if it == block:
-            te = g_time.standard_exponential(block).tolist()
-            tu = g_time.random(block).tolist()
-            it = 0
-        t_next = t + te[it] / total_rate
-        if sampling:
-            # the state is constant on [t, t_next); on the final segment the
-            # sample at exactly the horizon belongs to the current state too
-            stop = t_next if t_next < horizon else horizon * (1.0 + 1e-15)
-            s = sample_index * dt_s
-            while s < stop:
-                traj_times.append(s)
-                traj_states.append([c / n for c in counts])
-                sample_index += 1
+        for e, u in zip(te, tu):
+            total_rate = arrival_walk + mu * n_ride
+            t += e / total_rate
+            if sampling:
+                # the state is constant up to t; on the final segment the
+                # sample at exactly the horizon belongs to the current state too
+                stop = t if t < horizon else horizon * (1.0 + 1e-15)
                 s = sample_index * dt_s
-        if t_next >= horizon:
-            break
+                while s < stop:
+                    traj_times.append(s)
+                    traj_states.append([c / n for c in counts])
+                    sample_index += 1
+                    s = sample_index * dt_s
+            if t >= horizon:
+                break
 
-        # a station whose level changes sets st >= 0 and k_old -> k_new
-        st = -1
-        u = tu[it] * total_rate
-        it += 1
-        if u < arrival_rate:
-            # outside arrival at a uniformly random station
-            arrivals += 1
-            if iau == block:
-                au = _stations(g_arr.random(block), n)
-                iau = 0
-            i = au[iau]
-            iau += 1
-            k = bikes[i]
-            if k > 0:
-                bikes[i] = k_new = k - 1
-                parked -= 1
-                st = i
-                k_old = k
-                ride_excl.append(-1)
-                n_ride += 1
-                rentals += 1
-            elif omega > 0:
-                walker_station.append(i)
-                walker_left.append(omega)
-                n_walk += 1
-                arrival_walk = arrival_rate + gamma * n_walk
-                walk_starts += 1
-            else:
-                abandonments += 1
-        elif u < arrival_walk:
-            # one walker finishes a walk toward a uniformly random other station
-            walks_completed += 1
-            if iwu == block:
-                wu = g_walk.random(block).tolist()
-                iwu = 0
-            j = int(wu[iwu] * n_walk)
-            m = int(wu[iwu + 1] * (n - 1))
-            iwu += 2
-            origin = walker_station[j]
-            d = m + 1 if m >= origin else m
-            k = bikes[d]
-            left = 0
-            if k > 0:
+            # an event that changes station d's level from k to k_new falls
+            # through to the flush below; every other event ends in its branch
+            u *= total_rate
+            if u < arrival_rate:
+                # outside arrival at a uniformly random station
+                if iau == block:
+                    au = _stations(g_arr.random(block), n)
+                    arrived += block
+                    iau = 0
+                d = au[iau]
+                iau += 1
+                k = bikes[d]
+                if k == 0:
+                    if omega > 0:
+                        walker_station.append(d)
+                        walker_left.append(omega)
+                        n_walk += 1
+                        arrival_walk = arrival_rate + gamma * n_walk
+                        walk_starts += 1
+                    else:
+                        abandonments += 1
+                    if parked + len(ride_excl) != total_bikes:
+                        raise _unconserved(t, parked, len(ride_excl), total_bikes)
+                    continue
                 bikes[d] = k_new = k - 1
                 parked -= 1
-                st = d
-                k_old = k
                 ride_excl.append(-1)
                 n_ride += 1
                 rentals += 1
-                walk_rentals += 1
-            else:
-                left = walker_left[j] - 1
-                if left == 0:
-                    abandonments += 1
-                else:
-                    walker_left[j] = left
+            elif u < arrival_walk:
+                # one walker finishes a walk toward a uniformly random other station
+                if iwu == block:
+                    wu = g_walk.random(block).tolist()
+                    walked += block
+                    iwu = 0
+                j = int(wu[iwu] * n_walk)
+                m = int(wu[iwu + 1] * (n - 1))
+                iwu += 2
+                origin = walker_station[j]
+                d = m + 1 if m >= origin else m
+                k = bikes[d]
+                if k == 0 and walker_left[j] > 1:
+                    # no bike: the walker walks on with one walk fewer
+                    walker_left[j] -= 1
                     walker_station[j] = d
-            if left == 0:
-                # the walker rented or gave up: swap-remove record j
+                    if parked + len(ride_excl) != total_bikes:
+                        raise _unconserved(t, parked, len(ride_excl), total_bikes)
+                    continue
+                # the walker rents or gives up: swap-remove record j
                 n_walk -= 1
                 arrival_walk = arrival_rate + gamma * n_walk
                 if j != n_walk:
@@ -315,65 +316,77 @@ def simulate(config: SimConfig) -> SimReport:
                     walker_left[j] = walker_left[n_walk]
                 walker_station.pop()
                 walker_left.pop()
-        else:
-            # one riding bike reaches its destination
-            if iru == block:
-                ru = g_ride.random(block).tolist()
-                iru = 0
-            j = int(ru[iru] * n_ride)
-            avoid = ride_excl[j]
-            if avoid < 0:
-                d = int(ru[iru + 1] * n)
+                if k == 0:
+                    abandonments += 1
+                    if parked + len(ride_excl) != total_bikes:
+                        raise _unconserved(t, parked, len(ride_excl), total_bikes)
+                    continue
+                bikes[d] = k_new = k - 1
+                parked -= 1
+                ride_excl.append(-1)
+                n_ride += 1
+                rentals += 1
+                walk_rentals += 1
             else:
-                m = int(ru[iru + 1] * (n - 1))
-                d = m + 1 if m >= avoid else m
-            iru += 2
-            k = bikes[d]
-            if k < cap_k:
+                # one riding bike reaches its destination
+                if iru == block:
+                    ru = g_ride.random(block).tolist()
+                    rode += block
+                    iru = 0
+                j = int(ru[iru] * n_ride)
+                avoid = ride_excl[j]
+                if avoid < 0:
+                    d = int(ru[iru + 1] * n)
+                else:
+                    m = int(ru[iru + 1] * (n - 1))
+                    d = m + 1 if m >= avoid else m
+                iru += 2
+                k = bikes[d]
+                if k == cap_k:
+                    # full station: persistent customer rides on, avoiding it
+                    re_rides += 1
+                    ride_excl[j] = d
+                    if parked + len(ride_excl) != total_bikes:
+                        raise _unconserved(t, parked, len(ride_excl), total_bikes)
+                    continue
                 bikes[d] = k_new = k + 1
                 parked += 1
-                st = d
-                k_old = k
                 n_ride -= 1
                 if j != n_ride:
                     ride_excl[j] = ride_excl[n_ride]
                 ride_excl.pop()
-                returns += 1
-            else:
-                # full station: persistent customer rides on, avoiding it
-                re_rides += 1
-                ride_excl[j] = d
 
-        if st >= 0:
             # flush the time spent at both levels and at the joint cell
-            m = mark[k_old]
-            if t_next > m:
-                acc[k_old] += counts[k_old] * (t_next - m)
-                mark[k_old] = t_next
+            m = mark[k]
+            if t > m:
+                acc[k] += counts[k] * (t - m)
+                mark[k] = t
             m = mark[k_new]
-            if t_next > m:
-                acc[k_new] += counts[k_new] * (t_next - m)
-                mark[k_new] = t_next
-            counts[k_old] -= 1
+            if t > m:
+                acc[k_new] += counts[k_new] * (t - m)
+                mark[k_new] = t
+            counts[k] -= 1
             counts[k_new] += 1
-            if st < 2:
-                if t_next > jmark:
-                    joint[j0, j1] += t_next - jmark
-                    jmark = t_next
-                if st == 0:
+            if d < 2:
+                if t > jmark:
+                    joint[j0, j1] += t - jmark
+                    jmark = t
+                if d == 0:
                     j0 = k_new
                 else:
                     j1 = k_new
-
-        if parked + len(ride_excl) != total_bikes:
-            raise InvariantViolationError(
-                f"bike conservation broken at t={t_next:.6g}: "
-                f"{parked} parked + {len(ride_excl)} riding != {total_bikes}"
-            )
-        event_index += 1
-        if event_index & deep_check_mask == 0:
-            _deep_check(bikes, counts, parked, walker_left, omega, cap_k, n)
-        t = t_next
+            if parked + len(ride_excl) != total_bikes:
+                raise _unconserved(t, parked, len(ride_excl), total_bikes)
+        else:
+            # every event of the timing block happened: refill it, and every
+            # 2**16 events run the deep check
+            te = g_time.standard_exponential(block).tolist()
+            tu = g_time.random(block).tolist()
+            timed += block
+            if timed & _DEEP_CHECK_MASK == 0:
+                _deep_check(bikes, counts, parked, walker_left, omega, cap_k, n)
+            continue
+        break
 
     for k in range(cap_k + 1):
         if horizon > mark[k]:
@@ -391,17 +404,21 @@ def simulate(config: SimConfig) -> SimReport:
     final_state.validate(p)
 
     trajectory = Trajectory(np.array(traj_times), np.array(traj_states)) if sampling else None
+    # each arrival draws one uniform, each walk or ride completion two
+    arrivals = arrived + iau
+    walks_completed = (walked + iwu) // 2
+    rides_completed = (rode + iru) // 2
     event_counts = {
         "arrivals": arrivals,
         "rentals": rentals,
         "abandonments": abandonments,
         "walk_starts": walk_starts,
         "re_rides": re_rides,
-        "returns": returns,
+        "returns": rides_completed - re_rides,
         "walks_completed": walks_completed,
         "walk_rentals": walk_rentals,
         "walkers_in_flight": len(walker_left),
-        "events": event_index,
+        "events": arrivals + walks_completed + rides_completed,
     }
     return SimReport(
         time_avg_measure=np.array(acc) / (config.t_measure * n),
@@ -417,6 +434,11 @@ def simulate(config: SimConfig) -> SimReport:
 def _stations(u: np.ndarray, n: int) -> list[int]:
     """The arrival stations ``int(v * n)`` of a block of uniforms ``u``, bit for bit."""
     return (u * n).astype(np.intp).tolist()
+
+
+def _unconserved(t, parked, riding, total_bikes) -> InvariantViolationError:
+    return InvariantViolationError(f"bike conservation broken at t={t:.6g}: "
+                                   f"{parked} parked + {riding} riding != {total_bikes}")
 
 
 def _deep_check(bikes, counts, parked, walker_left, omega, cap_k, n) -> None:

@@ -919,6 +919,73 @@ class TestHugeCapacity:
             assert out.exists() == (code == 0)
         assert "n_stations=100 is too large to simulate" in capsys.readouterr().err
 
+    # simulate holds each trajectory sample as K+2 floats, first in lists and
+    # then in arrays; at sample_interval=1e-8 it used to exit 5 with a bare
+    # MemoryError.  One byte short of six samples at K = 4 refuses an interval
+    # of 0.25 over a horizon of 1 (at most 6 samples); 0.5 (at most 4) runs
+    def test_simulate_sample_refusal_follows_the_byte_limit(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: 40 * 6 * 6 - 1)
+        out = tmp_path / "o.json"
+        params = write_params(tmp_path, dict(SMALL, n_stations=10, seed=1, t_measure=1.0))
+        argv = ["simulate", "--params", str(params), "--out", str(out), "--set"]
+        assert main(argv + ["sample_interval=0.25"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(
+            "samples=6 is too large to simulate: the trajectory samples need 40 (K+2) bytes "
+            "each")
+        assert sorted(os.listdir(tmp_path)) == ["params.json"]
+        assert main(argv + ["sample_interval=0.5"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["o.json", "o.trajectory.csv", "params.json"]
+
+    # the figure-5 set at N = 10 sampled every 1e-8 over a horizon of 1: the
+    # refusal comes before sampling, in a child process under a 4 GiB
+    # address-space limit, so that a run that did sample would fail there
+    def test_simulate_refuses_unallocatable_samples(self, tmp_path):
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        params = write_params(tmp_path, dict(FIG5, n_stations=10, seed=1, t_measure=1.0,
+                                             sample_interval=1e-8))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bikeshare_meanfield.cli", "simulate", "--params", str(params),
+             "--out", str(tmp_path / "o.json")],
+            env=_package_env(), capture_output=True, text=True, timeout=120,
+            preexec_fn=limit_address_space)
+        assert proc.returncode == 3
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("samples=100000001 is too large to simulate")
+        assert sorted(os.listdir(tmp_path)) == ["params.json"]
+
+    # sweep holds its grid_num nodes as an array and then a list; at 10**13
+    # nodes it used to exit 5 with numpy's MemoryError
+    def test_sweep_refuses_unallocatable_grid(self, tmp_path, capsys):
+        params = write_params(tmp_path, dict(SMALL, vary="lambda", grid_start=0.5,
+                                             grid_stop=1.5, grid_num=10 ** 13))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--params", str(params), "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(
+            "grid_num=10000000000000 is too large to sweep: the grid needs 40 bytes a node")
+        assert sorted(os.listdir(tmp_path)) == ["params.json"]
+
+    def test_sweep_grid_refusal_follows_the_byte_limit(self, tmp_path, capsys, monkeypatch):
+        # one byte short of a 6-node grid refuses grid_num=6; 5 nodes fit and solve
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: 40 * 6 - 1)
+        out = tmp_path / "sweep.csv"
+        for grid_num, code in ((6, 3), (5, 0)):
+            params = write_params(tmp_path, dict(SMALL, vary="lambda", grid_start=0.5,
+                                                 grid_stop=1.5, grid_num=grid_num))
+            assert main(["sweep", "--params", str(params), "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert "nan" not in out.read_text()
+        assert "grid_num=6 is too large to sweep" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,keys", [
         ("fixed-point", {}), ("ode", {"t_end": 0.5, "finite_n": True}),
     ])

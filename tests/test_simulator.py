@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bikeshare_meanfield import simulator
+from bikeshare_meanfield import core, simulator
 from bikeshare_meanfield import (
     SimConfig,
     SimReport,
@@ -340,6 +340,22 @@ class TestInlinedLoop:
         # joint counts, final state and trajectory arrays, exactly
         assert reports_equal(new, old)
 
+    # at 2 or 64 draws a block every stream refills hundreds of times and runs
+    # end on block boundaries (_FrozenStream reads _BLOCK at call time); the
+    # event totals, read from the stream indices, add up on every case
+    @pytest.mark.parametrize("block", [2, 64])
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_small_blocks_bit_identical_to_frozen_loop(self, monkeypatch, case, seed, block):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        config = dataclasses.replace(self.CASES[case], seed=seed)
+        new, old = simulate(config), _frozen_simulate(config)
+        assert new.to_dict() == old.to_dict()
+        assert reports_equal(new, old)
+        ec = new.event_counts
+        assert ec["events"] == (ec["arrivals"] + ec["walks_completed"] + ec["returns"]
+                                + ec["re_rides"])
+
     def test_every_stream_refills(self):
         # draws per stream: timing one uniform per event and one exponential per
         # event plus the last, arrivals one each, walk and ride completions two each
@@ -362,6 +378,38 @@ class TestInlinedLoop:
                                     t_measure=30.0)).event_counts["events"]
         assert events >> 16 >= 2
         assert len(calls) == (events >> 16) + 1
+
+    @pytest.mark.parametrize("block", [2, 64])
+    def test_deep_check_cadence_at_small_blocks(self, monkeypatch, block):
+        # the deep check runs at timing refills, still once every 2**16 events
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        self.test_deep_check_cadence(monkeypatch)
+
+
+class TestSampleSizing:
+    PARAMS = dataclasses.replace(SMALL, n_stations=10)
+
+    @pytest.mark.parametrize("interval", [0.1, 0.25, 0.3, 1 / 3, 0.7, 1e-3])
+    def test_refusal_counts_every_sample(self, monkeypatch, interval):
+        # a limit one sample short of the run's own samples refuses it before
+        # sampling; one sample more fits, so the count is off by at most one
+        config = SimConfig(params=self.PARAMS, seed=1, t_warmup=0.5, t_measure=1.0,
+                           sample_interval=interval)
+        nbytes = 40 * (self.PARAMS.capacity_k + 2) * len(simulate(config).trajectory.times)
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: nbytes - 1)
+        with pytest.raises(ConfigError, match=r"^samples=\d+ is too large to simulate"):
+            simulate(config)
+        monkeypatch.setattr(core, "_array_byte_limit",
+                            lambda: nbytes + 40 * (self.PARAMS.capacity_k + 2))
+        simulate(config)
+
+    def test_unsampled_run_needs_no_sample_room(self, monkeypatch):
+        # room for the joint occupancy matrix only
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: 8 * 5 ** 2)
+        config = SimConfig(params=self.PARAMS, seed=1, t_measure=1.0)
+        assert simulate(config).trajectory is None
+        with pytest.raises(ConfigError, match="samples=3 "):
+            simulate(dataclasses.replace(config, sample_interval=1.0))
 
 
 class TestArrivalStations:
