@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -47,7 +48,7 @@ from .core import (
     fraction_vector,
 )
 from .csvrows import stream_csv
-from .dynamics import OdeConfig, _all_at_c, _csv_head, _rk4_blocks, _stage_capacity_error
+from .dynamics import OdeConfig, _all_at_c, _csv_head, _ode_capacity_error, _rk4_blocks
 from .errors import (
     BikeShareError,
     ConfigError,
@@ -110,7 +111,8 @@ def _cmd_ode(config: dict, out: str) -> None:
     params = SystemParams.from_dict(config)
     if "t_end" not in config:
         raise ConfigError("ode needs key 't_end'")
-    if (error := _stage_capacity_error(params.capacity_k)) is not None:
+    finite_n = _as_bool("finite_n", config.get("finite_n", False))
+    if (error := _ode_capacity_error(params.capacity_k, finite_n)) is not None:
         raise error
     ode_config = OdeConfig(
         initial=(fraction_vector(config["initial"], params.capacity_k)
@@ -119,7 +121,6 @@ def _cmd_ode(config: dict, out: str) -> None:
         **{key: _as_float(key, config[key])
            for key in ("step", "stationarity_tol") if key in config},
     )
-    finite_n = _as_bool("finite_n", config.get("finite_n", False))
     # a writer process formats each block of rows while the next one is integrated
     last = stream_csv(out, _csv_head(params, params.capacity_k), params.capacity_k + 2,
                       _rk4_blocks(ode_config, params, finite_n))
@@ -149,12 +150,15 @@ def _cmd_sweep(config: dict, out: str) -> None:
         num = _as_int("grid_num", config["grid_num"])
         if num < 1:
             raise ConfigError(f"grid_num must be at least 1, got {num}")
-        if (error := _capacity_error(num, 40 * num, "sweep", "the grid needs 40 bytes a "
-                                     "node: 8 in its array and 32 in the list made from it",
+        start, stop = (_as_float(key, config[key]) for key in ("grid_start", "grid_stop"))
+        # the capacities K of an evenly spaced capacity_k grid sum to num times their mean
+        k = max(start / 2 + stop / 2, 0.0) if config["vary"] == "capacity_k" else params.capacity_k
+        if (error := _capacity_error(num, num * (32 * math.ceil(k + 1) + 2000), "sweep",
+                                     "the sweep needs 32 (K+1) + 2000 bytes a node at the "
+                                     "node's own K: its vectors, solve, record and CSV row",
                                      key="grid_num")) is not None:
             raise error
-        grid = np.linspace(_as_float("grid_start", config["grid_start"]),
-                           _as_float("grid_stop", config["grid_stop"]), num).tolist()
+        grid = np.linspace(start, stop, num).tolist()
     else:
         raise ConfigError("sweep needs 'grid' or grid_start/grid_stop/grid_num")
     records = sweep(params, config["vary"], grid, _prices(config))

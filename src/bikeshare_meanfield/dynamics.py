@@ -268,12 +268,23 @@ def drift_finite_n(y, params: SystemParams) -> np.ndarray:
     return _fresh_drift(params, True, _one_vector("drift_finite_n", y, params))
 
 
-def _stage_capacity_error(capacity_k: int) -> ConfigError | None:
-    """The ``ConfigError`` of a capacity whose 4 x (K+1) stage block, the largest
-    array of a run, cannot be allocated, or None.  A caller that builds the
-    initial vector from K asks before it does."""
-    return _capacity_error(capacity_k, 32 * (capacity_k + 1), "integrate",
-                           "the 4 x (K+1) stage block needs 32 (K+1) bytes")
+def _ode_capacity_error(capacity_k: int, finite_n: bool) -> ConfigError | None:
+    """The ``ConfigError`` of a capacity whose ``ode`` run cannot be held, or None:
+    the larger of its stepping phase and its terminal JSON, each named in the message.
+    The drift's scratch is the stencil's differences, or the finite-N drift's own-fleet,
+    xi and term vectors.  A block's text takes 64 bytes a value (its tuple of floats,
+    format string and lines) and the JSON 152 a level (a list of floats, the encoder's
+    chunks and the text).  A caller that builds the initial vector from K asks first."""
+    vectors = 14 if finite_n else 12
+    values = block_rows(capacity_k + 2) * (capacity_k + 2)
+    nbytes = max(8 * vectors * (capacity_k + 1) + 80 * values,
+                 176 * (capacity_k + 1) + 8 * values)
+    return _capacity_error(capacity_k, nbytes, "integrate",
+                           f"the run needs {8 * vectors} (K+1) bytes for {vectors} vectors (the "
+                           "initial state and its copy, 4 stages, arg, raw, scratch, 2 level "
+                           "vectors and the drift's scratch) and 80 bytes a value for two blocks "
+                           "of rows and the text of one, or at its end 176 (K+1) bytes and one "
+                           "block for the terminal state's JSON")
 
 
 def _domain_exit(state, time: float, bound: float) -> DomainExitError:
@@ -396,9 +407,8 @@ def integrate(config: OdeConfig, params: SystemParams, finite_n: bool = False) -
     already below the tolerance.  The arithmetic is the textbook step's,
     operation by operation and in the same order.
     """
-    blocks = list(_rk4_blocks(config, params, finite_n))
-    return Trajectory(np.concatenate([block[:, 0] for block in blocks]),
-                      np.concatenate([block[:, 1:] for block in blocks]))
+    rows = np.concatenate(list(_rk4_blocks(config, params, finite_n)))
+    return Trajectory(rows[:, 0], rows[:, 1:])
 
 
 def jacobian(y, params: SystemParams) -> np.ndarray:

@@ -160,9 +160,9 @@ def simulate(config: SimConfig) -> SimReport:
     completing at a full station turns into another ride toward one of the
     other stations.  Bike conservation is asserted at every event.  A capacity
     whose dense (K+1) x (K+1) joint occupancy matrix cannot be allocated, a
-    station count whose two per-station lists cannot, or a sample interval
-    whose trajectory samples cannot, raises ``ConfigError`` before anything is
-    allocated.
+    station count whose list of bike counts cannot, or a sample interval whose
+    trajectory samples cannot, raises ``ConfigError`` before anything is
+    allocated.  Samples are written straight into the block the trajectory returns.
     """
     p = config.params
     samples = 0
@@ -172,16 +172,15 @@ def simulate(config: SimConfig) -> SimReport:
         (a, b), (c, d) = ((config.t_warmup + config.t_measure).as_integer_ratio(),
                           config.sample_interval.as_integer_ratio())
         samples = a * d // (b * c) + 2
+    station_bytes = 8 if p.capacity_k <= 256 else 36  # CPython caches the ints up to 256
     error = (_capacity_error(p.capacity_k, 8 * (p.capacity_k + 1) ** 2, "simulate",
                              "the dense (K+1) x (K+1) joint occupancy matrix needs "
                              "8 (K+1)**2 bytes")
-             or _capacity_error(p.n_stations, 16 * p.n_stations, "simulate",
-                                "the bike counts per station and their final copy need "
-                                "16 N bytes", key="n_stations")
-             or _capacity_error(samples, 40 * (p.capacity_k + 2) * samples, "simulate",
-                                "the trajectory samples need 40 (K+2) bytes each: K+2 "
-                                "floats at 32 bytes in their lists and 8 in the arrays "
-                                "built from them",
+             or _capacity_error(p.n_stations, station_bytes * p.n_stations, "simulate",
+                                f"the bike counts per station need {station_bytes} N bytes",
+                                key="n_stations")
+             or _capacity_error(samples, 8 * (p.capacity_k + 2) * samples, "simulate",
+                                "the trajectory samples need 8 (K+2) bytes each",
                                 key="samples"))
     if error is not None:
         raise error
@@ -235,8 +234,7 @@ def simulate(config: SimConfig) -> SimReport:
     sampling = config.sample_interval is not None
     dt_s = config.sample_interval if sampling else 0.0
     sample_index = 0
-    traj_times: list[float] = []
-    traj_states: list[list[float]] = []
+    rows = np.empty((samples, cap_k + 2))  # per sample (t, count_0, ..., count_K)
 
     # the totals that the stream indices do not give
     rentals = abandonments = walk_starts = re_rides = walk_rentals = 0
@@ -253,8 +251,7 @@ def simulate(config: SimConfig) -> SimReport:
                 stop = t if t < horizon else horizon * (1.0 + 1e-15)
                 s = sample_index * dt_s
                 while s < stop:
-                    traj_times.append(s)
-                    traj_states.append([c / n for c in counts])
+                    rows[sample_index] = (s, *counts)
                     sample_index += 1
                     s = sample_index * dt_s
             if t >= horizon:
@@ -396,14 +393,17 @@ def simulate(config: SimConfig) -> SimReport:
 
     _deep_check(bikes, counts, parked, walker_left, omega, cap_k, n)
     final_state = SimState(
-        station_bikes=list(bikes),
+        station_bikes=bikes,
         walkers=[Walker(s, w) for s, w in zip(walker_station, walker_left)],
         riding=len(ride_excl),
         clock=horizon,
     )
     final_state.validate(p)
 
-    trajectory = Trajectory(np.array(traj_times), np.array(traj_states)) if sampling else None
+    # c / n bit for bit: both are one correctly rounded division of integers below 2**53
+    rows = rows[:sample_index]
+    np.divide(rows[:, 1:], n, rows[:, 1:])
+    trajectory = Trajectory(rows[:, 0], rows[:, 1:]) if sampling else None
     # each arrival draws one uniform, each walk or ride completion two
     arrivals = arrived + iau
     walks_completed = (walked + iwu) // 2

@@ -834,12 +834,16 @@ class TestHugeCapacity:
         assert main(["fixed-point", "--params", str(params), "--out", str(out)]) == 3
         assert "more than the 12800 bytes" in json.loads(capsys.readouterr().err)["message"]
 
-    # ode holds O(K) vectors, the largest its 4 x (K+1) stage block; simulate
-    # holds a dense (K+1) x (K+1) joint occupancy matrix.  At these capacities
-    # both used to exit 5 with a raw MemoryError; the refusal must come before
-    # the initial vector, the CSV writer or the simulation state is built
-    REFUSED = {"ode": ({"t_end": 5.0}, "o.csv", "is too large to integrate: the 4 x (K+1) "
-                                               "stage block needs 32 (K+1) bytes"),
+    # ode holds O(K) vectors and blocks of rows; simulate holds a dense
+    # (K+1) x (K+1) joint occupancy matrix.  At these capacities both used to
+    # exit 5 with a raw MemoryError; the refusal must come before the initial
+    # vector, the CSV writer or the simulation state is built
+    REFUSED = {"ode": ({"t_end": 5.0}, "o.csv",
+                       "is too large to integrate: the run needs 96 (K+1) bytes for 12 vectors "
+                       "(the initial state and its copy, 4 stages, arg, raw, scratch, 2 level "
+                       "vectors and the drift's scratch) and 80 bytes a value for two blocks of "
+                       "rows and the text of one, or at its end 176 (K+1) bytes and one block "
+                       "for the terminal state's JSON"),
                "simulate": ({"seed": 1, "t_measure": 1.0}, "o.json",
                             "is too large to simulate: the dense (K+1) x (K+1) joint "
                             "occupancy matrix needs 8 (K+1)**2 bytes")}
@@ -865,10 +869,11 @@ class TestHugeCapacity:
         assert err["message"].startswith(f"{name} {message}, more than the ")
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
 
-    @pytest.mark.parametrize("command,limit", [("ode", 32 * 50), ("simulate", 8 * 50 ** 2)])
+    @pytest.mark.parametrize("command,limit", [("ode", 96 * 50 + 80 * 512 * 51),
+                                               ("simulate", 8 * 50 ** 2)])
     def test_ode_and_simulate_refusal_follows_the_byte_limit(self, tmp_path, capsys,
                                                              monkeypatch, command, limit):
-        # one byte short of the largest array at K = 49 refuses it; K = 48 fits and runs
+        # one byte short of the run's bytes at K = 49 refuses it; K = 48 fits and runs
         monkeypatch.setattr(core, "_array_byte_limit", lambda: limit - 1)
         keys, out_name, _ = self.REFUSED[command]
         out = tmp_path / out_name
@@ -878,10 +883,38 @@ class TestHugeCapacity:
             assert out.exists() == (code == 0)
         assert f"more than the {limit - 1} bytes" in capsys.readouterr().err
 
-    # simulate holds two lists of N station counts (the bikes and the final
-    # state's copy); at these station counts it used to exit 5 with a raw
-    # MemoryError.  A child process under a 4 GiB address-space limit, so that
-    # no run can allocate them here
+    # a few-step ode holds its vectors, two blocks of rows and, when no writer
+    # process starts, the text of one, and then its terminal JSON: a limit one
+    # byte below the traced peak refuses the run, so the refusal counts all of it
+    @pytest.mark.parametrize("writer", [True, False], ids=["writer", "no-writer"])
+    @pytest.mark.parametrize("capacity_k", [2_000, 20_000, 200_000])
+    def test_ode_refusal_counts_the_working_set(self, tmp_path, capsys, monkeypatch,
+                                                capacity_k, writer):
+        import tracemalloc
+
+        def no_process(*args, **kwargs):
+            raise OSError("no process can be started")
+
+        if not writer:
+            monkeypatch.setattr(subprocess, "Popen", no_process)
+        params = write_params(tmp_path, dict(FIG5, capacity_k=capacity_k, t_end=0.01))
+        argv = ["ode", "--params", str(params), "--out", str(tmp_path / "o.csv")]
+        # the run builds its cached level vectors itself
+        core._level_sum.cache_clear()
+        core._levels.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: peak - 1)
+        assert main(argv) == 3
+        assert f"capacity_k={capacity_k} is too large to integrate" in capsys.readouterr().err
+
+    # simulate holds a list of N station counts; at these station counts it
+    # used to exit 5 with a raw MemoryError.  A child process under a 4 GiB
+    # address-space limit, so that no run can allocate them here
     @pytest.mark.parametrize("n_stations,name", [
         (10 ** 13, "n_stations=10000000000000"), (2 ** 64 + 1, "a 65-bit n_stations"),
     ], ids=["10**13", "65-bit"])
@@ -903,14 +936,14 @@ class TestHugeCapacity:
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(
-            f"{name} is too large to simulate: the bike counts per station and their final "
-            "copy need 16 N bytes, more than the ")
+            f"{name} is too large to simulate: the bike counts per station need 8 N bytes, "
+            "more than the ")
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
 
     def test_simulate_station_refusal_follows_the_byte_limit(self, tmp_path, capsys,
                                                              monkeypatch):
-        # one byte short of two 100-entry lists refuses N = 100; N = 99 fits and runs
-        monkeypatch.setattr(core, "_array_byte_limit", lambda: 16 * 100 - 1)
+        # one byte short of a 100-entry list refuses N = 100; N = 99 fits and runs
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: 8 * 100 - 1)
         out = tmp_path / "o.json"
         for n_stations, code in ((100, 3), (99, 0)):
             params = write_params(tmp_path, dict(SMALL, n_stations=n_stations, seed=1,
@@ -919,13 +952,13 @@ class TestHugeCapacity:
             assert out.exists() == (code == 0)
         assert "n_stations=100 is too large to simulate" in capsys.readouterr().err
 
-    # simulate holds each trajectory sample as K+2 floats, first in lists and
-    # then in arrays; at sample_interval=1e-8 it used to exit 5 with a bare
-    # MemoryError.  One byte short of six samples at K = 4 refuses an interval
-    # of 0.25 over a horizon of 1 (at most 6 samples); 0.5 (at most 4) runs
+    # simulate holds each trajectory sample as one row of K+2 floats; at
+    # sample_interval=1e-8 it used to exit 5 with a bare MemoryError.  One byte
+    # short of six samples at K = 4 refuses an interval of 0.25 over a horizon
+    # of 1 (at most 6 samples); 0.5 (at most 4) runs
     def test_simulate_sample_refusal_follows_the_byte_limit(self, tmp_path, capsys,
                                                             monkeypatch):
-        monkeypatch.setattr(core, "_array_byte_limit", lambda: 40 * 6 * 6 - 1)
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: 8 * 6 * 6 - 1)
         out = tmp_path / "o.json"
         params = write_params(tmp_path, dict(SMALL, n_stations=10, seed=1, t_measure=1.0))
         argv = ["simulate", "--params", str(params), "--out", str(out), "--set"]
@@ -933,7 +966,7 @@ class TestHugeCapacity:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(
-            "samples=6 is too large to simulate: the trajectory samples need 40 (K+2) bytes "
+            "samples=6 is too large to simulate: the trajectory samples need 8 (K+2) bytes "
             "each")
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
         assert main(argv + ["sample_interval=0.5"]) == 0
@@ -961,8 +994,8 @@ class TestHugeCapacity:
         assert err["message"].startswith("samples=100000001 is too large to simulate")
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
 
-    # sweep holds its grid_num nodes as an array and then a list; at 10**13
-    # nodes it used to exit 5 with numpy's MemoryError
+    # sweep holds O(K) bytes for each of its grid_num nodes; at 10**13 nodes it
+    # used to exit 5 with numpy's MemoryError
     def test_sweep_refuses_unallocatable_grid(self, tmp_path, capsys):
         params = write_params(tmp_path, dict(SMALL, vary="lambda", grid_start=0.5,
                                              grid_stop=1.5, grid_num=10 ** 13))
@@ -971,12 +1004,13 @@ class TestHugeCapacity:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(
-            "grid_num=10000000000000 is too large to sweep: the grid needs 40 bytes a node")
+            "grid_num=10000000000000 is too large to sweep: the sweep needs 32 (K+1) + 2000 "
+            "bytes a node")
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
 
     def test_sweep_grid_refusal_follows_the_byte_limit(self, tmp_path, capsys, monkeypatch):
-        # one byte short of a 6-node grid refuses grid_num=6; 5 nodes fit and solve
-        monkeypatch.setattr(core, "_array_byte_limit", lambda: 40 * 6 - 1)
+        # one byte short of a 6-node sweep refuses grid_num=6; 5 nodes fit and solve
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: (32 * 5 + 2000) * 6 - 1)
         out = tmp_path / "sweep.csv"
         for grid_num, code in ((6, 3), (5, 0)):
             params = write_params(tmp_path, dict(SMALL, vary="lambda", grid_start=0.5,
@@ -985,6 +1019,43 @@ class TestHugeCapacity:
             assert out.exists() == (code == 0)
         assert "nan" not in out.read_text()
         assert "grid_num=6 is too large to sweep" in capsys.readouterr().err
+
+    def test_sweep_sizes_each_node_at_its_own_capacity(self, tmp_path, capsys, monkeypatch):
+        # the nodes K = 10, 20 and 30 need 3 (32 * 21 + 2000) bytes, though three
+        # nodes at the base K = 4 would need 3 (32 * 5 + 2000)
+        params = write_params(tmp_path, dict(SMALL, vary="capacity_k", grid_start=10,
+                                             grid_stop=30, grid_num=3))
+        out = tmp_path / "sweep.csv"
+        nbytes = 3 * (32 * 21 + 2000)
+        for limit, code in ((nbytes - 1, 3), (nbytes, 0)):
+            monkeypatch.setattr(core, "_array_byte_limit", lambda: limit)
+            assert main(["sweep", "--params", str(params), "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert [row.split(",")[1] for row in out.read_text().splitlines()[2:]] == [
+            "10", "20", "30"]
+        assert "nan" not in out.read_text()
+        assert "grid_num=3 is too large to sweep" in capsys.readouterr().err
+
+    # a limit one byte below the traced peak of a 1,000-node sweep refuses it,
+    # so the refusal counts every node's vectors, solve, record and CSV row
+    @pytest.mark.parametrize("base,start,stop", [(FIG5, 10.0, 30.0), (SMALL, 0.5, 1.5)],
+                             ids=["figure-5", "small"])
+    def test_sweep_refusal_counts_the_working_set(self, tmp_path, capsys, monkeypatch,
+                                                  base, start, stop):
+        import tracemalloc
+
+        params = write_params(tmp_path, dict(base, vary="lambda", grid_start=start,
+                                             grid_stop=stop, grid_num=1000))
+        argv = ["sweep", "--params", str(params), "--out", str(tmp_path / "sweep.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: peak - 1)
+        assert main(argv) == 3
+        assert "grid_num=1000 is too large to sweep" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,keys", [
         ("fixed-point", {}), ("ode", {"t_end": 0.5, "finite_n": True}),

@@ -1,6 +1,7 @@
 """Event-driven simulator: determinism, conservation, accounting, statistics."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -393,14 +394,14 @@ class TestSampleSizing:
     def test_refusal_counts_every_sample(self, monkeypatch, interval):
         # a limit one sample short of the run's own samples refuses it before
         # sampling; one sample more fits, so the count is off by at most one
-        config = SimConfig(params=self.PARAMS, seed=1, t_warmup=0.5, t_measure=1.0,
+        config = SimConfig(params=self.PARAMS, seed=1, t_warmup=0.5, t_measure=3.0,
                            sample_interval=interval)
-        nbytes = 40 * (self.PARAMS.capacity_k + 2) * len(simulate(config).trajectory.times)
+        nbytes = 8 * (self.PARAMS.capacity_k + 2) * len(simulate(config).trajectory.times)
         monkeypatch.setattr(core, "_array_byte_limit", lambda: nbytes - 1)
         with pytest.raises(ConfigError, match=r"^samples=\d+ is too large to simulate"):
             simulate(config)
         monkeypatch.setattr(core, "_array_byte_limit",
-                            lambda: nbytes + 40 * (self.PARAMS.capacity_k + 2))
+                            lambda: nbytes + 8 * (self.PARAMS.capacity_k + 2))
         simulate(config)
 
     def test_unsampled_run_needs_no_sample_room(self, monkeypatch):
@@ -408,8 +409,55 @@ class TestSampleSizing:
         monkeypatch.setattr(core, "_array_byte_limit", lambda: 8 * 5 ** 2)
         config = SimConfig(params=self.PARAMS, seed=1, t_measure=1.0)
         assert simulate(config).trajectory is None
-        with pytest.raises(ConfigError, match="samples=3 "):
-            simulate(dataclasses.replace(config, sample_interval=1.0))
+        with pytest.raises(ConfigError, match="samples=6 "):
+            simulate(dataclasses.replace(config, sample_interval=0.25))
+
+    # intervals that divide the horizon 1.5 exactly and the floats one ulp either
+    # side of them, then horizons t_warmup + t_measure that round (0.1 + 0.2 is
+    # 0.30000000000000004 and 0.7 + 0.1 is 0.7999999999999999, whose sample at 0.8
+    # still counts): the samples stay within the sized count and equal, count and
+    # bits, those of the loop that collected them in lists
+    @pytest.mark.parametrize("t_warmup,t_measure,interval", [
+        *((0.5, 1.0, float(np.nextafter(dt, toward)))
+          for dt in (0.25, 0.1875, 0.5, 1.5) for toward in (0.0, dt, 2.0)),
+        (0.1, 0.2, 0.1), (0.2, 0.1, 0.1), (0.1, 0.2, 0.3), (0.7, 0.1, 0.1), (0.7, 0.1, 0.8),
+        (0.1, 0.2, 0.1 + 0.2),
+    ])
+    def test_samples_fill_the_sized_block(self, t_warmup, t_measure, interval):
+        config = SimConfig(params=self.PARAMS, seed=5, t_warmup=t_warmup, t_measure=t_measure,
+                           sample_interval=interval)
+        new, old = simulate(config), _frozen_simulate(config)
+        assert reports_equal(new, old)
+        sized = Fraction(t_warmup + t_measure) // Fraction(interval) + 2
+        assert 1 <= len(new.trajectory.times) <= sized
+
+    def test_peak_is_the_sample_block(self):
+        # figure 5 at N = 10 sampled every 1e-4 over a horizon of 1: 10,001 samples
+        # of K+2 floats, where rows built in lists and then copied peaked at 24 MB
+        import tracemalloc
+
+        params = dataclasses.replace(FIG5, n_stations=10)
+        config = SimConfig(params=params, seed=1, t_measure=1.0, sample_interval=1e-4)
+        tracemalloc.start()
+        try:
+            samples = len(simulate(config).trajectory.times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples == 10_001
+        assert peak <= 8 * (params.capacity_k + 2) * samples + (4 << 20)
+
+    def test_counts_above_256_are_sized_as_objects(self, monkeypatch):
+        # the list of N bike counts takes 8 N bytes while every count is one of
+        # CPython's cached ints (K <= 256), and 36 N once a count may exceed 256
+        n = 30_000
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: 36 * n - 1)
+        config = SimConfig(params=dataclasses.replace(SMALL, n_stations=n, capacity_k=300),
+                           seed=1, t_measure=1e-4)
+        with pytest.raises(ConfigError, match=rf"^n_stations={n} .* need 36 N bytes"):
+            simulate(config)
+        simulate(dataclasses.replace(config, params=dataclasses.replace(config.params,
+                                                                        capacity_k=256)))
 
 
 class TestArrivalStations:
