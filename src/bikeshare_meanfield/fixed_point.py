@@ -126,7 +126,8 @@ def _lane_rates(group: list[SystemParams]):
     than C give a smoothly negative defect; where 1 - p_K is 0 it is infinite or NaN, so
     callers hold numpy's floating-point warnings off.
     """
-    series = _geom_series(group[0].omega)
+    # omega = 1 drops the walk factor S(y0) = 1: gamma * y0 * 1.0 is gamma * y0, NaN or not
+    series = None if group[0].omega == 1 else _geom_series(group[0].omega)
     constants = np.array([[params.mu, params.capacity_c, params.lam, params.gamma]
                           for params in group]).T
     # one set binds its constants as 0-d arrays, which a ufunc takes without a per-row gather
@@ -136,7 +137,8 @@ def _lane_rates(group: list[SystemParams]):
         mu, c, lam, gamma = single or constants.take(lanes, axis=1)
         birth = mu * (c - _level_sums(p)) / (_ONE - p[:, -1])
         y0 = p[:, 0]
-        return birth, lam + gamma * y0 * series(y0)
+        walk = gamma * y0
+        return birth, lam + (walk if series is None else walk * series(y0))
 
     return rates
 
@@ -202,16 +204,37 @@ def _defect_kernel(group: list[SystemParams]):
     the defects, the block ``_stationary_rows`` of the loads and its ``_lane_rates``,
     whose rows have the bits of a solve of their set alone.  numpy's floating-point
     warnings are off, so overflow, 1 - p_K = 0 and 0 * inf give their IEEE values.
+
+    ``rows.defects`` is the list of defects alone and unguarded, for ``_lockstep``.  One
+    load with 1 - p_K != 0 (where Python would raise) goes on Python floats from its row's
+    p_0, p_K and E[Q], in the lane rates' order of operations, so with the same bits.
     """
-    capacity_k, rates = group[0].capacity_k, _lane_rates(group)
+    capacity_k, omega, rates = group[0].capacity_k, group[0].omega, _lane_rates(group)
+    level_sum, series = _level_sum(capacity_k), _geom_series(omega)
+    constants = [(s.mu, float(s.capacity_c), s.lam, s.gamma) for s in group]
+
+    def block(rho, lanes):
+        p = _stationary_rows(rho, capacity_k)
+        birth, death = rates(p, lanes)
+        return birth - rho * death, p, birth, death
 
     def rows(loads, lanes):
         with np.errstate(all="ignore"):
-            rho = np.array(loads, dtype=float)
-            p = _stationary_rows(rho, capacity_k)
-            birth, death = rates(p, lanes)
-            return birth - rho * death, p, birth, death
+            return block(np.array(loads, dtype=float), lanes)
 
+    def defects(loads, lanes):
+        rho = np.array(loads, dtype=float)
+        if rho.size == 1:
+            p = _stationary_rows(rho, capacity_k)
+            if free := 1.0 - p.item(-1):
+                mu, c, lam, gamma = constants[lanes[0] if len(constants) > 1 else 0]
+                y0 = p.item(0)
+                birth = mu * (c - float(level_sum(p[0]))) / free
+                walk = gamma * y0 if omega == 1 else gamma * y0 * series(y0)
+                return [birth - rho.item() * (lam + walk)]
+        return block(rho, lanes)[0].tolist()
+
+    rows.defects = defects
     return rows
 
 
@@ -305,31 +328,34 @@ def _lockstep(steppers: list, rows) -> list:
     Generator i is lane i of ``rows``: it yields a tuple of trial loads and is
     sent an iterator over the round's defects, from which it reads the defects
     of its own loads, in order, before it yields again, returns or raises.
-    Each round evaluates the loads of every live lane in one kernel call.
-    Returns, per lane, the generator's return value, or the ``BikeShareError``
+    Each round evaluates the loads of every live lane in one call of
+    ``rows.defects``, under one ``np.errstate`` for the whole run (a wrapped
+    kernel without it is called whole, guard and all).  Returns, per lane, the generator's return value, or the ``BikeShareError``
     it raised; a lane that raises stops, and the others go on.
     """
     outcomes: list = [None] * len(steppers)
     live, values = list(enumerate(steppers)), None
-    while live:
-        asked, loads, lanes = [], [], []
-        for lane, stepper in live:
-            try:
-                trial = stepper.send(values)
-            except StopIteration as stop:
-                outcomes[lane] = stop.value
-                continue
-            except BikeShareError as exc:
-                outcomes[lane] = exc
-                continue
-            asked.append((lane, stepper))
-            loads += trial
-            if len(trial) == 1:
-                lanes.append(lane)
-            else:
-                lanes += (lane,) * len(trial)
-        # the lanes read this round's defects in the order they asked for them
-        live, values = asked, iter(rows(loads, lanes)[0].tolist() if loads else ())
+    defects = getattr(rows, "defects", lambda loads, lanes: rows(loads, lanes)[0].tolist())
+    with np.errstate(all="ignore"):
+        while live:
+            asked, loads, lanes = [], [], []
+            for lane, stepper in live:
+                try:
+                    trial = stepper.send(values)
+                except StopIteration as stop:
+                    outcomes[lane] = stop.value
+                    continue
+                except BikeShareError as exc:
+                    outcomes[lane] = exc
+                    continue
+                asked.append((lane, stepper))
+                loads += trial
+                if len(trial) == 1:
+                    lanes.append(lane)
+                else:
+                    lanes += (lane,) * len(trial)
+            # the lanes read this round's defects in the order they asked for them
+            live, values = asked, iter(defects(loads, lanes) if loads else ())
     return outcomes
 
 
@@ -577,12 +603,21 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     evaluations of the refinement it shares.  All results must agree within
     1e-8 in sup-norm, otherwise ``MultipleFixedPointsError`` carries the
     distinct results, each the first start's result at its root.
+
+    Before the draw, ``ConfigError`` refuses a negative ``max_iterations`` (0 goes
+    straight to the bracketed fallback) and more starts than ``core._array_byte_limit``
+    holds at 40 (K+1) + 2560 bytes a start, as well as what ``solve_fixed_point`` refuses.
     """
     n_starts = _as_int("n_starts", n_starts)
     max_iterations = _as_int("max_iterations", max_iterations)
     if n_starts < 1:
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
-    if (error := _residual_capacity_error(params.capacity_k)) is not None:
+    if max_iterations < 0:
+        raise ConfigError(f"max_iterations must be nonnegative, got {max_iterations}")
+    if (error := _residual_capacity_error(params.capacity_k)
+            or _capacity_error(n_starts, n_starts * (40 * (params.capacity_k + 1) + 2560),
+                               "probe", "each start needs 40 (K+1) + 2560 bytes (its Dirichlet "
+                               "row, its trial rows, lane and result)", key="n_starts")):
         raise error
     rng = np.random.default_rng(_as_seed(seed))
     starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)

@@ -33,7 +33,7 @@ from bikeshare_meanfield import (
     stationary_from_load,
     uniqueness_probe,
 )
-from bikeshare_meanfield import dynamics, fixed_point, validation
+from bikeshare_meanfield import core, dynamics, fixed_point, validation
 from bikeshare_meanfield.errors import (
     AssumptionViolationError,
     BikeShareError,
@@ -346,6 +346,53 @@ class TestLoadKernel:
                     assert [a.tobytes() for a in new] == [a.tobytes() for a in old]
                     rounds += 1
         assert rounds == 42
+
+    @pytest.mark.parametrize("capacity_k", [1, 2, 50, 257])
+    @pytest.mark.parametrize("omega", [0, 1, 3, 2 ** 1020])
+    def test_one_load_defects_bit_identical_inside_a_many_load_call(self, capacity_k, omega):
+        # ``rows.defects`` takes one load on Python floats; its bytes, NaN signs included,
+        # are those of the same load and lane inside one call of all loads, on one set and
+        # on three.  The edge loads are 0, 1, 1 +- 1 ulp, 4 (whose fleet C - E[Q] and so
+        # birth rate are negative from K = 2 on) and 1e17, where p_K rounds to 1: there
+        # 1 - p_K is 0, the birth rate is -inf, or 0 / 0 at K = C = 1, a NaN
+        rng = np.random.default_rng(capacity_k * 11 + omega % 7)
+        # Python floats, as ``SystemParams`` holds them: numpy scalars would divide by 0
+        sets = [types.SimpleNamespace(mu=mu, capacity_c=max(1, capacity_k // 2),
+                                      capacity_k=capacity_k, lam=lam, gamma=gamma, omega=omega)
+                for mu, lam, gamma in (10.0 ** rng.uniform(-6, 6, size=(3, 3))).tolist()]
+        loads = [0.0, 1.0, float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)), 4.0,
+                 1e17, *10.0 ** rng.uniform(-6, 6, size=10)]
+        assert stationary_from_load(1e17, capacity_k)[-1] == 1.0
+        for group in (sets[:1], sets):
+            rows = fixed_point._defect_kernel(group)
+            lanes = [lane for lane in range(len(group)) for _ in loads]
+            many, _, births, _ = rows(loads * len(group), lanes)
+            with np.errstate(all="ignore"):  # as ``_lockstep`` holds it
+                one = [rows.defects([rho], [lane]) for rho, lane in zip(loads * len(group), lanes)]
+            assert np.array(one).tobytes() == many.tobytes()
+            full = many[loads.index(1e17)::len(loads)]
+            if capacity_k == 1:
+                assert np.isnan(full).all() and np.signbit(full).all()
+            else:
+                assert (full == -np.inf).all() and (births[loads.index(4.0)::len(loads)] < 0).all()
+
+    @pytest.mark.parametrize("params", [FIG5, ANALYTIC, ILL_CONDITIONED, ROUNDING_NOISE,
+                                        dataclasses.replace(FIG5, omega=3)])
+    def test_one_load_defects_bit_identical_to_the_guarded_rates(self, params):
+        # the ODE's guarded scalar rates run the same float operations: wherever they
+        # accept a vector (no fleet clamp, 1 - p_K above eps), the defect is the same
+        guarded, level_sum = core._guarded_rates(params), core._level_sum(params.capacity_k)
+        rows, compared = fixed_point._defect_kernel([params]), 0
+        for rho in [0.0, 1.0, *np.linspace(0.01, 3.0, 300).tolist()]:
+            p = stationary_from_load(rho, params.capacity_k)
+            try:
+                birth, death, fleet = guarded(p.item(0), p.item(-1), level_sum(p))
+            except BikeShareError:
+                continue
+            if fleet > 0.0:
+                assert rows.defects([rho], [0])[0].hex() == (birth - rho * death).hex()
+                compared += 1
+        assert compared >= 50
 
     @pytest.mark.parametrize("omega", [0, 1, 2 ** 1020])
     def test_edge_loads_bit_identical_to_frozen_defect_without_warnings(self, omega):
@@ -1279,6 +1326,48 @@ class TestUniquenessProbe:
     def test_rejects_zero_starts(self):
         with pytest.raises(ConfigError):
             uniqueness_probe(FIG5, 0)
+
+    @pytest.mark.parametrize("n_starts,name", [(10 ** 13, "n_starts=10000000000000"),
+                                               (2 ** 199 + 1, "a 200-bit n_starts")],
+                             ids=["10**13", "200-bit"])
+    def test_refuses_a_start_count_it_cannot_hold(self, monkeypatch, n_starts, name):
+        # numpy raised MemoryError for the Dirichlet block; the refusal comes first
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ConfigError, match=rf"^{name} is too large to probe: each start "
+                                              r"needs 40 \(K\+1\) \+ 2560 bytes"):
+            uniqueness_probe(FIG5, n_starts)
+
+    def test_start_refusal_follows_the_byte_limit(self, monkeypatch):
+        # room for 8 starts at K = 50 (and for the 21 kB dense residual generator)
+        start_bytes = 40 * (FIG5.capacity_k + 1) + 2560
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: 8 * start_bytes)
+        assert len(uniqueness_probe(FIG5, 8)) == 8
+        with pytest.raises(ConfigError, match=r"^n_starts=9 is too large to probe"):
+            uniqueness_probe(FIG5, 9)
+
+    @pytest.mark.parametrize("params,max_iterations", [
+        (FIG5, 60),
+        # every lane goes on to the bracketed fallback: two generator frames a lane
+        (dataclasses.replace(FIG5, capacity_k=10, capacity_c=9, omega=5), 1),
+    ])
+    def test_peak_is_within_the_sized_bytes(self, params, max_iterations):
+        n_starts = 2000
+        tracemalloc.start()
+        try:
+            results = uniqueness_probe(params, n_starts, seed=1, max_iterations=max_iterations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == n_starts
+        assert peak <= n_starts * (40 * (params.capacity_k + 1) + 2560)
+
+    def test_max_iterations_must_be_nonnegative(self):
+        # -4 used to run as 0 does; 0 goes straight to the bracketed fallback
+        with pytest.raises(ConfigError, match=r"^max_iterations must be nonnegative, got -4$"):
+            uniqueness_probe(FIG5, 3, max_iterations=-4)
+        results = uniqueness_probe(FIG5, 3, max_iterations=0)
+        reference = _probe_lane_per_start(FIG5, 3, max_iterations=0)
+        assert [_result_bits(r) for r in results] == [_result_bits(r) for r in reference]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "a", True, 2 ** 64])
     def test_seed_read_as_simulate_reads_it(self, seed):
