@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -101,9 +102,9 @@ def _stationary_rows(loads: np.ndarray, capacity_k: int) -> np.ndarray:
     or (1/rho)**(K-k) for rho > 1 (smooth in rho and safe for extreme loads), normalized.
 
     A row's bits do not depend on the other rows: exponents broadcast over a round and
-    exponents chosen per load give the same powers.  The loads are not validated, and a
-    load of 0 divides by zero on the unused 1/rho branch, so callers hold numpy's
-    floating-point warnings off.
+    exponents chosen per load give the same powers.  The loads are not validated; no
+    step warns but the unused 1/rho of a mixed round, where a load of 0 divides by zero
+    (and a subnormal one overflows), so that one division ignores numpy's warnings.
     """
     low, (k, down) = loads <= _ONE, _levels(capacity_k)
     n_low = np.count_nonzero(low)
@@ -112,33 +113,38 @@ def _stationary_rows(loads: np.ndarray, capacity_k: int) -> np.ndarray:
     elif not n_low:  # every load above 1: K - k
         base, exponents = _ONE / loads, down
     else:  # k or K - k per load
-        base, exponents = np.where(low, loads, _ONE / loads), np.where(low[:, None], k, down)
+        with np.errstate(divide="ignore", over="ignore"):
+            inverse = _ONE / loads
+        base, exponents = np.where(low, loads, inverse), np.where(low[:, None], k, down)
     w = np.power(base[:, None], exponents)
     return np.divide(w, np.add.reduce(w, 1, None, None, True), w)
 
 
 def _lane_rates(group: list[SystemParams]):
-    """The unguarded rates ``rates(p, lanes) -> (birth, death)`` of the rows of a block p
-    of fraction vectors, row i under the set ``group[lanes[i]]`` (the sets share K, omega);
-    a one-set group reads no lanes.
+    """The unguarded rates ``rates(p, lanes) -> (births, deaths)``, two lists of Python
+    floats, of the rows of a block p of fraction vectors, row i under the set
+    ``group[lanes[i]]`` (the sets share K, omega); a one-set group reads no lanes.
 
-    The birth rate has no nonnegative-fleet guard, so trial loads with more parked bikes
-    than C give a smoothly negative defect; where 1 - p_K is 0 it is infinite or NaN, so
-    callers hold numpy's floating-point warnings off.
+    Row i reads p_0, p_K and its E[Q] from ``_level_sums``.  The birth rate has no
+    nonnegative-fleet guard, so trial loads with more parked bikes than C give a smoothly
+    negative defect; where 1 - p_K is 0 it is x * inf, the IEEE quotient x / +0.0 of
+    x = mu (C - E[Q]): +-inf, or the default NaN, sign bit included.  Nothing warns.
     """
     # omega = 1 drops the walk factor S(y0) = 1: gamma * y0 * 1.0 is gamma * y0, NaN or not
     series = None if group[0].omega == 1 else _geom_series(group[0].omega)
-    constants = np.array([[params.mu, params.capacity_c, params.lam, params.gamma]
-                          for params in group]).T
-    # one set binds its constants as 0-d arrays, which a ufunc takes without a per-row gather
-    single = tuple(map(np.array, constants[:, 0])) if len(group) == 1 else None
+    constants = [tuple(map(float, (params.mu, params.capacity_c, params.lam, params.gamma)))
+                 for params in group]
 
     def rates(p, lanes):
-        mu, c, lam, gamma = single or constants.take(lanes, axis=1)
-        birth = mu * (c - _level_sums(p)) / (_ONE - p[:, -1])
-        y0 = p[:, 0]
-        walk = gamma * y0
-        return birth, lam + (walk if series is None else walk * series(y0))
+        births, deaths = [], []
+        sets = repeat(constants[0]) if len(constants) == 1 else map(constants.__getitem__, lanes)
+        for (mu, c, lam, gamma), y0, yk, parked in zip(
+                sets, p[:, 0].tolist(), p[:, -1].tolist(), _level_sums(p).tolist()):
+            flow, free = mu * (c - parked), 1.0 - yk
+            births.append(flow / free if free else flow * math.inf)
+            walk = gamma * y0
+            deaths.append(lam + (walk if series is None else walk * series(y0)))
+        return births, deaths
 
     return rates
 
@@ -198,43 +204,21 @@ def _defect_kernel(group: list[SystemParams]):
     """The defect rho -> birth(p(rho)) - rho * death(p(rho)) of parameter sets that
     share (K, omega), for many trial loads in one call.
 
-    The returned function ``rows(loads, lanes)`` takes trial loads (at least 0; they
-    are not validated) and, per load, the index of its set in ``group`` (any lane
-    numbers for a one-set group, as the probe's).  It returns
-    the defects, the block ``_stationary_rows`` of the loads and its ``_lane_rates``,
-    whose rows have the bits of a solve of their set alone.  numpy's floating-point
-    warnings are off, so overflow, 1 - p_K = 0 and 0 * inf give their IEEE values.
-
-    ``rows.defects`` is the list of defects alone and unguarded, for ``_lockstep``.  One
-    load with 1 - p_K != 0 (where Python would raise) goes on Python floats from its row's
-    p_0, p_K and E[Q], in the lane rates' order of operations, so with the same bits.
+    The returned function ``rows(loads, lanes) -> (defects, p, births, deaths)`` takes
+    trial loads (at least 0; they are not validated) and, per load, the index of its set
+    in ``group`` (any lane numbers for a one-set group, as the probe's).  It returns the
+    block p of ``_stationary_rows`` of the loads and, as lists of Python floats, the
+    defects and the ``_lane_rates`` of p; each row has the bits of a solve of its set
+    alone.  It never warns: overflow, 1 - p_K = 0 and 0 * inf give their IEEE values.
     """
-    capacity_k, omega, rates = group[0].capacity_k, group[0].omega, _lane_rates(group)
-    level_sum, series = _level_sum(capacity_k), _geom_series(omega)
-    constants = [(s.mu, float(s.capacity_c), s.lam, s.gamma) for s in group]
-
-    def block(rho, lanes):
-        p = _stationary_rows(rho, capacity_k)
-        birth, death = rates(p, lanes)
-        return birth - rho * death, p, birth, death
+    capacity_k, rates = group[0].capacity_k, _lane_rates(group)
 
     def rows(loads, lanes):
-        with np.errstate(all="ignore"):
-            return block(np.array(loads, dtype=float), lanes)
-
-    def defects(loads, lanes):
         rho = np.array(loads, dtype=float)
-        if rho.size == 1:
-            p = _stationary_rows(rho, capacity_k)
-            if free := 1.0 - p.item(-1):
-                mu, c, lam, gamma = constants[lanes[0] if len(constants) > 1 else 0]
-                y0 = p.item(0)
-                birth = mu * (c - float(level_sum(p[0]))) / free
-                walk = gamma * y0 if omega == 1 else gamma * y0 * series(y0)
-                return [birth - rho.item() * (lam + walk)]
-        return block(rho, lanes)[0].tolist()
+        p = _stationary_rows(rho, capacity_k)
+        births, deaths = rates(p, lanes)
+        return [a - x * b for x, a, b in zip(rho.tolist(), births, deaths)], p, births, deaths
 
-    rows.defects = defects
     return rows
 
 
@@ -328,34 +312,31 @@ def _lockstep(steppers: list, rows) -> list:
     Generator i is lane i of ``rows``: it yields a tuple of trial loads and is
     sent an iterator over the round's defects, from which it reads the defects
     of its own loads, in order, before it yields again, returns or raises.
-    Each round evaluates the loads of every live lane in one call of
-    ``rows.defects``, under one ``np.errstate`` for the whole run (a wrapped
-    kernel without it is called whole, guard and all).  Returns, per lane, the generator's return value, or the ``BikeShareError``
+    Each round evaluates the loads of every live lane in one call of ``rows``.
+    Returns, per lane, the generator's return value, or the ``BikeShareError``
     it raised; a lane that raises stops, and the others go on.
     """
     outcomes: list = [None] * len(steppers)
     live, values = list(enumerate(steppers)), None
-    defects = getattr(rows, "defects", lambda loads, lanes: rows(loads, lanes)[0].tolist())
-    with np.errstate(all="ignore"):
-        while live:
-            asked, loads, lanes = [], [], []
-            for lane, stepper in live:
-                try:
-                    trial = stepper.send(values)
-                except StopIteration as stop:
-                    outcomes[lane] = stop.value
-                    continue
-                except BikeShareError as exc:
-                    outcomes[lane] = exc
-                    continue
-                asked.append((lane, stepper))
-                loads += trial
-                if len(trial) == 1:
-                    lanes.append(lane)
-                else:
-                    lanes += (lane,) * len(trial)
-            # the lanes read this round's defects in the order they asked for them
-            live, values = asked, iter(defects(loads, lanes) if loads else ())
+    while live:
+        asked, loads, lanes = [], [], []
+        for lane, stepper in live:
+            try:
+                trial = stepper.send(values)
+            except StopIteration as stop:
+                outcomes[lane] = stop.value
+                continue
+            except BikeShareError as exc:
+                outcomes[lane] = exc
+                continue
+            asked.append((lane, stepper))
+            loads += trial
+            if len(trial) == 1:
+                lanes.append(lane)
+            else:
+                lanes += (lane,) * len(trial)
+        # the lanes read this round's defects in the order they asked for them
+        live, values = asked, iter(rows(loads, lanes)[0] if loads else ())
     return outcomes
 
 
@@ -369,18 +350,17 @@ def _solved_points(rows, found: list, capacity_k: int) -> list:
     lanes = [lane for lane, outcome in enumerate(found) if type(outcome) is tuple]
     roots = [found[lane][0] for lane in lanes]
     _, block, births, deaths = rows(roots, lanes)
-    points = list(found)
-    births = np.where(births < 0.0, 0.0, births)  # max(a, 0.0) bit for bit, -0.0 included
-    rates = list(map(RatePair, births.tolist(), deaths.tolist()))
-    valid = (births >= 0.0) & (deaths > 0.0)  # _rate_pair's two tests; a NaN fails both
-    picked, vectors = valid.nonzero()[0].tolist(), block
-    if len(picked) < len(lanes):
-        for row in (~valid).nonzero()[0].tolist():
-            try:
-                _rate_pair(rates[row])
-            except BikeShareError as exc:
-                points[lanes[row]] = exc
-        vectors, births, deaths = block[picked], births[valid], deaths[valid]
+    points, picked = list(found), []
+    rates = [RatePair(max(a, 0.0), b) for a, b in zip(births, deaths)]  # -0.0 stays -0.0
+    for row, rate in enumerate(rates):
+        try:
+            _rate_pair(rate)
+        except BikeShareError as exc:
+            points[lanes[row]] = exc
+        else:
+            picked.append(row)
+    vectors = block if len(picked) == len(lanes) else block[picked]
+    births, deaths = np.array([rates[row] for row in picked]).reshape(-1, 2).T
     size = max(1, _RESIDUAL_SLICE_BYTES // (8 * (capacity_k + 1) ** 2))
     # one slice of zeros, reused: each slice rewrites the same three diagonals
     stack = np.zeros((min(size, len(picked)), capacity_k + 1, capacity_k + 1))
@@ -406,7 +386,7 @@ def _sign_certified(rows, lane: int, rho: float) -> bool:
     tolerances to either side (0 at the least), or one that changes sign between those
     two; a NaN certifies nothing."""
     width = 16 * (_XTOL + _RTOL * abs(rho)) / 2
-    d_lo, d_rho, d_hi = rows([max(rho - width, 0.0), rho, rho + width], [lane] * 3)[0].tolist()
+    d_lo, d_rho, d_hi = rows([max(rho - width, 0.0), rho, rho + width], [lane] * 3)[0]
     return d_lo == 0.0 or d_rho == 0.0 or _straddles(d_lo, d_hi)
 
 
@@ -621,8 +601,7 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
         raise error
     rng = np.random.default_rng(_as_seed(seed))
     starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
-    with np.errstate(all="ignore"):
-        birth, death = _lane_rates([params])(starts, [0] * n_starts)
+    birth, death = _lane_rates([params])(starts, [0] * n_starts)
     lane_of: dict = {}  # start load bits -> lane of its refinement
     lanes = [lane_of.setdefault(bits, len(lane_of))
              for bits in (np.maximum(birth, 0.0) / death).view(np.uint64).tolist()]
@@ -663,7 +642,6 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
 def self_map_residual(p, params: SystemParams) -> float:
     """Sup-norm distance between p and the stationary vector its rates induce."""
     p = fraction_vector(_one_vector("self_map_residual", p, params))
-    with np.errstate(all="ignore"):
-        (a,), (b,) = _lane_rates([params])(p[None, :], [0])
-    image = stationary_from_load(max(float(a), 0.0) / float(b), params.capacity_k)
+    (a,), (b,) = _lane_rates([params])(p[None, :], [0])
+    image = stationary_from_load(max(a, 0.0) / b, params.capacity_k)
     return float(np.max(np.abs(p - image)))

@@ -1,5 +1,6 @@
 """Stationary vector routes, scalar solver and uniqueness probing."""
 
+import collections
 import dataclasses
 import functools
 import inspect
@@ -305,7 +306,7 @@ class TestLoadKernel:
                      *10.0 ** rng.uniform(-6, 6, size=5)]
             loads = [float(rho) for rho in loads for _ in group]
             lanes = rng.permutation(len(loads)) % len(group)
-            defects = fixed_point._defect_kernel(group)(loads, lanes)[0].tolist()
+            defects = fixed_point._defect_kernel(group)(loads, lanes)[0]
             # one lane per load for the solved points
             results = fixed_point._solved_points(
                 fixed_point._defect_kernel([group[lane] for lane in lanes]),
@@ -343,20 +344,30 @@ class TestLoadKernel:
                         (sets, *[rng.integers(0, len(sets), size=lanes).tolist()] * 2)):
                     new = fixed_point._defect_kernel(group)(loads, new_lanes)
                     old = _gathered_kernel(group)(loads, old_lanes)
-                    assert [a.tobytes() for a in new] == [a.tobytes() for a in old]
+                    assert [np.asarray(a).tobytes() for a in new] == [a.tobytes() for a in old]
                     rounds += 1
         assert rounds == 42
+
+    def test_mixed_round_with_a_zero_or_subnormal_load_does_not_warn(self):
+        # the unused 1/rho of a mixed round divides by zero at 0 and overflows at 5e-324;
+        # under the suite's warnings-as-errors the round keeps the bits of one load a call
+        loads = [0.0, 5e-324, 2.0, 1e300]
+        rows = fixed_point._defect_kernel([FIG5])
+        defects, block, _, _ = rows(loads, [0] * len(loads))
+        alone = [rows([rho], [0]) for rho in loads]
+        assert np.array(defects).tobytes() == np.array([a[0][0] for a in alone]).tobytes()
+        assert block.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
 
     @pytest.mark.parametrize("capacity_k", [1, 2, 50, 257])
     @pytest.mark.parametrize("omega", [0, 1, 3, 2 ** 1020])
     def test_one_load_defects_bit_identical_inside_a_many_load_call(self, capacity_k, omega):
-        # ``rows.defects`` takes one load on Python floats; its bytes, NaN signs included,
-        # are those of the same load and lane inside one call of all loads, on one set and
-        # on three.  The edge loads are 0, 1, 1 +- 1 ulp, 4 (whose fleet C - E[Q] and so
-        # birth rate are negative from K = 2 on) and 1e17, where p_K rounds to 1: there
+        # a call of one load gives the bytes, NaN signs included, of the same load and
+        # lane inside one call of all loads, on one set and on three, with no warning.
+        # The edge loads are 0, 1, 1 +- 1 ulp, 4 (whose fleet C - E[Q] and so birth
+        # rate are negative from K = 2 on) and 1e17, where p_K rounds to 1: there
         # 1 - p_K is 0, the birth rate is -inf, or 0 / 0 at K = C = 1, a NaN
         rng = np.random.default_rng(capacity_k * 11 + omega % 7)
-        # Python floats, as ``SystemParams`` holds them: numpy scalars would divide by 0
+        # Python floats, as ``SystemParams`` holds them
         sets = [types.SimpleNamespace(mu=mu, capacity_c=max(1, capacity_k // 2),
                                       capacity_k=capacity_k, lam=lam, gamma=gamma, omega=omega)
                 for mu, lam, gamma in (10.0 ** rng.uniform(-6, 6, size=(3, 3))).tolist()]
@@ -366,9 +377,8 @@ class TestLoadKernel:
         for group in (sets[:1], sets):
             rows = fixed_point._defect_kernel(group)
             lanes = [lane for lane in range(len(group)) for _ in loads]
-            many, _, births, _ = rows(loads * len(group), lanes)
-            with np.errstate(all="ignore"):  # as ``_lockstep`` holds it
-                one = [rows.defects([rho], [lane]) for rho, lane in zip(loads * len(group), lanes)]
+            many, _, births, _ = map(np.asarray, rows(loads * len(group), lanes))
+            one = [rows([rho], [lane])[0] for rho, lane in zip(loads * len(group), lanes)]
             assert np.array(one).tobytes() == many.tobytes()
             full = many[loads.index(1e17)::len(loads)]
             if capacity_k == 1:
@@ -390,7 +400,7 @@ class TestLoadKernel:
             except BikeShareError:
                 continue
             if fleet > 0.0:
-                assert rows.defects([rho], [0])[0].hex() == (birth - rho * death).hex()
+                assert rows([rho], [0])[0][0].hex() == (birth - rho * death).hex()
                 compared += 1
         assert compared >= 50
 
@@ -407,7 +417,7 @@ class TestLoadKernel:
             warnings.simplefilter("error")
             rows = fixed_point._defect_kernel(sets)
             values = rows(loads * len(sets), [lane for lane in range(len(sets))
-                                              for _ in loads])[0].tolist()
+                                              for _ in loads])[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             frozen = [_frozen_defect(rho, params) for params in sets for rho in loads]
@@ -512,12 +522,11 @@ class TestLoadKernel:
                      for params in (_wide_params(rng) for _ in range(3))]
             p = np.concatenate((rng.dirichlet(np.ones(k + 1), size=60), np.eye(k + 1)[[0, -1]]))
             lanes = rng.integers(0, len(group), size=len(p))
-            with np.errstate(all="ignore"):
-                birth, death = fixed_point._lane_rates(group)(p, lanes)
+            birth, death = fixed_point._lane_rates(group)(p, lanes)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 frozen = [_frozen_point_rates(group[lane])(y) for y, lane in zip(p, lanes)]
-            for a, b, (old_a, old_b) in zip(birth.tolist(), death.tolist(), frozen):
+            for a, b, (old_a, old_b) in zip(birth, death, frozen):
                 assert (a.hex(), b.hex()) == (old_a.hex(), old_b.hex())
                 checked += 1
         assert checked >= 6000
@@ -582,10 +591,11 @@ class TestStackedResidual:
         rows = fixed_point._defect_kernel(group)
 
         def odd_births(births):
+            births = np.array(births)
             births[1::6] = -0.0
             births[4::6] = -2.5
             births[::3] = NAN
-            return births
+            return births.tolist()
 
         def nan_births(loads, lanes):
             defects, block, births, deaths = rows(loads, lanes)
@@ -598,7 +608,7 @@ class TestStackedResidual:
         lanes = list(range(1, len(group)))
         _, block, births, deaths = rows([found[lane][0] for lane in lanes], lanes)
         signed_zeros = 0
-        for lane, p, a, b in zip(lanes, block, odd_births(births).tolist(), deaths.tolist()):
+        for lane, p, a, b in zip(lanes, block, odd_births(births), deaths):
             rates = RatePair(birth=max(a, 0.0), death=b)
             try:
                 residual = _dense_residual(p, rates, k)
@@ -661,12 +671,12 @@ def _lockstep_roots(params, brackets, maxiter=200):
     (root, iterations) or error, and the defect at every load the lanes evaluated."""
     rows = fixed_point._defect_kernel([params] * len(brackets))
     ends = [x for bracket in brackets for x in bracket]
-    values = rows(ends, [lane for lane in range(len(brackets)) for _ in (0, 1)])[0].tolist()
+    values = rows(ends, [lane for lane in range(len(brackets)) for _ in (0, 1)])[0]
     seen = dict(zip(ends, values))
 
     def recording(loads, lanes):
         block = rows(loads, lanes)
-        seen.update(zip(loads, block[0].tolist()))
+        seen.update(zip(loads, block[0]))
         return block
 
     steppers = [fixed_point._brent_steps(lo, hi, values[2 * i], values[2 * i + 1], maxiter)
@@ -1222,7 +1232,7 @@ def _with_defect(make_kernel, defect):
 
         def replaced(loads, lanes):
             _, p, birth, death = rows(loads, lanes)
-            return defect(np.array(loads, dtype=float)), p, birth, death
+            return defect(np.array(loads, dtype=float)).tolist(), p, birth, death
 
         return replaced
 
@@ -1244,8 +1254,7 @@ def _start_loads(params, n_starts, seed=0):
     """The load of each Dirichlet start of ``uniqueness_probe``."""
     starts = np.random.default_rng(seed).dirichlet(np.ones(params.capacity_k + 1),
                                                    size=n_starts)
-    with np.errstate(all="ignore"):
-        birth, death = fixed_point._lane_rates([params])(starts, [0] * n_starts)
+    birth, death = fixed_point._lane_rates([params])(starts, [0] * n_starts)
     return (np.maximum(birth, 0.0) / death).tolist()
 
 
@@ -1455,6 +1464,30 @@ class TestUniquenessProbe:
             _probe_lane_per_start(FIG5, 20, seed=0)
         assert ([_result_bits(r) for r in err.value.results]
                 == [_result_bits(r) for r in ref.value.results])
+
+    def test_wide_draws_end_in_a_result_or_a_typed_error_without_a_guard(self):
+        # rates 1e-6 to 1e6, K 2 to 500, under the suite's warnings-as-errors and with
+        # no np.errstate: the probe, and the self-map on a Dirichlet vector and on the
+        # solved vector, return a result or raise a BikeShareError, never a warning
+        rng = np.random.default_rng(4)
+        outcomes = collections.Counter()
+
+        def tally(name, call):
+            try:
+                call()
+            except BikeShareError as exc:
+                outcomes[name, type(exc).__name__] += 1
+            else:
+                outcomes[name, "result"] += 1
+
+        for i in range(300):
+            params = _wide_params(rng)
+            tally("probe", lambda: uniqueness_probe(params, 5, seed=i))
+            vector = rng.dirichlet(np.ones(params.capacity_k + 1))
+            tally("dirichlet", lambda: self_map_residual(vector, params))
+            tally("solved", lambda: self_map_residual(solve_fixed_point(params).p, params))
+        assert outcomes == {("probe", "result"): 300, ("dirichlet", "result"): 300,
+                            ("solved", "result"): 243, ("solved", "AssumptionViolationError"): 57}
 
     @pytest.mark.parametrize("params", [FIG5, FIG7, ANALYTIC])
     def test_defect_changes_sign_once(self, params):
