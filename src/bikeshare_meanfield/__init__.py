@@ -39,7 +39,6 @@ from .dynamics import (
     jacobian,
     lipschitz_bound,
     sample_domain_points,
-    weighted_sup_distance,
 )
 from .fixed_point import (
     FixedPointResult,
@@ -58,7 +57,6 @@ from .simulator import (
     Walker,
     empirical_vs_ode,
     independence_statistic,
-    replicate,
     simulate,
 )
 
@@ -90,7 +88,6 @@ __all__ = [
     "jacobian",
     "lipschitz_bound",
     "sample_domain_points",
-    "weighted_sup_distance",
     "FixedPointResult",
     "birth_death_stationary",
     "geometric_form",
@@ -105,7 +102,6 @@ __all__ = [
     "Walker",
     "empirical_vs_ode",
     "independence_statistic",
-    "replicate",
     "simulate",
 ]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,7 +138,8 @@ def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[Swe
     grid = _as_values("grid", grid)
     if not grid:
         raise ConfigError("sweep grid must not be empty")
-    return _solve_records([replace(base, **{field: value}) for value in grid], prices,
+    fields = vars(base)
+    return _solve_records([SystemParams(**{**fields, field: value}) for value in grid], prices,
                           vary, [float(value) for value in grid])
 
 
@@ -175,10 +176,10 @@ def evaluate_design_grid(
     c_grid, k_grid, mu_grid = (
         sorted(read(key, v) for v in _as_values(key, search.get(key, [getattr(base, key)])))
         for key, read in (("capacity_c", _as_int), ("capacity_k", _as_int), ("mu", _as_float)))
-    nodes = []
+    nodes, fields = [], vars(base)
     for c, k, mu in itertools.product(c_grid, k_grid, mu_grid):
         try:
-            nodes.append(replace(base, capacity_c=c, capacity_k=k, mu=mu))
+            nodes.append(SystemParams(**{**fields, "capacity_c": c, "capacity_k": k, "mu": mu}))
         except ConfigError:
             pass  # infeasible: SystemParams owns the rule
     if not nodes:

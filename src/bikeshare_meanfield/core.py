@@ -99,7 +99,7 @@ def _write_json(path, payload: dict) -> None:
     write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SystemParams:
     """All model constants in one validated record.
 
@@ -112,6 +112,10 @@ class SystemParams:
     n_stations  number of stations (only finite-N objects use it)
     delta       problematic-station margin in (0, 1): the analysis assumes
                 the empty and full fractions stay below 1 - delta
+
+    The constructor converts the four floats, then the four integers, checks the
+    converted values and stores all eight at once; ``repr``, ``==``, ``hash`` and
+    ``dataclasses.replace`` are the dataclass's.
     """
 
     lam: float
@@ -123,35 +127,35 @@ class SystemParams:
     n_stations: int = 1000
     delta: float = 0.1
 
-    def __post_init__(self):
-        for key, name in (("lambda", "lam"), ("mu", "mu"), ("gamma", "gamma"),
-                          ("delta", "delta")):
-            object.__setattr__(self, name, _as_float(key, getattr(self, name)))
-        for name in ("omega", "capacity_c", "capacity_k", "n_stations"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if not self.lam > 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if not 0 < self.gamma <= self.mu:
-            raise ConfigError(
-                f"rates must satisfy 0 < gamma <= mu, got gamma={self.gamma}, mu={self.mu}"
-            )
-        if self.omega < 0:
-            raise ConfigError(f"omega must be nonnegative, got {self.omega}")
+    def __init__(self, lam: float, mu: float, gamma: float, omega: int, capacity_c: int,
+                 capacity_k: int, n_stations: int = 1000, delta: float = 0.1):
+        lam, mu, gamma, delta = (_as_float("lambda", lam), _as_float("mu", mu),
+                                 _as_float("gamma", gamma), _as_float("delta", delta))
+        omega, capacity_c, capacity_k, n_stations = (
+            _as_int("omega", omega), _as_int("capacity_c", capacity_c),
+            _as_int("capacity_k", capacity_k), _as_int("n_stations", n_stations))
+        if not lam > 0:
+            raise ConfigError(f"lambda must be positive, got {lam}")
+        if not 0 < gamma <= mu:
+            raise ConfigError(f"rates must satisfy 0 < gamma <= mu, got gamma={gamma}, mu={mu}")
+        if omega < 0:
+            raise ConfigError(f"omega must be nonnegative, got {omega}")
         try:
-            float(self.omega)
+            float(omega)
         except OverflowError:
             raise ConfigError(
-                f"omega must fit in a float, got a {self.omega.bit_length()}-bit integer"
+                f"omega must fit in a float, got a {omega.bit_length()}-bit integer"
             ) from None
-        if not 1 <= self.capacity_c < self.capacity_k:
+        if not 1 <= capacity_c < capacity_k:
             raise ConfigError(
-                "capacities must satisfy 1 <= C < K, got "
-                f"C={self.capacity_c}, K={self.capacity_k}"
+                f"capacities must satisfy 1 <= C < K, got C={capacity_c}, K={capacity_k}"
             )
-        if self.n_stations < 2:
-            raise ConfigError(f"n_stations must be at least 2, got {self.n_stations}")
-        if not 0 < self.delta < 1:
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
+        if n_stations < 2:
+            raise ConfigError(f"n_stations must be at least 2, got {n_stations}")
+        if not 0 < delta < 1:
+            raise ConfigError(f"delta must lie in (0, 1), got {delta}")
+        self.__dict__.update(lam=lam, mu=mu, gamma=gamma, omega=omega, capacity_c=capacity_c,
+                             capacity_k=capacity_k, n_stations=n_stations, delta=delta)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemParams":
@@ -385,13 +389,21 @@ def limiting_rates(y, params: SystemParams) -> RatePair:
     return RatePair(birth=birth, death=death)
 
 
-def _rate_pair(rates) -> tuple[float, float]:
-    """The (birth, death) pair of a constant-rate queue: birth >= 0, death > 0 (NaN fails)."""
-    a, b = float(rates[0]), float(rates[1])
+def _rate_error(a: float, b: float) -> ConfigError | None:
+    """The ``ConfigError`` of floats (a, b) that are not the (birth, death) pair of a
+    constant-rate queue, birth >= 0 and death > 0 (NaN fails), or None."""
     if not a >= 0:
-        raise ConfigError(f"birth rate must be nonnegative, got {a}")
+        return ConfigError(f"birth rate must be nonnegative, got {a}")
     if not b > 0:
-        raise ConfigError(f"death rate must be positive, got {b}")
+        return ConfigError(f"death rate must be positive, got {b}")
+    return None
+
+
+def _rate_pair(rates) -> tuple[float, float]:
+    """The (birth, death) pair of a constant-rate queue, checked by ``_rate_error``."""
+    a, b = float(rates[0]), float(rates[1])
+    if (error := _rate_error(a, b)) is not None:
+        raise error
     return a, b
 
 

@@ -458,14 +458,6 @@ def lipschitz_bound(params: SystemParams) -> float:
     )
 
 
-def weighted_sup_distance(x, y) -> float:
-    """sup_k |x_k - y_k| / (k + 1); at most 1 for two points on the simplex."""
-    x, y = _one_vector("weighted_sup_distance", x), _one_vector("weighted_sup_distance", y)
-    if x.shape != y.shape:
-        raise ConfigError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.max(np.abs(x - y) / (np.arange(x.size) + 1.0)))
-
-
 def sample_domain_points(params: SystemParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Random simplex points inside the model's valid domain.
 

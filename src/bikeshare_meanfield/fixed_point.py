@@ -31,6 +31,7 @@ from .core import (
     _levels,
     _one_vector,
     _queue_capacity,
+    _rate_error,
     _rate_pair,
     _write_json,
     fraction_vector,
@@ -350,28 +351,28 @@ def _solved_points(rows, found: list, capacity_k: int) -> list:
     lanes = [lane for lane, outcome in enumerate(found) if type(outcome) is tuple]
     roots = [found[lane][0] for lane in lanes]
     _, block, births, deaths = rows(roots, lanes)
+    births = [max(a, 0.0) for a in births]  # -0.0 stays -0.0
     points, picked = list(found), []
-    rates = [RatePair(max(a, 0.0), b) for a, b in zip(births, deaths)]  # -0.0 stays -0.0
-    for row, rate in enumerate(rates):
-        try:
-            _rate_pair(rate)
-        except BikeShareError as exc:
-            points[lanes[row]] = exc
-        else:
+    for row, (a, b) in enumerate(zip(births, deaths)):
+        if (error := _rate_error(a, b)) is None:
             picked.append(row)
-    vectors = block if len(picked) == len(lanes) else block[picked]
-    births, deaths = np.array([rates[row] for row in picked]).reshape(-1, 2).T
+        else:
+            points[lanes[row]] = error
+    vectors, rates = block, np.array((births, deaths))
+    if len(picked) < len(lanes):
+        vectors, rates = block[picked], rates[:, picked]
     size = max(1, _RESIDUAL_SLICE_BYTES // (8 * (capacity_k + 1) ** 2))
     # one slice of zeros, reused: each slice rewrites the same three diagonals
     stack = np.zeros((min(size, len(picked)), capacity_k + 1, capacity_k + 1))
     for start in range(0, len(picked), size):
         part = slice(start, start + size)
-        generators = _generator_stack(stack, births[part], deaths[part])
+        generators = _generator_stack(stack, rates[0, part], rates[1, part])
         # a stacked matmul takes one vector-matrix product per row, like ``p @ generator``
         products = np.matmul(vectors[part, None, :], generators)[:, 0, :]
         for row, residual in zip(picked[part], np.maximum.reduce(np.abs(products), 1).tolist()):
             lane = lanes[row]
-            points[lane] = FixedPointResult(block[row], roots[row], rates[row], residual,
+            points[lane] = FixedPointResult(block[row], roots[row],
+                                            RatePair(births[row], deaths[row]), residual,
                                             found[lane][1])
     return points
 
@@ -444,6 +445,7 @@ def _residual_capacity_error(capacity_k: int) -> ConfigError | None:
                            "the dense (K+1) x (K+1) residual generator needs 8 (K+1)**2 bytes")
 
 
+@np.errstate(all="ignore")
 def _solve_many(params_list: list[SystemParams]) -> list:
     """``solve_fixed_point`` of every set in ``params_list``: per set its
     ``FixedPointResult``, or the ``BikeShareError`` its solve raises.
@@ -493,6 +495,7 @@ def solve_fixed_point(params: SystemParams) -> FixedPointResult:
     return outcome
 
 
+@np.errstate(all="ignore")
 def nonlinear_residual(p, params: SystemParams) -> np.ndarray:
     """K+1 residuals of the cleared-denominator stationary equations at p.
 
@@ -564,6 +567,7 @@ def _refine_locally(rho0: float, max_steps: int):
     )
 
 
+@np.errstate(all="ignore")
 def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
                      max_iterations: int = 60) -> list[FixedPointResult]:
     """Hunt for multiple fixed points from random starting vectors.
@@ -639,6 +643,7 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
     return results
 
 
+@np.errstate(all="ignore")
 def self_map_residual(p, params: SystemParams) -> float:
     """Sup-norm distance between p and the stationary vector its rates induce."""
     p = fraction_vector(_one_vector("self_map_residual", p, params))

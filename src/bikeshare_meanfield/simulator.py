@@ -25,7 +25,7 @@ reproducible, and bit-identical to earlier releases for the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -484,8 +484,3 @@ def empirical_vs_ode(config: SimConfig) -> float:
     sim_traj = report.trajectory
     ode_states = ode.at(sim_traj.times)
     return float(np.max(np.abs(sim_traj.states - ode_states)))
-
-
-def replicate(config: SimConfig, seeds) -> list[SimReport]:
-    """Independent replications of one configuration across several seeds."""
-    return [simulate(replace(config, seed=s)) for s in seeds]

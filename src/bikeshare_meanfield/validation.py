@@ -171,6 +171,7 @@ def check_simulation_agreement(params: SystemParams, result: FixedPointResult,
     )
 
 
+@np.errstate(all="ignore")
 def run_all(params: SystemParams, seed: int = 20240,
             sim_t_measure: float | None = None) -> list[CheckResult]:
     """Run the full cross-check suite in a fixed order, on one solve of ``params``.

@@ -1,5 +1,6 @@
 """Metrics, sweeps and the design-grid optimizers."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,54 @@ class TestSweep:
         sweep_to_csv(records, p1, base=SMALL)
         sweep_to_csv(records, p2, base=SMALL)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestNodeBuilder:
+    """Each node of a sweep or design grid is ``replace(base, ...)``: equal, of the same
+    field types (so the same repr), and refused with the same ``ConfigError``."""
+
+    @staticmethod
+    def _same_records(nodes, expected):
+        assert nodes == expected
+        assert [repr(node) for node in nodes] == [repr(node) for node in expected]
+
+    @pytest.mark.parametrize("vary,grid", [
+        ("lambda", np.linspace(10.0, 30.0, 41)), ("lam", [15, np.float32(16.5)]),
+        ("mu", [0.25, 4, np.float64(8.5)]), ("gamma", [0.1, 8.0, np.int64(1)]),
+        ("omega", [0, 1, 3.0, np.int64(2)]), ("capacity_c", [1, 20.0, np.uint8(49)]),
+        ("capacity_k", [31, 50.0, np.int32(200)]), ("n_stations", [2, 10 ** 6]),
+        ("delta", [0.05, np.float64(0.5)]),
+    ])
+    def test_sweep_nodes_equal_replace(self, vary, grid):
+        field = "lam" if vary == "lambda" else vary
+        records = sweep(FIG5, vary, grid, ProfitPrices())
+        self._same_records([r.params for r in records],
+                           [replace(FIG5, **{field: value}) for value in grid])
+
+    @pytest.mark.parametrize("vary,value", [("omega", -1), ("mu", 0.1), ("capacity_c", 50),
+                                            ("delta", "0.5"), ("lambda", np.nan),
+                                            ("omega", 2 ** 1100)])
+    def test_invalid_sweep_value_refused_as_replace_refuses_it(self, vary, value):
+        field = "lam" if vary == "lambda" else vary
+        with pytest.raises(ConfigError) as expected:
+            replace(FIG5, **{field: value})
+        with pytest.raises(ConfigError) as err:
+            sweep(FIG5, vary, [getattr(FIG5, field), value], ProfitPrices())
+        assert str(err.value) == str(expected.value)
+
+    def test_grid_nodes_equal_replace_with_the_infeasible_ones_skipped(self):
+        # C >= K and mu < gamma are infeasible; so is mu = 0
+        c_grid, k_grid, mu_grid = [1, 10, 30, 60], [5, 31, 50], [0.0, 0.1, 0.25, 8]
+        expected = []
+        for c, k, mu in itertools.product(c_grid, k_grid, mu_grid):
+            try:
+                expected.append(replace(FIG5, capacity_c=c, capacity_k=k, mu=mu))
+            except ConfigError:
+                continue
+        assert 0 < len(expected) < len(c_grid) * len(k_grid) * len(mu_grid)
+        records = evaluate_design_grid(
+            {"capacity_c": c_grid, "capacity_k": k_grid, "mu": mu_grid}, FIG5, ProfitPrices())
+        self._same_records([r.params for r in records], expected)
 
 
 class TestOptimizers:

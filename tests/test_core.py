@@ -1,6 +1,10 @@
 """Core rate formulas and the generator construction."""
 
+import copy
+import dataclasses
+import itertools
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -200,6 +204,143 @@ class TestSystemParams:
         d = make_params().to_dict()
         d["t_end"] = 10.0
         assert SystemParams.from_dict(d) == make_params()
+
+
+# SystemParams' contract, as a table: (field, value, the exact ConfigError text) of
+# make_params(**{field: value}), and the phase and rank that pick the message when two
+# fields are bad.  Conversions come first, the floats lambda, mu, gamma, delta and then
+# the integers omega, C, K, N; the range checks follow in the order lambda, gamma and mu,
+# omega, omega as a float, C and K, N, delta, on the converted values.
+_FLOAT_KEYS = {"lam": "lambda", "mu": "mu", "gamma": "gamma", "delta": "delta"}
+_CONVERSION_RANK = ["lam", "mu", "gamma", "delta", "omega", "capacity_c", "capacity_k",
+                    "n_stations"]
+
+
+def _conversion_cases():
+    cases = []
+    for field in _CONVERSION_RANK:
+        if field in _FLOAT_KEYS:
+            values = [True, "1", math.nan, math.inf]
+            text = f"{_FLOAT_KEYS[field]} must be a finite number"
+        else:
+            values, text = [True, "1", math.nan, math.inf, 2.5], f"{field} must be an integer"
+        for value in values:
+            cases.append((field, value, f"{text}, got {value!r}", 0,
+                          _CONVERSION_RANK.index(field)))
+    return cases
+
+
+_RANGE_CASES = [  # (field, value, message, range-check rank)
+    ("lam", 0.0, "lambda must be positive, got 0.0", 0),
+    ("lam", -1, "lambda must be positive, got -1.0", 0),
+    ("mu", 0.25, "rates must satisfy 0 < gamma <= mu, got gamma=0.5, mu=0.25", 1),
+    ("mu", -4.0, "rates must satisfy 0 < gamma <= mu, got gamma=0.5, mu=-4.0", 1),
+    ("gamma", 0, "rates must satisfy 0 < gamma <= mu, got gamma=0.0, mu=4.0", 1),
+    ("gamma", -0.5, "rates must satisfy 0 < gamma <= mu, got gamma=-0.5, mu=4.0", 1),
+    ("gamma", 5.0, "rates must satisfy 0 < gamma <= mu, got gamma=5.0, mu=4.0", 1),
+    ("omega", -1, "omega must be nonnegative, got -1", 2),
+    ("omega", -1.0, "omega must be nonnegative, got -1", 2),
+    ("omega", 2 ** 1100, "omega must fit in a float, got a 1101-bit integer", 3),
+    ("omega", 10 ** 400, "omega must fit in a float, got a 1329-bit integer", 3),
+    ("capacity_c", 0, "capacities must satisfy 1 <= C < K, got C=0, K=4", 4),
+    ("capacity_c", 4, "capacities must satisfy 1 <= C < K, got C=4, K=4", 4),
+    ("capacity_c", 5.0, "capacities must satisfy 1 <= C < K, got C=5, K=4", 4),
+    ("capacity_k", 3, "capacities must satisfy 1 <= C < K, got C=3, K=3", 4),
+    ("capacity_k", 0, "capacities must satisfy 1 <= C < K, got C=3, K=0", 4),
+    ("n_stations", 1, "n_stations must be at least 2, got 1", 5),
+    ("n_stations", -3, "n_stations must be at least 2, got -3", 5),
+    ("delta", 0, "delta must lie in (0, 1), got 0.0", 6),
+    ("delta", 1.0, "delta must lie in (0, 1), got 1.0", 6),
+    ("delta", -0.5, "delta must lie in (0, 1), got -0.5", 6),
+]
+
+_CONTRACT_CASES = _conversion_cases() + [(f, v, m, 1, rank) for f, v, m, rank in _RANGE_CASES]
+
+
+def _config_error(**fields):
+    with pytest.raises(ConfigError) as err:
+        make_params(**fields)
+    return str(err.value)
+
+
+class TestSystemParamsContract:
+    @pytest.mark.parametrize("field,value,message", [case[:3] for case in _CONTRACT_CASES],
+                             ids=[f"{f}-{str(v)[:12]}" for f, v, *_ in _CONTRACT_CASES])
+    def test_one_bad_field_gives_its_message(self, field, value, message):
+        assert _config_error(**{field: value}) == message
+
+    def test_two_bad_fields_give_the_message_of_the_first_check(self):
+        # a conversion before any range check, and each phase in its own order; two range
+        # cases of one check (gamma and mu, C and K) share a message and are skipped
+        pairs = 0
+        for first, second in itertools.combinations(_CONTRACT_CASES, 2):
+            if first[0] == second[0] or (first[3] == second[3] == 1 and first[4] == second[4]):
+                continue
+            expected = min(first, second, key=lambda case: case[3:])[2]
+            assert _config_error(**{first[0]: first[1], second[0]: second[1]}) == expected, (
+                first[:2], second[:2])
+            pairs += 1
+        assert pairs > 1000
+
+    @pytest.mark.parametrize("field,value,expected", [
+        ("lam", np.float64(1.5), 1.5), ("lam", 2, 2.0), ("mu", np.float32(4.5), 4.5),
+        ("gamma", np.int64(1), 1.0), ("delta", np.float16(0.25), 0.25),
+        ("omega", np.int64(2), 2), ("omega", 3.0, 3), ("capacity_c", np.uint8(2), 2),
+        ("capacity_k", np.float64(6.0), 6), ("n_stations", np.int32(50), 50),
+    ])
+    def test_numpy_scalars_stored_as_exact_python_numbers(self, field, value, expected):
+        stored = getattr(make_params(**{field: value}), field)
+        assert stored == expected and type(stored) is type(expected)
+
+    def test_repr_eq_and_hash_are_the_dataclass_ones(self):
+        p = make_params()
+        assert repr(p) == ("SystemParams(lam=1.0, mu=4.0, gamma=0.5, omega=1, capacity_c=3, "
+                           "capacity_k=4, n_stations=100, delta=0.2)")
+        same = make_params(lam=np.float64(1.0), mu=4, omega=1.0, capacity_c=np.int64(3))
+        assert p == same and hash(p) == hash(same)
+        assert hash(p) == hash((1.0, 4.0, 0.5, 1, 3, 4, 100, 0.2))
+        assert p != make_params(delta=0.25)
+        assert p != (1.0, 4.0, 0.5, 1, 3, 4, 100, 0.2)
+        assert vars(p) == {"lam": 1.0, "mu": 4.0, "gamma": 0.5, "omega": 1, "capacity_c": 3,
+                           "capacity_k": 4, "n_stations": 100, "delta": 0.2}
+
+    def test_fields_defaults_and_positional_arguments(self):
+        assert [(f.name, f.default) for f in dataclasses.fields(SystemParams)] == [
+            ("lam", dataclasses.MISSING), ("mu", dataclasses.MISSING),
+            ("gamma", dataclasses.MISSING), ("omega", dataclasses.MISSING),
+            ("capacity_c", dataclasses.MISSING), ("capacity_k", dataclasses.MISSING),
+            ("n_stations", 1000), ("delta", 0.1)]
+        p = SystemParams(1.0, 4.0, 0.5, 1, 3, 4)
+        assert (p.n_stations, p.delta) == (1000, 0.1)
+        assert SystemParams(1.0, 4.0, 0.5, 1, 3, 4, 100, 0.2) == make_params()
+        with pytest.raises(TypeError):
+            SystemParams(1.0, 4.0, 0.5)
+        with pytest.raises(TypeError):
+            make_params(stations=10)
+
+    def test_frozen(self):
+        p = make_params()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.lam = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.mu
+        assert p == make_params()
+
+    def test_pickle_and_copies_round_trip(self):
+        p = make_params(omega=2 ** 1000, lam=np.float64(0.5))
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert twin == p and repr(twin) == repr(p) and hash(twin) == hash(p)
+            assert [type(getattr(twin, f)) for f in vars(p)] == [type(v) for v in vars(p).values()]
+
+    def test_replace_validates_the_changed_record(self):
+        p = make_params()
+        moved = dataclasses.replace(p, lam=2, capacity_c=np.int64(2))
+        assert moved == make_params(lam=2.0, capacity_c=2) and type(moved.lam) is float
+        assert type(moved.capacity_c) is int
+        for field, value, message, *_ in _CONTRACT_CASES:
+            with pytest.raises(ConfigError) as err:
+                dataclasses.replace(p, **{field: value})
+            assert str(err.value) == message
 
 
 class TestFractionVector:

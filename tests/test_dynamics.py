@@ -27,7 +27,6 @@ from bikeshare_meanfield import (
     lipschitz_bound,
     sample_domain_points,
     solve_fixed_point,
-    weighted_sup_distance,
 )
 from bikeshare_meanfield.core import SIMPLEX_TOL
 from bikeshare_meanfield.errors import (
@@ -752,34 +751,3 @@ class TestLipschitzBound:
             bound = lipschitz_bound(params)
             for y in domain_points(params, 50, seed=11):
                 assert column_sum_norm(jacobian(y, params)) <= bound
-
-
-class TestWeightedSupDistance:
-    def test_zero_on_equal(self):
-        x = np.array([0.25, 0.25, 0.5])
-        assert weighted_sup_distance(x, x) == 0.0
-
-    def test_hand_value(self):
-        assert weighted_sup_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-
-    def test_bounded_on_simplex(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            x = rng.dirichlet(np.ones(6))
-            y = rng.dirichlet(np.ones(6))
-            assert weighted_sup_distance(x, y) <= 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            weighted_sup_distance([0.5, 0.5], [0.2, 0.3, 0.5])
-
-    @pytest.mark.parametrize("x,y", [
-        pytest.param([], [], id="empty"),
-        pytest.param(["a"], [1], id="string"),
-        pytest.param([[0.5, 0.5]], [[0.5, 0.5]], id="one-row-blocks"),
-        pytest.param([True, False], [0.0, 1.0], id="booleans"),
-    ])
-    def test_reads_two_vectors_of_numbers(self, x, y):
-        # numpy's ValueError escaped for the first two
-        with pytest.raises(ConfigError, match="weighted_sup_distance expects one nonempty"):
-            weighted_sup_distance(x, y)

@@ -34,7 +34,7 @@ from bikeshare_meanfield import (
     stationary_from_load,
     uniqueness_probe,
 )
-from bikeshare_meanfield import core, dynamics, fixed_point, validation
+from bikeshare_meanfield import analysis, core, dynamics, fixed_point, validation
 from bikeshare_meanfield.errors import (
     AssumptionViolationError,
     BikeShareError,
@@ -1466,9 +1466,9 @@ class TestUniquenessProbe:
                 == [_result_bits(r) for r in ref.value.results])
 
     def test_wide_draws_end_in_a_result_or_a_typed_error_without_a_guard(self):
-        # rates 1e-6 to 1e6, K 2 to 500, under the suite's warnings-as-errors and with
-        # no np.errstate: the probe, and the self-map on a Dirichlet vector and on the
-        # solved vector, return a result or raise a BikeShareError, never a warning
+        # rates 1e-6 to 1e6, K 2 to 500, under the suite's warnings-as-errors and numpy's
+        # default error state: the probe, and the self-map on a Dirichlet vector and on
+        # the solved vector, return a result or raise a BikeShareError, never a warning
         rng = np.random.default_rng(4)
         outcomes = collections.Counter()
 
@@ -1539,6 +1539,81 @@ class TestUniquenessProbe:
             tracemalloc.stop()
         assert peak < 16e6
         assert detail == _one_call_root_count_detail(params)
+
+
+def _wide_draw_details():
+    """Every outcome of the 300 wide draws (seed 4) of
+    ``test_wide_draws_end_in_a_result_or_a_typed_error_without_a_guard``, in bytes: the
+    solve (its result, or the class, message and result of its domain error), the probe,
+    and the self-map and cleared-denominator residuals at a Dirichlet vector and at the
+    solved vector; a ``BikeShareError`` is its class and message."""
+    rng = np.random.default_rng(4)
+
+    def detail(call):
+        try:
+            out = call()
+        except BikeShareError as exc:
+            return type(exc).__name__, str(exc)
+        if isinstance(out, list):
+            return [_result_bits(result) for result in out]
+        return np.asarray(out).tobytes()
+
+    details = []
+    for i in range(300):
+        params = _wide_params(rng)
+        vector = rng.dirichlet(np.ones(params.capacity_k + 1))
+        try:
+            result = solve_fixed_point(params)
+            solved = _result_bits(result)
+        except AssumptionViolationError as exc:
+            result, solved = exc.result, (str(exc), _result_bits(exc.result))
+        details.append([solved, detail(lambda: uniqueness_probe(params, 5, seed=i)),
+                        *(detail(lambda: check(p, params))
+                          for check in (self_map_residual, nonlinear_residual)
+                          for p in (vector, result.p))])
+    return details
+
+
+class TestNumpyErrorState:
+    """Each public fixed-point entry and ``validation.run_all`` sets its own floating-point
+    state: a caller's ``np.seterr(all="raise")`` changes no bit and raises nothing new."""
+
+    DEFAULTS = {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}
+
+    def test_wide_draws_keep_every_bit_when_numpy_raises(self):
+        assert np.geterr() == self.DEFAULTS
+        default = _wide_draw_details()
+        with np.errstate(all="raise"):  # the state np.seterr(all="raise") sets
+            raising = _wide_draw_details()
+        assert raising == default
+
+    def test_lockstep_groups_keep_every_bit_when_numpy_raises(self):
+        nodes = _grid_of_groups(np.random.default_rng(17), 12)
+        default = [_detail(_outcome_of(outcome), None)
+                   for outcome in fixed_point._solve_many(nodes)]
+        with np.errstate(all="raise"):
+            raising = [_detail(_outcome_of(outcome), None)
+                       for outcome in fixed_point._solve_many(nodes)]
+            records = analysis.sweep(FIG5, "lambda", np.linspace(0.5, 2000.0, 41),
+                                     analysis.ProfitPrices())
+        assert raising == default
+        assert records == analysis.sweep(FIG5, "lambda", np.linspace(0.5, 2000.0, 41),
+                                         analysis.ProfitPrices())
+
+    def test_run_all_checks_run_in_its_own_state(self, monkeypatch):
+        states = []
+        jacobian_bound = validation.check_jacobian_bound
+
+        def recorded(params):
+            states.append(np.geterr())
+            return jacobian_bound(params)
+
+        monkeypatch.setattr(validation, "check_jacobian_bound", recorded)
+        default = validation.run_all(ANALYTIC, sim_t_measure=0.5)
+        with np.errstate(all="raise"):
+            raising = validation.run_all(ANALYTIC, sim_t_measure=0.5)
+        assert raising == default
+        assert states == [dict.fromkeys(self.DEFAULTS, "ignore")] * 2
 
 
 class TestResultExport:

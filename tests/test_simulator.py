@@ -16,7 +16,6 @@ from bikeshare_meanfield import (
     Walker,
     empirical_vs_ode,
     independence_statistic,
-    replicate,
     simulate,
     solve_fixed_point,
 )
@@ -256,18 +255,22 @@ class TestConfig:
 
     @pytest.mark.parametrize("seed", [1.7, "3", True, np.bool_(True), 2 ** 64, -1])
     def test_seed_read_strictly(self, seed):
-        # replicate and SimConfig used to run 1.7 and True as seed 1, and "3" as seed 3
+        # SimConfig used to run 1.7 and True as seed 1, and "3" as seed 3, whether built,
+        # read from a mapping or copied onto another seed
         config = SimConfig(params=SMALL, seed=0, t_measure=1.0)
         with pytest.raises(ConfigError, match="seed must be an integer"):
-            replicate(config, [seed])
+            dataclasses.replace(config, seed=seed)
         with pytest.raises(ConfigError, match="seed must be an integer"):
             SimConfig(params=SMALL, seed=seed, t_measure=1.0)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            SimConfig.from_dict({**SMALL.to_dict(), "seed": seed, "t_measure": 1.0})
 
     def test_numpy_integer_seed_accepted(self):
         config = SimConfig(params=SMALL, seed=np.uint64(7), t_measure=1.0)
         assert config.seed == 7 and type(config.seed) is int
-        reports = replicate(config, np.array([5, 6]))
+        reports = [simulate(dataclasses.replace(config, seed=s)) for s in np.array([5, 6])]
         assert [type(r.config.seed) for r in reports] == [int, int]
+        assert [r.config.seed for r in reports] == [5, 6]
         assert reports_equal(reports[0], simulate(dataclasses.replace(config, seed=5)))
 
     def test_fractional_seed_rejected(self):
@@ -611,15 +614,6 @@ class TestEmpiricalVsOde:
                     for s in (1, 2, 3)]
             gaps.append(float(np.median(runs)))
         assert gaps[0] > gaps[1] > gaps[2]
-
-
-class TestRideRouting:
-    def test_replicate_seeds(self):
-        config = SimConfig(params=SMALL, seed=0, t_measure=3.0)
-        reports = replicate(config, seeds=[5, 6])
-        assert reports[0].config.seed == 5
-        assert reports[1].config.seed == 6
-        assert reports_equal(reports[0], simulate(dataclasses.replace(config, seed=5)))
 
 
 class TestExport:
