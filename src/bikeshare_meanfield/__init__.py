@@ -24,7 +24,6 @@ from .core import (
     SystemParams,
     build_generator,
     fraction_vector,
-    geometric_walk_factor,
     limiting_rates,
     mean_bikes,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "SystemParams",
     "build_generator",
     "fraction_vector",
-    "geometric_walk_factor",
     "limiting_rates",
     "mean_bikes",
     "OdeConfig",

@@ -313,16 +313,6 @@ def _geom_series(omega: int):
     return series
 
 
-def geometric_walk_factor(p0: float, omega: int) -> float:
-    """Walk multiplier sum(p0**k for k < omega); equals omega at p0 = 1."""
-    p0, omega = _as_float("p0", p0), _as_int("omega", omega)
-    if not 0.0 <= p0 <= 1.0:
-        raise ConfigError(f"p0 must lie in [0, 1], got {p0}")
-    if omega < 0:
-        raise ConfigError(f"omega must be nonnegative, got {omega}")
-    return float(_geom_series(omega)(p0))
-
-
 @functools.lru_cache
 def _levels(capacity_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only float vectors k and K - k for k = 0..K, shared by every caller."""
@@ -415,23 +405,27 @@ def _queue_capacity(capacity_k) -> int:
     return capacity_k
 
 
-def _generator_stack(out: np.ndarray, births: np.ndarray, deaths: np.ndarray) -> np.ndarray:
-    """The tridiagonal generators of ``build_generator`` with the rates births[i],
-    deaths[i] (float arrays of length n, not validated), written into the first n
-    slices of ``out``, an (m, K+1, K+1) stack with m >= n whose entries off the three
-    diagonals are zero.  Returns those n slices.  A caller that builds many slices
-    allocates and zeroes their memory once."""
-    gen = out[:births.size]
-    n = gen.shape[-1]
-    # strided writes into each slice's flat view: entry (i, j) sits at i * n + j
-    flat = gen.reshape(births.size, -1)
-    a, b = births[:, None], deaths[:, None]
-    flat[:, 1::n + 1] = a
-    flat[:, n::n + 1] = b
-    flat[:, ::n + 1] = -(a + b)
-    flat[:, 0] = -births
-    flat[:, -1] = -deaths
-    return gen
+def _generator_writer(capacity_k: int):
+    """``write(a, b)``, which writes the tridiagonal generator of ``build_generator``
+    with the float rates a, b (not validated) into the three diagonals of one zeroed
+    (K+1)x(K+1) matrix and returns that matrix.  Every call rewrites the same matrix,
+    whose entries off the three diagonals stay zero, so a caller that needs one
+    generator at a time allocates and zeroes its memory once."""
+    n = capacity_k + 1
+    gen = np.zeros((n, n))
+    # strided views of the flat matrix: entry (i, j) sits at i * n + j
+    flat = gen.reshape(-1)
+    upper, lower, diagonal = flat[1::n + 1], flat[n::n + 1], flat[::n + 1]
+
+    def write(a: float, b: float) -> np.ndarray:
+        upper.fill(a)
+        lower.fill(b)
+        diagonal.fill(-(a + b))
+        diagonal[0] = -a
+        diagonal[-1] = -b
+        return gen
+
+    return write
 
 
 def build_generator(rates: RatePair, capacity_k: int) -> np.ndarray:
@@ -439,9 +433,8 @@ def build_generator(rates: RatePair, capacity_k: int) -> np.ndarray:
 
     Birth rate on the superdiagonal, death rate on the subdiagonal, and
     diagonal entries -birth, -(birth+death), ..., -death so that every row
-    sums to zero up to one rounding of the diagonal.  The validated one-slice
-    case of ``_generator_stack``.
+    sums to zero up to one rounding of the diagonal.  The validated one-call
+    case of ``_generator_writer``.
     """
     a, b = _rate_pair(rates)
-    n = _queue_capacity(capacity_k) + 1
-    return _generator_stack(np.zeros((1, n, n)), np.array([a]), np.array([b]))[0]
+    return _generator_writer(_queue_capacity(capacity_k))(a, b)

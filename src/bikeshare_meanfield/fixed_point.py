@@ -24,7 +24,7 @@ from .core import (
     _as_int,
     _as_seed,
     _capacity_error,
-    _generator_stack,
+    _generator_writer,
     _geom_series,
     _level_sum,
     _level_sums,
@@ -56,11 +56,6 @@ RESIDUAL_TOL = 1e-10
 #: (8.9e-16 is just above 4 eps, the smallest rtol scipy's ``brentq`` accepts)
 _XTOL = 1e-15
 _RTOL = 8.9e-16
-
-#: bytes of dense generators per residual slice of ``_solved_points``: a slice and
-#: its vectors stay in a 2 MiB L2 cache, and from K = 256 on a slice holds one
-#: generator, so the peak is that of one residual at a time
-_RESIDUAL_SLICE_BYTES = 1 << 20
 
 #: 1.0 as a read-only 0-d array, which a ufunc takes without converting a Python float
 _ONE = np.array(1.0)
@@ -346,34 +341,22 @@ def _solved_points(rows, found: list, capacity_k: int) -> list:
     (root, iterations) replaced by its ``FixedPointResult``, or by the
     ``BikeShareError`` its rates raise; every other entry is kept as it is.  The
     vectors and rates of all roots come from one kernel block; the residual is p V_p
-    in sup-norm, taken for a slice of lanes at a time on a ``_generator_stack`` of at
-    most ``_RESIDUAL_SLICE_BYTES`` (one lane at a time from K = 256 on)."""
+    in sup-norm: one gemv per lane on the one generator of ``_generator_writer``, each
+    into its row of a product block, and one reduction of that block."""
     lanes = [lane for lane, outcome in enumerate(found) if type(outcome) is tuple]
     roots = [found[lane][0] for lane in lanes]
     _, block, births, deaths = rows(roots, lanes)
     births = [max(a, 0.0) for a in births]  # -0.0 stays -0.0
-    points, picked = list(found), []
-    for row, (a, b) in enumerate(zip(births, deaths)):
+    points, products, generator = list(found), np.zeros_like(block), _generator_writer(capacity_k)
+    for lane, p, a, b, product in zip(lanes, block, births, deaths, products):
         if (error := _rate_error(a, b)) is None:
-            picked.append(row)
+            np.matmul(p, generator(a, b), product)
         else:
-            points[lanes[row]] = error
-    vectors, rates = block, np.array((births, deaths))
-    if len(picked) < len(lanes):
-        vectors, rates = block[picked], rates[:, picked]
-    size = max(1, _RESIDUAL_SLICE_BYTES // (8 * (capacity_k + 1) ** 2))
-    # one slice of zeros, reused: each slice rewrites the same three diagonals
-    stack = np.zeros((min(size, len(picked)), capacity_k + 1, capacity_k + 1))
-    for start in range(0, len(picked), size):
-        part = slice(start, start + size)
-        generators = _generator_stack(stack, rates[0, part], rates[1, part])
-        # a stacked matmul takes one vector-matrix product per row, like ``p @ generator``
-        products = np.matmul(vectors[part, None, :], generators)[:, 0, :]
-        for row, residual in zip(picked[part], np.maximum.reduce(np.abs(products), 1).tolist()):
-            lane = lanes[row]
-            points[lane] = FixedPointResult(block[row], roots[row],
-                                            RatePair(births[row], deaths[row]), residual,
-                                            found[lane][1])
+            points[lane] = error
+    residuals = np.maximum.reduce(np.abs(products, products), 1).tolist()
+    for lane, p, root, a, b, residual in zip(lanes, block, roots, births, deaths, residuals):
+        if points[lane] is found[lane]:
+            points[lane] = FixedPointResult(p, root, RatePair(a, b), residual, found[lane][1])
     return points
 
 

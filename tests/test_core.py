@@ -18,7 +18,6 @@ from bikeshare_meanfield import (
     SystemParams,
     build_generator,
     fraction_vector,
-    geometric_walk_factor,
     limiting_rates,
     mean_bikes,
     nonlinear_residual,
@@ -383,63 +382,6 @@ class TestFractionVector:
             assert y.dtype == float and y.sum() == 1.0
 
 
-class TestGeometricWalkFactor:
-    def test_empty_sum(self):
-        assert geometric_walk_factor(0.5, 0) == 0.0
-
-    def test_at_one_equals_omega(self):
-        assert geometric_walk_factor(1.0, 3) == 3.0
-        assert geometric_walk_factor(1.0, 10**6) == 10**6
-
-    def test_direct_value(self):
-        # 1 + 0.5, cross-checked against the closed form (1 - 0.25)/(1 - 0.5)
-        assert geometric_walk_factor(0.5, 2) == pytest.approx(1.5, abs=1e-15)
-        assert geometric_walk_factor(0.5, 2) == pytest.approx((1 - 0.25) / (1 - 0.5))
-
-    def test_domain_checks(self):
-        with pytest.raises(ConfigError):
-            geometric_walk_factor(1.5, 2)
-        with pytest.raises(ConfigError):
-            geometric_walk_factor(0.5, -1)
-        # 2.5 and 2.0 raised a raw ValueError, "3" a raw TypeError, and True ran as omega = 1
-        for p0, omega in ((0.5, 2.5), (0.5, "3"), (0.5, True), (0.5, np.bool_(True)),
-                          ("0.5", 2), (True, 2), (float("nan"), 2), (0.5, None)):
-            with pytest.raises(ConfigError):
-                geometric_walk_factor(p0, omega)
-        assert geometric_walk_factor(0.5, 2.0) == geometric_walk_factor(0.5, 2) == 1.5
-        assert geometric_walk_factor(np.float64(0.5), np.int64(3)) == 1.75
-
-    @given(p0=st.floats(0.0, 1.0), omega=st.integers(0, 12))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_exact_rational_sum(self, p0, omega):
-        from fractions import Fraction
-
-        value = geometric_walk_factor(p0, omega)
-        exact = float(sum(Fraction(p0) ** k for k in range(omega)))
-        assert value == pytest.approx(exact, rel=1e-14, abs=1e-14)
-
-    @given(p0=st.floats(0.0, 0.99), omega=st.integers(1, 12))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_closed_form_away_from_one(self, p0, omega):
-        # the quotient form is only well conditioned away from p0 = 1;
-        # at p0 -> 1 the finite sum is the accurate one
-        value = geometric_walk_factor(p0, omega)
-        closed = (1 - p0 ** omega) / (1 - p0)
-        assert value == pytest.approx(closed, rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize("omega", [13, 100, 1_000, 100_000])
-    def test_large_omega_matches_closed_form(self, omega):
-        for p0 in np.linspace(0.0, 0.9, 91):
-            closed = (1 - p0 ** omega) / (1 - p0)
-            assert geometric_walk_factor(p0, omega) == pytest.approx(closed, rel=1e-13)
-
-    def test_continuous_at_one(self):
-        # removable singularity: approach 1 from below
-        for omega in (1, 2, 5):
-            near = geometric_walk_factor(1 - 1e-9, omega)
-            assert near == pytest.approx(float(omega), abs=1e-7)
-
-
 class TestLimitingRates:
     def test_no_empty_stations_gives_lambda(self):
         params = make_params(omega=3)
@@ -566,6 +508,11 @@ def _frozen_geom_sum(x, omega):
     return total
 
 
+def _walk_factor(p0, omega):
+    """The walk multiplier sum(p0**k for k < omega) of a float p0, through ``_geom_series``."""
+    return _geom_series(omega)(p0)
+
+
 def _same_bits(x, y):
     return np.array(x).tobytes() == np.array(y).tobytes()
 
@@ -602,6 +549,47 @@ class TestGeomSeries:
         for value in x.tolist():
             got, want = _geom_series(omega)(value), _frozen_geom_sum(value, omega)
             assert _same_bits(got, want), value
+
+    def test_empty_sum(self):
+        assert _walk_factor(0.5, 0) == 0.0
+
+    def test_at_one_equals_omega(self):
+        assert _walk_factor(1.0, 3) == 3.0
+        assert _walk_factor(1.0, 10**6) == 10**6
+
+    def test_direct_value(self):
+        # 1 + 0.5, cross-checked against the closed form (1 - 0.25)/(1 - 0.5)
+        assert _walk_factor(0.5, 2) == pytest.approx(1.5, abs=1e-15)
+        assert _walk_factor(0.5, 2) == pytest.approx((1 - 0.25) / (1 - 0.5))
+        assert _walk_factor(0.5, 3) == 1.75
+
+    @given(p0=st.floats(0.0, 1.0), omega=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_rational_sum(self, p0, omega):
+        value = _walk_factor(p0, omega)
+        exact = float(sum(Fraction(p0) ** k for k in range(omega)))
+        assert value == pytest.approx(exact, rel=1e-14, abs=1e-14)
+
+    @given(p0=st.floats(0.0, 0.99), omega=st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_closed_form_away_from_one(self, p0, omega):
+        # the quotient form is only well conditioned away from p0 = 1;
+        # at p0 -> 1 the finite sum is the accurate one
+        value = _walk_factor(p0, omega)
+        closed = (1 - p0 ** omega) / (1 - p0)
+        assert value == pytest.approx(closed, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("omega", [13, 100, 1_000, 100_000])
+    def test_large_omega_matches_closed_form(self, omega):
+        for p0 in np.linspace(0.0, 0.9, 91).tolist():
+            closed = (1 - p0 ** omega) / (1 - p0)
+            assert _walk_factor(p0, omega) == pytest.approx(closed, rel=1e-13)
+
+    def test_continuous_at_one(self):
+        # removable singularity: approach 1 from below
+        for omega in (1, 2, 5):
+            near = _walk_factor(1 - 1e-9, omega)
+            assert near == pytest.approx(float(omega), abs=1e-7)
 
 
 class TestLevels:

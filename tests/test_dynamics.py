@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from bikeshare_meanfield import (
     default_step,
     drift_finite_n,
     drift_limiting,
-    geometric_walk_factor,
     integrate,
     jacobian,
     limiting_rates,
@@ -28,7 +28,7 @@ from bikeshare_meanfield import (
     sample_domain_points,
     solve_fixed_point,
 )
-from bikeshare_meanfield.core import SIMPLEX_TOL
+from bikeshare_meanfield.core import SIMPLEX_TOL, _geom_series
 from bikeshare_meanfield.errors import (
     ConfigError,
     DomainExitError,
@@ -36,8 +36,9 @@ from bikeshare_meanfield.errors import (
     NegativeFleetError,
     StepInstabilityError,
 )
+from bikeshare_meanfield.validation import check_jacobian_bound
 
-FIG5 = SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
+FIG5 =SystemParams(lam=15.0, mu=8.0, gamma=0.25, omega=1, capacity_c=30,
                     capacity_k=50, n_stations=1000, delta=0.1)
 SMALL = SystemParams(lam=1.0, mu=4.0, gamma=0.5, omega=2, capacity_c=3,
                      capacity_k=4, n_stations=100, delta=0.2)
@@ -664,7 +665,7 @@ class TestJacobian:
             j = jacobian(y, params)
             expected = (y[0] * params.mu / (1 - y[-1]) + params.lam
                         + params.gamma * y[0]
-                        * geometric_walk_factor(y[0], params.omega))
+                        * _geom_series(params.omega)(float(y[0])))
             assert j[1, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_central_differences_on_criterion_7_points(self):
@@ -716,6 +717,30 @@ class TestSampleDomainPoints:
                 got = sample_domain_points(params, 200, np.random.default_rng(seed))
                 want = _frozen_sample_domain_points(params, 200, np.random.default_rng(seed))
                 assert got.tobytes() == want.tobytes(), (params, seed)
+
+    @pytest.mark.parametrize("capacity_c, capacity_k", [(20, 100), (1, 200), (3, 400)])
+    def test_many_docks_fall_back_to_levels_up_to_c(self, capacity_c, capacity_k):
+        # a uniform point on 0..K parks about K/2 bikes, far above C: the first batch
+        # accepts none, and the later ones draw on the levels 0..C only
+        params = SystemParams(lam=1.0, mu=8.0, gamma=0.25, omega=1, capacity_c=capacity_c,
+                              capacity_k=capacity_k, delta=0.1)
+        points = sample_domain_points(params, 200, np.random.default_rng(11))
+        assert points.shape == (200, capacity_k + 1)
+        assert not points[:, capacity_c + 1:].any()
+        assert np.allclose(points.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert points[:, 0].max() <= 0.899
+        assert (points @ np.arange(capacity_k + 1)).max() <= capacity_c - 1e-3
+
+    def test_jacobian_check_passes_with_many_more_docks_than_bikes(self):
+        # it raised ConfigError after 2,000 batches (2 s) when the sampler drew on 0..K only
+        params = SystemParams(lam=1.0, mu=8.0, gamma=0.25, omega=1, capacity_c=20,
+                              capacity_k=100, delta=0.1)
+        start = time.perf_counter()
+        check = check_jacobian_bound(params)
+        elapsed = time.perf_counter() - start
+        assert check.passed, check.detail
+        assert check.detail.endswith("vs bound 4.216e+05 over 200 points")
+        assert elapsed < 1.0
 
 
 def _frozen_sample_domain_points(params, n, rng):

@@ -551,21 +551,16 @@ def _dense_residual(p, rates, capacity_k):
     return float(np.abs(p @ build_generator(rates, capacity_k)).max())
 
 
-def _slice_lanes(capacity_k):
-    """Lanes per residual slice of ``_solved_points`` at K."""
-    return max(1, fixed_point._RESIDUAL_SLICE_BYTES // (8 * (capacity_k + 1) ** 2))
-
-
 class TestStackedResidual:
     def test_solve_many_residuals_equal_per_node_dense_products(self):
-        # mixed-K, mixed-omega groups of wide draws, shuffled into one call; each group
-        # has more lanes than a residual slice holds at its K, and K = 362 and 900 take
-        # one lane per slice
+        # mixed-K, mixed-omega groups of wide draws, shuffled into one call, K = 362 and
+        # 900 among them; every group solves several lanes, each of which rewrites the
+        # diagonals of the one generator its predecessor left
         rng = np.random.default_rng(2031)
         nodes = []
         for k in [*rng.integers(60, 362, size=8).tolist(), 362, 900]:
-            omega, lanes = int(rng.integers(0, 6)), _slice_lanes(k)
-            for _ in range(lanes + 1 + int(rng.integers(0, lanes))):
+            omega = int(rng.integers(0, 6))
+            for _ in range(int(rng.integers(6, 13))):
                 params = _wide_params(rng)
                 nodes.append(dataclasses.replace(params, capacity_k=k, omega=omega,
                                                  capacity_c=min(params.capacity_c, k - 1)))
@@ -578,16 +573,16 @@ class TestStackedResidual:
                 assert result.residual.hex() == _dense_residual(
                     result.p, result.rates, params.capacity_k).hex()
                 solved[params.capacity_k] = solved.get(params.capacity_k, 0) + 1
-        assert len(solved) == 10 and all(count > _slice_lanes(k) for k, count in solved.items())
+        assert len(solved) == 10 and all(count >= 2 for count in solved.values())
 
     def test_lanes_whose_rates_fail_keep_their_error(self):
         # every third lane gets a NaN birth rate: it keeps ``build_generator``'s typed
-        # error, and the other lanes' residuals come from a picked subset of the block
-        # that spans four slices.  Of the others, some have a birth rate of -0.0, which
-        # max(a, 0.0) keeps and np.maximum would turn into 0.0, and some a negative one
+        # error, and the lanes after it take their residuals on the generator it left
+        # unwritten.  Of the others, some have a birth rate of -0.0, which max(a, 0.0)
+        # keeps and np.maximum would turn into 0.0, and some a negative one
         k = 100
         group = [dataclasses.replace(FIG5, capacity_k=k, lam=float(lam))
-                 for lam in np.linspace(10, 30, 4 * _slice_lanes(k))]
+                 for lam in np.linspace(10, 30, 48)]
         rows = fixed_point._defect_kernel(group)
 
         def odd_births(births):
@@ -639,6 +634,21 @@ class TestStackedResidual:
         assert all(isinstance(result, fixed_point.FixedPointResult) for result in results)
         generator, block = 8 * 2001 ** 2, 8 * len(nodes) * 2001
         assert generator < peak < generator + 4 * block
+
+    def test_residual_memory_of_a_figure5_group_is_one_generator(self):
+        # 40 lanes at K = 100: one generator is 82 kB and a (40, K+1) block 32 kB; slices
+        # of a stack of 12 generators peaked at 1.05 MB
+        nodes = [dataclasses.replace(FIG5, capacity_k=100, lam=float(lam))
+                 for lam in np.linspace(10, 30, 40)]
+        fixed_point._solve_many(nodes[:1])
+        tracemalloc.start()
+        try:
+            results = fixed_point._solve_many(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(result, fixed_point.FixedPointResult) for result in results)
+        assert peak < 0.4e6
 
 
 class TestOdeTerminalCheck:
