@@ -6,7 +6,8 @@ probability), the mean parked-bike count E[Q], and the station profit
 R = -c E[Q] + psi (C - E[Q]).  Sweeps vary one model constant over a grid
 and solve the fixed point at every grid node; the design optimizers search
 exhaustively over (C, K, mu) grids.  The nodes of a sweep or grid are solved
-together, in lockstep wherever they share K and omega.
+together, in lockstep wherever they share K and omega; each solved node then
+takes its metrics from its own vector, on Python floats.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, _level_sums, _one_vector
+from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, _level_sum, _one_vector
 from .csvrows import write_text
 from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError, InvariantViolationError
 from .fixed_point import _solve_many, solve_fixed_point  # noqa: F401 - still importable here
@@ -74,22 +75,18 @@ class SweepRecord:
     error: str | None = None
 
 
-def _block_metrics(block: np.ndarray, capacities_c, prices: ProfitPrices) -> list[Metrics]:
-    """The metrics of each row of an (n, K+1) block of occupancy vectors, row i at the
-    capacity C ``capacities_c[i]``."""
-    eq = _level_sums(block)
-    profit = -prices.cost_c * eq + prices.benefit_psi * (np.array(capacities_c) - eq)
-    p0, pk = block[:, 0], block[:, -1]
-    return [Metrics(*row) for row in zip(p0.tolist(), pk.tolist(), (p0 + pk).tolist(),
-                                          eq.tolist(), profit.tolist())]
+def _metrics(p: np.ndarray, params: SystemParams, prices: ProfitPrices) -> Metrics:
+    """The five metrics of one float occupancy vector of ``params``, on Python floats."""
+    eq = float(_level_sum(params.capacity_k)(p))
+    p0, pk = p.item(0), p.item(-1)
+    profit = -prices.cost_c * eq + prices.benefit_psi * (params.capacity_c - eq)
+    return Metrics(p0, pk, p0 + pk, eq, profit)
 
 
 def compute_metrics(p, params: SystemParams, prices: ProfitPrices) -> Metrics:
-    """All five metrics of a stationary occupancy vector: the one-row case of the
-    metrics of a solved block."""
-    (metrics,) = _block_metrics(_one_vector("compute_metrics", p, params)[None, :],
-                                [params.capacity_c], prices)
-    return metrics
+    """All five metrics of a stationary occupancy vector, checked as one vector of
+    ``params``: the routine every sweep and design-grid node runs on its solved vector."""
+    return _metrics(_one_vector("compute_metrics", p, params), params, prices)
 
 
 def _as_values(name: str, values) -> list:
@@ -102,27 +99,21 @@ def _as_values(name: str, values) -> list:
 
 def _solve_records(nodes: list[SystemParams], prices: ProfitPrices, vary: str | None,
                    values: list) -> list[SweepRecord]:
-    """Solve every node, node i recorded at ``vary`` and ``values[i]``; a domain failure is
-    recorded instead of raised.  Metrics come from one block of vectors per K.
+    """Solve every node, node i recorded at ``vary`` and ``values[i]`` with the metrics of
+    its vector; a domain failure is recorded instead of raised.
 
     An ``InvariantViolationError`` is an internal bug, not a property of the
     node: the first one in node order propagates.
     """
-    outcomes = _solve_many(nodes)
-    solved: dict = {}  # K -> indices of the nodes that solved
-    for index, (params, outcome) in enumerate(zip(nodes, outcomes)):
+    records = []
+    for params, outcome, value in zip(nodes, _solve_many(nodes), values):
         if isinstance(outcome, InvariantViolationError):
             raise outcome
-        if not isinstance(outcome, BikeShareError):
-            solved.setdefault(params.capacity_k, []).append(index)
-    metrics: list = [None] * len(nodes)
-    for indices in solved.values():
-        block = np.array([outcomes[index].p for index in indices])
-        for index, row in zip(indices, _block_metrics(
-                block, [nodes[index].capacity_c for index in indices], prices)):
-            metrics[index] = row
-    return [SweepRecord(params, row, vary, value, None if row is not None else str(outcome))
-            for params, outcome, row, value in zip(nodes, outcomes, metrics, values)]
+        if isinstance(outcome, BikeShareError):
+            records.append(SweepRecord(params, None, vary, value, str(outcome)))
+        else:
+            records.append(SweepRecord(params, _metrics(outcome.p, params, prices), vary, value))
+    return records
 
 
 def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[SweepRecord]:

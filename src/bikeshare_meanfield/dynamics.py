@@ -465,11 +465,12 @@ def sample_domain_points(params: SystemParams, n: int, rng: np.random.Generator)
     y0, y_K <= 1 - delta - margin and mean parked bikes <= C - margin with
     margin = 1e-3 (so the drift and its Jacobian are defined at
     every returned point).  A uniform point parks about K/2 bikes, so with
-    many more docks than bikes a batch can accept none: if the first batch
-    accepts no point, every later batch draws Dirichlet(1, ..., 1) on the
-    levels 0..C, leaves the levels above C empty and filters by the same
-    conditions.  Raises ``ConfigError`` unless ``n`` is an
-    integer of at least 1, and if 2,000 batches do not give ``n`` points.
+    many more docks than bikes a batch can accept few or none: once the
+    points accepted so far, at the rate seen, cannot reach ``n`` in the
+    batches left (at once if the first batch accepts none), every later batch
+    draws Dirichlet(1, ..., 1) on the levels 0..C, leaves the levels above C
+    empty and filters by the same conditions.  Raises ``ConfigError`` unless
+    ``n`` is an integer of at least 1, and if 2,000 batches do not give ``n`` points.
     """
     n = _as_int("sample count", n)
     if n < 1:
@@ -478,8 +479,8 @@ def sample_domain_points(params: SystemParams, n: int, rng: np.random.Generator)
     margin = 1e-3
     bound = 1.0 - params.delta - margin
     out = []
-    have, levels = 0, k + 1
-    for _ in range(2000):
+    have, levels, batches = 0, k + 1, 2000
+    for done in range(1, batches + 1):
         batch = rng.dirichlet(np.ones(levels), size=max(4 * n, 256))
         if levels <= k:
             batch = np.pad(batch, ((0, 0), (0, k + 1 - levels)))
@@ -492,10 +493,10 @@ def sample_domain_points(params: SystemParams, n: int, rng: np.random.Generator)
         if good.size:
             out.append(good)
             have += good.shape[0]
-        elif not out:
-            levels = params.capacity_c + 1
         if have >= n:
             return np.vstack(out)[:n]
+        if have * batches < n * done:
+            levels = params.capacity_c + 1
     raise ConfigError(
         "could not sample the valid domain for these parameters "
         f"(C={params.capacity_c}, K={params.capacity_k}); acceptance too low"

@@ -243,6 +243,10 @@ def simulate(config: SimConfig) -> SimReport:
     arrival_walk = arrival_rate + gamma * n_walk  # recomputed wherever n_walk changes
     while True:
         for e, u in zip(te, tu):
+            # conservation in the last event's state at its time (at t = 0, the initial
+            # state): once per event, before the next timing draw
+            if parked + len(ride_excl) != total_bikes:
+                raise _unconserved(t, parked, len(ride_excl), total_bikes)
             total_rate = arrival_walk + mu * n_ride
             t += e / total_rate
             if sampling:
@@ -260,70 +264,61 @@ def simulate(config: SimConfig) -> SimReport:
             # an event that changes station d's level from k to k_new falls
             # through to the flush below; every other event ends in its branch
             u *= total_rate
-            if u < arrival_rate:
-                # outside arrival at a uniformly random station
-                if iau == block:
-                    au = _stations(g_arr.random(block), n)
-                    arrived += block
-                    iau = 0
-                d = au[iau]
-                iau += 1
-                k = bikes[d]
-                if k == 0:
-                    if omega > 0:
-                        walker_station.append(d)
-                        walker_left.append(omega)
-                        n_walk += 1
-                        arrival_walk = arrival_rate + gamma * n_walk
-                        walk_starts += 1
-                    else:
+            if u < arrival_walk:
+                if u < arrival_rate:
+                    # outside arrival at a uniformly random station
+                    if iau == block:
+                        au = _stations(g_arr.random(block), n)
+                        arrived += block
+                        iau = 0
+                    d = au[iau]
+                    iau += 1
+                    k = bikes[d]
+                    if k == 0:
+                        if omega > 0:
+                            walker_station.append(d)
+                            walker_left.append(omega)
+                            n_walk += 1
+                            arrival_walk = arrival_rate + gamma * n_walk
+                            walk_starts += 1
+                        else:
+                            abandonments += 1
+                        continue
+                else:
+                    # one walker finishes a walk toward a uniformly random other station
+                    if iwu == block:
+                        wu = g_walk.random(block).tolist()
+                        walked += block
+                        iwu = 0
+                    j = int(wu[iwu] * n_walk)
+                    m = int(wu[iwu + 1] * (n - 1))
+                    iwu += 2
+                    origin = walker_station[j]
+                    d = m + 1 if m >= origin else m
+                    k = bikes[d]
+                    if k == 0 and walker_left[j] > 1:
+                        # no bike: the walker walks on with one walk fewer
+                        walker_left[j] -= 1
+                        walker_station[j] = d
+                        continue
+                    # the walker rents or gives up: swap-remove record j
+                    n_walk -= 1
+                    arrival_walk = arrival_rate + gamma * n_walk
+                    if j != n_walk:
+                        walker_station[j] = walker_station[n_walk]
+                        walker_left[j] = walker_left[n_walk]
+                    walker_station.pop()
+                    walker_left.pop()
+                    if k == 0:
                         abandonments += 1
-                    if parked + len(ride_excl) != total_bikes:
-                        raise _unconserved(t, parked, len(ride_excl), total_bikes)
-                    continue
+                        continue
+                    walk_rentals += 1
+                # the customer at station d rents one of its k bikes
                 bikes[d] = k_new = k - 1
                 parked -= 1
                 ride_excl.append(-1)
                 n_ride += 1
                 rentals += 1
-            elif u < arrival_walk:
-                # one walker finishes a walk toward a uniformly random other station
-                if iwu == block:
-                    wu = g_walk.random(block).tolist()
-                    walked += block
-                    iwu = 0
-                j = int(wu[iwu] * n_walk)
-                m = int(wu[iwu + 1] * (n - 1))
-                iwu += 2
-                origin = walker_station[j]
-                d = m + 1 if m >= origin else m
-                k = bikes[d]
-                if k == 0 and walker_left[j] > 1:
-                    # no bike: the walker walks on with one walk fewer
-                    walker_left[j] -= 1
-                    walker_station[j] = d
-                    if parked + len(ride_excl) != total_bikes:
-                        raise _unconserved(t, parked, len(ride_excl), total_bikes)
-                    continue
-                # the walker rents or gives up: swap-remove record j
-                n_walk -= 1
-                arrival_walk = arrival_rate + gamma * n_walk
-                if j != n_walk:
-                    walker_station[j] = walker_station[n_walk]
-                    walker_left[j] = walker_left[n_walk]
-                walker_station.pop()
-                walker_left.pop()
-                if k == 0:
-                    abandonments += 1
-                    if parked + len(ride_excl) != total_bikes:
-                        raise _unconserved(t, parked, len(ride_excl), total_bikes)
-                    continue
-                bikes[d] = k_new = k - 1
-                parked -= 1
-                ride_excl.append(-1)
-                n_ride += 1
-                rentals += 1
-                walk_rentals += 1
             else:
                 # one riding bike reaches its destination
                 if iru == block:
@@ -343,8 +338,6 @@ def simulate(config: SimConfig) -> SimReport:
                     # full station: persistent customer rides on, avoiding it
                     re_rides += 1
                     ride_excl[j] = d
-                    if parked + len(ride_excl) != total_bikes:
-                        raise _unconserved(t, parked, len(ride_excl), total_bikes)
                     continue
                 bikes[d] = k_new = k + 1
                 parked += 1
@@ -372,8 +365,6 @@ def simulate(config: SimConfig) -> SimReport:
                     j0 = k_new
                 else:
                     j1 = k_new
-            if parked + len(ride_excl) != total_bikes:
-                raise _unconserved(t, parked, len(ride_excl), total_bikes)
         else:
             # every event of the timing block happened: refill it, and every
             # 2**16 events run the deep check

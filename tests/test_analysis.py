@@ -53,9 +53,10 @@ def _bits(metrics):
     return [float(value).hex() for value in metrics.to_dict().values()]
 
 
-class TestBlockMetrics:
-    # E[Q] of a block is one dot product per row (a stacked matmul); the gemv
-    # ``block @ k`` sums in another order and differs from ``mean_bikes`` in the last
+class TestNodeMetrics:
+    # every sweep and grid node takes its metrics from its own vector on Python floats,
+    # E[Q] one dot product (``_level_sum``) and the profit in one operation order; a
+    # gemv ``block @ k`` or another profit order differs from ``mean_bikes`` in the last
     # bits for most K, so these compare bits, not values within a tolerance
 
     def test_sweep_and_grid_metrics_equal_frozen_per_node_metrics(self):

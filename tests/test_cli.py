@@ -1004,13 +1004,13 @@ class TestHugeCapacity:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(
-            "grid_num=10000000000000 is too large to sweep: the sweep needs 32 (K+1) + 2000 "
+            "grid_num=10000000000000 is too large to sweep: the sweep needs 32 (K+1) + 2400 "
             "bytes a node")
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
 
     def test_sweep_grid_refusal_follows_the_byte_limit(self, tmp_path, capsys, monkeypatch):
         # one byte short of a 6-node sweep refuses grid_num=6; 5 nodes fit and solve
-        monkeypatch.setattr(core, "_array_byte_limit", lambda: (32 * 5 + 2000) * 6 - 1)
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: (32 * 5 + 2400) * 6 - 1)
         out = tmp_path / "sweep.csv"
         for grid_num, code in ((6, 3), (5, 0)):
             params = write_params(tmp_path, dict(SMALL, vary="lambda", grid_start=0.5,
@@ -1021,12 +1021,12 @@ class TestHugeCapacity:
         assert "grid_num=6 is too large to sweep" in capsys.readouterr().err
 
     def test_sweep_sizes_each_node_at_its_own_capacity(self, tmp_path, capsys, monkeypatch):
-        # the nodes K = 10, 20 and 30 need 3 (32 * 21 + 2000) bytes, though three
-        # nodes at the base K = 4 would need 3 (32 * 5 + 2000)
+        # the nodes K = 10, 20 and 30 need 3 (32 * 21 + 2400) bytes, though three
+        # nodes at the base K = 4 would need 3 (32 * 5 + 2400)
         params = write_params(tmp_path, dict(SMALL, vary="capacity_k", grid_start=10,
                                              grid_stop=30, grid_num=3))
         out = tmp_path / "sweep.csv"
-        nbytes = 3 * (32 * 21 + 2000)
+        nbytes = 3 * (32 * 21 + 2400)
         for limit, code in ((nbytes - 1, 3), (nbytes, 0)):
             monkeypatch.setattr(core, "_array_byte_limit", lambda: limit)
             assert main(["sweep", "--params", str(params), "--out", str(out)]) == code
@@ -1036,17 +1036,23 @@ class TestHugeCapacity:
         assert "nan" not in out.read_text()
         assert "grid_num=3 is too large to sweep" in capsys.readouterr().err
 
-    # a limit one byte below the traced peak of a 1,000-node sweep refuses it,
-    # so the refusal counts every node's vectors, solve, record and CSV row
+    # a limit one byte below the traced peak of a 1,000- or 4,000-node sweep refuses
+    # it, so the refusal counts every node's vectors, solve, record and CSV row.  The
+    # peak is taken after gc.collect(), which empties the free lists an earlier call
+    # left to reuse: the small sweep then peaks at 2.22 kB a node, where reused free
+    # lists give 2.10 kB
+    @pytest.mark.parametrize("num", [1000, 4000])
     @pytest.mark.parametrize("base,start,stop", [(FIG5, 10.0, 30.0), (SMALL, 0.5, 1.5)],
                              ids=["figure-5", "small"])
     def test_sweep_refusal_counts_the_working_set(self, tmp_path, capsys, monkeypatch,
-                                                  base, start, stop):
+                                                  base, start, stop, num):
+        import gc
         import tracemalloc
 
         params = write_params(tmp_path, dict(base, vary="lambda", grid_start=start,
-                                             grid_stop=stop, grid_num=1000))
+                                             grid_stop=stop, grid_num=num))
         argv = ["sweep", "--params", str(params), "--out", str(tmp_path / "sweep.csv")]
+        gc.collect()
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -1055,7 +1061,7 @@ class TestHugeCapacity:
             tracemalloc.stop()
         monkeypatch.setattr(core, "_array_byte_limit", lambda: peak - 1)
         assert main(argv) == 3
-        assert "grid_num=1000 is too large to sweep" in capsys.readouterr().err
+        assert f"grid_num={num} is too large to sweep" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,keys", [
         ("fixed-point", {}), ("ode", {"t_end": 0.5, "finite_n": True}),

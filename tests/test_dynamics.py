@@ -731,6 +731,21 @@ class TestSampleDomainPoints:
         assert points[:, 0].max() <= 0.899
         assert (points @ np.arange(capacity_k + 1)).max() <= capacity_c - 1e-3
 
+    @pytest.mark.parametrize("seed", [20, 25])
+    def test_low_acceptance_first_batch_switches_to_levels_up_to_c(self, seed):
+        # here the first batch accepts one point of its 800 (the uniform draw on 0..K
+        # accepts about 6e-5): too few for 200 points in 2,000 batches, so the sampler
+        # switches once the rate seen cannot reach 200 (it used to give up after 0.9 s)
+        params = SystemParams(lam=1.0, mu=8.0, gamma=0.25, omega=1, capacity_c=20,
+                              capacity_k=56, delta=0.1)
+        start = time.perf_counter()
+        points = sample_domain_points(params, 200, np.random.default_rng(seed))
+        elapsed = time.perf_counter() - start
+        assert points.shape == (200, 57)
+        assert points[:, 0].max() <= 0.899 and points[:, -1].max() <= 0.899
+        assert (points @ np.arange(57)).max() <= 20 - 1e-3
+        assert elapsed < 1.0
+
     def test_jacobian_check_passes_with_many_more_docks_than_bikes(self):
         # it raised ConfigError after 2,000 batches (2 s) when the sampler drew on 0..K only
         params = SystemParams(lam=1.0, mu=8.0, gamma=0.25, omega=1, capacity_c=20,
