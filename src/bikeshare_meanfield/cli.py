@@ -153,9 +153,10 @@ def _cmd_sweep(config: dict, out: str) -> None:
         start, stop = (_as_float(key, config[key]) for key in ("grid_start", "grid_stop"))
         # the capacities K of an evenly spaced capacity_k grid sum to num times their mean
         k = max(start / 2 + stop / 2, 0.0) if config["vary"] == "capacity_k" else params.capacity_k
-        if (error := _capacity_error(num, num * (32 * math.ceil(k + 1) + 2400), "sweep",
-                                     "the sweep needs 32 (K+1) + 2400 bytes a node at the "
-                                     "node's own K: its vectors, solve, record and CSV row",
+        if (error := _capacity_error(num, num * (32 * math.ceil(k + 1) + 2400) + 262144,
+                                     "sweep", "the sweep needs 256 KiB for its first call and "
+                                     "32 (K+1) + 2400 bytes a node at the node's own K: its "
+                                     "vectors, solve, record and CSV row",
                                      key="grid_num")) is not None:
             raise error
         grid = np.linspace(start, stop, num).tolist()

@@ -15,11 +15,13 @@ starts this file as a script,
 
     python -I -S csvrows.py TEMP_PATH WIDTH
 
-which reads the blocks from stdin as raw float64 values, each framed by its
-row count, and appends their text to TEMP_PATH with the same loop.  A count
-of 0 ends the stream, and the script exits 0; at the end of its input
-without that frame it exits 1.  When no process can be started,
-``stream_csv`` formats the rows in this process, which gives the same bytes.
+which reads the rows from stdin as raw float64 values, one block of
+``block_rows(WIDTH)`` rows at a time until its input ends, and appends their
+text to TEMP_PATH with the same loop.  A cut value or a cut row makes it exit
+nonzero.  Only this process decides whether the temporary file is renamed or
+removed, and it decides after the writer has exited.  When no process can be
+started, ``stream_csv`` formats the rows in this process, which gives the
+same bytes.
 
 The module imports only the standard library (never numpy or its own
 package), so the script starts in milliseconds.
@@ -30,10 +32,6 @@ from __future__ import annotations
 import errno
 import os
 import sys
-
-#: bytes of a frame header: the little-endian row count of the block that
-#: follows; a count of 0 ends the stream
-_FRAME_BYTES = 8
 
 
 def block_rows(width: int) -> int:
@@ -102,8 +100,8 @@ def _append_rows(path: str, width: int, blocks):
 
 
 def _pipe_rows(path: str, width: int, blocks):
-    """Send every block, then the end frame, to a writer process appending to
-    ``path``; ``_append_rows`` when no process can be started."""
+    """Send the values of every block to a writer process appending to ``path``;
+    ``_append_rows`` when no process can be started."""
     import subprocess  # here, not above: it would add about 18 ms to the writer's start-up
 
     try:
@@ -115,13 +113,10 @@ def _pipe_rows(path: str, width: int, blocks):
     block = broken = None
     try:
         for block in blocks:
-            data = memoryview(block).cast("B")
-            process.stdin.write((data.nbytes // (8 * width)).to_bytes(_FRAME_BYTES, "little"))
-            process.stdin.write(data)
-        process.stdin.write(bytes(_FRAME_BYTES))
+            process.stdin.write(memoryview(block).cast("B"))
     except BrokenPipeError as exc:
         broken = exc  # the writer stopped early; its status tells
-    finally:  # after any other error the writer's input ends without the end frame
+    finally:  # any other error leaves here once the writer has exited
         try:
             process.stdin.close()
         except BrokenPipeError:
@@ -132,18 +127,7 @@ def _pipe_rows(path: str, width: int, blocks):
     return block
 
 
-def _frames(width: int):
-    """The writer's blocks: the rows framed on stdin, as bytes, up to the end
-    frame; at the end of input without it the writer exits 1."""
-    read = sys.stdin.buffer.read
-    while len(head := read(_FRAME_BYTES)) == _FRAME_BYTES:
-        if (size := 8 * width * int.from_bytes(head, "little")) == 0:
-            return
-        if len(data := read(size)) != size:
-            break
-        yield data
-    sys.exit(1)
-
-
-if __name__ == "__main__":
-    _append_rows(sys.argv[1], int(sys.argv[2]), _frames(int(sys.argv[2])))
+if __name__ == "__main__":  # the writer: stdin in blocks of whole rows, to its end
+    width = int(sys.argv[2])
+    size = 8 * width * block_rows(width)
+    _append_rows(sys.argv[1], width, iter(lambda: sys.stdin.buffer.read(size), b""))

@@ -97,22 +97,23 @@ def _stationary_rows(loads: np.ndarray, capacity_k: int) -> np.ndarray:
     """The (n, K+1) block whose row i is p(loads[i]) for a float array of loads: rho**k,
     or (1/rho)**(K-k) for rho > 1 (smooth in rho and safe for extreme loads), normalized.
 
-    A row's bits do not depend on the other rows: exponents broadcast over a round and
-    exponents chosen per load give the same powers.  The loads are not validated; no
-    step warns but the unused 1/rho of a mixed round, where a load of 0 divides by zero
-    (and a subnormal one overflows), so that one division ignores numpy's warnings.
+    A row's bits do not depend on the other rows: a one-sided round broadcasts its
+    exponents over the rows, and a round with loads on both sides of 1 fills one block
+    in place, the rows of the loads at most 1 and then the inverses of the others (only
+    those are divided, so a load of 0 never is), with the same powers.  The loads are
+    not validated, and no step warns.
     """
     low, (k, down) = loads <= _ONE, _levels(capacity_k)
     n_low = np.count_nonzero(low)
     if n_low == low.size:  # every load at most 1: the exponents k, broadcast over the rows
-        base, exponents = loads, k
+        w = np.power(loads[:, None], k)
     elif not n_low:  # every load above 1: K - k
-        base, exponents = _ONE / loads, down
-    else:  # k or K - k per load
-        with np.errstate(divide="ignore", over="ignore"):
-            inverse = _ONE / loads
-        base, exponents = np.where(low, loads, inverse), np.where(low[:, None], k, down)
-    w = np.power(base[:, None], exponents)
+        w = np.power((_ONE / loads)[:, None], down)
+    else:  # k or K - k per load, into one block
+        high, w = ~low, np.empty((loads.size, k.size))
+        np.power(loads[:, None], k, out=w, where=low[:, None])
+        inverse = np.divide(_ONE, loads, out=np.ones_like(loads), where=high)
+        np.power(inverse[:, None], down, out=w, where=high[:, None])
     return np.divide(w, np.add.reduce(w, 1, None, None, True), w)
 
 

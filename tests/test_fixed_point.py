@@ -349,14 +349,31 @@ class TestLoadKernel:
         assert rounds == 42
 
     def test_mixed_round_with_a_zero_or_subnormal_load_does_not_warn(self):
-        # the unused 1/rho of a mixed round divides by zero at 0 and overflows at 5e-324;
-        # under the suite's warnings-as-errors the round keeps the bits of one load a call
+        # a mixed round inverts only its loads above 1, never 0 or 5e-324; under the
+        # suite's warnings-as-errors the round keeps the bits of one load a call
         loads = [0.0, 5e-324, 2.0, 1e300]
         rows = fixed_point._defect_kernel([FIG5])
         defects, block, _, _ = rows(loads, [0] * len(loads))
         alone = [rows([rho], [0]) for rho in loads]
         assert np.array(defects).tobytes() == np.array([a[0][0] for a in alone]).tobytes()
         assert block.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+
+    @pytest.mark.parametrize("above", [1000, 2], ids=["half-above-1", "two-above-1"])
+    def test_mixed_round_holds_one_block_of_rows(self, above):
+        # 2,000 loads at K = 500 on both sides of 1: the round fills its (n, K+1) block
+        # in place, where a block of exponents next to it peaked at 2.01 blocks
+        rng = np.random.default_rng(above)
+        loads = rng.permutation(np.concatenate([rng.uniform(0.0, 1.0, 2000 - above),
+                                                rng.uniform(1.0, 4.0, above)]))
+        fixed_point._stationary_rows(loads, 500)
+        tracemalloc.start()
+        try:
+            block = fixed_point._stationary_rows(loads, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (2000, 501)
+        assert peak < 1.1 * block.nbytes
 
     @pytest.mark.parametrize("capacity_k", [1, 2, 50, 257])
     @pytest.mark.parametrize("omega", [0, 1, 3, 2 ** 1020])
