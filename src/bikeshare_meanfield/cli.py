@@ -151,11 +151,14 @@ def _cmd_sweep(config: dict, out: str) -> None:
         if num < 1:
             raise ConfigError(f"grid_num must be at least 1, got {num}")
         start, stop = (_as_float(key, config[key]) for key in ("grid_start", "grid_stop"))
-        # the capacities K of an evenly spaced capacity_k grid sum to num times their mean
-        k = max(start / 2 + stop / 2, 0.0) if config["vary"] == "capacity_k" else params.capacity_k
-        if (error := _capacity_error(num, num * (32 * math.ceil(k + 1) + 2400) + 262144,
-                                     "sweep", "the sweep needs 256 KiB for its first call and "
-                                     "32 (K+1) + 2400 bytes a node at the node's own K: its "
+        # an evenly spaced capacity_k grid's K sum to num times their mean; groups solve in turn
+        k, top = ((max(start / 2 + stop / 2, 0.0), max(start, stop, 0.0))
+                  if config["vary"] == "capacity_k" else (params.capacity_k,) * 2)
+        if (error := _capacity_error(num, num * (32 * math.ceil(k + 1) + 2400) + 262144
+                                     + 8 * math.ceil(top + 1) ** 2, "sweep",
+                                     "the sweep needs 256 KiB for its first call, 8 (K+1)**2 "
+                                     "bytes at the largest K for one group's residual generator "
+                                     "and 32 (K+1) + 2400 bytes a node at the node's own K: its "
                                      "vectors, solve, record and CSV row",
                                      key="grid_num")) is not None:
             raise error

@@ -556,25 +556,25 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
                      max_iterations: int = 60) -> list[FixedPointResult]:
     """Hunt for multiple fixed points from random starting vectors.
 
-    The self-map sends any vector to the stationary vector at the load its
-    rates induce, so fixed points are exactly the roots of the scalar
-    defect.  Each random start (a Dirichlet draw on the simplex) is mapped
-    once to that load, and the load is refined locally on the defect with
-    at most ``max_iterations`` secant steps; the run never falls back to the
-    global bracketed solve, so a root in another basin produces another
-    answer.  A refinement reads nothing but its start load, so starts whose
-    loads have the same bits share one refinement (every start that parks
-    more than C bikes on average has load 0), and the distinct loads are
-    refined in lockstep, one kernel call per round.  Refinements that end on
-    the same root bits share one solved point.  Each start still gets its
-    own result and its own copy of p; its ``iterations`` counts the defect
-    evaluations of the refinement it shares.  All results must agree within
-    1e-8 in sup-norm, otherwise ``MultipleFixedPointsError`` carries the
-    distinct results, each the first start's result at its root.
+    The self-map sends any vector to the stationary vector at the load its rates induce,
+    so fixed points are exactly the roots of the scalar defect.  Each random start (a
+    Dirichlet draw on the simplex) is mapped once to that load, and the load is refined
+    locally on the defect with at most ``max_iterations`` secant steps; the run never
+    falls back to the global bracketed solve, so a root in another basin produces another
+    answer.  A refinement reads nothing but its start load, so starts with the same load
+    share one refinement (every start that parks more than C bikes on average has load
+    0), and the distinct loads are refined in lockstep, one kernel call per round.
+    Refinements that end on the same root share one solved point.  No load or root is
+    -0.0 or NaN, so equal floats there have equal bits.  Each start still gets its own
+    result and its own copy of p; its ``iterations`` counts the defect evaluations of the
+    refinement it shares.  All results must agree within 1e-8 in sup-norm, otherwise
+    ``MultipleFixedPointsError`` carries the distinct results, each the first start's
+    result at its root.
 
-    Before the draw, ``ConfigError`` refuses a negative ``max_iterations`` (0 goes
-    straight to the bracketed fallback) and more starts than ``core._array_byte_limit``
-    holds at 40 (K+1) + 2560 bytes a start, as well as what ``solve_fixed_point`` refuses.
+    Before the draw, ``ConfigError`` refuses what ``solve_fixed_point`` refuses, a
+    negative ``max_iterations`` (0 goes straight to the bracketed fallback) and more
+    starts than ``core._array_byte_limit`` holds at 8 (K+1)**2 bytes for the residual
+    generator, 1 MiB for the first call and 16 (K+1) + 2400 bytes a start.
     """
     n_starts = _as_int("n_starts", n_starts)
     max_iterations = _as_int("max_iterations", max_iterations)
@@ -582,28 +582,24 @@ def uniqueness_probe(params: SystemParams, n_starts: int, seed: int = 0,
         raise ConfigError(f"n_starts must be at least 1, got {n_starts}")
     if max_iterations < 0:
         raise ConfigError(f"max_iterations must be nonnegative, got {max_iterations}")
+    size = params.capacity_k + 1
     if (error := _residual_capacity_error(params.capacity_k)
-            or _capacity_error(n_starts, n_starts * (40 * (params.capacity_k + 1) + 2560),
-                               "probe", "each start needs 40 (K+1) + 2560 bytes (its Dirichlet "
-                               "row, its trial rows, lane and result)", key="n_starts")):
+            or _capacity_error(n_starts, 8 * size ** 2 + 2 ** 20 + n_starts * (16 * size + 2400),
+                               "probe", "the probe needs 8 (K+1)**2 bytes for its residual "
+                               "generator, 1 MiB for its first call and 16 (K+1) + 2400 bytes a "
+                               "start (two trial rows, its lane and its result)", key="n_starts")):
         raise error
-    rng = np.random.default_rng(_as_seed(seed))
-    starts = rng.dirichlet(np.ones(params.capacity_k + 1), size=n_starts)
-    birth, death = _lane_rates([params])(starts, [0] * n_starts)
-    lane_of: dict = {}  # start load bits -> lane of its refinement
-    lanes = [lane_of.setdefault(bits, len(lane_of))
-             for bits in (np.maximum(birth, 0.0) / death).view(np.uint64).tolist()]
+    # the start block is freed once its rates are read
+    birth, death = _lane_rates([params])(np.random.default_rng(_as_seed(seed)).dirichlet(
+        np.ones(size), size=n_starts), [0] * n_starts)
+    lane_of: dict = {}  # start load -> lane of its refinement
+    lanes = [lane_of.setdefault(max(a, 0.0) / b, len(lane_of)) for a, b in zip(birth, death)]
     rows = _defect_kernel([params])
-    loads = np.array(list(lane_of), dtype=np.uint64).view(float).tolist()
-    found = _lockstep([_refine_locally(rho0, max_iterations) for rho0 in loads], rows)
-    root_lane: dict = {}  # root bits -> the first lane that ends there
-    solving, shared = list(found), list(range(len(found)))
-    roots = np.array([outcome[0] if type(outcome) is tuple else 0.0 for outcome in found])
-    for lane, (outcome, bits) in enumerate(zip(found, roots.view(np.uint64).tolist())):
-        if type(outcome) is tuple:
-            shared[lane] = root_lane.setdefault(bits, lane)
-            if shared[lane] != lane:
-                solving[lane] = None  # takes the solved point of the root's first lane
+    found = _lockstep([_refine_locally(rho0, max_iterations) for rho0 in lane_of], rows)
+    root_lane: dict = {}  # root -> its first lane, whose solved point later lanes there take
+    shared = [root_lane.setdefault(outcome[0], lane) if type(outcome) is tuple else lane
+              for lane, outcome in enumerate(found)]
+    solving = [found[lane] if first == lane else None for lane, first in enumerate(shared)]
     points = _solved_points(rows, solving, params.capacity_k)
     results, distinct, taken = [], [], set()
     for lane in lanes:

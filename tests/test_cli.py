@@ -1006,12 +1006,14 @@ class TestHugeCapacity:
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(
             "grid_num=10000000000000 is too large to sweep: the sweep needs 256 KiB for its "
-            "first call and 32 (K+1) + 2400 bytes a node")
+            "first call, 8 (K+1)**2 bytes at the largest K for one group's residual generator "
+            "and 32 (K+1) + 2400 bytes a node")
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
 
     def test_sweep_grid_refusal_follows_the_byte_limit(self, tmp_path, capsys, monkeypatch):
         # one byte short of a 6-node sweep refuses grid_num=6; 5 nodes fit and solve
-        monkeypatch.setattr(core, "_array_byte_limit", lambda: (32 * 5 + 2400) * 6 + 262143)
+        monkeypatch.setattr(core, "_array_byte_limit",
+                            lambda: (32 * 5 + 2400) * 6 + 262143 + 8 * 5 ** 2)
         out = tmp_path / "sweep.csv"
         for grid_num, code in ((6, 3), (5, 0)):
             params = write_params(tmp_path, dict(SMALL, vary="lambda", grid_start=0.5,
@@ -1023,11 +1025,12 @@ class TestHugeCapacity:
 
     def test_sweep_sizes_each_node_at_its_own_capacity(self, tmp_path, capsys, monkeypatch):
         # the nodes K = 10, 20 and 30 need 3 (32 * 21 + 2400) bytes past the first call's
-        # 256 KiB, though three nodes at the base K = 4 would need 3 (32 * 5 + 2400)
+        # 256 KiB and the 8 * 31**2 bytes of the K = 30 generator, though three nodes at the
+        # base K = 4 would need 3 (32 * 5 + 2400) and 8 * 5**2
         params = write_params(tmp_path, dict(SMALL, vary="capacity_k", grid_start=10,
                                              grid_stop=30, grid_num=3))
         out = tmp_path / "sweep.csv"
-        nbytes = 3 * (32 * 21 + 2400) + 262144
+        nbytes = 3 * (32 * 21 + 2400) + 262144 + 8 * 31 ** 2
         for limit, code in ((nbytes - 1, 3), (nbytes, 0)):
             monkeypatch.setattr(core, "_array_byte_limit", lambda: limit)
             assert main(["sweep", "--params", str(params), "--out", str(out)]) == code
@@ -1063,6 +1066,34 @@ class TestHugeCapacity:
         monkeypatch.setattr(core, "_array_byte_limit", lambda: peak - 1)
         assert main(argv) == 3
         assert f"grid_num={num} is too large to sweep" in capsys.readouterr().err
+
+    # each group's solve holds one dense (K+1) x (K+1) residual generator, 128 MB at
+    # K = 4,000, and the groups solve one after another: a limit one byte below the
+    # traced peak of a sweep at a large K, or over a capacity_k grid up to it, refuses it
+    @pytest.mark.parametrize("keys", [
+        dict(capacity_c=1000, capacity_k=2000, vary="lambda", grid_start=10.0, grid_stop=30.0,
+             grid_num=41),
+        dict(capacity_c=1000, capacity_k=4000, vary="lambda", grid_start=10.0, grid_stop=30.0,
+             grid_num=10),
+        dict(capacity_c=25, vary="capacity_k", grid_start=2000, grid_stop=30, grid_num=3),
+    ], ids=["k2000-41-nodes", "k4000-10-nodes", "capacity-k-grid"])
+    def test_sweep_refusal_counts_the_residual_generator(self, tmp_path, capsys, monkeypatch,
+                                                         keys):
+        import gc
+        import tracemalloc
+
+        params = write_params(tmp_path, dict(FIG5, **keys))
+        argv = ["sweep", "--params", str(params), "--out", str(tmp_path / "sweep.csv")]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: peak - 1)
+        assert main(argv) == 3
+        assert f"grid_num={keys['grid_num']} is too large to sweep" in capsys.readouterr().err
 
     # the first sweep of a process costs about 150-190 kB once, more than the nodes of
     # a small grid: a limit one byte below its peak in a new interpreter refuses it

@@ -5,7 +5,9 @@ import dataclasses
 import functools
 import inspect
 import itertools
+import json
 import math
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -17,6 +19,7 @@ import scipy.optimize as scipy_optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_valid_parameter_sets
+from test_cli import _package_env
 from test_core import _frozen_geom_sum
 
 from bikeshare_meanfield import (
@@ -1306,6 +1309,34 @@ def _probe_lane_per_start(params, n_starts, seed=0, max_iterations=60):
     return results
 
 
+def _probe_bytes(params, n_starts):
+    """The bytes ``uniqueness_probe`` sizes for ``n_starts`` starts of ``params``."""
+    size = params.capacity_k + 1
+    return 8 * size ** 2 + 2 ** 20 + n_starts * (16 * size + 2400)
+
+
+FIRST_PROBE_SCRIPT = """
+import json, sys, tracemalloc
+
+from bikeshare_meanfield import SystemParams, uniqueness_probe
+
+config, n_starts = json.loads(sys.argv[1])
+params = SystemParams.from_dict(config)
+tracemalloc.start()
+uniqueness_probe(params, n_starts, seed=1)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def _first_probe_peak(params, n_starts):
+    """The traced peak of a new interpreter's first ``uniqueness_probe`` of ``params``."""
+    proc = subprocess.run([sys.executable, "-c", FIRST_PROBE_SCRIPT,
+                           json.dumps([params.to_dict(), n_starts])],
+                          env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
 def _result_bits(result):
     """Every field of a ``FixedPointResult`` as bytes and ints, so -0.0 and 0.0 differ."""
     return (result.p.tobytes(), result.p.shape,
@@ -1369,25 +1400,28 @@ class TestUniquenessProbe:
     def test_refuses_a_start_count_it_cannot_hold(self, monkeypatch, n_starts, name):
         # numpy raised MemoryError for the Dirichlet block; the refusal comes first
         monkeypatch.setattr(np.random, "default_rng", None)
-        with pytest.raises(ConfigError, match=rf"^{name} is too large to probe: each start "
-                                              r"needs 40 \(K\+1\) \+ 2560 bytes"):
+        with pytest.raises(ConfigError, match=rf"^{name} is too large to probe: the probe needs "
+                                              r"8 \(K\+1\)\*\*2 bytes for its residual "
+                                              r"generator, 1 MiB for its first call and "
+                                              r"16 \(K\+1\) \+ 2400 bytes a start"):
             uniqueness_probe(FIG5, n_starts)
 
     def test_start_refusal_follows_the_byte_limit(self, monkeypatch):
-        # room for 8 starts at K = 50 (and for the 21 kB dense residual generator)
-        start_bytes = 40 * (FIG5.capacity_k + 1) + 2560
-        monkeypatch.setattr(core, "_array_byte_limit", lambda: 8 * start_bytes)
+        # room for 8 starts at K = 50, with the 21 kB dense residual generator
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: _probe_bytes(FIG5, 8))
         assert len(uniqueness_probe(FIG5, 8)) == 8
         with pytest.raises(ConfigError, match=r"^n_starts=9 is too large to probe"):
             uniqueness_probe(FIG5, 9)
 
-    @pytest.mark.parametrize("params,max_iterations", [
-        (FIG5, 60),
+    @pytest.mark.parametrize("params,max_iterations,n_starts", [
+        (FIG5, 60, 2000),
         # every lane goes on to the bracketed fallback: two generator frames a lane
-        (dataclasses.replace(FIG5, capacity_k=10, capacity_c=9, omega=5), 1),
-    ])
-    def test_peak_is_within_the_sized_bytes(self, params, max_iterations):
-        n_starts = 2000
+        (dataclasses.replace(FIG5, capacity_k=10, capacity_c=9, omega=5), 1, 2000),
+        # C = K - 1: every start has its own load, so the first round holds two trial
+        # rows a start
+        (dataclasses.replace(FIG5, capacity_k=500, capacity_c=499), 60, 500),
+    ], ids=["figure-5", "fallback", "a-lane-per-start"])
+    def test_peak_is_within_the_sized_bytes(self, params, max_iterations, n_starts):
         tracemalloc.start()
         try:
             results = uniqueness_probe(params, n_starts, seed=1, max_iterations=max_iterations)
@@ -1395,7 +1429,64 @@ class TestUniquenessProbe:
         finally:
             tracemalloc.stop()
         assert len(results) == n_starts
-        assert peak <= n_starts * (40 * (params.capacity_k + 1) + 2560)
+        assert peak <= _probe_bytes(params, n_starts)
+
+    def test_refusal_counts_the_residual_generator_with_the_starts(self, monkeypatch):
+        # at K = 2000 the 32 MB generator alone fits a limit one byte below the traced
+        # peak of a new interpreter's first probe, and 20 starts alone fit it too; the
+        # two together do not
+        params = dataclasses.replace(FIG5, capacity_c=1000, capacity_k=2000)
+        peak = _first_probe_peak(params, 20)
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: peak - 1)
+        with pytest.raises(ConfigError, match=r"^n_starts=20 is too large to probe"):
+            uniqueness_probe(params, 20)
+
+    # at K = 50 and 500 the first figure-5 probe of a new interpreter with 2,000 starts
+    # traces about 4.6 and 9.4 MB.  The sizing must also hold a lane per start (two
+    # trial rows each) and Brent fallback frames, so it reads 7.5 and 23.9 MB; limits
+    # of 8 and 25 MB admit the two probes, which then fit inside them
+    @pytest.mark.parametrize("capacity_k,limit", [(50, 8_000_000), (500, 25_000_000)])
+    def test_start_sizing_admits_a_figure5_probe(self, monkeypatch, capacity_k, limit):
+        params = dataclasses.replace(FIG5, capacity_k=capacity_k)
+        assert _first_probe_peak(params, 2000) <= limit
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: limit)
+        assert len(uniqueness_probe(params, 2000, seed=1)) == 2000
+
+    def test_start_loads_and_roots_have_no_sign_bit(self, monkeypatch):
+        # the probe keys its lanes on start loads and its solved points on roots as
+        # Python floats, which would merge -0.0 with 0.0 and keep NaNs apart: on the
+        # criterion-5 sets and the wide draws, every start load and root is a finite
+        # float at least 0.0 with a clear sign bit
+        refined, roots = [], []
+        refine = fixed_point._refine_locally
+
+        def recording(rho0, max_steps):
+            refined.append(rho0)
+            root, used = yield from refine(rho0, max_steps)
+            roots.append(root)
+            return root, used
+
+        monkeypatch.setattr(fixed_point, "_refine_locally", recording)
+        sets = random_valid_parameter_sets(50)
+        cases = [(params, 20, seed) for seed in (1, 2, 3) for params in sets]
+        rng = np.random.default_rng(4)
+        for i in range(300):  # the draws of the wide-draw test, in its order
+            params = _wide_params(rng)
+            rng.dirichlet(np.ones(params.capacity_k + 1))
+            cases.append((params, 5, i))
+        for params, n_starts, seed in cases:
+            refined.clear()
+            uniqueness_probe(params, n_starts, seed=seed)
+            starts = np.random.default_rng(seed).dirichlet(np.ones(params.capacity_k + 1),
+                                                           size=n_starts)
+            births, deaths = fixed_point._lane_rates([params])(starts, [0] * n_starts)
+            loads = [max(a, 0.0) / b for a, b in zip(births, deaths)]
+            # the probe refines each distinct start load once, in order of its first start
+            bits = [np.float64(x).tobytes() for x in loads]
+            assert list(dict.fromkeys(bits)) == [np.float64(x).tobytes() for x in refined]
+            for x in loads + roots:
+                assert math.isfinite(x) and x >= 0.0 and math.copysign(1.0, x) == 1.0, x
+        assert len(roots) > 1000
 
     def test_max_iterations_must_be_nonnegative(self):
         # -4 used to run as 0 does; 0 goes straight to the bracketed fallback
