@@ -5,9 +5,9 @@ p0, the full-station probability pK, their sum (the problematic-station
 probability), the mean parked-bike count E[Q], and the station profit
 R = -c E[Q] + psi (C - E[Q]).  Sweeps vary one model constant over a grid
 and solve the fixed point at every grid node; the design optimizers search
-exhaustively over (C, K, mu) grids.  The nodes of a sweep or grid are solved
-together, in lockstep wherever they share K and omega; each solved node then
-takes its metrics from its own vector, on Python floats.
+exhaustively over (C, K, mu) grids.  Nodes are built as they are reached and
+solved ``_CHUNK`` at a time, in lockstep wherever they share K and omega; each
+solved node then takes its metrics from its own vector, on Python floats.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError, Invarian
 from .fixed_point import _solve_many, solve_fixed_point  # noqa: F401 - still importable here
 
 SWEEP_CSV_HEADER = "vary_name,value,p0,pK,p0_plus_pK,eq,profit"
+
+#: nodes per ``_solve_many`` call, at least the 80 candidates of the figure-5 design grid
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,12 @@ class SweepRecord:
     error: str | None = None
 
 
+def _cells(rec: SweepRecord) -> tuple:
+    """The five metric cells of a record's CSV row."""
+    m = rec.metrics or _UNSOLVED
+    return m.p0, m.pK, m.p_problematic, m.mean_bikes, m.profit
+
+
 def _metrics(p: np.ndarray, params: SystemParams, prices: ProfitPrices) -> Metrics:
     """The five metrics of one float occupancy vector of ``params``, on Python floats."""
     eq = float(_level_sum(params.capacity_k)(p))
@@ -89,31 +98,46 @@ def compute_metrics(p, params: SystemParams, prices: ProfitPrices) -> Metrics:
     return _metrics(_one_vector("compute_metrics", p, params), params, prices)
 
 
-def _as_values(name: str, values) -> list:
-    """The entries of a list, tuple, 1-D array or other iterable of values."""
+def _as_values(name: str, values):
+    """An iterator over a list, tuple, 1-D array or other iterable of values."""
     try:
-        return list(values)
+        return iter(values)
     except TypeError:
         raise ConfigError(f"{name} must be a list of values, got {values!r}") from None
 
 
-def _solve_records(nodes: list[SystemParams], prices: ProfitPrices, vary: str | None,
-                   values: list) -> list[SweepRecord]:
-    """Solve every node, node i recorded at ``vary`` and ``values[i]`` with the metrics of
-    its vector; a domain failure is recorded instead of raised.
+def _nonempty(nodes, error: Exception):
+    """The iterator ``nodes`` with its first node drawn now, or ``error`` raised."""
+    for first in nodes:
+        return itertools.chain([first], nodes)
+    raise error
+
+
+def _solve_records(nodes, prices: ProfitPrices):
+    """Solve the iterator ``nodes`` of (params, vary, value) ``_CHUNK`` at a time and yield
+    each node's record, with the metrics of its vector or its domain failure.
 
     An ``InvariantViolationError`` is an internal bug, not a property of the
     node: the first one in node order propagates.
     """
-    records = []
-    for params, outcome, value in zip(nodes, _solve_many(nodes), values):
-        if isinstance(outcome, InvariantViolationError):
-            raise outcome
-        if isinstance(outcome, BikeShareError):
-            records.append(SweepRecord(params, None, vary, value, str(outcome)))
-        else:
-            records.append(SweepRecord(params, _metrics(outcome.p, params, prices), vary, value))
-    return records
+    while chunk := list(itertools.islice(nodes, _CHUNK)):
+        for (params, vary, value), outcome in zip(chunk, _solve_many([n[0] for n in chunk])):
+            if isinstance(outcome, InvariantViolationError):
+                raise outcome
+            if isinstance(outcome, BikeShareError):
+                yield SweepRecord(params, None, vary, value, str(outcome))
+            else:
+                yield SweepRecord(params, _metrics(outcome.p, params, prices), vary, value)
+
+
+def _sweep_nodes(base: SystemParams, vary: str, grid):
+    """The nodes (params, vary, value) of a sweep, built as they are reached."""
+    field = {**_JSON_FIELDS, "lam": "lam"}.get(vary) if isinstance(vary, str) else None
+    if field is None:
+        raise ConfigError(f"unknown parameter name {vary!r}")
+    fields, values = vars(base), _as_values("grid", grid)
+    return _nonempty(((SystemParams(**{**fields, field: value}), vary, float(value))
+                      for value in values), ConfigError("sweep grid must not be empty"))
 
 
 def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[SweepRecord]:
@@ -123,26 +147,39 @@ def sweep(base: SystemParams, vary: str, grid, prices: ProfitPrices) -> list[Swe
     accepted for ``lambda``).  Solver failures at single grid points are
     recorded on the affected record instead of aborting the sweep.
     """
-    field = {**_JSON_FIELDS, "lam": "lam"}.get(vary) if isinstance(vary, str) else None
-    if field is None:
-        raise ConfigError(f"unknown parameter name {vary!r}")
-    grid = _as_values("grid", grid)
-    if not grid:
-        raise ConfigError("sweep grid must not be empty")
-    fields = vars(base)
-    return _solve_records([SystemParams(**{**fields, field: value}) for value in grid], prices,
-                          vary, [float(value) for value in grid])
+    return list(_solve_records(_sweep_nodes(base, vary, grid), prices))
 
 
-def sweep_to_csv(records: list[SweepRecord], path, base: SystemParams) -> None:
-    """Write the params line of ``base``, then sweep records as plot-ready CSV rows; the
-    table is formatted whole before ``path`` is touched, so an error leaves its bytes."""
-    rows = [base.csv_params_line(), SWEEP_CSV_HEADER + "\n"]
-    for rec in records:
-        m = rec.metrics or _UNSOLVED
-        rows.append(_SWEEP_ROW % (rec.vary, rec.value, m.p0, m.pK, m.p_problematic,
-                                  m.mean_bikes, m.profit))
-    write_text(path, "".join(rows))
+def sweep_to_csv(records, path, base: SystemParams) -> None:
+    """Write the params line of ``base``, then a plot-ready CSV row per sweep record as it
+    comes; ``path`` changes only after the last row, so an error leaves its bytes."""
+    write_text(path, base.csv_params_line() + SWEEP_CSV_HEADER + "\n",
+               (_SWEEP_ROW % (rec.vary, rec.value, *_cells(rec)) for rec in records))
+
+
+def _design_nodes(search: dict, base: SystemParams):
+    """The feasible (params, None, None) of a design grid, built as they are reached."""
+    if not isinstance(search, Mapping):
+        raise ConfigError(f"design search must map parameter names to value lists, got {search!r}")
+    unknown = set(search) - {"capacity_c", "capacity_k", "mu"}
+    if unknown:
+        raise ConfigError("design search only covers capacity_c, capacity_k, mu; "
+                          f"got {', '.join(sorted(map(str, unknown)))}")
+    c_grid, k_grid, mu_grid = (
+        sorted(read(key, v) for v in _as_values(key, search.get(key, [getattr(base, key)])))
+        for key, read in (("capacity_c", _as_int), ("capacity_k", _as_int), ("mu", _as_float)))
+
+    def feasible():
+        fields = vars(base)
+        for c, k, mu in itertools.product(c_grid, k_grid, mu_grid):
+            try:
+                params = SystemParams(**{**fields, "capacity_c": c, "capacity_k": k, "mu": mu})
+            except ConfigError:
+                continue  # infeasible: SystemParams owns the rule
+            yield params, None, None
+
+    return _nonempty(feasible(), EmptyFeasibleSetError(
+        "no design candidate satisfies 0 < gamma <= mu and 1 <= C < K"))
 
 
 def evaluate_design_grid(
@@ -158,41 +195,26 @@ def evaluate_design_grid(
     raises ``EmptyFeasibleSetError``.  Candidates are visited in lexicographic
     (C, K, mu) order so ties resolve deterministically.
     """
-    if not isinstance(search, Mapping):
-        raise ConfigError(f"design search must map parameter names to value lists, got {search!r}")
-    unknown = set(search) - {"capacity_c", "capacity_k", "mu"}
-    if unknown:
-        raise ConfigError("design search only covers capacity_c, capacity_k, mu; "
-                          f"got {', '.join(sorted(map(str, unknown)))}")
-    c_grid, k_grid, mu_grid = (
-        sorted(read(key, v) for v in _as_values(key, search.get(key, [getattr(base, key)])))
-        for key, read in (("capacity_c", _as_int), ("capacity_k", _as_int), ("mu", _as_float)))
-    nodes, fields = [], vars(base)
-    for c, k, mu in itertools.product(c_grid, k_grid, mu_grid):
-        try:
-            nodes.append(SystemParams(**{**fields, "capacity_c": c, "capacity_k": k, "mu": mu}))
-        except ConfigError:
-            pass  # infeasible: SystemParams owns the rule
-    if not nodes:
-        raise EmptyFeasibleSetError(
-            "no design candidate satisfies 0 < gamma <= mu and 1 <= C < K"
-        )
-    return _solve_records(nodes, prices, None, [None] * len(nodes))
+    return list(_solve_records(_design_nodes(search, base), prices))
 
 
-def _pick_minimum(records: list[SweepRecord], objective) -> SweepRecord:
-    best = None
+def _tracking_minimum(records, objective, best: list):
+    """Pass on every record, keeping in ``best`` the first solved one with the least
+    ``objective``; at the end, ``EmptyFeasibleSetError`` if none solved."""
     best_value = math.inf
     for rec in records:
-        if rec.metrics is None:
-            continue
-        value = objective(rec.metrics)
-        if value < best_value:
-            best = rec
-            best_value = value
-    if best is None:
+        if rec.metrics is not None and (value := objective(rec.metrics)) < best_value:
+            best[:], best_value = [rec], value
+        yield rec
+    if not best:
         raise EmptyFeasibleSetError("every feasible design candidate failed to solve")
-    return best
+
+
+def _pick_minimum(records, objective) -> SweepRecord:
+    best = []
+    for _ in _tracking_minimum(records, objective, best):
+        pass
+    return best[0]
 
 
 def _weighted_objective(beta):
@@ -216,21 +238,17 @@ def optimize_weighted(search: dict, base: SystemParams, beta) -> SweepRecord:
     lexicographically smallest (C, K, mu).
     """
     objective = _weighted_objective(beta)
-    records = evaluate_design_grid(search, base, ProfitPrices())
-    return _pick_minimum(records, objective)
+    return _pick_minimum(_solve_records(_design_nodes(search, base), ProfitPrices()), objective)
 
 
 def optimize_profit(search: dict, base: SystemParams, prices: ProfitPrices) -> SweepRecord:
     """Maximize the station profit over the design grid; ties as above."""
-    return _pick_minimum(evaluate_design_grid(search, base, prices), _profit_objective)
+    return _pick_minimum(_solve_records(_design_nodes(search, base), prices), _profit_objective)
 
 
-def grid_to_csv(records: list[SweepRecord], path) -> None:
+def grid_to_csv(records, path) -> None:
     """Write a design grid table, one row per candidate, as ``sweep_to_csv`` writes."""
-    rows = ["capacity_c,capacity_k,mu,p0,pK,p0_plus_pK,eq,profit,error\n"]
-    for rec in records:
-        params, m = rec.params, rec.metrics or _UNSOLVED
-        err = "" if rec.error is None else rec.error.replace(",", ";")
-        rows.append(_GRID_ROW % (params.capacity_c, params.capacity_k, params.mu, m.p0, m.pK,
-                                 m.p_problematic, m.mean_bikes, m.profit, err))
-    write_text(path, "".join(rows))
+    write_text(path, "capacity_c,capacity_k,mu,p0,pK,p0_plus_pK,eq,profit,error\n", (
+        _GRID_ROW % (rec.params.capacity_c, rec.params.capacity_k, rec.params.mu, *_cells(rec),
+                     "" if rec.error is None else rec.error.replace(",", ";"))
+        for rec in records))

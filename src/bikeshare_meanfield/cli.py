@@ -8,7 +8,8 @@ set used, and reruns of the same configuration overwrite outputs byte for
 byte.  ``COMMANDS`` holds each command's handler, help text and retired keys;
 it builds the parser and drives ``main``, which runs the handler with numpy's
 warnings off, so that a failed run prints one JSON line on stderr and nothing
-else.  Every output file is written whole through ``csvrows``.
+else.  Every output file is written whole through ``csvrows``; a sweep or design
+grid appends each row as its chunk of nodes is solved.
 
 Exit codes: 0 success, 2 usage, 3 unreadable/invalid configuration,
 4 model-domain failure (assumption violations, failed validation checks),
@@ -29,12 +30,13 @@ import numpy as np
 
 from .analysis import (
     ProfitPrices,
-    _pick_minimum,
+    _design_nodes,
     _profit_objective,
+    _solve_records,
+    _sweep_nodes,
+    _tracking_minimum,
     _weighted_objective,
-    evaluate_design_grid,
     grid_to_csv,
-    sweep,
     sweep_to_csv,
 )
 from .core import (
@@ -55,7 +57,7 @@ from .errors import (
     InvariantViolationError,
     StepInstabilityError,
 )
-from .fixed_point import solve_fixed_point
+from .fixed_point import _residual_capacity_error, solve_fixed_point
 from .simulator import SimConfig, simulate
 from .validation import run_all
 
@@ -151,21 +153,16 @@ def _cmd_sweep(config: dict, out: str) -> None:
         if num < 1:
             raise ConfigError(f"grid_num must be at least 1, got {num}")
         start, stop = (_as_float(key, config[key]) for key in ("grid_start", "grid_stop"))
-        # an evenly spaced capacity_k grid's K sum to num times their mean; groups solve in turn
-        k, top = ((max(start / 2 + stop / 2, 0.0), max(start, stop, 0.0))
-                  if config["vary"] == "capacity_k" else (params.capacity_k,) * 2)
-        if (error := _capacity_error(num, num * (32 * math.ceil(k + 1) + 2400) + 262144
-                                     + 8 * math.ceil(top + 1) ** 2, "sweep",
-                                     "the sweep needs 256 KiB for its first call, 8 (K+1)**2 "
-                                     "bytes at the largest K for one group's residual generator "
-                                     "and 32 (K+1) + 2400 bytes a node at the node's own K: its "
-                                     "vectors, solve, record and CSV row",
-                                     key="grid_num")) is not None:
+        # nodes are solved a chunk at a time: size the grid and the largest K's generator only
+        top = (math.ceil(max(start, stop, 0.0)) if config["vary"] == "capacity_k"
+               else params.capacity_k)
+        if (error := _capacity_error(num, 8 * num, "sweep", "the grid needs 8 bytes a node",
+                                     key="grid_num") or _residual_capacity_error(top)) is not None:
             raise error
-        grid = np.linspace(start, stop, num).tolist()
+        grid = map(float, np.linspace(start, stop, num))
     else:
         raise ConfigError("sweep needs 'grid' or grid_start/grid_stop/grid_num")
-    records = sweep(params, config["vary"], grid, _prices(config))
+    records = _solve_records(_sweep_nodes(params, config["vary"], grid), _prices(config))
     sweep_to_csv(records, out, base=params)
 
 
@@ -185,9 +182,10 @@ def _cmd_optimize(config: dict, out: str) -> None:
         score = _profit_objective
     else:
         raise ConfigError(f"objective must be 'weighted' or 'profit', got {objective!r}")
-    records = evaluate_design_grid(search, params, prices)
-    winner = _pick_minimum(records, score)
-    grid_to_csv(records, Path(out).with_suffix(".grid.csv"))
+    best: list = []
+    grid_to_csv(_tracking_minimum(_solve_records(_design_nodes(search, params), prices), score,
+                                  best), Path(out).with_suffix(".grid.csv"))
+    winner = best[0]
     _write_json(out, {
         "objective": objective,
         "base_params": params.to_dict(),

@@ -7,8 +7,8 @@ formatter.  ``write_csv`` and ``stream_csv`` write the head to a temporary
 file next to the target, append the rows of every block (a C-contiguous
 float64 array of whole rows), and rename the file onto the target only once
 every block is written; on any error, an interrupt included, they remove it,
-so the target keeps its bytes.  ``write_text`` writes a text already
-formatted whole (a table or a JSON document) the same way.  ``write_csv``
+so the target keeps its bytes.  ``write_text`` writes a text (a JSON document,
+or a table's head and then each of its lines as it comes) the same way.  ``write_csv``
 formats the rows in this process, ``stream_csv`` in a writer process, so
 that the caller computes the next block while the last one is formatted: it
 starts this file as a script,
@@ -52,9 +52,10 @@ def write_csv(path, head: str, width: int, blocks):
     return _write(path, head, lambda temp: _append_rows(temp, width, blocks))
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` onto ``path`` whole, by the same temporary file and rename."""
-    _write(path, text, lambda temp: None)
+def write_text(path, text: str, lines=()) -> None:
+    """Write ``text`` and then each string of the iterable ``lines``, as it comes, onto
+    ``path`` whole, by the same temporary file and rename."""
+    _write(path, text, lambda temp: None, lines)
 
 
 def stream_csv(path, head: str, width: int, blocks):
@@ -63,8 +64,8 @@ def stream_csv(path, head: str, width: int, blocks):
     return _write(path, head, lambda temp: _pipe_rows(temp, width, blocks))
 
 
-def _write(path, head: str, append):
-    """Write ``head`` to a temporary file next to ``path``, let ``append(temp)``
+def _write(path, head: str, append, lines=()):
+    """Write ``head`` and ``lines`` to a temporary file next to ``path``, let ``append(temp)``
     add to it and rename it onto ``path``; remove it on any error.  Returns what
     ``append`` returns.  A ``path`` that names a directory raises
     ``IsADirectoryError`` before ``append`` runs, and an error that opening
@@ -80,6 +81,7 @@ def _write(path, head: str, append):
     try:
         with fh:
             fh.write(head)
+            fh.writelines(lines)
         last = append(temp)
         os.replace(temp, path)
     finally:

@@ -129,8 +129,9 @@ def _lane_rates(group: list[SystemParams]):
     """
     # omega = 1 drops the walk factor S(y0) = 1: gamma * y0 * 1.0 is gamma * y0, NaN or not
     series = None if group[0].omega == 1 else _geom_series(group[0].omega)
-    constants = [tuple(map(float, (params.mu, params.capacity_c, params.lam, params.gamma)))
-                 for params in group]
+    # a tuple display: tuple(map(...)) frees 4-slot tuples that CPython never reuses
+    constants = [(float(params.mu), float(params.capacity_c), float(params.lam),
+                  float(params.gamma)) for params in group]
 
     def rates(p, lanes):
         births, deaths = [], []

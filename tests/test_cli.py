@@ -1,11 +1,13 @@
 """Command-line interface: outputs, exit codes, idempotence."""
 
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bikeshare_meanfield
-from bikeshare_meanfield import OdeConfig, SystemParams, cli, core, fixed_point, integrate
+from bikeshare_meanfield import (OdeConfig, SystemParams, analysis, cli, core, fixed_point,
+                                 integrate)
 from bikeshare_meanfield.cli import main
-from bikeshare_meanfield.errors import ConfigError
+from bikeshare_meanfield.errors import ConfigError, InvariantViolationError
 
 SMALL = {
     "lambda": 1.0, "mu": 4.0, "gamma": 0.5, "omega": 1,
@@ -600,24 +603,84 @@ class TestOptimizeCommand:
 
 
 class TestInternalErrorExit:
+    # with one node a chunk, a second call comes after the first row was written
     @pytest.mark.parametrize("command,keys", [
         ("sweep", dict(vary="lambda", grid=[0.8, 1.0])),
         ("optimize", dict(objective="weighted", grid_c=[2, 3])),
     ])
+    @pytest.mark.parametrize("second", [False, True], ids=["first-call", "second-call"])
     def test_invariant_violation_in_a_node_exits_5(self, tmp_path, monkeypatch, capsys,
-                                                   command, keys):
-        from bikeshare_meanfield import analysis
-        from bikeshare_meanfield.errors import InvariantViolationError
+                                                   command, keys, second):
+        calls = []
 
         def broken_solve(nodes):
-            return [InvariantViolationError("solver broke") for _ in nodes]
+            calls.append(nodes)
+            if not second:
+                return [InvariantViolationError("solver broke") for _ in nodes]
+            if len(calls) == 2:
+                raise InvariantViolationError("solver broke")
+            return solve(nodes)
 
+        solve = analysis._solve_many
         monkeypatch.setattr(analysis, "_solve_many", broken_solve)
+        monkeypatch.setattr(analysis, "_CHUNK", 1)
         params = write_params(tmp_path, dict(SMALL, **keys))
         out = tmp_path / "out.csv"
         assert main([command, "--params", str(params), "--out", str(out)]) == 5
         assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
-        assert not out.exists()
+        assert len(calls) == 1 + second
+        assert sorted(os.listdir(tmp_path)) == ["params.json"]
+
+
+class TestChunks:
+    DESIGN = dict(grid_c=[10, 15, 20, 25, 30], grid_k=[35, 40, 45, 50],
+                  grid_mu=[2.0, 4.0, 6.0, 8.0])
+
+    # figure 5's 41-node lambda sweep, 20 capacities 31-69 (a chunk of 7 holds several
+    # K, each K a group of its own) and its 80-candidate design grid under both objectives
+    @pytest.mark.parametrize("command,keys,nodes", [
+        ("sweep", dict(vary="lambda", grid_start=10.0, grid_stop=30.0, grid_num=41), 41),
+        ("sweep", dict(capacity_c=25, vary="capacity_k", grid_start=31, grid_stop=69,
+                       grid_num=20), 20),
+        ("optimize", dict(objective="weighted", **DESIGN), 80),
+        ("optimize", dict(objective="profit", cost_c=1.0, benefit_psi=2.0, **DESIGN), 80),
+    ], ids=["lambda", "capacity-k", "weighted", "profit"])
+    def test_chunk_size_changes_no_byte(self, tmp_path, monkeypatch, command, keys, nodes):
+        solve, sizes = analysis._solve_many, []
+        monkeypatch.setattr(analysis, "_solve_many",
+                            lambda group: sizes.append(len(group)) or solve(group))
+
+        def outputs(chunk):
+            monkeypatch.setattr(analysis, "_CHUNK", chunk)
+            sizes.clear()
+            run_dir = tmp_path / str(chunk)
+            run_dir.mkdir()
+            params = write_params(run_dir, dict(FIG5, **keys))
+            assert main([command, "--params", str(params), "--out", str(run_dir / "out")]) == 0
+            assert max(sizes) <= chunk and sum(sizes) == nodes
+            return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+        expected = outputs(analysis._CHUNK)
+        assert outputs(1) == expected and outputs(7) == expected
+
+    # a node that cannot be built after the first chunk, and a grid whose candidates all
+    # leave the 1 - delta domain at lambda = 2000, leave --out as it was and no other file
+    @pytest.mark.parametrize("command,keys,chunk,code,error,message", [
+        ("sweep", dict(vary="lambda", grid=[10.0 + i / 20 for i in range(299)] + [-1.0]), None,
+         3, "ConfigError", "lambda must be positive, got -1.0"),
+        ("optimize", {"lambda": 2000.0, "grid_c": [10, 12], "grid_mu": [6.0, 8.0]}, 1, 4,
+         "EmptyFeasibleSetError", "every feasible design candidate failed to solve"),
+    ], ids=["bad-node", "every-candidate-fails"])
+    def test_failure_after_the_first_chunk_keeps_out(self, tmp_path, monkeypatch, capsys,
+                                                     command, keys, chunk, code, error, message):
+        monkeypatch.setattr(analysis, "_CHUNK", chunk or analysis._CHUNK)
+        params = write_params(tmp_path, dict(FIG5, **keys))
+        out = tmp_path / "out"
+        out.write_bytes(b"old bytes\n")
+        assert main([command, "--params", str(params), "--out", str(out)]) == code
+        assert capsys.readouterr().err == json.dumps({"error": error, "message": message}) + "\n"
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(os.listdir(tmp_path)) == ["out", "params.json"]
 
 
 class TestRootCertificate:
@@ -995,8 +1058,8 @@ class TestHugeCapacity:
         assert err["message"].startswith("samples=100000001 is too large to simulate")
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
 
-    # sweep holds O(K) bytes for each of its grid_num nodes; at 10**13 nodes it
-    # used to exit 5 with numpy's MemoryError
+    # a grid_num sweep holds its grid array, 8 bytes a node, and solves its nodes a
+    # chunk at a time; at 10**13 nodes it used to exit 5 with numpy's MemoryError
     def test_sweep_refuses_unallocatable_grid(self, tmp_path, capsys):
         params = write_params(tmp_path, dict(SMALL, vary="lambda", grid_start=0.5,
                                              grid_stop=1.5, grid_num=10 ** 13))
@@ -1005,112 +1068,58 @@ class TestHugeCapacity:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(
-            "grid_num=10000000000000 is too large to sweep: the sweep needs 256 KiB for its "
-            "first call, 8 (K+1)**2 bytes at the largest K for one group's residual generator "
-            "and 32 (K+1) + 2400 bytes a node")
+            "grid_num=10000000000000 is too large to sweep: the grid needs 8 bytes a node")
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
 
-    def test_sweep_grid_refusal_follows_the_byte_limit(self, tmp_path, capsys, monkeypatch):
-        # one byte short of a 6-node sweep refuses grid_num=6; 5 nodes fit and solve
-        monkeypatch.setattr(core, "_array_byte_limit",
-                            lambda: (32 * 5 + 2400) * 6 + 262143 + 8 * 5 ** 2)
+    # the grid array (8 bytes a node) and the dense residual generator at the largest K
+    # (8 (K+1)**2 bytes) are all a grid_num sweep sizes: one byte short of the larger
+    # refuses it, exactly the larger runs
+    @pytest.mark.parametrize("base,keys,nbytes,line", [
+        (FIG5, dict(vary="lambda", grid_start=10.0, grid_stop=30.0, grid_num=41), 8 * 51 ** 2,
+         "capacity_k=50 is too large to solve"),
+        (FIG5, dict(capacity_c=25, vary="capacity_k", grid_start=60, grid_stop=40, grid_num=3),
+         8 * 61 ** 2, "capacity_k=60 is too large to solve"),
+        (SMALL, dict(vary="lambda", grid_start=0.5, grid_stop=1.5, grid_num=100), 8 * 100,
+         "grid_num=100 is too large to sweep"),
+    ], ids=["lambda-grid", "capacity-k-grid", "grid-array"])
+    def test_sweep_refusal_follows_the_byte_limit(self, tmp_path, capsys, monkeypatch, base,
+                                                  keys, nbytes, line):
+        params = write_params(tmp_path, dict(base, **keys))
         out = tmp_path / "sweep.csv"
-        for grid_num, code in ((6, 3), (5, 0)):
-            params = write_params(tmp_path, dict(SMALL, vary="lambda", grid_start=0.5,
-                                                 grid_stop=1.5, grid_num=grid_num))
-            assert main(["sweep", "--params", str(params), "--out", str(out)]) == code
-            assert out.exists() == (code == 0)
-        assert "nan" not in out.read_text()
-        assert "grid_num=6 is too large to sweep" in capsys.readouterr().err
+        argv = ["sweep", "--params", str(params), "--out", str(out)]
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: nbytes - 1)
+        assert main(argv) == 3
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith(line) and f"more than the {nbytes - 1} bytes" in message
+        assert not out.exists()
+        monkeypatch.setattr(core, "_array_byte_limit", lambda: nbytes)
+        assert main(argv) == 0
+        assert out.read_text().count("\n") == 2 + keys["grid_num"] and "nan" not in out.read_text()
 
-    def test_sweep_sizes_each_node_at_its_own_capacity(self, tmp_path, capsys, monkeypatch):
-        # the nodes K = 10, 20 and 30 need 3 (32 * 21 + 2400) bytes past the first call's
-        # 256 KiB and the 8 * 31**2 bytes of the K = 30 generator, though three nodes at the
-        # base K = 4 would need 3 (32 * 5 + 2400) and 8 * 5**2
-        params = write_params(tmp_path, dict(SMALL, vary="capacity_k", grid_start=10,
-                                             grid_stop=30, grid_num=3))
-        out = tmp_path / "sweep.csv"
-        nbytes = 3 * (32 * 21 + 2400) + 262144 + 8 * 31 ** 2
-        for limit, code in ((nbytes - 1, 3), (nbytes, 0)):
-            monkeypatch.setattr(core, "_array_byte_limit", lambda: limit)
-            assert main(["sweep", "--params", str(params), "--out", str(out)]) == code
-            assert out.exists() == (code == 0)
-        assert [row.split(",")[1] for row in out.read_text().splitlines()[2:]] == [
-            "10", "20", "30"]
-        assert "nan" not in out.read_text()
-        assert "grid_num=3 is too large to sweep" in capsys.readouterr().err
-
-    # a limit one byte below the traced peak of a 1,000- or 4,000-node sweep refuses
-    # it, so the refusal counts every node's vectors, solve, record and CSV row.  The
-    # peak is taken after gc.collect(), which empties the free lists an earlier call
-    # left to reuse: the small sweep then peaks at 2.22 kB a node, where reused free
-    # lists give 2.10 kB
-    @pytest.mark.parametrize("num", [1000, 4000])
-    @pytest.mark.parametrize("base,start,stop", [(FIG5, 10.0, 30.0), (SMALL, 0.5, 1.5)],
-                             ids=["figure-5", "small"])
-    def test_sweep_refusal_counts_the_working_set(self, tmp_path, capsys, monkeypatch,
-                                                  base, start, stop, num):
-        import gc
-        import tracemalloc
-
-        params = write_params(tmp_path, dict(base, vary="lambda", grid_start=start,
-                                             grid_stop=stop, grid_num=num))
-        argv = ["sweep", "--params", str(params), "--out", str(tmp_path / "sweep.csv")]
-        gc.collect()
-        tracemalloc.start()
-        try:
+    # with nodes solved a few at a time, a run's traced peak is the same at any node
+    # count but for the grid array; it grew about 2,500 bytes a node when every node
+    # of a sweep or design grid was solved at once
+    @pytest.mark.parametrize("command,small,large,keys", [
+        ("sweep", 100, 1000, lambda n: dict(vary="lambda", grid_start=10.0, grid_stop=30.0,
+                                            grid_num=n)),
+        ("optimize", 60, 600, lambda n: dict(grid_c=list(range(1, 31)), grid_k=[50],
+                                             grid_mu=[2.0 + i / 4 for i in range(n // 30)])),
+    ], ids=["sweep", "design-grid"])
+    def test_peak_does_not_grow_with_the_nodes(self, tmp_path, monkeypatch, command, small,
+                                               large, keys):
+        monkeypatch.setattr(analysis, "_CHUNK", 8)
+        peaks = []
+        for n in (small, large):
+            params = write_params(tmp_path, dict(FIG5, **keys(n)))
+            argv = [command, "--params", str(params), "--out", str(tmp_path / "out.csv")]
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
+            gc.collect()
+            tracemalloc.start()
+            code = main(argv)  # main returns on any error, so tracing always stops
+            peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        monkeypatch.setattr(core, "_array_byte_limit", lambda: peak - 1)
-        assert main(argv) == 3
-        assert f"grid_num={num} is too large to sweep" in capsys.readouterr().err
-
-    # each group's solve holds one dense (K+1) x (K+1) residual generator, 128 MB at
-    # K = 4,000, and the groups solve one after another: a limit one byte below the
-    # traced peak of a sweep at a large K, or over a capacity_k grid up to it, refuses it
-    @pytest.mark.parametrize("keys", [
-        dict(capacity_c=1000, capacity_k=2000, vary="lambda", grid_start=10.0, grid_stop=30.0,
-             grid_num=41),
-        dict(capacity_c=1000, capacity_k=4000, vary="lambda", grid_start=10.0, grid_stop=30.0,
-             grid_num=10),
-        dict(capacity_c=25, vary="capacity_k", grid_start=2000, grid_stop=30, grid_num=3),
-    ], ids=["k2000-41-nodes", "k4000-10-nodes", "capacity-k-grid"])
-    def test_sweep_refusal_counts_the_residual_generator(self, tmp_path, capsys, monkeypatch,
-                                                         keys):
-        import gc
-        import tracemalloc
-
-        params = write_params(tmp_path, dict(FIG5, **keys))
-        argv = ["sweep", "--params", str(params), "--out", str(tmp_path / "sweep.csv")]
-        gc.collect()
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        monkeypatch.setattr(core, "_array_byte_limit", lambda: peak - 1)
-        assert main(argv) == 3
-        assert f"grid_num={keys['grid_num']} is too large to sweep" in capsys.readouterr().err
-
-    # the first sweep of a process costs about 150-190 kB once, more than the nodes of
-    # a small grid: a limit one byte below its peak in a new interpreter refuses it
-    @pytest.mark.parametrize("num", [100, 300])
-    def test_refusal_counts_the_first_sweep_of_a_process(self, tmp_path, capsys, monkeypatch,
-                                                         num):
-        params = write_params(tmp_path, dict(SMALL, vary="lambda", grid_start=0.5,
-                                             grid_stop=1.5, grid_num=num))
-        argv = ["sweep", "--params", str(params), "--out", str(tmp_path / "sweep.csv")]
-        proc = subprocess.run([sys.executable, "-c", FIRST_SWEEP_SCRIPT, json.dumps(argv)],
-                              env=_package_env(), capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        code, peak = json.loads(proc.stdout)
-        assert code == 0
-        monkeypatch.setattr(core, "_array_byte_limit", lambda: peak - 1)
-        assert main(argv) == 3
-        assert f"grid_num={num} is too large to sweep" in capsys.readouterr().err
+            assert code == 0
+        assert (peaks[1] - peaks[0]) / (large - small) < 100, peaks
 
     @pytest.mark.parametrize("command,keys", [
         ("fixed-point", {}), ("ode", {"t_end": 0.5, "finite_n": True}),
@@ -1118,17 +1127,6 @@ class TestHugeCapacity:
     def test_routes_without_station_lists_accept_any_n(self, tmp_path, command, keys):
         params = write_params(tmp_path, dict(FIG5, n_stations=10 ** 13, **keys))
         assert main([command, "--params", str(params), "--out", str(tmp_path / "o.out")]) == 0
-
-
-FIRST_SWEEP_SCRIPT = """
-import json, sys, tracemalloc
-
-from bikeshare_meanfield.cli import main
-
-tracemalloc.start()
-code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))
-"""
 
 
 STARTUP_SCRIPT = """
