@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _JSON_FIELDS, SystemParams, _as_float, _as_int, _level_sum, _one_vector
+from .core import (_JSON_FIELDS, SystemParams, _as_float, _as_int, _level_sum, _one_vector,
+                   _to_float)
 from .csvrows import write_text
 from .errors import BikeShareError, ConfigError, EmptyFeasibleSetError, InvariantViolationError
 from .fixed_point import _solve_many, solve_fixed_point  # noqa: F401 - still importable here
@@ -85,8 +86,9 @@ def _cells(rec: SweepRecord) -> tuple:
 
 
 def _metrics(p: np.ndarray, params: SystemParams, prices: ProfitPrices) -> Metrics:
-    """The five metrics of one float occupancy vector of ``params``, on Python floats."""
-    eq = float(_level_sum(params.capacity_k)(p))
+    """The five metrics of one float occupancy vector of ``params``, on Python floats; E[Q]
+    sums a copy, since Prescott's ddot sums a row that is not 16-byte aligned in another order."""
+    eq = float(_level_sum(params.capacity_k)(p.copy()))
     p0, pk = p.item(0), p.item(-1)
     profit = -prices.cost_c * eq + prices.benefit_psi * (params.capacity_c - eq)
     return Metrics(p0, pk, p0 + pk, eq, profit)
@@ -136,7 +138,7 @@ def _sweep_nodes(base: SystemParams, vary: str, grid):
     if field is None:
         raise ConfigError(f"unknown parameter name {vary!r}")
     fields, values = vars(base), _as_values("grid", grid)
-    return _nonempty(((SystemParams(**{**fields, field: value}), vary, float(value))
+    return _nonempty(((SystemParams(**{**fields, field: value}), vary, _to_float(vary, value))
                       for value in values), ConfigError("sweep grid must not be empty"))
 
 

@@ -126,11 +126,8 @@ def _cmd_ode(config: dict, out: str) -> None:
     # a writer process formats each block of rows while the next one is integrated
     last = stream_csv(out, _csv_head(params, params.capacity_k), params.capacity_k + 2,
                       _rk4_blocks(ode_config, params, finite_n))
-    _write_json(str(Path(out).with_suffix(".terminal.json")), {
-        "params": params.to_dict(),
-        "t": float(last[-1, 0]),
-        "y": [float(v) for v in last[-1, 1:]],
-    })
+    _write_json(str(Path(out).with_suffix(".terminal.json")),
+                {"params": params.to_dict(), "t": float(last[-1, 0]), "y": last[-1, 1:].tolist()})
 
 
 def _cmd_simulate(config: dict, out: str) -> None:

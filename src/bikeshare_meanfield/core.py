@@ -14,6 +14,7 @@ generator.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -72,6 +73,15 @@ def _as_float(name: str, value) -> float:
     return number
 
 
+def _to_float(name: str, value) -> float:
+    """``float(value)``; an integer no float holds raises ``ConfigError`` with its bit length."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{name} must fit in a float, got a {value.bit_length()}-bit integer") from None
+
+
 def _as_bool(name: str, value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -94,9 +104,9 @@ def _as_list(name: str, value) -> list:
 
 
 def _write_json(path, payload: dict) -> None:
-    """Write one output JSON document whole, through ``csvrows.write_text``: two-space
-    indent and a final newline.  A payload that cannot be encoded leaves ``path`` as it was."""
-    write_text(path, json.dumps(payload, indent=2) + "\n")
+    """``json.dumps(payload, indent=2)`` and a newline onto ``path`` whole, streamed through
+    ``write_text``: a payload that cannot be encoded leaves ``path`` as it was."""
+    write_text(path, "", itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), "\n"))
 
 
 @dataclass(frozen=True, init=False)
@@ -140,12 +150,7 @@ class SystemParams:
             raise ConfigError(f"rates must satisfy 0 < gamma <= mu, got gamma={gamma}, mu={mu}")
         if omega < 0:
             raise ConfigError(f"omega must be nonnegative, got {omega}")
-        try:
-            float(omega)
-        except OverflowError:
-            raise ConfigError(
-                f"omega must fit in a float, got a {omega.bit_length()}-bit integer"
-            ) from None
+        _to_float("omega", omega)
         if not 1 <= capacity_c < capacity_k:
             raise ConfigError(
                 f"capacities must satisfy 1 <= C < K, got C={capacity_c}, K={capacity_k}"

@@ -269,22 +269,18 @@ def drift_finite_n(y, params: SystemParams) -> np.ndarray:
 
 
 def _ode_capacity_error(capacity_k: int, finite_n: bool) -> ConfigError | None:
-    """The ``ConfigError`` of a capacity whose ``ode`` run cannot be held, or None:
-    the larger of its stepping phase and its terminal JSON, each named in the message.
-    The drift's scratch is the stencil's differences, or the finite-N drift's own-fleet,
-    xi and term vectors.  A block's text takes 64 bytes a value (its tuple of floats,
-    format string and lines) and the JSON 152 a level (a list of floats, the encoder's
-    chunks and the text).  A caller that builds the initial vector from K asks first."""
+    """The ``ConfigError`` of a capacity whose ``ode`` run cannot be held, or None: its
+    stepping phase, which outweighs the terminal JSON (its list of floats, 32 bytes a level).
+    The drift's scratch is the stencil's differences, or the finite-N drift's own-fleet, xi
+    and term vectors; a block's text takes 64 bytes a value (its tuple of floats, format
+    string and lines).  A caller that builds the initial vector from K asks first."""
     vectors = 14 if finite_n else 12
     values = block_rows(capacity_k + 2) * (capacity_k + 2)
-    nbytes = max(8 * vectors * (capacity_k + 1) + 80 * values,
-                 176 * (capacity_k + 1) + 8 * values)
-    return _capacity_error(capacity_k, nbytes, "integrate",
+    return _capacity_error(capacity_k, 8 * vectors * (capacity_k + 1) + 80 * values, "integrate",
                            f"the run needs {8 * vectors} (K+1) bytes for {vectors} vectors (the "
                            "initial state and its copy, 4 stages, arg, raw, scratch, 2 level "
                            "vectors and the drift's scratch) and 80 bytes a value for two blocks "
-                           "of rows and the text of one, or at its end 176 (K+1) bytes and one "
-                           "block for the terminal state's JSON")
+                           "of rows and the text of one")
 
 
 def _domain_exit(state, time: float, bound: float) -> DomainExitError:

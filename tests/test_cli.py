@@ -890,6 +890,20 @@ class TestHugeCapacity:
         assert [row[1] for row in rows] == ["50", "10000000000000"]
         assert rows[0][2] != "nan" and rows[1][2:] == ["nan"] * 5
 
+    # SystemParams takes a capacity or a station count no float holds, but a sweep records
+    # each node's value as a float: the node is refused (it used to exit 5 with OverflowError)
+    @pytest.mark.parametrize("key", ["capacity_k", "n_stations"])
+    def test_sweep_refuses_a_value_no_float_holds(self, tmp_path, capsys, key):
+        params = write_params(tmp_path, dict(FIG5, vary=key, grid=[50, 10 ** 400]))
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"old bytes\n")
+        assert main(["sweep", "--params", str(params), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == json.dumps({
+            "error": "ConfigError",
+            "message": f"{key} must fit in a float, got a 1329-bit integer"}) + "\n"
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(os.listdir(tmp_path)) == ["params.json", "sweep.csv"]
+
     def test_refusal_follows_the_byte_limit(self, tmp_path, capsys, monkeypatch):
         # a limit with room for a 40 x 40 generator only, as on a small machine, refuses K = 50
         monkeypatch.setattr(core, "_array_byte_limit", lambda: 8 * 40 ** 2)
@@ -906,8 +920,7 @@ class TestHugeCapacity:
                        "is too large to integrate: the run needs 96 (K+1) bytes for 12 vectors "
                        "(the initial state and its copy, 4 stages, arg, raw, scratch, 2 level "
                        "vectors and the drift's scratch) and 80 bytes a value for two blocks of "
-                       "rows and the text of one, or at its end 176 (K+1) bytes and one block "
-                       "for the terminal state's JSON"),
+                       "rows and the text of one"),
                "simulate": ({"seed": 1, "t_measure": 1.0}, "o.json",
                             "is too large to simulate: the dense (K+1) x (K+1) joint "
                             "occupancy matrix needs 8 (K+1)**2 bytes")}
@@ -976,34 +989,6 @@ class TestHugeCapacity:
         assert main(argv) == 3
         assert f"capacity_k={capacity_k} is too large to integrate" in capsys.readouterr().err
 
-    # simulate holds a list of N station counts; at these station counts it
-    # used to exit 5 with a raw MemoryError.  A child process under a 4 GiB
-    # address-space limit, so that no run can allocate them here
-    @pytest.mark.parametrize("n_stations,name", [
-        (10 ** 13, "n_stations=10000000000000"), (2 ** 64 + 1, "a 65-bit n_stations"),
-    ], ids=["10**13", "65-bit"])
-    def test_simulate_refuses_unallocatable_stations(self, tmp_path, n_stations, name):
-        import resource
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
-        params = write_params(tmp_path, dict(FIG5, n_stations=n_stations, seed=1, t_measure=1.0))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bikeshare_meanfield.cli", "simulate", "--params", str(params),
-             "--out", str(tmp_path / "o.json")],
-            env=_package_env(), capture_output=True, text=True, timeout=120,
-            preexec_fn=limit_address_space)
-        assert proc.returncode == 3
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "ConfigError"
-        assert err["message"].startswith(
-            f"{name} is too large to simulate: the bike counts per station need 8 N bytes, "
-            "more than the ")
-        assert sorted(os.listdir(tmp_path)) == ["params.json"]
-
     def test_simulate_station_refusal_follows_the_byte_limit(self, tmp_path, capsys,
                                                              monkeypatch):
         # one byte short of a 100-entry list refuses N = 100; N = 99 fits and runs
@@ -1035,28 +1020,6 @@ class TestHugeCapacity:
         assert sorted(os.listdir(tmp_path)) == ["params.json"]
         assert main(argv + ["sample_interval=0.5"]) == 0
         assert sorted(os.listdir(tmp_path)) == ["o.json", "o.trajectory.csv", "params.json"]
-
-    # the figure-5 set at N = 10 sampled every 1e-8 over a horizon of 1: the
-    # refusal comes before sampling, in a child process under a 4 GiB
-    # address-space limit, so that a run that did sample would fail there
-    def test_simulate_refuses_unallocatable_samples(self, tmp_path):
-        import resource
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
-        params = write_params(tmp_path, dict(FIG5, n_stations=10, seed=1, t_measure=1.0,
-                                             sample_interval=1e-8))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bikeshare_meanfield.cli", "simulate", "--params", str(params),
-             "--out", str(tmp_path / "o.json")],
-            env=_package_env(), capture_output=True, text=True, timeout=120,
-            preexec_fn=limit_address_space)
-        assert proc.returncode == 3
-        err = json.loads(proc.stderr)
-        assert err["error"] == "ConfigError"
-        assert err["message"].startswith("samples=100000001 is too large to simulate")
-        assert sorted(os.listdir(tmp_path)) == ["params.json"]
 
     # a grid_num sweep holds its grid array, 8 bytes a node, and solves its nodes a
     # chunk at a time; at 10**13 nodes it used to exit 5 with numpy's MemoryError
@@ -1129,37 +1092,6 @@ class TestHugeCapacity:
         assert main([command, "--params", str(params), "--out", str(tmp_path / "o.out")]) == 0
 
 
-STARTUP_SCRIPT = """
-import json, sys
-
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-
-import bikeshare_meanfield
-from bikeshare_meanfield.cli import main
-from bikeshare_meanfield.errors import ConfigError
-
-after_import = scipy_modules()
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"after_import": after_import, "codes": codes, "after_cli": scipy_modules()}))
-"""
-
-
-def test_runtime_loads_no_scipy(tmp_path):
-    # a fresh process, since the test process itself imports scipy
-    params = write_params(tmp_path, dict(
-        FIG5, vary="lambda", grid=[14.0, 15.0], grid_c=[25, 30], t_end=1.0,
-        seed=1, t_warmup=0.05, t_measure=0.05))
-    commands = ["fixed-point", "sweep", "optimize", "ode", "simulate"]
-    argvs = [[command, "--params", str(params), "--out", str(tmp_path / f"{command}.out")]
-             for command in commands]
-    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(argvs)],
-                          env=_package_env(), capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"after_import": [], "codes": [0] * len(commands), "after_cli": []}
-
-
 # every key each command reads, by the JSON type it must have
 MODEL_KEYS = {"lambda": "number", "mu": "number", "gamma": "number", "omega": "integer",
               "capacity_c": "integer", "capacity_k": "integer", "n_stations": "integer",
@@ -1218,6 +1150,20 @@ def junk_params(tmp_path_factory):
         SMALL, t_end=1.0, seed=1, t_measure=0.5, vary="lambda", grid_start=0.5,
         grid_stop=1.0, grid_num=2, grid_c=[2, 3], validate_t_measure=1.0)))
     return path
+
+
+class TestJsonOutputs:
+    # the encoder streams its text to the file: the bytes of json.dumps, indent 2, and a newline
+    def test_each_json_output_is_json_dumps_of_its_payload(self, tmp_path, capsys):
+        params = write_params(tmp_path, dict(SMALL, grid_c=[2, 3], t_end=1.0, seed=1,
+                                             t_measure=1.0, validate_t_measure=20.0))
+        for command, out in (("fixed-point", "fp.json"), ("optimize", "opt.json"),
+                             ("simulate", "sim.json"), ("ode", "ode.csv"),
+                             ("validate", "checks.json")):
+            assert main([command, "--params", str(params), "--out", str(tmp_path / out)]) == 0
+        for name in ("fp.json", "opt.json", "sim.json", "ode.terminal.json", "checks.json"):
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
 
 class TestJunkInput:
